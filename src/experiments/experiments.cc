@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "mica/dataset.hh"
+#include "mica/ppm.hh"
 #include "obs/obs.hh"
 #include "mica/runner.hh"
 #include "pipeline/parallel_collector.hh"
@@ -98,6 +99,9 @@ collectSuiteDataset(const DatasetConfig &cfg)
     std::vector<workloads::BenchmarkEntry> traceEntries;
     std::vector<const workloads::BenchmarkEntry *> selected;
     uint64_t traceStamp = 0;
+    // Every worker would reject the order, so check it once, before
+    // the store or the pool: one error, not 122 quarantined benchmarks.
+    PpmBranchAnalyzer::checkOrder(cfg.ppmMaxOrder);
     if (!cfg.traceDir.empty() && !cfg.traceFiles.empty())
         throw std::invalid_argument(
             "traceDir and traceFiles are mutually exclusive");

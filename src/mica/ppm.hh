@@ -8,11 +8,21 @@
  * benchmark's branches are, because it upper-bounds what any finite-
  * context history predictor can achieve rather than modeling a specific
  * hardware table organization.
+ *
+ * An order-k context is the last k outcomes of a history register, so
+ * it takes only 2^k values. All orders 0..M of one pattern table
+ * therefore fit one dense block of 2^(M+1)-1 int8_t counters, with the
+ * order-k counter for history h at offset (2^k - 1) + (h & (2^k - 1)).
+ * Every context owns its counter: the tables are exact, with no tags
+ * and no aliasing. M is capped at kMaxOrder = 16, where a block is
+ * 128 KiB.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "trace/trace_source.hh"
@@ -22,262 +32,19 @@ namespace mica
 {
 
 /**
- * Open-addressing pattern table specialized for PPM context counters.
- *
- * One 8-byte slot holds everything a context needs — bit 63 marks the
- * slot used, bits 62..4 are a 59-bit fingerprint (the low 59 bits of
- * the already-hashed context key), bits 3..0 a biased saturating
- * counter — so a table of N contexts costs half the bytes of a
- * key/value/flag slot layout and packs 8 slots per cache line. With
- * GAs/PAs growing to ~10^5 contexts per table, table bytes are the
- * profiling bottleneck, not instruction count.
- *
- * The 5 dropped key bits make aliasing *possible* (two contexts whose
- * 64-bit keys agree in the low 59 bits would share a counter), with
- * probability ~2^-59 per context pair — the standard partial-tag
- * trade-off of hardware pattern tables. Keys are pre-mixed by
- * PpmPredictor::key(), so the low bits carry full entropy and index
- * the table directly.
- */
-class PpmContextTable
-{
-  public:
-    /** @return number of live contexts. */
-    size_t size() const { return size_; }
-
-    /** Hint the CPU to pull the key's home slot into cache. */
-    void
-    prefetch(uint64_t key) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        if (!slots_.empty())
-            __builtin_prefetch(&slots_[key & mask_]);
-#endif
-    }
-
-    /**
-     * Read the context's counter, then apply one saturating step
-     * toward rail (+kMax for taken, -kMax for not taken).
-     *
-     * @return the counter value *before* the update — the evidence a
-     *         PPM prediction is made from. Missing contexts read 0
-     *         and are inserted.
-     */
-    int8_t
-    updateSaturating(uint64_t key, int8_t delta, int8_t rail)
-    {
-        growIfNeeded();
-        const uint64_t tagged = kUsed | ((key & kFpMask) << kCtrBits);
-        for (size_t i = key & mask_;; i = (i + 1) & mask_) {
-            uint64_t &s = slots_[i];
-            if (s == 0) {
-                // New context: pre-update evidence is 0, counter
-                // steps off zero (never saturates).
-                s = tagged | static_cast<uint64_t>(kBias + delta);
-                ++size_;
-                return 0;
-            }
-            if ((s & ~kCtrMask) == tagged) {
-                const int8_t pre =
-                    static_cast<int8_t>(s & kCtrMask) - kBias;
-                const int8_t next = pre == rail
-                    ? pre : static_cast<int8_t>(pre + delta);
-                s = (s & ~kCtrMask) |
-                    static_cast<uint64_t>(next + kBias);
-                return pre;
-            }
-        }
-    }
-
-  private:
-    static constexpr unsigned kCtrBits = 4;
-    static constexpr uint64_t kCtrMask = (1ull << kCtrBits) - 1;
-    static constexpr int8_t kBias = 8;
-    static constexpr uint64_t kUsed = 1ull << 63;
-    static constexpr uint64_t kFpMask = (1ull << 59) - 1;
-    static constexpr size_t kMinCapacity = 16;
-
-    void
-    growIfNeeded()
-    {
-        if (slots_.empty())
-            rehash(kMinCapacity);
-        else if ((size_ + 1) * 10 > slots_.size() * 7)
-            rehash(slots_.size() * 2);
-    }
-
-    void
-    rehash(size_t newCap)
-    {
-        std::vector<uint64_t> old = std::move(slots_);
-        slots_.assign(newCap, 0);
-        mask_ = newCap - 1;
-        for (uint64_t s : old) {
-            if (s == 0)
-                continue;
-            // The stored fingerprint contains the low key bits the
-            // index is derived from.
-            const uint64_t keyLow = (s >> kCtrBits) & kFpMask;
-            for (size_t i = keyLow & mask_;; i = (i + 1) & mask_) {
-                if (slots_[i] == 0) {
-                    slots_[i] = s;
-                    break;
-                }
-            }
-        }
-    }
-
-    std::vector<uint64_t> slots_;
-    size_t size_ = 0;
-    size_t mask_ = 0;
-};
-
-/**
- * One PPM predictor instance.
- *
- * Four variants are defined by two orthogonal axes, mirroring the
- * two-level predictor taxonomy:
- *  - history: Global (one history register) vs. Per-address (one history
- *    register per static branch);
- *  - tables:  g (one pattern table shared by all branches) vs.
- *    s (separate per-branch pattern tables).
- *
- * Prediction walks contexts from the longest (maxOrder history bits)
- * down to order 0 and predicts with the first context whose evidence
- * counter is non-zero; all context orders are updated afterwards
- * (non-exclusive update). Unseen contexts fall through; a completely
- * cold branch predicts taken.
- */
-class PpmPredictor
-{
-  public:
-    enum class History { Global, PerAddress };
-    enum class Tables { Shared, PerBranch };
-
-    PpmPredictor(History hist, Tables tables, unsigned maxOrder = 8)
-        : hist_(hist), tables_(tables), maxOrder_(maxOrder),
-          ctx_(maxOrder + 1), keyBuf_(maxOrder + 1)
-    {}
-
-    /**
-     * Predict the branch at pc, then update with the actual outcome.
-     * @return the prediction made before the update.
-     *
-     * Prediction and update are fused into one table walk: each
-     * (order, context) counter is touched exactly once per branch, so
-     * reading it just before updating it observes the same pre-update
-     * evidence the original find-then-update formulation saw — half
-     * the hash lookups, bit-identical miss rates. Keys are computed up
-     * front and their slots prefetched so the per-order cache misses
-     * overlap instead of serializing.
-     */
-    bool
-    predictAndUpdate(uint64_t pc, bool taken)
-    {
-        if (!prepared_ || preparedPc_ != pc)
-            prepare(pc);
-        prepared_ = false;
-
-        bool prediction = true;     // cold default: predict taken
-        bool decided = false;
-        const int8_t delta = taken ? 1 : -1;
-        const int8_t rail = taken ? kCtrMax : -kCtrMax;
-        for (int k = static_cast<int>(maxOrder_); k >= 0; --k) {
-            const int8_t pre =
-                ctx_[k].updateSaturating(keyBuf_[k], delta, rail);
-            if (!decided && pre != 0) {
-                prediction = pre > 0;
-                decided = true;
-            }
-        }
-
-        pushHistory(pc, taken);
-        return prediction;
-    }
-
-    /**
-     * Compute the keys and hashes a predictAndUpdate(pc, ...) call
-     * will use and prefetch their context slots. Callers running
-     * several predictors over the same branch issue every predictor's
-     * prepare() first so the table misses overlap instead of
-     * serializing per predictor; the following predictAndUpdate(pc)
-     * then reuses the buffered keys and hashes. Purely a performance
-     * hint — predictAndUpdate() recomputes them when not prepared.
-     */
-    void
-    prepare(uint64_t pc)
-    {
-        const uint64_t history = currentHistory(pc);
-        for (int k = static_cast<int>(maxOrder_); k >= 0; --k) {
-            keyBuf_[k] = key(pc, history, k);
-            ctx_[k].prefetch(keyBuf_[k]);
-        }
-        prepared_ = true;
-        preparedPc_ = pc;
-    }
-
-
-    unsigned maxOrder() const { return maxOrder_; }
-
-    /** @return total pattern-table entries across all orders. */
-    size_t
-    tableEntries() const
-    {
-        size_t n = 0;
-        for (const auto &m : ctx_)
-            n += m.size();
-        return n;
-    }
-
-  private:
-    static constexpr int8_t kCtrMax = 4;
-
-    uint64_t
-    currentHistory(uint64_t pc) const
-    {
-        if (hist_ == History::Global)
-            return ghist_;
-        const uint64_t *h = lhist_.find(pc);
-        return h ? *h : 0;
-    }
-
-    void
-    pushHistory(uint64_t pc, bool taken)
-    {
-        if (hist_ == History::Global) {
-            ghist_ = (ghist_ << 1) | (taken ? 1 : 0);
-        } else {
-            uint64_t &h = lhist_[pc];
-            h = (h << 1) | (taken ? 1 : 0);
-        }
-    }
-
-    /** Mix (order, masked history, optional pc) into a table key. */
-    uint64_t
-    key(uint64_t pc, uint64_t history, int order) const
-    {
-        const uint64_t h =
-            order > 0 ? (history & ((1ull << order) - 1)) : 0;
-        uint64_t k = h * 0x9e3779b97f4a7c15ull;
-        if (tables_ == Tables::PerBranch)
-            k ^= pc * 0xc2b2ae3d27d4eb4full;
-        return k ^ (static_cast<uint64_t>(order) << 56);
-    }
-
-    History hist_;
-    Tables tables_;
-    unsigned maxOrder_;
-    std::vector<PpmContextTable> ctx_;
-    std::vector<uint64_t> keyBuf_;  ///< per-call key scratch (no alloc)
-    bool prepared_ = false;         ///< keyBuf_ valid for
-    uint64_t preparedPc_ = 0;       ///< this pc
-    uint64_t ghist_ = 0;
-    util::FlatHashMap<uint64_t, uint64_t, util::MulHash> lhist_;
-};
-
-/**
  * Runs the four PPM variants of Table II (GAg, PAg, GAs, PAs) over the
  * conditional branches of a trace and reports their miss rates.
+ *
+ * The variants combine two orthogonal axes of the two-level predictor
+ * taxonomy:
+ *  - history: Global (one history register) vs. Per-address (one
+ *    history register per static branch);
+ *  - tables:  g (one block shared by all branches) vs. s (one block
+ *    per static branch).
+ *
+ * Static branches get dense ids from one pc -> id map; the id indexes
+ * the local histories PAg and PAs share and the GAs/PAs blocks. Memory
+ * is 2 x static branches x (2^(M+1)-1) bytes plus the two shared blocks.
  */
 class PpmBranchAnalyzer : public TraceAnalyzer
 {
@@ -286,16 +53,27 @@ class PpmBranchAnalyzer : public TraceAnalyzer
 
     static constexpr size_t kNumVariants = 4;
 
-    explicit PpmBranchAnalyzer(unsigned maxOrder = 8)
-        : gag_(PpmPredictor::History::Global,
-               PpmPredictor::Tables::Shared, maxOrder),
-          pag_(PpmPredictor::History::PerAddress,
-               PpmPredictor::Tables::Shared, maxOrder),
-          gas_(PpmPredictor::History::Global,
-               PpmPredictor::Tables::PerBranch, maxOrder),
-          pas_(PpmPredictor::History::PerAddress,
-               PpmPredictor::Tables::PerBranch, maxOrder)
-    {}
+    /** Deepest supported context order (one block is 128 KiB). */
+    static constexpr unsigned kMaxOrder = 16;
+
+    /** @throws std::invalid_argument when maxOrder > kMaxOrder. */
+    static void
+    checkOrder(unsigned maxOrder)
+    {
+        if (maxOrder > kMaxOrder)
+            throw std::invalid_argument(
+                "PPM order " + std::to_string(maxOrder) +
+                " exceeds the maximum of " + std::to_string(kMaxOrder));
+    }
+
+    /** @throws std::invalid_argument when maxOrder > kMaxOrder. */
+    explicit PpmBranchAnalyzer(unsigned maxOrder = 8) : maxOrder_(maxOrder)
+    {
+        checkOrder(maxOrder);
+        blockSize_ = (size_t{2} << maxOrder) - 1;
+        gag_.assign(blockSize_, 0);
+        pag_.assign(blockSize_, 0);
+    }
 
     void accept(const InstRecord &rec) override { step(rec); }
 
@@ -315,22 +93,54 @@ class PpmBranchAnalyzer : public TraceAnalyzer
     double missRatePAs() const { return rate(3); }
 
   private:
+    static constexpr int8_t kCtrMax = 4;
+
     void
     step(const InstRecord &rec)
     {
         if (!rec.isCondBranch())
             return;
         ++branches_;
-        // All four variants' slots first, then the four walks: the
-        // table misses of 4 x (maxOrder + 1) lookups overlap.
-        gag_.prepare(rec.pc);
-        pag_.prepare(rec.pc);
-        gas_.prepare(rec.pc);
-        pas_.prepare(rec.pc);
-        miss_[0] += gag_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-        miss_[1] += pag_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-        miss_[2] += gas_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-        miss_[3] += pas_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
+        const auto [slot, fresh] = ids_.tryEmplace(
+            rec.pc, static_cast<uint32_t>(localHist_.size()));
+        const uint32_t id = *slot;
+        if (fresh) {
+            localHist_.push_back(0);
+            gas_.resize(gas_.size() + blockSize_);
+            pas_.resize(pas_.size() + blockSize_);
+        }
+        const size_t block = id * blockSize_;
+        uint32_t &local = localHist_[id];
+        const bool taken = rec.taken;
+        miss_[0] += walk(gag_.data(), globalHist_, taken) != taken;
+        miss_[1] += walk(pag_.data(), local, taken) != taken;
+        miss_[2] += walk(gas_.data() + block, globalHist_, taken) != taken;
+        miss_[3] += walk(pas_.data() + block, local, taken) != taken;
+        globalHist_ = (globalHist_ << 1) | taken;
+        local = (local << 1) | taken;
+    }
+
+    /**
+     * Predict with the longest context whose counter is non-zero (a
+     * cold branch predicts taken), then step every order's counter
+     * toward the outcome, saturating at +-kCtrMax. Walking up from
+     * order 0, the last non-zero counter seen is the longest one.
+     *
+     * @return the prediction made before the update.
+     */
+    bool
+    walk(int8_t *counters, uint32_t history, bool taken)
+    {
+        const int8_t delta = taken ? 1 : -1;
+        const int8_t rail = taken ? kCtrMax : -kCtrMax;
+        bool prediction = true;
+        for (unsigned k = 0; k <= maxOrder_; ++k) {
+            const uint32_t mask = (1u << k) - 1;
+            int8_t &c = counters[mask + (history & mask)];
+            prediction = c != 0 ? c > 0 : prediction;
+            c = static_cast<int8_t>(c + (c != rail ? delta : 0));
+        }
+        return prediction;
     }
 
     double
@@ -340,7 +150,13 @@ class PpmBranchAnalyzer : public TraceAnalyzer
                            static_cast<double>(branches_) : 0.0;
     }
 
-    PpmPredictor gag_, pag_, gas_, pas_;
+    unsigned maxOrder_;
+    size_t blockSize_ = 0;              ///< counters per block
+    std::vector<int8_t> gag_, pag_;     ///< one shared block each
+    std::vector<int8_t> gas_, pas_;     ///< one block per branch id
+    util::FlatHashMap<uint64_t, uint32_t, util::MulHash> ids_;
+    std::vector<uint32_t> localHist_;   ///< per branch id
+    uint32_t globalHist_ = 0;
     uint64_t branches_ = 0;
     uint64_t miss_[kNumVariants] = {};
 };

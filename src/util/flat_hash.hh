@@ -4,7 +4,7 @@
  *
  * std::unordered_map/set allocate one node per element and chase at
  * least one pointer per lookup. The analyzer hot loops do one or more
- * lookups per dynamic instruction (PPM context tables, working-set
+ * lookups per dynamic instruction (the PPM branch-id map, working-set
  * block/page sets, per-PC stride tables, the interpreter's page
  * table), so node allocation and pointer chasing dominate profiling
  * time. These containers keep all slots in one contiguous
@@ -69,17 +69,6 @@ struct MulHash
         x *= 0x9e3779b97f4a7c15ull;
         return x ^ (x >> 29);
     }
-};
-
-/**
- * Identity hash policy for keys that are *already* well mixed (e.g.,
- * the PPM context keys, which are built by multiplicative hashing).
- * Multiplying by an odd constant is bijective on the low bits used
- * for indexing, so such keys need no second mix.
- */
-struct PremixedHash
-{
-    static uint64_t of(uint64_t x) { return x; }
 };
 
 /**

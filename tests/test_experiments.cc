@@ -98,6 +98,18 @@ TEST(ExperimentsTest, CacheRoundTrip)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ExperimentsTest, PpmOrderAboveCapFailsBeforeStoreOrSweep)
+{
+    const std::string dir = "/tmp/mica_test_bad_ppm_order";
+    std::filesystem::remove_all(dir);
+    DatasetConfig cfg = smallConfig();
+    cfg.cacheDir = dir;
+    cfg.ppmMaxOrder = 17;
+    EXPECT_THROW(collectSuiteDataset(cfg), std::invalid_argument);
+    // The store creates its directory on the first profile it commits.
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(ExperimentsTest, ConfigFromArgsParsesFlags)
 {
     const char *argv[] = {"prog", "--budget=1234", "--cache=/tmp/x",

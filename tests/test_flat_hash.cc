@@ -64,7 +64,7 @@ TEST(FlatHashMapTest, BracketValueInitializesMissingEntries)
 
 TEST(FlatHashMapTest, ZeroKeyIsAnOrdinaryKey)
 {
-    // PPM order-0 contexts hash to key 0; it must behave like any key.
+    // Key 0 (e.g. page 0, block 0) must behave like any other key.
     FlatHashMap<uint64_t, uint64_t> m;
     EXPECT_EQ(m.find(0), nullptr);
     m[0] = 17;
@@ -150,15 +150,6 @@ TEST(FlatHashMapTest, CollisionStressDegenerateKeysMulHash)
 {
     for (const auto &keys : degenerateKeySets())
         collisionStress<FlatHashMap<uint64_t, uint64_t, MulHash>>(keys);
-}
-
-TEST(FlatHashMapTest, CollisionStressDegenerateKeysPremixedHash)
-{
-    // Identity hashing degrades to long probe runs on clustered keys
-    // but must stay correct.
-    for (const auto &keys : degenerateKeySets())
-        collisionStress<FlatHashMap<uint64_t, uint64_t, PremixedHash>>(
-            keys);
 }
 
 TEST(FlatHashMapTest, MoveOnlyValuesSurviveGrowth)

@@ -6,6 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+
+#include "isa/interpreter.hh"
 #include "mica/ilp.hh"
 #include "mica/inst_mix.hh"
 #include "mica/ppm.hh"
@@ -14,7 +23,9 @@
 #include "mica/working_set.hh"
 #include "stats/rng.hh"
 #include "test_util.hh"
+#include "trace/engine.hh"
 #include "trace/synthetic.hh"
+#include "workloads/registry.hh"
 
 namespace mica
 {
@@ -536,15 +547,127 @@ TEST(PpmTest, MissRatesAreProbabilities)
     }
 }
 
-TEST(PpmPredictorTest, TableGrowsWithDistinctContexts)
+TEST(PpmTest, OrderAboveSixteenIsRejected)
 {
-    PpmPredictor p(PpmPredictor::History::Global,
-                   PpmPredictor::Tables::Shared, 4);
-    Rng rng(5);
-    for (int i = 0; i < 1000; ++i)
-        p.predictAndUpdate(0x100, rng.chance(0.5));
-    EXPECT_GT(p.tableEntries(), 16u);
-    EXPECT_EQ(p.maxOrder(), 4u);
+    EXPECT_NO_THROW(PpmBranchAnalyzer(PpmBranchAnalyzer::kMaxOrder));
+    EXPECT_THROW(PpmBranchAnalyzer(17), std::invalid_argument);
+    EXPECT_THROW(PpmBranchAnalyzer(64), std::invalid_argument);
+}
+
+/**
+ * Reference PPM: one std::map counter per (variant, order, pc or 0,
+ * masked history), walked from the longest order down. Slow, plainly
+ * exact, and sharing no code with the dense blocks.
+ */
+struct ReferencePpm
+{
+    explicit ReferencePpm(unsigned order) : maxOrder(order) {}
+
+    unsigned maxOrder;
+    std::map<std::tuple<int, int, uint64_t, uint64_t>, int> ctr;
+    std::map<uint64_t, uint64_t> localHist;
+    uint64_t globalHist = 0;
+    uint64_t branches = 0;
+    uint64_t miss[4] = {};   // GAg, PAg, GAs, PAs
+
+    void
+    accept(const InstRecord &r)
+    {
+        if (!r.isCondBranch())
+            return;
+        ++branches;
+        const uint64_t local = localHist[r.pc];
+        for (int v = 0; v < 4; ++v) {
+            const uint64_t hist = v % 2 ? local : globalHist;
+            const uint64_t pc = v >= 2 ? r.pc : 0;
+            bool pred = true, decided = false;
+            for (int k = static_cast<int>(maxOrder); k >= 0; --k) {
+                int &c = ctr[{v, k, pc, hist & ((1ull << k) - 1)}];
+                if (!decided && c != 0) {
+                    pred = c > 0;
+                    decided = true;
+                }
+                c = r.taken ? std::min(c + 1, 4) : std::max(c - 1, -4);
+            }
+            miss[v] += pred != r.taken;
+        }
+        globalHist = globalHist << 1 | r.taken;
+        localHist[r.pc] = local << 1 | r.taken;
+    }
+};
+
+TEST(PpmTest, MatchesReferencePpmBitForBit)
+{
+    for (unsigned order : {0u, 1u, 4u, 8u, 12u, 16u}) {
+        for (const auto &[seed, pTaken] :
+             {std::pair{3ull, 0.9}, std::pair{17ull, 0.6}}) {
+            RandomTraceParams p;
+            p.numInsts = 30000;
+            p.seed = seed;
+            p.pBranch = 0.3;
+            p.pTaken = pTaken;
+            p.codeFootprint = 1 << 8;   // ~64 recurring branch pcs
+            RandomTraceSource src(p);
+            PpmBranchAnalyzer ppm(order);
+            ReferencePpm ref(order);
+            InstRecord r;
+            while (src.next(r)) {
+                ppm.accept(r);
+                ref.accept(r);
+            }
+            ASSERT_EQ(ppm.branches(), ref.branches);
+            ASSERT_GT(ref.branches, 1000u);
+            const double n = static_cast<double>(ref.branches);
+            const std::string at = "order=" + std::to_string(order) +
+                                   " seed=" + std::to_string(seed);
+            EXPECT_EQ(ppm.missRateGAg(), ref.miss[0] / n) << at;
+            EXPECT_EQ(ppm.missRatePAg(), ref.miss[1] / n) << at;
+            EXPECT_EQ(ppm.missRateGAs(), ref.miss[2] / n) << at;
+            EXPECT_EQ(ppm.missRatePAs(), ref.miss[3] / n) << at;
+        }
+    }
+}
+
+/**
+ * tests/ppm_golden.tsv holds the branch counts and hex-float miss
+ * rates the earlier hash-table PPM gave every registry kernel's first
+ * 100K records at orders 1, 8 and 16. Rates are ratios of integer
+ * counts, so the table is host-independent and must match exactly.
+ */
+TEST(PpmTest, RegistryKernelsMatchGoldenMissRates)
+{
+    std::ifstream in(std::string(MICA_TESTS_DIR) + "/ppm_golden.tsv");
+    ASSERT_TRUE(in) << "cannot open tests/ppm_golden.tsv";
+    std::vector<std::string> want;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#')
+            want.push_back(line);
+    }
+
+    std::vector<std::string> got;
+    for (const auto &e : workloads::BenchmarkRegistry::instance().all()) {
+        const isa::Program prog = e.build();
+        isa::Interpreter interp(prog);
+        PpmBranchAnalyzer a1(1), a8(8), a16(16);
+        AnalysisEngine engine;
+        engine.add(&a1);
+        engine.add(&a8);
+        engine.add(&a16);
+        engine.run(interp, 100000);
+        for (const auto &[order, a] :
+             {std::pair{1u, &a1}, std::pair{8u, &a8}, std::pair{16u, &a16}}) {
+            char line[512];
+            std::snprintf(line, sizeof line, "%s\t%u\t%llu\t%a\t%a\t%a\t%a",
+                          e.info.fullName().c_str(), order,
+                          static_cast<unsigned long long>(a->branches()),
+                          a->missRateGAg(), a->missRatePAg(),
+                          a->missRateGAs(), a->missRatePAs());
+            got.push_back(line);
+        }
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]);
 }
 
 } // namespace
