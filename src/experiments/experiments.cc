@@ -228,7 +228,7 @@ collectSuiteDataset(const DatasetConfig &cfg)
     rc.maxInsts = cfg.maxInsts;
     rc.ppmMaxOrder = cfg.ppmMaxOrder;
 
-    // Persist each result the moment its two jobs finish (put is
+    // Persist each result the moment its job finishes (put is
     // thread-safe), so an interrupted or partially failed sweep keeps
     // everything completed so far.
     pipeline::ResultFn persist;

@@ -74,8 +74,11 @@ opcodeName(Opcode op)
     return "?";
 }
 
-InstClass
-opcodeClass(Opcode op)
+namespace
+{
+
+constexpr InstClass
+classOf(Opcode op)
 {
     switch (op) {
       case Opcode::Mul:
@@ -139,6 +142,47 @@ opcodeClass(Opcode op)
     }
 }
 
+constexpr uint8_t
+memSizeOf(Opcode op)
+{
+    switch (op) {
+      case Opcode::Lb:
+      case Opcode::Lbu:
+      case Opcode::Sb:
+        return 1;
+      case Opcode::Lh:
+      case Opcode::Lhu:
+      case Opcode::Sh:
+        return 2;
+      case Opcode::Lw:
+      case Opcode::Lwu:
+      case Opcode::Sw:
+        return 4;
+      case Opcode::Ld:
+      case Opcode::Sd:
+      case Opcode::Fld:
+      case Opcode::Fsd:
+        return 8;
+      default:
+        return 0;
+    }
+}
+
+constexpr std::array<OpcodeInfo, kNumOpcodes>
+makeOpcodeInfo()
+{
+    std::array<OpcodeInfo, kNumOpcodes> t{};
+    for (int i = 0; i < kNumOpcodes; ++i) {
+        const auto op = static_cast<Opcode>(i);
+        t[i] = {classOf(op), memSizeOf(op)};
+    }
+    return t;
+}
+
+} // namespace
+
+const std::array<OpcodeInfo, kNumOpcodes> kOpcodeInfo = makeOpcodeInfo();
+
 bool
 opcodeIsFp(Opcode op)
 {
@@ -163,32 +207,6 @@ opcodeIsFp(Opcode op)
         return true;
       default:
         return false;
-    }
-}
-
-uint8_t
-opcodeMemSize(Opcode op)
-{
-    switch (op) {
-      case Opcode::Lb:
-      case Opcode::Lbu:
-      case Opcode::Sb:
-        return 1;
-      case Opcode::Lh:
-      case Opcode::Lhu:
-      case Opcode::Sh:
-        return 2;
-      case Opcode::Lw:
-      case Opcode::Lwu:
-      case Opcode::Sw:
-        return 4;
-      case Opcode::Ld:
-      case Opcode::Sd:
-      case Opcode::Fld:
-      case Opcode::Fsd:
-        return 8;
-      default:
-        return 0;
     }
 }
 

@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "trace/inst_record.hh"
@@ -47,16 +49,34 @@ enum class Opcode : uint8_t
 /** Number of opcodes (for table sizing). */
 constexpr int kNumOpcodes = static_cast<int>(Opcode::Halt) + 1;
 
+/** Per-opcode facts the interpreter reads for every instruction. */
+struct OpcodeInfo
+{
+    InstClass cls;      ///< class used by the analyzers
+    uint8_t memSize;    ///< access size in bytes, 0 for non-memory ops
+};
+
+/** OpcodeInfo indexed by opcode (defined in opcode.cc). */
+extern const std::array<OpcodeInfo, kNumOpcodes> kOpcodeInfo;
+
 /** @return the printable mnemonic for an opcode. */
 const char *opcodeName(Opcode op);
 
 /** @return the InstClass used by the analyzers for this opcode. */
-InstClass opcodeClass(Opcode op);
+inline InstClass
+opcodeClass(Opcode op)
+{
+    return kOpcodeInfo[static_cast<size_t>(op)].cls;
+}
 
 /** @return true if the opcode reads/writes floating-point registers. */
 bool opcodeIsFp(Opcode op);
 
 /** @return access size in bytes for memory opcodes, 0 otherwise. */
-uint8_t opcodeMemSize(Opcode op);
+inline uint8_t
+opcodeMemSize(Opcode op)
+{
+    return kOpcodeInfo[static_cast<size_t>(op)].memSize;
+}
 
 } // namespace mica::isa

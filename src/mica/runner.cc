@@ -91,7 +91,8 @@ runEngine(AnalysisEngine &engine, TraceSource &src,
 
 MicaProfile
 collectMicaProfile(TraceSource &src, const std::string &name,
-                   const MicaRunnerConfig &cfg)
+                   const MicaRunnerConfig &cfg,
+                   const std::vector<TraceAnalyzer *> &extra)
 {
     obs::ObsSpan sp("mica.collect");
     sp.arg("bench", name);
@@ -109,6 +110,8 @@ collectMicaProfile(TraceSource &src, const std::string &name,
     engine.add(&ws);
     engine.add(&st);
     engine.add(&ppm);
+    for (TraceAnalyzer *a : extra)
+        engine.add(a);
 
     MicaProfile p;
     p.name = name;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mica/profile.hh"
 #include "trace/engine.hh"
@@ -39,9 +40,15 @@ struct MicaRunnerConfig
  *   isa::Interpreter interp(program);
  *   MicaProfile p = collectMicaProfile(interp, "my-bench", {});
  * @endcode
+ *
+ * @param extra further analyzers (e.g. uarch::HwCounterAnalyzer) fed
+ *        the same records in the same pass; the caller owns them and
+ *        reads their results afterwards
  */
 MicaProfile collectMicaProfile(TraceSource &src, const std::string &name,
-                               const MicaRunnerConfig &cfg = {});
+                               const MicaRunnerConfig &cfg = {},
+                               const std::vector<TraceAnalyzer *> &extra =
+                                   {});
 
 /**
  * Collect only a subset of characteristics, instantiating just the

@@ -2,12 +2,13 @@
  * @file
  * Parallel fan-out of the profiling sweep.
  *
- * Each benchmark contributes two independent jobs — the MICA
- * characterization and the HPC (simulated hardware counter)
- * characterization — which are submitted to a ThreadPool and written
- * back into a result vector pre-sized in registry order, so the output
- * is deterministic regardless of worker interleaving. Every job builds
- * its own Program and Interpreter; nothing is shared between workers.
+ * Each benchmark is one job: a single engine pass over its records
+ * drives the six MICA analyzers and the HPC (simulated hardware
+ * counter) model together. Jobs run inline or on a ThreadPool and
+ * write into a result vector pre-sized in registry order, so the
+ * output is deterministic regardless of worker interleaving. Every job
+ * opens its own source (a trace replay, or a fresh build run by its
+ * own Interpreter); nothing is shared between workers.
  */
 
 #pragma once
@@ -27,14 +28,14 @@ namespace mica::pipeline
 
 /**
  * One quarantined benchmark: which one, which phase gave up on it
- * ("scan" for trace validation, "mica"/"hpc" for a profiling job),
- * and the error message. Reports are deterministic: failures are
- * listed in input (registry) order regardless of worker count.
+ * ("scan" for trace validation, "profile" for its profiling job), and
+ * the error message. Reports are deterministic: failures are listed
+ * in input (registry) order regardless of worker count.
  */
 struct SweepFailure
 {
     std::string bench;    ///< benchmark full name (or file path at scan)
-    std::string phase;    ///< "scan", "mica", or "hpc"
+    std::string phase;    ///< "scan" or "profile"
     std::string error;    ///< the exception's message
 };
 
@@ -72,18 +73,20 @@ class SweepAborted : public std::runtime_error
 };
 
 /**
- * Completion hook: invoked once per benchmark as soon as BOTH of its
- * jobs have finished, with the completed result. With more than one
- * worker it is called from whichever worker finished second; it must
- * be thread-safe (ProfileStore::put is). This is what lets the store
- * persist results as they are produced, so an interrupted sweep keeps
- * everything completed so far.
+ * Completion hook: invoked once per benchmark as soon as its job has
+ * finished, with the completed result. With more than one worker it
+ * is called from the worker that ran the job; it must be thread-safe
+ * (ProfileStore::put is). This is what lets the store persist results
+ * as they are produced, so an interrupted sweep keeps everything
+ * completed so far.
  */
 using ResultFn = std::function<void(const StoredProfile &)>;
 
 /**
  * Profile @p entries with both characterizations using @p jobs workers
- * (0 = hardware concurrency, 1 = inline on the calling thread).
+ * (0 = hardware concurrency, 1 = inline on the calling thread). Each
+ * benchmark is one job and one pass over its records; @p progress
+ * ticks once per finished benchmark.
  *
  * @return one StoredProfile per entry, in input order. Results are
  * bit-identical for any worker count: each job is a pure function of
@@ -93,9 +96,8 @@ using ResultFn = std::function<void(const StoredProfile &)>;
  * exception thrown by a job is rethrown on the calling thread after
  * all workers drain; results completed before the failure are still
  * delivered through @p onResult. With isolation, failing benchmarks
- * are appended to @p failures (in input order, one entry per
- * benchmark, preferring the mica job's message when both jobs fail)
- * and their result slots are left default-constructed; @p onResult is
+ * are appended to @p failures (in input order, phase "profile") and
+ * their result slots are left default-constructed; @p onResult is
  * never called for a quarantined benchmark. Each quarantined
  * benchmark bumps the "pipeline.quarantined" counter. If more than
  * policy.maxFailures benchmarks fail, SweepAborted is thrown after

@@ -15,9 +15,9 @@ namespace
 /**
  * Final-line suffix sourced from the metrics snapshot rather than the
  * callback's own bookkeeping: the pipeline.job.done counter is the
- * authoritative tally of profiling jobs this process ran (a warm
- * cache rerun legitimately reports fewer jobs than twice the
- * benchmark count).
+ * authoritative tally of profiling jobs this process ran, one per
+ * benchmark (a warm cache rerun legitimately reports fewer jobs than
+ * the benchmark count).
  */
 std::string
 finalNote()

@@ -15,11 +15,11 @@ namespace mica::pipeline
 {
 
 /**
- * Live status hook: invoked once per finished job with the number of
- * jobs done so far, the total job count, and the job's label
- * ("suite/program.input [mica|hpc]"). With more than one worker it is
- * called from worker threads, serialized by an internal mutex; keep it
- * cheap and do not call back into the collector.
+ * Live status hook: invoked once per profiled benchmark with the
+ * number done so far, the total, and the benchmark's full name
+ * ("suite/program.input"). With more than one worker it is called from
+ * worker threads, serialized by an internal mutex; keep it cheap and
+ * do not call back into the collector.
  */
 using ProgressFn =
     std::function<void(size_t done, size_t total, const std::string &label)>;

@@ -24,22 +24,18 @@ namespace mica
  *
  * Records move in batches: the engine borrows a span of records from
  * the source per refill (TraceSource::nextSpan — zero-copy for replay
- * buffers, one source call per ~1K records otherwise), then dispatches
- * adaptively, following what measurement shows about cache behavior:
+ * buffers, one source call per ~1K records otherwise) and hands the
+ * whole span to each analyzer in turn through one
+ * TraceAnalyzer::acceptBatch call, so every analyzer runs its own
+ * devirtualized batch kernel. With the compact analyzer state of the
+ * dense PPM tables and the MRU-stack caches, this measures faster on
+ * the full seven-analyzer profile than fanning each record out to
+ * every analyzer (one virtual call per analyzer per record).
  *
- *  - a single attached analyzer gets the whole span through one
- *    TraceAnalyzer::acceptBatch call — its devirtualized batch kernel
- *    is 1.3-1.6x the per-record loop;
- *  - several analyzers are fanned out record-inner (every record to
- *    every analyzer before advancing), because handing each analyzer
- *    the span in turn evicts the other analyzers' hot table state
- *    between passes and measures *slower* than record-at-a-time.
- *
- * Both acceptBatch and the record-inner loop are observationally
- * identical to per-record processing, and analyzers are independent of
- * one another, so every path produces bit-identical results;
- * runPerRecord() keeps the original record-at-a-time loop as the
- * reference path for equivalence tests.
+ * acceptBatch is observationally identical to per-record processing,
+ * and analyzers are independent of one another, so the batch order
+ * produces bit-identical results; runPerRecord() keeps the original
+ * record-at-a-time loop as the reference path for equivalence tests.
  */
 class AnalysisEngine
 {
@@ -82,8 +78,8 @@ class AnalysisEngine
         obs::ObsSpan sp("engine.run");
         sp.arg("analyzers", static_cast<uint64_t>(analyzers_.size()));
         // Batch-kernel time is attributed per analyzer when there is
-        // exactly one (the devirtualized-kernel path); the fan-out
-        // path times the whole record-inner batch. One clock pair per
+        // exactly one; with several, the histogram times all their
+        // kernels over the batch together. One clock pair per
         // ~1K-record batch keeps the cost well under the overhead
         // budget even on the fastest analyzers.
         const bool lone = analyzers_.size() == 1;
@@ -104,13 +100,8 @@ class AnalysisEngine
             if (got == 0)
                 break;
             const uint64_t t0 = obs::nowNs();
-            if (lone) {
-                analyzers_.front()->acceptBatch(span, got);
-            } else {
-                for (size_t i = 0; i < got; ++i)
-                    for (auto *a : analyzers_)
-                        a->accept(span[i]);
-            }
+            for (auto *a : analyzers_)
+                a->acceptBatch(span, got);
             kernelNs.record(obs::nowNs() - t0);
             n += got;
             records.add(got);

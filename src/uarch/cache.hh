@@ -5,11 +5,29 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace mica::uarch
 {
+
+/**
+ * @return @p n after checking it is a power of two, as the table
+ * masks in this module need; throws std::invalid_argument naming
+ * @p what otherwise.
+ */
+inline uint64_t
+checkedPow2(uint64_t n, const char *what)
+{
+    if (n == 0 || (n & (n - 1)) != 0)
+        throw std::invalid_argument(std::string(what) +
+                                    " must be a power of two, got " +
+                                    std::to_string(n));
+    return n;
+}
 
 /** Geometry of one cache level. */
 struct CacheConfig
@@ -24,15 +42,23 @@ struct CacheConfig
  * accesses and misses; no data storage (the interpreter holds the
  * functional state). Single-ported, blocking — adequate for the
  * counter-style statistics the paper's HPC characterization uses.
+ *
+ * Each set is a most-recently-used-first stack of line tags: a hit
+ * moves its line to the front, and a miss pushes the new line to the
+ * front, growing the set until it is full and dropping the last
+ * (least recently used) line after that. Lines are never invalidated,
+ * so this is exactly "fill an empty way, else evict the LRU way".
+ * The set count must be a power of two; the set index is a mask.
  */
 class Cache
 {
   public:
     explicit Cache(const CacheConfig &cfg)
         : lineBits_(log2u(cfg.lineBytes)),
-          numSets_(cfg.sizeBytes / (cfg.lineBytes * cfg.assoc)),
+          setMask_(checkedPow2(setCount(cfg), "cache set count") - 1),
           assoc_(cfg.assoc),
-          ways_(numSets_ * cfg.assoc)
+          tags_((setMask_ + 1) * cfg.assoc),
+          fill_(setMask_ + 1, 0)
     {}
 
     /**
@@ -44,31 +70,20 @@ class Cache
     {
         ++accesses_;
         const uint64_t line = addr >> lineBits_;
-        const uint64_t set = line % numSets_;
-        Way *base = &ways_[set * assoc_];
-        ++tick_;
-        for (uint64_t w = 0; w < assoc_; ++w) {
-            if (base[w].valid && base[w].tag == line) {
-                base[w].lastUsed = tick_;
-                return true;
-            }
+        const uint64_t set = line & setMask_;
+        uint64_t *tags = &tags_[set * assoc_];
+        uint32_t &fill = fill_[set];
+        uint64_t w = 0;
+        while (w < fill && tags[w] != line)
+            ++w;
+        const bool hit = w < fill;
+        if (!hit) {
+            ++misses_;
+            w = fill < assoc_ ? fill++ : assoc_ - 1;
         }
-        ++misses_;
-        // Victim: invalid way if any, else LRU.
-        uint64_t victim = 0;
-        uint64_t oldest = UINT64_MAX;
-        for (uint64_t w = 0; w < assoc_; ++w) {
-            if (!base[w].valid) {
-                victim = w;
-                break;
-            }
-            if (base[w].lastUsed < oldest) {
-                oldest = base[w].lastUsed;
-                victim = w;
-            }
-        }
-        base[victim] = {line, tick_, true};
-        return false;
+        std::copy_backward(tags, tags + w, tags + w + 1);
+        tags[0] = line;
+        return hit;
     }
 
     uint64_t accesses() const { return accesses_; }
@@ -82,15 +97,15 @@ class Cache
                            static_cast<double>(accesses_) : 0.0;
     }
 
-    uint64_t numSets() const { return numSets_; }
+    uint64_t numSets() const { return setMask_ + 1; }
 
   private:
-    struct Way
+    static uint64_t
+    setCount(const CacheConfig &cfg)
     {
-        uint64_t tag = 0;
-        uint64_t lastUsed = 0;
-        bool valid = false;
-    };
+        const uint64_t setBytes = cfg.lineBytes * cfg.assoc;
+        return setBytes ? cfg.sizeBytes / setBytes : 0;
+    }
 
     static unsigned
     log2u(uint64_t v)
@@ -102,12 +117,12 @@ class Cache
     }
 
     unsigned lineBits_;
-    uint64_t numSets_;
+    uint64_t setMask_;
     uint64_t assoc_;
-    std::vector<Way> ways_;
+    std::vector<uint64_t> tags_;    ///< per set: MRU-first line tags
+    std::vector<uint32_t> fill_;    ///< per set: lines held
     uint64_t accesses_ = 0;
     uint64_t misses_ = 0;
-    uint64_t tick_ = 0;
 };
 
 /**
@@ -118,8 +133,7 @@ class Tlb
 {
   public:
     Tlb(unsigned entries, unsigned pageBits)
-        : pageBits_(pageBits),
-          cache_(CacheConfig{entries * (1ull << pageBits),
+        : cache_(CacheConfig{entries * (1ull << pageBits),
                              1ull << pageBits, entries})
     {}
 
@@ -131,7 +145,6 @@ class Tlb
     double missRate() const { return cache_.missRate(); }
 
   private:
-    [[maybe_unused]] unsigned pageBits_;
     Cache cache_;
 };
 

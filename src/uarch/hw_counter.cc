@@ -1,6 +1,7 @@
 #include "uarch/hw_counter.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace mica::uarch
 {
@@ -25,109 +26,42 @@ HwCounterProfile::toVector() const
 HwCounterAnalyzer::HwCounterAnalyzer(const MachineConfig &cfg)
     : cfg_(cfg), l1i_(cfg.l1i), l1d_(cfg.l1d), l2_(cfg.l2),
       dtlb_(cfg.dtlbEntries, cfg.dtlbPageBits),
-      complete67_(cfg.window67, 0)
-{}
-
-void
-HwCounterAnalyzer::accept(const InstRecord &rec)
+      complete67_(cfg.window67, 0),
+      mispredPenalty67_(static_cast<uint64_t>(cfg.branchMissPenalty67))
 {
-    // ----------------------------------------------------------------
-    // Shared memory hierarchy.
-    // ----------------------------------------------------------------
-    MemLevel ilevel = MemLevel::L1;
-    if (!l1i_.access(rec.pc))
-        ilevel = l2_.access(rec.pc) ? MemLevel::L2 : MemLevel::Mem;
+    if (cfg.window67 == 0 || cfg.issueWidth67 == 0)
+        throw std::invalid_argument(
+            "EV67 window and issue width must be non-zero");
 
-    MemLevel dlevel = MemLevel::L1;
-    bool dtlbMiss = false;
-    if (rec.isMem()) {
-        dtlbMiss = !dtlb_.access(rec.memAddr);
-        if (!l1d_.access(rec.memAddr)) {
-            dlevel = l2_.access(rec.memAddr) ? MemLevel::L2
-                                             : MemLevel::Mem;
+    missStall56_[L1] = 0.0;
+    missStall56_[L2] = cfg.l1MissPenalty;
+    missStall56_[Mem] = cfg.l1MissPenalty + cfg.l2MissPenalty;
+
+    for (int c = 0; c < kNumInstClasses; ++c) {
+        unsigned lat = cfg.latIntAlu;
+        switch (static_cast<InstClass>(c)) {
+          case InstClass::IntMul: lat = cfg.latIntMul; break;
+          case InstClass::IntDiv: lat = cfg.latIntDiv; break;
+          case InstClass::FpAlu: lat = cfg.latFpAlu; break;
+          case InstClass::FpMul: lat = cfg.latFpMul; break;
+          case InstClass::FpDiv: lat = cfg.latFpDiv; break;
+          case InstClass::Store: lat = cfg.latStore; break;
+          case InstClass::Branch:
+          case InstClass::Jump:
+          case InstClass::Call:
+          case InstClass::Return:
+            lat = cfg.latBranch;
+            break;
+          default:
+            break;
         }
+        for (unsigned &l : lat67_[c])
+            l = lat;
     }
-
-    // ----------------------------------------------------------------
-    // Branch predictors.
-    // ----------------------------------------------------------------
-    bool mispred67 = false;
-    if (rec.isCondBranch()) {
-        ++condBranches_;
-        if (bimodal_.predictAndUpdate(rec.pc, rec.taken) != rec.taken)
-            ++bimodalMisses_;
-        mispred67 =
-            tournament_.predictAndUpdate(rec.pc, rec.taken) != rec.taken;
-    }
-
-    // ----------------------------------------------------------------
-    // EV56-like in-order stall accounting.
-    // ----------------------------------------------------------------
-    if (ilevel == MemLevel::L2)
-        stall56_ += cfg_.l1MissPenalty;
-    else if (ilevel == MemLevel::Mem)
-        stall56_ += cfg_.l1MissPenalty + cfg_.l2MissPenalty;
-    if (rec.isMem()) {
-        if (dtlbMiss)
-            stall56_ += cfg_.tlbMissPenalty;
-        if (dlevel == MemLevel::L2)
-            stall56_ += cfg_.l1MissPenalty;
-        else if (dlevel == MemLevel::Mem)
-            stall56_ += cfg_.l1MissPenalty + cfg_.l2MissPenalty;
-    }
-    // The EV56 branch misprediction stall is charged once at the end
-    // from bimodalMisses_ (profile()); only per-event stalls accrue here.
-    if (rec.cls == InstClass::IntDiv)
-        stall56_ += cfg_.intDivCost;
-    else if (rec.cls == InstClass::FpDiv)
-        stall56_ += cfg_.fpDivCost;
-
-    // ----------------------------------------------------------------
-    // EV67-like out-of-order dataflow window.
-    // ----------------------------------------------------------------
-    unsigned lat = cfg_.latIntAlu;
-    switch (rec.cls) {
-      case InstClass::IntMul: lat = cfg_.latIntMul; break;
-      case InstClass::IntDiv: lat = cfg_.latIntDiv; break;
-      case InstClass::FpAlu: lat = cfg_.latFpAlu; break;
-      case InstClass::FpMul: lat = cfg_.latFpMul; break;
-      case InstClass::FpDiv: lat = cfg_.latFpDiv; break;
-      case InstClass::Load:
-        lat = dlevel == MemLevel::L1 ? cfg_.latLoadL1
-            : dlevel == MemLevel::L2 ? cfg_.latLoadL2
-            : cfg_.latLoadMem;
-        break;
-      case InstClass::Store: lat = cfg_.latStore; break;
-      case InstClass::Branch:
-      case InstClass::Jump:
-      case InstClass::Call:
-      case InstClass::Return:
-        lat = cfg_.latBranch;
-        break;
-      default:
-        break;
-    }
-
-    uint64_t start = complete67_[insts_ % cfg_.window67];
-    start = std::max(start, fetchReady67_);
-    start = std::max(start, insts_ / cfg_.issueWidth67);
-    for (unsigned s = 0; s < rec.numSrcRegs; ++s) {
-        const uint16_t r = rec.srcRegs[s];
-        if (r == kZeroReg || r >= kNumRegs)
-            continue;
-        start = std::max(start, regReady67_[r]);
-    }
-    const uint64_t comp = start + lat;
-    complete67_[insts_ % cfg_.window67] = comp;
-    if (rec.hasDst() && rec.dstReg != kZeroReg && rec.dstReg < kNumRegs)
-        regReady67_[rec.dstReg] = comp;
-    maxComplete67_ = std::max(maxComplete67_, comp);
-    if (mispred67) {
-        fetchReady67_ = comp +
-            static_cast<uint64_t>(cfg_.branchMissPenalty67);
-    }
-
-    ++insts_;
+    const size_t load = static_cast<size_t>(InstClass::Load);
+    lat67_[load][L1] = cfg.latLoadL1;
+    lat67_[load][L2] = cfg.latLoadL2;
+    lat67_[load][Mem] = cfg.latLoadMem;
 }
 
 HwCounterProfile

@@ -7,7 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "uarch/cache.hh"
 
 namespace mica::uarch
 {
@@ -19,13 +23,12 @@ struct Counter2
 
     bool taken() const { return v >= 2; }
 
+    /** Step toward the outcome, saturating at 0 and 3. */
     void
     update(bool t)
     {
-        if (t && v < 3)
-            ++v;
-        else if (!t && v > 0)
-            --v;
+        static constexpr uint8_t kNext[2][4] = {{0, 0, 1, 2}, {1, 2, 3, 3}};
+        v = kNext[t][v];
     }
 };
 
@@ -38,7 +41,8 @@ class BimodalPredictor
 {
   public:
     explicit BimodalPredictor(size_t entries = 2048)
-        : mask_(entries - 1), table_(entries)
+        : mask_(checkedPow2(entries, "bimodal table size") - 1),
+          table_(entries)
     {}
 
     /** Predict, then update with the outcome. @return the prediction. */
@@ -67,10 +71,11 @@ class TournamentPredictor
     TournamentPredictor(size_t localEntries = 1024,
                         unsigned localHistBits = 10,
                         size_t globalEntries = 4096)
-        : localHistBits_(localHistBits),
+        : localMask_(checkedPow2(localEntries, "local table size") - 1),
           localHist_(localEntries, 0),
-          localPred_(1ull << localHistBits),
-          globalMask_(globalEntries - 1),
+          localPred_(1ull << checkedHistBits(localHistBits)),
+          localHistMask_((1ull << localHistBits) - 1),
+          globalMask_(checkedPow2(globalEntries, "global table size") - 1),
           globalPred_(globalEntries),
           choice_(globalEntries)
     {}
@@ -79,29 +84,41 @@ class TournamentPredictor
     bool
     predictAndUpdate(uint64_t pc, bool taken)
     {
-        const size_t li = (pc >> 2) % localHist_.size();
-        const uint64_t lh =
-            localHist_[li] & ((1ull << localHistBits_) - 1);
-        const bool localP = localPred_[lh].taken();
-        const size_t gi = ghist_ & globalMask_;
-        const bool globalP = globalPred_[gi].taken();
-        const bool useGlobal = choice_[gi].taken();
-        const bool pred = useGlobal ? globalP : localP;
+        uint64_t &hist = localHist_[(pc >> 2) & localMask_];
+        Counter2 &local = localPred_[hist & localHistMask_];
+        Counter2 &global = globalPred_[ghist_ & globalMask_];
+        Counter2 &choice = choice_[ghist_ & globalMask_];
+        const bool localP = local.taken();
+        const bool globalP = global.taken();
+        const bool pred = choice.taken() ? globalP : localP;
 
-        // Chooser trains toward the component that was right.
-        if (localP != globalP)
-            choice_[gi].update(globalP == taken);
-        localPred_[lh].update(taken);
-        globalPred_[gi].update(taken);
-        localHist_[li] = (localHist_[li] << 1) | (taken ? 1 : 0);
-        ghist_ = (ghist_ << 1) | (taken ? 1 : 0);
+        // Chooser trains toward the component that was right, and
+        // only when the two disagree.
+        Counter2 trained = choice;
+        trained.update(globalP == taken);
+        choice.v = localP != globalP ? trained.v : choice.v;
+        local.update(taken);
+        global.update(taken);
+        hist = (hist << 1) | taken;
+        ghist_ = (ghist_ << 1) | taken;
         return pred;
     }
 
   private:
-    unsigned localHistBits_;
+    static unsigned
+    checkedHistBits(unsigned bits)
+    {
+        if (bits < 1 || bits > 63)
+            throw std::invalid_argument(
+                "local history bits must be in 1..63, got " +
+                std::to_string(bits));
+        return bits;
+    }
+
+    size_t localMask_;
     std::vector<uint64_t> localHist_;
     std::vector<Counter2> localPred_;
+    uint64_t localHistMask_;
     uint64_t globalMask_;
     std::vector<Counter2> globalPred_;
     std::vector<Counter2> choice_;

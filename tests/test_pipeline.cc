@@ -15,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "experiments/experiments.hh"
+#include "isa/interpreter.hh"
 #include "mica/dataset.hh"
 #include "pipeline/parallel_collector.hh"
 #include "pipeline/profile_store.hh"
 #include "pipeline/thread_pool.hh"
+#include "trace/trace_file.hh"
+#include "uarch/hpc_runner.hh"
 #include "workloads/registry.hh"
 
 namespace mica::pipeline
@@ -351,9 +354,78 @@ TEST(ParallelCollectorTest, ProgressCoversEveryJobExactlyOnce)
                         lastDone = std::max(lastDone, done);
                         lastTotal = total;
                     });
-    EXPECT_EQ(calls.load(), entries.size() * 2);
-    EXPECT_EQ(lastDone, entries.size() * 2);
-    EXPECT_EQ(lastTotal, entries.size() * 2);
+    EXPECT_EQ(calls.load(), entries.size());
+    EXPECT_EQ(lastDone, entries.size());
+    EXPECT_EQ(lastTotal, entries.size());
+}
+
+void
+expectSameProfile(const StoredProfile &got, const MicaProfile &mica,
+                  const uarch::HwCounterProfile &hpc)
+{
+    EXPECT_EQ(got.mica.name, mica.name);
+    EXPECT_EQ(got.mica.instCount, mica.instCount);
+    for (size_t c = 0; c < kNumMicaChars; ++c)
+        EXPECT_EQ(got.mica.values[c], mica.values[c]) << mica.name << c;
+    EXPECT_EQ(got.hpc.name, hpc.name);
+    EXPECT_EQ(got.hpc.instCount, hpc.instCount);
+    const auto a = got.hpc.toVector(), b = hpc.toVector();
+    for (size_t m = 0; m < a.size(); ++m)
+        EXPECT_EQ(a[m], b[m]) << hpc.name << " hpc metric " << m;
+}
+
+/**
+ * One fused pass per benchmark must give exactly what the separate
+ * MICA and HPC collectors give, for program- and v2-trace-backed
+ * entries, at one and at several workers.
+ */
+TEST(ParallelCollectorTest, FusedPassMatchesSeparateCollectors)
+{
+    const auto programs = someEntries(5);
+    MicaRunnerConfig rc;
+    rc.maxInsts = 20000;
+
+    StoreDir tmp;
+    for (const auto *e : programs) {
+        std::string stem = e->info.fullName();
+        stem.replace(stem.find('/'), 1, "__");
+        const isa::Program prog = e->build();
+        isa::Interpreter interp(prog);
+        TraceFileWriter w(tmp.dir + "/" + stem + ".trace", kTraceFormatV2);
+        InstRecord r;
+        for (uint64_t n = 0; n < rc.maxInsts && interp.next(r); ++n)
+            w.append(r);
+        w.close();
+    }
+    const auto traces = workloads::traceBenchmarks(tmp.dir);
+    ASSERT_EQ(traces.size(), programs.size());
+    std::vector<const workloads::BenchmarkEntry *> traceEntries;
+    for (const auto &e : traces)
+        traceEntries.push_back(&e);
+
+    for (const auto &entries : {programs, traceEntries}) {
+        std::vector<MicaProfile> mica;
+        std::vector<uarch::HwCounterProfile> hpc;
+        for (const auto *e : entries) {
+            const std::string name = e->info.fullName();
+            if (e->source) {
+                mica.push_back(collectMicaProfile(*e->source(), name, rc));
+                hpc.push_back(uarch::collectHwProfile(*e->source(), name,
+                                                      rc.maxInsts));
+            } else {
+                const isa::Program prog = e->build();
+                isa::Interpreter a(prog), b(prog);
+                mica.push_back(collectMicaProfile(a, name, rc));
+                hpc.push_back(uarch::collectHwProfile(b, name, rc.maxInsts));
+            }
+        }
+        for (unsigned jobs : {1u, 4u}) {
+            const auto got = collectProfiles(entries, rc, jobs);
+            ASSERT_EQ(got.size(), entries.size());
+            for (size_t i = 0; i < got.size(); ++i)
+                expectSameProfile(got[i], mica[i], hpc[i]);
+        }
+    }
 }
 
 TEST(ParallelCollectorTest, JobExceptionsReachTheCaller)
@@ -416,7 +488,7 @@ TEST(PipelineDatasetTest, SecondRunHitsStoreAndBudgetChangeMisses)
     };
 
     const auto fresh = experiments::collectSuiteDataset(cfg);
-    EXPECT_EQ(profiled, fresh.benchmarks.size() * 2);
+    EXPECT_EQ(profiled, fresh.benchmarks.size());
 
     profiled = 0;
     const auto cached = experiments::collectSuiteDataset(cfg);
@@ -434,7 +506,7 @@ TEST(PipelineDatasetTest, SecondRunHitsStoreAndBudgetChangeMisses)
     auto bigger = cfg;
     bigger.maxInsts = 40000;
     const auto recollected = experiments::collectSuiteDataset(bigger);
-    EXPECT_EQ(profiled, recollected.benchmarks.size() * 2);
+    EXPECT_EQ(profiled, recollected.benchmarks.size());
 }
 
 TEST(PipelineDatasetTest, PartialStoreOnlyProfilesTheGap)
@@ -471,7 +543,7 @@ TEST(PipelineDatasetTest, PartialStoreOnlyProfilesTheGap)
         ++profiled;
     };
     const auto merged = experiments::collectSuiteDataset(cfg);
-    EXPECT_EQ(profiled, (full.benchmarks.size() - keep) * 2);
+    EXPECT_EQ(profiled, full.benchmarks.size() - keep);
     ASSERT_EQ(merged.benchmarks.size(), full.benchmarks.size());
     for (size_t i = 0; i < full.micaProfiles.size(); ++i) {
         for (size_t c = 0; c < kNumMicaChars; ++c)

@@ -4,8 +4,15 @@
  * predictors, and the hardware-counter analyzer.
  */
 
+#include <cstdio>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "isa/interpreter.hh"
 #include "stats/rng.hh"
 #include "test_util.hh"
 #include "trace/synthetic.hh"
@@ -13,6 +20,7 @@
 #include "uarch/hpc_runner.hh"
 #include "uarch/hw_counter.hh"
 #include "uarch/predictors.hh"
+#include "workloads/registry.hh"
 
 namespace mica::uarch
 {
@@ -93,6 +101,114 @@ TEST(TlbTest, PageGranularityAndCapacity)
     EXPECT_FALSE(tlb.access(0x2000));   // long evicted
 }
 
+/**
+ * The tick-stamped cache the MRU-stack Cache replaced, kept as the
+ * exactness oracle: every way carries a last-use tick, a hit
+ * refreshes it, and a miss fills the first invalid way, else the way
+ * with the oldest tick.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &cfg)
+        : lineBits_(0), numSets_(cfg.sizeBytes / (cfg.lineBytes * cfg.assoc)),
+          assoc_(cfg.assoc), ways_(numSets_ * cfg.assoc)
+    {
+        while ((1ull << lineBits_) < cfg.lineBytes)
+            ++lineBits_;
+    }
+
+    bool
+    access(uint64_t addr)
+    {
+        const uint64_t line = addr >> lineBits_;
+        Way *base = &ways_[(line % numSets_) * assoc_];
+        ++tick_;
+        for (uint64_t w = 0; w < assoc_; ++w) {
+            if (base[w].valid && base[w].tag == line) {
+                base[w].lastUsed = tick_;
+                return true;
+            }
+        }
+        uint64_t victim = 0, oldest = UINT64_MAX;
+        for (uint64_t w = 0; w < assoc_; ++w) {
+            if (!base[w].valid) {
+                victim = w;
+                break;
+            }
+            if (base[w].lastUsed < oldest) {
+                oldest = base[w].lastUsed;
+                victim = w;
+            }
+        }
+        base[victim] = {line, tick_, true};
+        return false;
+    }
+
+  private:
+    struct Way
+    {
+        uint64_t tag = 0;
+        uint64_t lastUsed = 0;
+        bool valid = false;
+    };
+
+    unsigned lineBits_;
+    uint64_t numSets_, assoc_;
+    std::vector<Way> ways_;
+    uint64_t tick_ = 0;
+};
+
+TEST(CacheTest, MatchesTickStampedReferenceHitForHit)
+{
+    const CacheConfig geometries[] = {
+        {8 * 1024, 32, 1},              // EV56 L1I/L1D
+        {96 * 1024, 64, 3},             // EV56 L2
+        {64ull << 13, 1ull << 13, 64},  // EV56 DTLB: 64 entries, 8 KB pages
+        {4ull << 12, 1ull << 12, 4},    // TlbTest
+        {1024, 32, 1}, {1024, 32, 2}, {64, 32, 2}, {8192, 32, 1},
+    };
+    for (const CacheConfig &g : geometries) {
+        for (uint64_t seed : {1ull, 2ull, 3ull}) {
+            Cache cache(g);
+            ReferenceCache ref(g);
+            Rng rng(seed);
+            // Reuse of recent addresses, short sequential runs and
+            // uniform picks over 4x the capacity: hits, conflict and
+            // capacity misses all occur.
+            const uint64_t span = 4 * g.sizeBytes;
+            std::vector<uint64_t> recent(16, 0);
+            uint64_t addr = 0;
+            uint64_t hits = 0;
+            for (int i = 0; i < 50000; ++i) {
+                const double u = rng.unit();
+                if (u < 0.4)
+                    addr = recent[rng.below(recent.size())];
+                else if (u < 0.7)
+                    addr += g.lineBytes;
+                else
+                    addr = rng.below(span);
+                recent[i % recent.size()] = addr;
+                const bool want = ref.access(addr);
+                ASSERT_EQ(cache.access(addr), want)
+                    << g.sizeBytes << "/" << g.lineBytes << "/" << g.assoc
+                    << " seed " << seed << " access " << i;
+                hits += want;
+            }
+            EXPECT_GT(hits, 0u);
+            EXPECT_LT(hits, 50000u);
+        }
+    }
+}
+
+TEST(CacheTest, RejectsNonPowerOfTwoSetCount)
+{
+    EXPECT_THROW(Cache({96 * 1024, 64, 1}), std::invalid_argument);
+    EXPECT_THROW(Cache({1024, 32, 0}), std::invalid_argument);
+    EXPECT_THROW(Tlb(0, 13), std::invalid_argument);
+    EXPECT_NO_THROW(Cache({96 * 1024, 64, 3}));     // 512 sets
+}
+
 // ----------------------------------------------------------------------
 // Hardware predictors.
 // ----------------------------------------------------------------------
@@ -139,6 +255,29 @@ TEST(TournamentTest, TracksGlobalCorrelation)
         missesB += tp.predictAndUpdate(0x200, a) != a;
     }
     EXPECT_LT(missesB / 6000.0, 0.15);
+}
+
+TEST(BimodalTest, RejectsNonPowerOfTwoTable)
+{
+    EXPECT_THROW(BimodalPredictor(1000), std::invalid_argument);
+    EXPECT_THROW(BimodalPredictor(0), std::invalid_argument);
+    EXPECT_NO_THROW(BimodalPredictor(1024));
+}
+
+TEST(TournamentTest, RejectsNonPowerOfTwoTables)
+{
+    EXPECT_THROW(TournamentPredictor(1000, 10, 4096),
+                 std::invalid_argument);
+    EXPECT_THROW(TournamentPredictor(1024, 10, 4000),
+                 std::invalid_argument);
+}
+
+TEST(TournamentTest, RejectsLocalHistoryBitsOutsideOneTo63)
+{
+    EXPECT_THROW(TournamentPredictor(1024, 0, 4096), std::invalid_argument);
+    EXPECT_THROW(TournamentPredictor(1024, 64, 4096),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(TournamentPredictor(1024, 1, 4096));
 }
 
 // ----------------------------------------------------------------------
@@ -304,6 +443,55 @@ TEST(HwCounterTest, ProfilesToMatrixPreservesRows)
     EXPECT_EQ(m.cols(), HwCounterProfile::kNumMetrics);
     EXPECT_EQ(m.rowNames[2], "b3");
     EXPECT_DOUBLE_EQ(m(1, 0), profs[1].ipcEv56);
+}
+
+TEST(HwCounterTest, RejectsZeroWindow)
+{
+    MachineConfig cfg;
+    cfg.window67 = 0;
+    EXPECT_THROW(HwCounterAnalyzer{cfg}, std::invalid_argument);
+}
+
+TEST(HwCounterTest, RejectsZeroIssueWidth)
+{
+    MachineConfig cfg;
+    cfg.issueWidth67 = 0;
+    EXPECT_THROW(HwCounterAnalyzer{cfg}, std::invalid_argument);
+}
+
+/**
+ * tests/hpc_golden.tsv holds the seven metrics (hex floats) the
+ * earlier tick-stamped, division-indexed HPC model gave every registry
+ * kernel's first 100K records. The rewritten model must match it bit
+ * for bit.
+ */
+TEST(HwCounterTest, RegistryKernelsMatchGoldenMetrics)
+{
+    std::ifstream in(std::string(MICA_TESTS_DIR) + "/hpc_golden.tsv");
+    ASSERT_TRUE(in) << "cannot open tests/hpc_golden.tsv";
+    std::vector<std::string> want;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#')
+            want.push_back(line);
+    }
+
+    std::vector<std::string> got;
+    for (const auto &e : workloads::BenchmarkRegistry::instance().all()) {
+        const isa::Program prog = e.build();
+        isa::Interpreter interp(prog);
+        const HwCounterProfile p =
+            collectHwProfile(interp, e.info.fullName(), 100000);
+        std::string line = p.name + "\t" + std::to_string(p.instCount);
+        for (double v : p.toVector()) {
+            char hex[64];
+            std::snprintf(hex, sizeof hex, "\t%a", v);
+            line += hex;
+        }
+        got.push_back(line);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]);
 }
 
 TEST(HwCounterTest, BudgetTruncatesCollection)
