@@ -533,8 +533,8 @@ BENCHMARK(BM_BicSweep);
 // ----------------------------------------------------------------------
 // Index family: fingerprint-index build and query throughput. The
 // population is synthetic but index-shaped: a few thousand workloads
-// in a GA-reduced-size space, far past the paper's 122 so the tree
-// has something to prune.
+// in a GA-reduced-size space, far past the paper's 122, so the exact
+// scan is measured at a corpus size it has to stay fast at.
 // ----------------------------------------------------------------------
 
 constexpr size_t kIndexPoints = 4096;
@@ -581,27 +581,23 @@ BM_IndexBuild(benchmark::State &state)
 }
 BENCHMARK(BM_IndexBuild);
 
-template <bool brute>
 void
 BM_IndexKnn(benchmark::State &state)
 {
     const auto &idx = indexCorpus();
     size_t q = 0;
     for (auto _ : state) {
-        const auto r = idx.knn(q, kIndexK, brute);
+        const auto r = idx.knn(q, kIndexK);
         benchmark::DoNotOptimize(r.data());
         q = (q + 1) % idx.size();
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-void BM_IndexKnnTree(benchmark::State &s) { BM_IndexKnn<false>(s); }
-void BM_IndexKnnBrute(benchmark::State &s) { BM_IndexKnn<true>(s); }
-BENCHMARK(BM_IndexKnnTree);
-BENCHMARK(BM_IndexKnnBrute);
+BENCHMARK(BM_IndexKnn);
 
 // ----------------------------------------------------------------------
 // serve family: the similarity-query daemon under load. The snapshot
-// is the synthetic index corpus (queries hit the same VP-tree the
+// is the synthetic index corpus (queries run the same scan the
 // index family measures), so the delta between local_requests_per_sec
 // and the daemon numbers is exactly what the wire adds: socket round
 // trip, envelope parse/serialize, and the poll-loop handoff.
@@ -1046,15 +1042,15 @@ indexBuildRate()
     });
 }
 
-/** Single-query kNN throughput, tree or brute reference. */
+/** Single-query kNN throughput. */
 Summary
-indexKnnRate(bool brute)
+indexKnnRate()
 {
     const auto &idx = indexCorpus();
     const size_t queries = 512;
     return rateSummary(queries, [&] {
         for (size_t q = 0; q < queries; ++q) {
-            const auto r = idx.knn(q, kIndexK, brute);
+            const auto r = idx.knn(q, kIndexK);
             benchmark::DoNotOptimize(r.data());
         }
     });
@@ -1489,8 +1485,7 @@ writeJsonProfile(const std::string &path, double obsRef,
 
     if (on("index")) {
         const Summary idxBuild = indexBuildRate();
-        const Summary idxTree = indexKnnRate(false);
-        const Summary idxBrute = indexKnnRate(true);
+        const Summary idxKnn = indexKnnRate();
         const Summary idxBatchSerial = indexBatchRate(nullptr);
         const Summary idxBatchJobs8 = indexBatchRate(pool());
         std::ostringstream os;
@@ -1500,14 +1495,9 @@ writeJsonProfile(const std::string &path, double obsRef,
            << "      \"k\": " << kIndexK << ",\n"
            << "      \"builds_per_sec\": ";
         emitSummary(os, idxBuild);
-        os << ",\n      \"knn_queries_per_sec\": {\n"
-           << "        \"vp_tree\": ";
-        emitSummary(os, idxTree);
-        os << ",\n        \"brute\": ";
-        emitSummary(os, idxBrute);
-        os << ",\n        \"speedup_vs_brute\": "
-           << ratio(idxTree, idxBrute) << "\n      },\n"
-           << "      \"batch_knn_queries_per_sec\": {\n"
+        os << ",\n      \"knn_queries_per_sec\": ";
+        emitSummary(os, idxKnn);
+        os << ",\n      \"batch_knn_queries_per_sec\": {\n"
            << "        \"serial\": ";
         emitSummary(os, idxBatchSerial);
         os << ",\n        \"jobs8\": ";

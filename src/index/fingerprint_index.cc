@@ -1,7 +1,6 @@
 #include "index/fingerprint_index.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/obs.hh"
 #include "pipeline/thread_pool.hh"
@@ -24,31 +23,80 @@ nameHash(const std::string &s)
     return util::hashMix(h);
 }
 
+/** Sentinel row id meaning "exclude nothing". */
+constexpr size_t kNoSkip = static_cast<size_t>(-1);
+
+/**
+ * Exact k nearest of @p q among @p count dim-wide vectors stored flat
+ * at @p data, ascending (distance, id), in one pass over the rows.
+ * @param skip row id to exclude — queries by an indexed benchmark
+ *        exclude the benchmark itself
+ */
+std::vector<Neighbor>
+scanKnn(const double *data, size_t count, size_t dim, const double *q,
+        size_t k, size_t skip)
+{
+    // The k best so far as a max-heap on (distance, id): front() is
+    // the worst keeper, so a row that cannot make the cut is rejected
+    // with one comparison, and a row that can costs O(log k) for any
+    // k (a sorted buffer would go quadratic once k nears count).
+    std::vector<Neighbor> best;
+    if (k == 0)
+        return best;
+    best.reserve(std::min(k, count));
+    for (size_t i = 0; i < count; ++i) {
+        if (i == skip)
+            continue;
+        const Neighbor n{l2Dist(q, data + i * dim, dim),
+                         static_cast<uint32_t>(i)};
+        if (best.size() < k) {
+            best.push_back(n);
+        } else if (n < best.front()) {
+            std::pop_heap(best.begin(), best.end());
+            best.back() = n;
+        } else {
+            continue;
+        }
+        std::push_heap(best.begin(), best.end());
+    }
+    std::sort_heap(best.begin(), best.end());
+    return best;
+}
+
+/** All rows with dist <= r (inclusive), same order and skip. */
+std::vector<Neighbor>
+scanRadius(const double *data, size_t count, size_t dim, const double *q,
+           double r, size_t skip)
+{
+    std::vector<Neighbor> out;
+    for (size_t i = 0; i < count; ++i) {
+        if (i == skip)
+            continue;
+        const double d = l2Dist(q, data + i * dim, dim);
+        if (d <= r)
+            out.push_back({d, static_cast<uint32_t>(i)});
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 } // namespace
 
 FingerprintIndex
 FingerprintIndex::build(const Matrix &raw, const FingerprintOptions &opt)
 {
     obs::ObsSpan sp("index.build");
-    FingerprintIndex idx;
-    idx.fps_ = buildFingerprints(raw, opt);
-    idx.tree_ = VpTree::build(idx.fps_.data.data(), idx.fps_.size(),
-                              idx.fps_.dim);
-    idx.buildNameMap();
+    FingerprintIndex idx = fromParts(buildFingerprints(raw, opt));
     sp.arg("points", static_cast<uint64_t>(idx.fps_.size()));
     sp.arg("dim", static_cast<uint64_t>(idx.fps_.dim));
     return idx;
 }
 
 FingerprintIndex
-FingerprintIndex::fromParts(FingerprintSet fps, VpTree tree)
+FingerprintIndex::fromParts(FingerprintSet fps)
 {
-    if (tree.size() != fps.size() || tree.dim() != fps.dim)
-        throw std::invalid_argument(
-            "FingerprintIndex: tree does not match fingerprint set");
     FingerprintIndex idx;
     idx.fps_ = std::move(fps);
-    idx.tree_ = std::move(tree);
     idx.buildNameMap();
     return idx;
 }
@@ -84,38 +132,30 @@ FingerprintIndex::idOf(const std::string &name) const
 }
 
 std::vector<Neighbor>
-FingerprintIndex::knn(size_t id, size_t k, bool brute) const
+FingerprintIndex::knn(size_t id, size_t k) const
 {
-    const double *q = fps_.vec(id);
-    const uint32_t skip = static_cast<uint32_t>(id);
-    return brute ? bruteKnn(fps_.data.data(), fps_.size(), fps_.dim, q, k,
-                            skip)
-                 : tree_.knn(fps_.data.data(), q, k, skip);
+    return scanKnn(fps_.data.data(), fps_.size(), fps_.dim, fps_.vec(id),
+                   k, id);
 }
 
 std::vector<Neighbor>
-FingerprintIndex::knnOfRaw(const std::vector<double> &rawRow, size_t k,
-                           bool brute) const
+FingerprintIndex::knnOfRaw(const std::vector<double> &rawRow,
+                           size_t k) const
 {
     const std::vector<double> q = fps_.embed(rawRow);
-    return brute ? bruteKnn(fps_.data.data(), fps_.size(), fps_.dim,
-                            q.data(), k)
-                 : tree_.knn(fps_.data.data(), q.data(), k);
+    return scanKnn(fps_.data.data(), fps_.size(), fps_.dim, q.data(), k,
+                   kNoSkip);
 }
 
 std::vector<Neighbor>
-FingerprintIndex::radius(size_t id, double r, bool brute) const
+FingerprintIndex::radius(size_t id, double r) const
 {
-    const double *q = fps_.vec(id);
-    const uint32_t skip = static_cast<uint32_t>(id);
-    return brute ? bruteRadius(fps_.data.data(), fps_.size(), fps_.dim, q,
-                               r, skip)
-                 : tree_.radius(fps_.data.data(), q, r, skip);
+    return scanRadius(fps_.data.data(), fps_.size(), fps_.dim,
+                      fps_.vec(id), r, id);
 }
 
 std::vector<std::vector<Neighbor>>
-FingerprintIndex::batchKnn(size_t k, pipeline::ThreadPool *pool,
-                           bool brute) const
+FingerprintIndex::batchKnn(size_t k, pipeline::ThreadPool *pool) const
 {
     const size_t n = fps_.size();
     obs::ObsSpan sp("index.batch_knn");
@@ -128,20 +168,20 @@ FingerprintIndex::batchKnn(size_t k, pipeline::ThreadPool *pool,
         const size_t lo = n * b / blocks;
         const size_t hi = n * (b + 1) / blocks;
         for (size_t i = lo; i < hi; ++i)
-            out[i] = knn(i, k, brute);
+            out[i] = knn(i, k);
     });
     return out;
 }
 
 std::vector<RedundantPair>
-FingerprintIndex::mostRedundant(size_t topN, pipeline::ThreadPool *pool,
-                                bool brute) const
+FingerprintIndex::mostRedundant(size_t topN,
+                                pipeline::ThreadPool *pool) const
 {
     const size_t n = fps_.size();
     if (n < 2 || topN == 0)
         return {};
     const size_t k = std::min(topN, n - 1);
-    const auto perRow = batchKnn(k, pool, brute);
+    const auto perRow = batchKnn(k, pool);
 
     // Serial merge in id order: canonicalize to a < b, drop the
     // duplicate each pair produces from its other endpoint.

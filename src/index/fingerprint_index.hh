@@ -3,28 +3,30 @@
  * FingerprintIndex: the queryable workload-similarity index.
  *
  * Binds a FingerprintSet (the frozen vectors + embedding parameters)
- * to a VpTree and a flat-hash name→id map, and answers the three
- * queries the paper's methodology keeps re-deriving from scratch:
- * nearest neighbors of a workload (is this application already
- * covered?), everything within a similarity radius (the paper's
- * 20%-of-max threshold), and the most redundant benchmark pairs in a
- * population (which tuples waste simulation time).
+ * to a flat-hash name→id map and answers the three queries the
+ * paper's methodology keeps re-deriving from scratch: nearest
+ * neighbors of a workload (is this application already covered?),
+ * everything within a similarity radius (the paper's 20%-of-max
+ * threshold), and the most redundant benchmark pairs in a population
+ * (which tuples waste simulation time).
  *
- * Every query has a brute-force reference path and the same
- * determinism contract as the rest of the repo: tree and brute
- * results are bit-identical, and batch queries fanned across a
+ * Every query is one exact linear scan over the rows. Results are
+ * totally ordered by (distance, id), so ties on distance (duplicated
+ * benchmarks exist!) have one canonical order, and every distance is
+ * the same l2Dist() expression, so a value has one bit pattern no
+ * matter which query produced it. Batch queries fanned across a
  * ThreadPool are byte-identical for any worker count (each query
  * writes its own result slot; no reduction order exists to vary).
  */
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "index/fingerprint.hh"
-#include "index/vp_tree.hh"
 #include "util/flat_hash.hh"
 
 namespace mica::pipeline
@@ -34,6 +36,38 @@ class ThreadPool;
 
 namespace mica::index
 {
+
+/** One query result: distance to the query plus the fingerprint id. */
+struct Neighbor
+{
+    double dist = 0.0;
+    uint32_t id = 0;
+
+    /** Canonical result order: by distance, ties by id. */
+    bool
+    operator<(const Neighbor &o) const
+    {
+        return dist != o.dist ? dist < o.dist : id < o.id;
+    }
+
+    bool
+    operator==(const Neighbor &o) const
+    {
+        return dist == o.dist && id == o.id;
+    }
+};
+
+/** Euclidean distance between two dim-wide vectors. */
+inline double
+l2Dist(const double *a, const double *b, size_t dim)
+{
+    double s = 0.0;
+    for (size_t c = 0; c < dim; ++c) {
+        const double d = a[c] - b[c];
+        s += d * d;
+    }
+    return std::sqrt(s);
+}
 
 /** One redundant tuple: two benchmarks and their distance, a < b. */
 struct RedundantPair
@@ -66,20 +100,14 @@ class FingerprintIndex
     static FingerprintIndex build(const Matrix &raw,
                                   const FingerprintOptions &opt = {});
 
-    /**
-     * Re-assemble from snapshot parts; the tree is adopted as-is (that
-     * is the point of the snapshot — reopen without rebuilding).
-     * @throw std::invalid_argument when tree and set disagree
-     */
-    static FingerprintIndex fromParts(FingerprintSet fps, VpTree tree);
+    /** Index a fingerprint set as-is (how a snapshot reopens). */
+    static FingerprintIndex fromParts(FingerprintSet fps);
 
     size_t size() const { return fps_.size(); }
 
     size_t dim() const { return fps_.dim; }
 
     const FingerprintSet &fingerprints() const { return fps_; }
-
-    const VpTree &tree() const { return tree_; }
 
     /** @return fingerprint id for a benchmark name, or -1. */
     int64_t idOf(const std::string &name) const;
@@ -90,26 +118,22 @@ class FingerprintIndex
     /**
      * k nearest indexed neighbors of indexed benchmark @p id, self
      * excluded, ascending (distance, id).
-     * @param brute use the brute-force reference path
      */
-    std::vector<Neighbor> knn(size_t id, size_t k,
-                              bool brute = false) const;
+    std::vector<Neighbor> knn(size_t id, size_t k) const;
 
     /** k nearest neighbors of an external raw row (embedded first). */
     std::vector<Neighbor> knnOfRaw(const std::vector<double> &rawRow,
-                                   size_t k, bool brute = false) const;
+                                   size_t k) const;
 
     /** Indexed neighbors of @p id within r (inclusive), self excluded. */
-    std::vector<Neighbor> radius(size_t id, double r,
-                                 bool brute = false) const;
+    std::vector<Neighbor> radius(size_t id, double r) const;
 
     /**
      * knn(id, k) for every indexed benchmark, fanned across @p pool
      * (nullptr = serial). Byte-identical for any worker count.
      */
     std::vector<std::vector<Neighbor>>
-    batchKnn(size_t k, pipeline::ThreadPool *pool = nullptr,
-             bool brute = false) const;
+    batchKnn(size_t k, pipeline::ThreadPool *pool = nullptr) const;
 
     /**
      * The topN closest (most redundant) pairs in the population,
@@ -119,14 +143,12 @@ class FingerprintIndex
      * is within a's N nearest and the merge sees every winner.
      */
     std::vector<RedundantPair>
-    mostRedundant(size_t topN, pipeline::ThreadPool *pool = nullptr,
-                  bool brute = false) const;
+    mostRedundant(size_t topN, pipeline::ThreadPool *pool = nullptr) const;
 
   private:
     void buildNameMap();
 
     FingerprintSet fps_;
-    VpTree tree_;
 
     /**
      * name→id over 64-bit name hashes (flat_hash keys are integral).

@@ -131,15 +131,6 @@ saveIndexSnapshot(const FingerprintIndex &idx, const std::string &path,
     writeDoubles(out, fps.pcaBasis);
     writeDoubles(out, fps.data);
 
-    const auto &nodes = idx.tree().nodes();
-    writePod(out, static_cast<uint64_t>(nodes.size()));
-    for (const VpNode &n : nodes) {
-        writePod(out, n.point);
-        writePod(out, n.left);
-        writePod(out, n.right);
-        writePod(out, n.threshold);
-    }
-
     try {
         util::atomicWriteFile(path, out.str(), "index.snapshot");
     } catch (const util::IoError &e) {
@@ -150,31 +141,26 @@ saveIndexSnapshot(const FingerprintIndex &idx, const std::string &path,
     return true;
 }
 
-bool
-readSnapshotKey(const std::string &path, std::string *key)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    if (in.gcount() != sizeof(magic) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return false;
-    uint32_t version = 0, fpVersion = 0;
-    if (!readPod(in, version) || version != kSnapshotVersion ||
-        !readPod(in, fpVersion) || fpVersion != FingerprintSet::kVersion)
-        return false;
-    return readString(in, *key);
-}
-
 SnapshotKeyProbe
 probeSnapshotKey(const std::string &path)
 {
     static obs::Counter probes("index.snapshot.probe");
     probes.add(1);
     SnapshotKeyProbe p;
-    p.valid = readSnapshotKey(path, &p.key);
+    std::ifstream in(path, std::ios::binary);
+    char magic[8] = {};
+    in.read(magic, sizeof(magic));
+    if (in.gcount() != sizeof(magic) ||
+        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+        return p;
+    // Version 1 shares this header layout; its key is still read so
+    // the space it recorded survives the rebuild its load will need.
+    uint32_t version = 0, fpVersion = 0;
+    if (!readPod(in, version) ||
+        (version != kSnapshotVersion && version != 1) ||
+        !readPod(in, fpVersion) || fpVersion != FingerprintSet::kVersion)
+        return p;
+    p.valid = readString(in, p.key);
     if (!p.valid)
         p.key.clear();
     return p;
@@ -276,36 +262,10 @@ loadIndexSnapshot(const std::string &path, const std::string &configKey,
         fps.pcaBasis.size() != pcaDims * nc ||
         fps.data.size() != count * dim)
         return fail(why, "snapshot payload shape mismatch");
+    if (in.peek() != std::char_traits<char>::eof())
+        return fail(why, "trailing bytes after snapshot payload");
 
-    uint64_t nodeCount = 0;
-    if (!readPod(in, nodeCount) || nodeCount != count)
-        return fail(why, "corrupt tree node count");
-    std::vector<VpNode> nodes(nodeCount);
-    std::vector<uint8_t> refs(nodeCount, 0);
-    for (auto &n : nodes) {
-        if (!readPod(in, n.point) || !readPod(in, n.left) ||
-            !readPod(in, n.right) || !readPod(in, n.threshold))
-            return fail(why, "truncated tree nodes");
-        if (n.point >= count ||
-            (n.left != VpNode::kNil && n.left >= nodeCount) ||
-            (n.right != VpNode::kNil && n.right >= nodeCount))
-            return fail(why, "corrupt tree node");
-        if (n.left != VpNode::kNil && refs[n.left] < 255)
-            ++refs[n.left];
-        if (n.right != VpNode::kNil && refs[n.right] < 255)
-            ++refs[n.right];
-    }
-    // Structural sanity: a tree references every non-root node exactly
-    // once and the root never. Anything else (self-links, shared
-    // subtrees, cycles) would make queries visit nodes twice or
-    // recurse forever instead of hitting the reject-and-rebuild path.
-    for (uint64_t i = 0; i < nodeCount; ++i) {
-        if (refs[i] != (i == 0 ? 0 : 1))
-            return fail(why, "corrupt tree structure");
-    }
-
-    *out = FingerprintIndex::fromParts(
-        std::move(fps), VpTree(std::move(nodes), dim));
+    *out = FingerprintIndex::fromParts(std::move(fps));
     guard.ok = true;
     sp.arg("points", count);
     return true;

@@ -8,11 +8,11 @@
  * load — a snapshot built under a different budget, suite filter,
  * characteristic subset, or PCA setting is rejected wholesale rather
  * than answering queries in a stale space. The payload is a flat,
- * offset-free dump (names, frozen normalization parameters, vectors,
- * VP-tree node array), so a reopen is a sequential read plus a
- * name-map rebuild — no re-profiling, no re-normalization, no tree
- * construction — and queries against the reloaded index are
- * byte-identical to queries against the freshly built one.
+ * offset-free dump (names, frozen normalization parameters, vectors),
+ * so a reopen is a sequential read plus a name-map rebuild — no
+ * re-profiling, no re-normalization — and queries against the
+ * reloaded index are byte-identical to queries against the freshly
+ * built one.
  */
 
 #pragma once
@@ -24,8 +24,12 @@
 namespace mica::index
 {
 
-/** Bump when the snapshot layout or fingerprint semantics change. */
-constexpr uint32_t kSnapshotVersion = 1;
+/**
+ * Bump when the snapshot layout or fingerprint semantics change.
+ * Version 2 dropped version 1's trailing VP-tree node array; the
+ * header layout (magic, version, fingerprint version, key) is shared.
+ */
+constexpr uint32_t kSnapshotVersion = 2;
 
 /** Conventional snapshot file name inside a cache directory. */
 inline std::string
@@ -47,17 +51,10 @@ bool saveIndexSnapshot(const FingerprintIndex &idx,
                        const std::string &configKey,
                        std::string *why = nullptr);
 
-/**
- * Read only the config key a snapshot was recorded under (header must
- * be a valid current-version snapshot).
- * @return false when the file is missing, foreign, or truncated
- */
-bool readSnapshotKey(const std::string &path, std::string *key);
-
 /** Result of a header-only snapshot probe. */
 struct SnapshotKeyProbe
 {
-    bool valid = false;   ///< header parsed as a current-version snapshot
+    bool valid = false;   ///< header parsed (current or version 1)
     std::string key;      ///< config key the snapshot was recorded under
 };
 
@@ -67,7 +64,10 @@ struct SnapshotKeyProbe
  * a load: which space/pca the snapshot holds (key adoption) and
  * whether its key matches the wanted config (load vs. rebuild). Call
  * once and branch on the result; only a matching key justifies the
- * full-payload loadIndexSnapshot read.
+ * full-payload loadIndexSnapshot read. A version-1 header probes
+ * valid too, so a cache written before the format bump keeps its
+ * recorded space: the load then rejects it and the caller rebuilds
+ * in that space.
  */
 SnapshotKeyProbe probeSnapshotKey(const std::string &path);
 

@@ -20,7 +20,7 @@
  *    provably ~0 and the bench obs family can measure the difference.
  *
  * Metric names follow `subsystem.noun.verb` (store.bytes.written,
- * pool.task.run_us, index.query.nodes_visited). Handles are cheap to
+ * pool.task.run_us, index.snapshot.reject). Handles are cheap to
  * construct and deduplicate by name, so `static obs::Counter` at the
  * use site is the idiomatic pattern.
  *

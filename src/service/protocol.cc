@@ -97,24 +97,6 @@ optionalCount(const JsonValue &doc, const char *field, size_t fallback,
     return true;
 }
 
-bool
-optionalBool(const JsonValue &doc, const char *field, bool *out,
-             ErrorCode *code, std::string *message)
-{
-    const JsonValue *v = doc.find(field);
-    if (!v) {
-        *out = false;
-        return true;
-    }
-    if (!v->isBool()) {
-        return failWith(code, message, ErrorCode::BadRequest,
-                        std::string("'") + field +
-                            "' must be a boolean");
-    }
-    *out = v->asBool();
-    return true;
-}
-
 } // namespace
 
 bool
@@ -171,17 +153,12 @@ parseRequest(const std::string &line, Request *out, ErrorCode *code,
     }
     if (name == "knn") {
         out->op = Op::Knn;
-        if (!requireBench(doc, out, code, message) ||
-            !optionalCount(doc, "k", 10, 1u << 20, &out->k, code,
-                           message) ||
-            !optionalBool(doc, "brute", &out->brute, code, message))
-            return false;
-        return true;
+        return requireBench(doc, out, code, message) &&
+            optionalCount(doc, "k", 10, 1u << 20, &out->k, code, message);
     }
     if (name == "radius") {
         out->op = Op::Radius;
-        if (!requireBench(doc, out, code, message) ||
-            !optionalBool(doc, "brute", &out->brute, code, message))
+        if (!requireBench(doc, out, code, message))
             return false;
         const JsonValue *r = doc.find("r");
         if (!r || !r->isNumber() || !(r->asDouble() >= 0.0)) {
@@ -193,11 +170,8 @@ parseRequest(const std::string &line, Request *out, ErrorCode *code,
     }
     if (name == "redundant") {
         out->op = Op::Redundant;
-        if (!optionalCount(doc, "top", 10, 1u << 20, &out->top, code,
-                           message) ||
-            !optionalBool(doc, "brute", &out->brute, code, message))
-            return false;
-        return true;
+        return optionalCount(doc, "top", 10, 1u << 20, &out->top, code,
+                             message);
     }
     if (name == "suites") {
         out->op = Op::Suites;

@@ -12,7 +12,8 @@
  *
  * Request:  {"op":"knn","bench":"SPEC2000/gzip.graphic","k":5}
  *           optional "id": any JSON value, echoed verbatim in the
- *           response so pipelined clients can match replies.
+ *           response so pipelined clients can match replies. Fields
+ *           an op does not read are ignored.
  * Success:  {"id":...,"ok":true,"op":"knn","result":{...}}
  * Failure:  {"id":...,"ok":false,"error":{"code":"...","message":"..."}}
  *
@@ -83,7 +84,6 @@ struct Request
     size_t k = 10;             ///< knn
     double radius = 0.0;       ///< radius
     size_t top = 10;           ///< redundant
-    bool brute = false;        ///< knn/radius/redundant reference path
 };
 
 /**

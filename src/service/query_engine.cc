@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "index/snapshot.hh"
-#include "index/vp_tree.hh"
 #include "methodology/genetic_selector.hh"
 #include "methodology/workload_space.hh"
 #include "mica/profile.hh"
@@ -233,7 +232,7 @@ execKnn(const ServerSnapshot &snap, const Request &req, ErrorCode *code,
     result.set("k", JsonValue::number(static_cast<uint64_t>(req.k)));
     result.set("neighbors",
                neighborsJson(snap, snap.idx.knn(static_cast<size_t>(id),
-                                                req.k, req.brute)));
+                                                req.k)));
     return result;
 }
 
@@ -253,15 +252,14 @@ execRadius(const ServerSnapshot &snap, const Request &req,
     result.set("neighbors",
                neighborsJson(snap,
                              snap.idx.radius(static_cast<size_t>(id),
-                                             req.radius, req.brute)));
+                                             req.radius)));
     return result;
 }
 
 JsonValue
 execRedundant(const ServerSnapshot &snap, const Request &req)
 {
-    const auto pairs =
-        snap.idx.mostRedundant(req.top, nullptr, req.brute);
+    const auto pairs = snap.idx.mostRedundant(req.top);
     JsonValue result = JsonValue::object();
     result.set("top", JsonValue::number(static_cast<uint64_t>(req.top)));
     JsonValue arr = JsonValue::array();

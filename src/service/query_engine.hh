@@ -16,14 +16,16 @@
  *
  *  - **executeRequest** — the one dispatch point for every protocol
  *    op. The daemon calls it per request line; `mica query` calls it
- *    once and exits; the CLI index verbs reuse the same underlying
- *    index calls. Same snapshot + same request = same response bytes,
- *    which is the CLI↔server byte-identity contract CI enforces.
+ *    once and exits. Same snapshot + same request = same response
+ *    bytes, which is the CLI↔server byte-identity contract CI
+ *    enforces.
  *
- * Snapshot construction reuses the persistent index snapshot when its
- * header key matches (probed once — the payload is only read when the
- * key already matches, never to *discover* a mismatch) and rebuilds
- * + persists it otherwise.
+ * buildServerSnapshot is the one way to open or build a snapshot:
+ * the daemon, `mica query`, and the `mica index query`/`redundant`
+ * table renderers all start from it. It reuses the persistent index
+ * snapshot when its header key matches (probed once — the payload is
+ * only read when the key already matches, never to *discover* a
+ * mismatch) and rebuilds + persists it otherwise.
  */
 
 #pragma once

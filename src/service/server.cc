@@ -241,7 +241,7 @@ struct Server::Impl
     void flushClient(Connection &c);
     void dispatchLines(Connection &c);
     void submitRequest(Connection &c, std::string line);
-    std::string handleReindex(const std::string &line);
+    JsonValue handleReindex(const Request &req);
     void quarantine(Connection &c);
     void closeAllConnections();
 };
@@ -495,22 +495,24 @@ Server::Impl::submitRequest(Connection &c, std::string line)
             Request req;
             ErrorCode code = ErrorCode::Internal;
             std::string message;
+            JsonValue resp;
             if (!parseRequest(line, &req, &code, &message)) {
-                reply = serializeResponse(makeError(req, code, message));
+                resp = makeError(req, code, message);
             } else if (req.op == Op::Reindex) {
                 span.arg("op", opName(req.op));
                 opCounter(req.op).add(1);
-                reply = handleReindex(line);
+                resp = handleReindex(req);
             } else {
                 span.arg("op", opName(req.op));
                 opCounter(req.op).add(1);
                 const auto snap = holder.get();
-                reply = serializeResponse(
-                    executeRequest(*snap, req, /*serverMode=*/true));
+                resp = executeRequest(*snap, req, /*serverMode=*/true);
             }
+            // Every envelope carries "ok" (makeResponse/makeError).
+            if (!resp.find("ok")->asBool())
+                errors.add(1);
+            reply = serializeResponse(resp);
         }
-        if (reply.find("\"ok\":false") != std::string::npos)
-            errors.add(1);
         latency.record((obs::nowNs() - t0) / 1000);
         {
             std::lock_guard<std::mutex> lk(conn->mu);
@@ -522,19 +524,14 @@ Server::Impl::submitRequest(Connection &c, std::string line)
     });
 }
 
-std::string
-Server::Impl::handleReindex(const std::string &line)
+JsonValue
+Server::Impl::handleReindex(const Request &req)
 {
     static obs::Counter swaps("serve.snapshot.swap");
-    Request req;
-    ErrorCode code = ErrorCode::Internal;
-    std::string message;
-    parseRequest(line, &req, &code, &message);   // re-parse for the id
-
     bool expected = false;
     if (!reindexing.compare_exchange_strong(expected, true)) {
-        return serializeResponse(makeError(
-            req, ErrorCode::Unavailable, "a reindex is already running"));
+        return makeError(req, ErrorCode::Unavailable,
+                         "a reindex is already running");
     }
     // Rebuild on this worker while every other worker keeps answering
     // from the current snapshot; the swap below is the only publication
@@ -545,8 +542,7 @@ Server::Impl::handleReindex(const std::string &line)
     auto next = buildServerSnapshot(cfg, sc, nullptr, gen, collect, &err);
     if (!next) {
         reindexing.store(false);
-        return serializeResponse(
-            makeError(req, ErrorCode::Internal, err));
+        return makeError(req, ErrorCode::Internal, err);
     }
     holder.swap(next);
     generation.store(gen);
@@ -558,7 +554,7 @@ Server::Impl::handleReindex(const std::string &line)
     result.set("benchmarks",
                JsonValue::number(
                    static_cast<uint64_t>(next->ds.benchmarks.size())));
-    return serializeResponse(makeResponse(req, std::move(result)));
+    return makeResponse(req, std::move(result));
 }
 
 void

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the workload-fingerprint similarity index: fingerprint
- * canonicalization, VP-tree vs brute-force bit equality (the property
- * the whole subsystem rests on), pooled batch-query determinism, the
- * most-redundant-pair engine, and snapshot durability.
+ * canonicalization, the exact kNN/radius scans against a full-sort
+ * oracle (bit equality is the property the whole subsystem rests
+ * on), pooled batch-query determinism, the most-redundant-pair
+ * engine, and snapshot durability.
  */
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include "index/fingerprint.hh"
 #include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
-#include "index/vp_tree.hh"
 #include "methodology/workload_space.hh"
 #include "pipeline/thread_pool.hh"
 #include "stats/rng.hh"
@@ -41,6 +41,39 @@ randomDataset(size_t rows, size_t cols, uint64_t seed)
         m.rowNames.push_back("bench" + std::to_string(r));
     }
     return m;
+}
+
+/**
+ * The reference kNN: every distance, one full sort by (distance, id),
+ * truncated to k. Slow and obviously right; the scan must match it
+ * bit for bit, order included.
+ */
+std::vector<Neighbor>
+fullSortKnn(const FingerprintSet &fps, const double *q, size_t k,
+            size_t skip = static_cast<size_t>(-1))
+{
+    std::vector<Neighbor> all;
+    for (size_t i = 0; i < fps.size(); ++i) {
+        if (i != skip)
+            all.push_back({l2Dist(q, fps.vec(i), fps.dim),
+                           static_cast<uint32_t>(i)});
+    }
+    std::sort(all.begin(), all.end());
+    if (all.size() > k)
+        all.resize(k);
+    return all;
+}
+
+/** Same neighbors, same distance bits, same order. */
+void
+expectSameNeighbors(const std::vector<Neighbor> &got,
+                    const std::vector<Neighbor> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+        EXPECT_EQ(got[i].dist, want[i].dist) << "rank " << i;
+    }
 }
 
 /** Self-cleaning temp directory for snapshot tests. */
@@ -122,7 +155,9 @@ TEST(FingerprintTest, ConstantColumnsAndWidthMismatchAreHandled)
 }
 
 // ----------------------------------------------------------------------
-// VP-tree vs brute force: the bit-equality property.
+// Exact scan vs the full-sort oracle: the bit-equality property. The
+// VpTreeTest cases first pinned the VP-tree the scan replaced; they
+// keep their seeds, sizes, k values, ties and boundary radii.
 // ----------------------------------------------------------------------
 
 TEST(VpTreeTest, KnnMatchesBruteAcrossSeedsSizesAndK)
@@ -133,15 +168,12 @@ TEST(VpTreeTest, KnnMatchesBruteAcrossSeedsSizesAndK)
             for (const size_t dim : {size_t{1}, size_t{4}}) {
                 const Matrix raw = randomDataset(n, dim, seed);
                 const FingerprintIndex idx = FingerprintIndex::build(raw);
+                const FingerprintSet &fps = idx.fingerprints();
                 for (const size_t k : {size_t{1}, size_t{3}, n + 3}) {
                     for (size_t q = 0; q < n; ++q) {
-                        const auto tree = idx.knn(q, k);
-                        const auto brute = idx.knn(q, k, true);
-                        ASSERT_EQ(tree.size(), brute.size());
-                        for (size_t i = 0; i < tree.size(); ++i) {
-                            EXPECT_EQ(tree[i].id, brute[i].id);
-                            EXPECT_EQ(tree[i].dist, brute[i].dist);
-                        }
+                        expectSameNeighbors(
+                            idx.knn(q, k),
+                            fullSortKnn(fps, fps.vec(q), k, q));
                     }
                 }
             }
@@ -158,18 +190,16 @@ TEST(VpTreeTest, ExternalQueriesMatchBrute)
         std::vector<double> q(5);
         for (auto &x : q)
             x = 3.0 * rng.gauss();
-        const auto tree = idx.knnOfRaw(q, 7);
-        const auto brute = idx.knnOfRaw(q, 7, true);
-        ASSERT_EQ(tree.size(), brute.size());
-        for (size_t i = 0; i < tree.size(); ++i)
-            EXPECT_TRUE(tree[i] == brute[i]);
+        const std::vector<double> e = idx.fingerprints().embed(q);
+        expectSameNeighbors(idx.knnOfRaw(q, 7),
+                            fullSortKnn(idx.fingerprints(), e.data(), 7));
     }
 }
 
 TEST(VpTreeTest, DuplicatePointsTieBreakById)
 {
     // Three identical rows plus distinct ones: distance ties must
-    // resolve by id identically on both paths.
+    // resolve by id exactly as the oracle's sort does.
     Matrix raw;
     raw.appendRow({1.0, 1.0});
     raw.appendRow({0.0, 0.0});
@@ -179,12 +209,11 @@ TEST(VpTreeTest, DuplicatePointsTieBreakById)
     for (size_t r = 0; r < raw.rows(); ++r)
         raw.rowNames.push_back("b" + std::to_string(r));
     const FingerprintIndex idx = FingerprintIndex::build(raw);
+    const FingerprintSet &fps = idx.fingerprints();
     for (size_t q = 0; q < raw.rows(); ++q) {
-        const auto tree = idx.knn(q, 4);
-        const auto brute = idx.knn(q, 4, true);
-        ASSERT_EQ(tree.size(), brute.size());
-        for (size_t i = 0; i < tree.size(); ++i)
-            EXPECT_TRUE(tree[i] == brute[i]) << "query " << q;
+        SCOPED_TRACE("query " + std::to_string(q));
+        expectSameNeighbors(idx.knn(q, 4),
+                            fullSortKnn(fps, fps.vec(q), 4, q));
     }
 }
 
@@ -192,20 +221,23 @@ TEST(VpTreeTest, RadiusMatchesBruteIncludingBoundary)
 {
     const Matrix raw = randomDataset(30, 4, 5);
     const FingerprintIndex idx = FingerprintIndex::build(raw);
+    const FingerprintSet &fps = idx.fingerprints();
     // Use realized distances as radii so the boundary case (dist ==
-    // r) is actually exercised: both paths must include it.
+    // r) is actually exercised: the scan must include it.
     for (size_t q = 0; q < 5; ++q) {
-        const auto nbs = idx.knn(q, 10);
-        for (const auto &nb : nbs) {
-            const auto tree = idx.radius(q, nb.dist);
-            const auto brute = idx.radius(q, nb.dist, true);
-            ASSERT_EQ(tree.size(), brute.size());
-            bool boundary = false;
-            for (size_t i = 0; i < tree.size(); ++i) {
-                EXPECT_TRUE(tree[i] == brute[i]);
-                boundary = boundary || tree[i].dist == nb.dist;
+        const auto all = fullSortKnn(fps, fps.vec(q), fps.size(), q);
+        for (const auto &nb : idx.knn(q, 10)) {
+            std::vector<Neighbor> want;
+            for (const auto &o : all) {
+                if (o.dist <= nb.dist)
+                    want.push_back(o);
             }
-            EXPECT_TRUE(boundary);
+            const auto got = idx.radius(q, nb.dist);
+            expectSameNeighbors(got, want);
+            EXPECT_TRUE(std::any_of(got.begin(), got.end(),
+                                    [&](const Neighbor &g) {
+                                        return g.dist == nb.dist;
+                                    }));
         }
     }
 }
@@ -219,6 +251,51 @@ TEST(VpTreeTest, DegenerateSizes)
     EXPECT_TRUE(single.knn(0, 5).empty());          // only self exists
     EXPECT_TRUE(single.radius(0, 100.0).empty());
     EXPECT_TRUE(single.mostRedundant(4).empty());
+    const FingerprintIndex two = FingerprintIndex::build(
+        randomDataset(2, 3, 2));
+    EXPECT_TRUE(two.knn(0, 0).empty());
+}
+
+TEST(FingerprintIndexTest, ClusteredDuplicatesMatchOracle)
+{
+    // Six cluster centers, each repeated seven times exactly: most
+    // distances tie (0 inside a cluster, one value per center pair),
+    // so every cut falls inside a run of ties, and k >= n asks for
+    // the whole population.
+    Matrix raw;
+    Rng rng(31);
+    std::vector<std::vector<double>> centers(6, std::vector<double>(3));
+    for (auto &c : centers) {
+        for (auto &x : c)
+            x = rng.gauss();
+    }
+    for (size_t copy = 0; copy < 7; ++copy) {
+        for (const auto &c : centers)
+            raw.appendRow(c);
+    }
+    for (size_t r = 0; r < raw.rows(); ++r)
+        raw.rowNames.push_back("c" + std::to_string(r));
+    const FingerprintIndex idx = FingerprintIndex::build(raw);
+    const FingerprintSet &fps = idx.fingerprints();
+    const size_t n = fps.size();
+    for (size_t q = 0; q < n; ++q) {
+        for (const size_t k : {size_t{1}, size_t{6}, size_t{7},
+                               size_t{13}, n - 1, n, n + 50}) {
+            SCOPED_TRACE("query " + std::to_string(q) + " k " +
+                         std::to_string(k));
+            expectSameNeighbors(idx.knn(q, k),
+                                fullSortKnn(fps, fps.vec(q), k, q));
+        }
+        // Radius 0 returns exactly the other six copies, by id.
+        const auto same = idx.radius(q, 0.0);
+        expectSameNeighbors(same, fullSortKnn(fps, fps.vec(q), 6, q));
+    }
+    // An external query on a center ties all seven copies at 0.
+    const auto e = fps.embed(centers[2]);
+    for (const size_t k : {size_t{3}, n, n + 1}) {
+        expectSameNeighbors(idx.knnOfRaw(centers[2], k),
+                            fullSortKnn(fps, e.data(), k));
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -246,8 +323,7 @@ TEST(FingerprintIndexTest, MostRedundantMatchesAllPairsScan)
     const FingerprintIndex idx = FingerprintIndex::build(raw);
     pipeline::ThreadPool pool(8);
     const size_t topN = 8;
-    const auto tree = idx.mostRedundant(topN);
-    const auto brute = idx.mostRedundant(topN, nullptr, true);
+    const auto serial = idx.mostRedundant(topN);
     const auto pooled = idx.mostRedundant(topN, &pool);
 
     // Ground truth: every pair, sorted by (dist, a, b).
@@ -261,10 +337,10 @@ TEST(FingerprintIndexTest, MostRedundantMatchesAllPairsScan)
     std::sort(all.begin(), all.end());
     all.resize(topN);
 
-    ASSERT_EQ(tree.size(), topN);
+    ASSERT_EQ(serial.size(), topN);
+    ASSERT_EQ(pooled.size(), topN);
     for (size_t i = 0; i < topN; ++i) {
-        EXPECT_TRUE(tree[i] == all[i]) << "rank " << i;
-        EXPECT_TRUE(brute[i] == all[i]) << "rank " << i;
+        EXPECT_TRUE(serial[i] == all[i]) << "rank " << i;
         EXPECT_TRUE(pooled[i] == all[i]) << "rank " << i;
     }
 }
@@ -299,7 +375,6 @@ TEST(SnapshotTest, RoundTripPreservesEveryQueryBitwise)
     EXPECT_EQ(loaded.dim(), built.dim());
     EXPECT_EQ(loaded.fingerprints().data, built.fingerprints().data);
     EXPECT_EQ(loaded.fingerprints().names, built.fingerprints().names);
-    EXPECT_EQ(loaded.tree().nodes().size(), built.tree().nodes().size());
 
     for (size_t q = 0; q < built.size(); ++q) {
         const auto a = built.knn(q, 6);
@@ -347,14 +422,42 @@ TEST(SnapshotTest, SaveIsAtomicTornWriteRejectsAndRebuilds)
 TEST(SnapshotTest, ReadSnapshotKeyPeeksWithoutLoading)
 {
     SnapDir tmp;
+    const std::string key = "budget=1|space=key|pca=2";
     const FingerprintIndex built =
         FingerprintIndex::build(randomDataset(6, 2, 9));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(),
-                                  "budget=1|space=key|pca=2"));
-    std::string key;
-    ASSERT_TRUE(readSnapshotKey(tmp.path(), &key));
-    EXPECT_EQ(key, "budget=1|space=key|pca=2");
-    EXPECT_FALSE(readSnapshotKey(tmp.dir + "/absent.bin", &key));
+    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), key));
+    const auto probe = probeSnapshotKey(tmp.path());
+    ASSERT_TRUE(probe.valid);
+    EXPECT_EQ(probe.key, key);
+    EXPECT_FALSE(probeSnapshotKey(tmp.dir + "/absent.bin").valid);
+
+    // A version-1 header (same layout, older payload) still yields
+    // its key, so the space it recorded can be adopted, but the load
+    // rejects it and the caller rebuilds.
+    {
+        std::fstream f(tmp.path(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        const uint32_t v1 = 1;
+        f.seekp(8);
+        f.write(reinterpret_cast<const char *>(&v1), sizeof(v1));
+    }
+    const auto old = probeSnapshotKey(tmp.path());
+    EXPECT_TRUE(old.valid);
+    EXPECT_EQ(old.key, key);
+    FingerprintIndex out;
+    std::string why;
+    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), key, &out, &why));
+    EXPECT_NE(why.find("version mismatch"), std::string::npos) << why;
+
+    // Any other version is foreign to the probe as well.
+    {
+        std::fstream f(tmp.path(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        const uint32_t v3 = kSnapshotVersion + 1;
+        f.seekp(8);
+        f.write(reinterpret_cast<const char *>(&v3), sizeof(v3));
+    }
+    EXPECT_FALSE(probeSnapshotKey(tmp.path()).valid);
 }
 
 TEST(SnapshotTest, ProbeReadsHeaderOnlyAndFailsClosed)
@@ -403,11 +506,20 @@ TEST(SnapshotTest, RejectsKeyMismatchMissingAndCorruptFiles)
     EXPECT_FALSE(
         loadIndexSnapshot(tmp.dir + "/absent.bin", "key-A", &out, &why));
 
-    // Truncation anywhere in the payload rejects the file.
     std::ifstream in(tmp.path(), std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     in.close();
+
+    // The vectors end the file: anything after them is corruption.
+    {
+        std::ofstream tail(tmp.path(), std::ios::binary | std::ios::app);
+        tail << 'x';
+    }
+    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
+    EXPECT_NE(why.find("trailing bytes"), std::string::npos) << why;
+
+    // Truncation anywhere in the payload rejects the file.
     {
         std::ofstream cut(tmp.path(), std::ios::binary | std::ios::trunc);
         cut.write(bytes.data(),
@@ -422,27 +534,6 @@ TEST(SnapshotTest, RejectsKeyMismatchMissingAndCorruptFiles)
     }
     EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
     EXPECT_NE(why.find("not an index snapshot"), std::string::npos);
-}
-
-TEST(SnapshotTest, RejectsStructurallyCorruptTrees)
-{
-    // A tree whose links form a shared subtree (or a cycle) must be
-    // rejected at load, not crash the first query.
-    SnapDir tmp;
-    const Matrix raw = randomDataset(3, 2, 4);
-    const FingerprintSet fps = buildFingerprints(raw);
-    std::vector<VpNode> bad(3);
-    bad[0] = {0, 1, 1, 0.5};            // both children point at node 1
-    bad[1] = {1, VpNode::kNil, VpNode::kNil, 0.0};
-    bad[2] = {2, VpNode::kNil, VpNode::kNil, 0.0};
-    const FingerprintIndex idx = FingerprintIndex::fromParts(
-        fps, VpTree(std::move(bad), fps.dim));
-    ASSERT_TRUE(saveIndexSnapshot(idx, tmp.path(), "key-A"));
-
-    FingerprintIndex out;
-    std::string why;
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
-    EXPECT_NE(why.find("corrupt tree structure"), std::string::npos);
 }
 
 TEST(SnapshotTest, RejectsHugeHeaderCountsWithoutAllocating)

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 
 #include "experiments/experiments.hh"
 #include "index/fingerprint_index.hh"
+#include "index/snapshot.hh"
 #include "obs/obs.hh"
 #include "pipeline/thread_pool.hh"
 #include "service/client.hh"
@@ -173,8 +175,7 @@ TEST(ServiceProtocolTest, ValidatesRequests)
         &req, &code, &msg));
     EXPECT_EQ(req.op, Op::Knn);
     EXPECT_EQ(req.bench, "a/b.c");
-    EXPECT_EQ(req.k, 3u);
-    EXPECT_TRUE(req.brute);
+    EXPECT_EQ(req.k, 3u);   // an unknown field ("brute") is ignored
 
     EXPECT_FALSE(parseRequest("not json", &req, &code, &msg));
     EXPECT_EQ(code, ErrorCode::BadJson);
@@ -248,15 +249,20 @@ TEST(ServiceEngineTest, KnnMatchesDirectIndexCall)
 
 TEST(ServiceEngineTest, TreeAndBruteAnswersAgree)
 {
+    // Older clients may still send a "brute" flag: like any field an
+    // op does not read, it must not change the reply.
     auto snap = testSnapshot();
     ASSERT_NE(snap, nullptr);
     const std::string bench = snap->idx.nameOf(1);
-    const std::string tree = executeLine(
-        *snap, "{\"op\":\"knn\",\"bench\":\"" + bench + "\",\"k\":4}");
-    const std::string brute = executeLine(
-        *snap, "{\"op\":\"knn\",\"bench\":\"" + bench +
-                   "\",\"k\":4,\"brute\":true}");
-    EXPECT_EQ(tree, brute);
+    for (const std::string body :
+         {"\"op\":\"knn\",\"bench\":\"" + bench + "\",\"k\":4",
+          "\"op\":\"radius\",\"bench\":\"" + bench + "\",\"r\":2.5",
+          std::string("\"op\":\"redundant\",\"top\":5")}) {
+        const std::string plain = executeLine(*snap, "{" + body + "}");
+        EXPECT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
+        EXPECT_EQ(executeLine(*snap, "{" + body + ",\"brute\":true}"),
+                  plain);
+    }
 }
 
 TEST(ServiceEngineTest, UnknownBenchAndBadLinesGetErrorEnvelopes)
@@ -292,6 +298,92 @@ TEST(ServiceEngineTest, StatsReflectsTheSnapshot)
               static_cast<int64_t>(snap->idx.size()));
     EXPECT_EQ(result->find("space")->asString(), snap->space);
     EXPECT_EQ(result->find("generation")->asCount(), 0);
+}
+
+// ----------------------------------------------------------------------
+// Snapshot opening: the stored space is adopted unless one is given.
+// ----------------------------------------------------------------------
+
+/** testConfig() over its own cache, so a key-space index stays local. */
+experiments::DatasetConfig
+privateConfig(const TempDir &dir)
+{
+    experiments::DatasetConfig cfg = testConfig();
+    cfg.cacheDir = dir.dir;
+    return cfg;
+}
+
+SpaceChoice
+givenSpace(const std::string &space)
+{
+    SpaceChoice sc;
+    sc.space = space;
+    sc.given = true;
+    return sc;
+}
+
+TEST(ServiceSnapshotTest, ReopensInTheStoredSpaceUnlessOneIsGiven)
+{
+    TempDir dir;
+    const auto cfg = privateConfig(dir);
+    std::string err;
+    const auto built =
+        buildServerSnapshot(cfg, givenSpace("key"), nullptr, 0, {}, &err);
+    ASSERT_NE(built, nullptr) << err;
+    EXPECT_EQ(built->space, "key");
+
+    const auto reopened =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(reopened, nullptr) << err;
+    EXPECT_EQ(reopened->space, "key");
+    EXPECT_EQ(reopened->key, built->key);
+    EXPECT_EQ(reopened->idx.fingerprints().data,
+              built->idx.fingerprints().data);
+
+    // An explicit choice beats the stored space.
+    const auto pinned =
+        buildServerSnapshot(cfg, givenSpace("mica"), nullptr, 0, {}, &err);
+    ASSERT_NE(pinned, nullptr) << err;
+    EXPECT_EQ(pinned->space, "mica");
+}
+
+TEST(ServiceSnapshotTest, VersionOneCacheKeepsItsSpaceAndIsRewritten)
+{
+    TempDir dir;
+    const auto cfg = privateConfig(dir);
+    std::string err;
+    ASSERT_NE(buildServerSnapshot(cfg, givenSpace("key"), nullptr, 0, {},
+                                  &err),
+              nullptr)
+        << err;
+
+    // Mark the file as the previous format: same header, so only the
+    // version field changes.
+    const std::string path = index::snapshotPath(dir.dir);
+    const auto readVersion = [&] {
+        uint32_t v = 0;
+        std::ifstream in(path, std::ios::binary);
+        in.seekg(8);
+        in.read(reinterpret_cast<char *>(&v), sizeof(v));
+        return v;
+    };
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+        const uint32_t v1 = 1;
+        f.seekp(8);
+        f.write(reinterpret_cast<const char *>(&v1), sizeof(v1));
+    }
+    ASSERT_EQ(readVersion(), 1u);
+
+    const auto snap =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(snap, nullptr) << err;
+    EXPECT_EQ(snap->space, "key");
+    EXPECT_EQ(readVersion(), index::kSnapshotVersion);
+    index::FingerprintIndex reloaded;
+    ASSERT_TRUE(index::loadIndexSnapshot(path, snap->key, &reloaded, &err))
+        << err;
+    EXPECT_EQ(reloaded.fingerprints().data, snap->idx.fingerprints().data);
 }
 
 // ----------------------------------------------------------------------
@@ -453,6 +545,28 @@ TEST(ServiceServerTest, DaemonStatsCarriesLiveIntrospection)
     EXPECT_GT(uptime->asDouble(), 0.0);
     EXPECT_GE(statsCount->asDouble(), 1.0);
     EXPECT_GE(open->asDouble(), 1.0);
+
+    // requests.errors counts failed envelopes: three failures (each
+    // a different error code) and one success add exactly three.
+    const auto errorCount = [&]() -> int64_t {
+        std::string r, e;
+        JsonValue d;
+        if (!client.request("{\"op\":\"stats\"}", &r, &e) ||
+            !parseJson(r, &d, &e))
+            return -1;
+        return d.find("result")->find("requests")->find("errors")
+            ->asCount();
+    };
+    const int64_t before = errorCount();
+    ASSERT_GE(before, 0);
+    for (const std::string line :
+         {std::string("not json"), std::string("{\"op\":\"nope\"}"),
+          std::string("{\"op\":\"knn\",\"bench\":\"no/such.bench\"}"),
+          "{\"op\":\"knn\",\"bench\":\"" +
+              testSnapshot()->idx.nameOf(0) + "\",\"k\":3}"}) {
+        ASSERT_TRUE(client.request(line, &reply, &err)) << err;
+    }
+    EXPECT_EQ(errorCount(), before + 3);
 #endif
     // The local one-shot path stays unenriched: no introspection
     // block when the same request runs without a daemon.

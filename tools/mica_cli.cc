@@ -494,43 +494,29 @@ cmdSubset(const util::CliArgs &args,
 // index verbs: persistent workload-fingerprint similarity index.
 // ----------------------------------------------------------------------
 
-/**
- * Reopen the snapshot, or (re)build and persist it when missing or
- * keyed to a different config. The decision comes from @p probe — the
- * header was already read exactly once by the caller (for space/pca
- * adoption); the full payload is only read when the probed key
- * matches, never to *discover* a mismatch. Status goes to stderr so
- * reports on stdout stay byte-comparable between the reload and
- * fresh-build paths.
- */
-index::FingerprintIndex
-openOrBuildIndex(const experiments::DatasetConfig &cfg,
-                 const index::SnapshotKeyProbe &probe,
-                 const std::string &space, size_t pca,
-                 pipeline::ThreadPool *pool)
+/** --space/--pca as a SpaceChoice (shared by index, serve and query). */
+service::SpaceChoice
+spaceChoiceFromArgs(const util::CliArgs &args)
 {
-    const std::string path = index::snapshotPath(cfg.cacheDir);
-    const std::string key = service::indexKey(cfg, space, pca);
-    index::FingerprintIndex idx;
-    std::string why;
-    if (probe.valid && probe.key == key) {
-        if (index::loadIndexSnapshot(path, key, &idx, &why))
-            return idx;
-        std::fprintf(stderr, "index: %s; rebuilding\n", why.c_str());
-    } else if (probe.valid) {
-        std::fprintf(stderr,
-                     "index: snapshot key mismatch (built under '%s', "
-                     "expected '%s'); rebuilding\n",
-                     probe.key.c_str(), key.c_str());
-    } else {
-        std::fprintf(stderr, "index: no snapshot file; rebuilding\n");
-    }
-    idx = service::indexFromDataset(collectReported(cfg), space, pca,
-                                    pool);
-    if (!index::saveIndexSnapshot(idx, path, key, &why))
-        std::fprintf(stderr, "index: warning: snapshot not written: %s\n",
-                     why.c_str());
-    return idx;
+    service::SpaceChoice sc;
+    sc.space = args.value("space", "mica");
+    sc.pca = static_cast<size_t>(args.intValue("pca", 0));
+    sc.given = args.has("space") || args.has("pca");
+    return sc;
+}
+
+/** Build the immutable query snapshot the way every front end must. */
+std::shared_ptr<const service::ServerSnapshot>
+buildSnapshotReported(const experiments::DatasetConfig &cfg,
+                      const service::SpaceChoice &sc,
+                      pipeline::ThreadPool *pool, std::string *err)
+{
+    return service::buildServerSnapshot(
+        cfg, sc, pool, /*generation=*/0,
+        [](const experiments::DatasetConfig &c) {
+            return collectReported(c);
+        },
+        err);
 }
 
 /** One "rank / benchmark / distance" table from a neighbor list. */
@@ -555,140 +541,96 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
     if (args.positionals.size() < 2)
         return usage();
     const std::string sub = args.positionals[1];
+    if (sub != "build" && sub != "query" && sub != "redundant")
+        return usage();
 
     // A typo'd numeric value must not silently become the default.
     for (const char *flag : {"pca", "k", "top"}) {
         if (rejectBadInt(args, "index", flag))
             return 2;
     }
-
-    service::SpaceChoice sc;
-    sc.space = args.value("space", "mica");
-    sc.pca = static_cast<size_t>(args.intValue("pca", 0));
-    sc.given = args.has("space") || args.has("pca");
-    const bool brute = args.has("brute");
+    const service::SpaceChoice sc = spaceChoiceFromArgs(args);
+    if (sc.space != "mica" && sc.space != "hpc" && sc.space != "key") {
+        std::fprintf(stderr,
+                     "mica index: --space must be mica, hpc, or key "
+                     "(got '%s')\n", sc.space.c_str());
+        return 2;
+    }
 
     // The snapshot lives next to the profile store; without --cache it
     // still needs a durable home, so a default directory steps in.
     experiments::DatasetConfig icfg = cfg;
     if (icfg.cacheDir.empty())
         icfg.cacheDir = ".mica-index";
-
-    // Query verbs answer from whatever space the snapshot holds
-    // unless told otherwise; `build` always uses the explicit flags.
-    // One header probe serves both the adoption and the later
-    // load-vs-rebuild decision — the payload is never read (or
-    // re-validated) just to learn the key.
-    index::SnapshotKeyProbe probe;
-    if (sub != "build") {
-        probe = index::probeSnapshotKey(
-            index::snapshotPath(icfg.cacheDir));
-        if (probe.valid)
-            service::adoptSpaceFromKey(probe.key, &sc);
-    }
-    std::string space = sc.space;
-    size_t pca = sc.pca;
-    if (space != "mica" && space != "hpc" && space != "key") {
-        std::fprintf(stderr,
-                     "mica index: --space must be mica, hpc, or key "
-                     "(got '%s')\n", space.c_str());
-        return 2;
-    }
     auto pool = methodologyPool(icfg);
     pipeline::ThreadPool *p = pool.get();
 
     if (sub == "build") {
         const index::FingerprintIndex idx = service::indexFromDataset(
-            collectReported(icfg), space, pca, p);
+            collectReported(icfg), sc.space, sc.pca, p);
         const std::string path = index::snapshotPath(icfg.cacheDir);
         std::string why;
-        if (!index::saveIndexSnapshot(idx, path,
-                                      service::indexKey(icfg, space, pca),
-                                      &why)) {
+        if (!index::saveIndexSnapshot(
+                idx, path, service::indexKey(icfg, sc.space, sc.pca),
+                &why)) {
             std::fprintf(stderr, "mica index build: %s\n", why.c_str());
             return 1;
         }
         std::printf("indexed %zu fingerprints (dim %zu, space %s, "
                     "pca %zu)\nsnapshot: %s\n",
-                    idx.size(), idx.dim(), space.c_str(), pca,
+                    idx.size(), idx.dim(), sc.space.c_str(), sc.pca,
                     path.c_str());
         return 0;
     }
 
+    // Query verbs validate everything before opening the snapshot.
+    std::string target;
+    const size_t k = static_cast<size_t>(args.intValue("k", 10));
+    const bool hasRadius = args.has("radius");
+    double r = 0.0;
     if (sub == "query") {
         if (args.positionals.size() < 3)
             return usage();
-        const std::string target = args.positionals[2];
-        const size_t k = static_cast<size_t>(args.intValue("k", 10));
-        const bool hasRadius = args.has("radius");
+        target = args.positionals[2];
         if (hasRadius && args.has("k")) {
             std::fprintf(stderr, "mica index query: give either --k or "
                                  "--radius, not both\n");
             return 2;
         }
-        const index::FingerprintIndex idx =
-            openOrBuildIndex(icfg, probe, space, pca, p);
-
-        if (target == "all") {
-            if (hasRadius) {
-                std::fprintf(stderr, "mica index query: --radius needs "
-                                     "a single benchmark, not 'all'\n");
-                return 2;
-            }
-            const auto results = idx.batchKnn(k, p, brute);
-            for (size_t i = 0; i < results.size(); ++i) {
-                std::printf("%s ->", idx.nameOf(i).c_str());
-                for (const auto &nb : results[i]) {
-                    std::printf("  %s:%s", idx.nameOf(nb.id).c_str(),
-                                report::TextTable::num(nb.dist, 4)
-                                    .c_str());
-                }
-                std::printf("\n");
-            }
-            std::printf("%zu benchmarks, k=%zu, space %s, dim %zu\n",
-                        results.size(), k, space.c_str(), idx.dim());
-            return 0;
-        }
-
-        const int64_t id = idx.idOf(target);
-        if (id < 0) {
-            std::fprintf(stderr, "'%s' is not in the index (see 'mica "
-                                 "list'; rebuild with 'mica index "
-                                 "build' after config changes)\n",
-                         target.c_str());
-            return 1;
+        if (hasRadius && target == "all") {
+            std::fprintf(stderr, "mica index query: --radius needs "
+                                 "a single benchmark, not 'all'\n");
+            return 2;
         }
         if (hasRadius) {
             // Strict parse: a typo'd radius must not silently become
             // 0.0 and report "no neighbors".
             const std::string rv = args.value("radius");
             char *end = nullptr;
-            const double r =
-                rv.empty() ? -1.0 : std::strtod(rv.c_str(), &end);
+            r = rv.empty() ? -1.0 : std::strtod(rv.c_str(), &end);
             if (rv.empty() || *end != '\0' || !(r >= 0.0)) {
                 std::fprintf(stderr, "mica index query: --radius needs "
                                      "a non-negative number (got "
                                      "'%s')\n", rv.c_str());
                 return 2;
             }
-            printNeighbors(idx,
-                           idx.radius(static_cast<size_t>(id), r, brute),
-                           target + ": neighbors within " +
-                               report::TextTable::num(r, 4));
-        } else {
-            printNeighbors(idx,
-                           idx.knn(static_cast<size_t>(id), k, brute),
-                           target + ": " + std::to_string(k) +
-                               " nearest");
         }
-        return 0;
     }
+
+    // The same snapshot path the daemon and `mica query` open: the
+    // space is adopted from the stored snapshot unless given, and a
+    // missing or mismatched snapshot is rebuilt and persisted.
+    std::string err;
+    const auto snap = buildSnapshotReported(icfg, sc, p, &err);
+    if (!snap) {
+        std::fprintf(stderr, "mica index: %s\n", err.c_str());
+        return 1;
+    }
+    const index::FingerprintIndex &idx = snap->idx;
 
     if (sub == "redundant") {
         const size_t top = static_cast<size_t>(args.intValue("top", 10));
-        const index::FingerprintIndex idx =
-            openOrBuildIndex(icfg, probe, space, pca, p);
-        const auto pairs = idx.mostRedundant(top, p, brute);
+        const auto pairs = idx.mostRedundant(top, p);
         report::TextTable t({"rank", "benchmark A", "benchmark B",
                              "distance"},
                             {report::Align::Right, report::Align::Left,
@@ -701,10 +643,42 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
         std::printf("%s\n%zu most redundant of %zu benchmarks "
                     "(space %s)\n",
                     t.render("Most redundant pairs").c_str(),
-                    pairs.size(), idx.size(), space.c_str());
+                    pairs.size(), idx.size(), snap->space.c_str());
         return 0;
     }
-    return usage();
+
+    if (target == "all") {
+        const auto results = idx.batchKnn(k, p);
+        for (size_t i = 0; i < results.size(); ++i) {
+            std::printf("%s ->", idx.nameOf(i).c_str());
+            for (const auto &nb : results[i]) {
+                std::printf("  %s:%s", idx.nameOf(nb.id).c_str(),
+                            report::TextTable::num(nb.dist, 4).c_str());
+            }
+            std::printf("\n");
+        }
+        std::printf("%zu benchmarks, k=%zu, space %s, dim %zu\n",
+                    results.size(), k, snap->space.c_str(), idx.dim());
+        return 0;
+    }
+
+    const int64_t id = idx.idOf(target);
+    if (id < 0) {
+        std::fprintf(stderr, "'%s' is not in the index (see 'mica "
+                             "list'; rebuild with 'mica index "
+                             "build' after config changes)\n",
+                     target.c_str());
+        return 1;
+    }
+    if (hasRadius) {
+        printNeighbors(idx, idx.radius(static_cast<size_t>(id), r),
+                       target + ": neighbors within " +
+                           report::TextTable::num(r, 4));
+    } else {
+        printNeighbors(idx, idx.knn(static_cast<size_t>(id), k),
+                       target + ": " + std::to_string(k) + " nearest");
+    }
+    return 0;
 }
 
 // ----------------------------------------------------------------------
@@ -712,31 +686,6 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
 // front end (`query` — byte-identical to the daemon's replies, CI
 // cmp's them), and the load generator (`serve-bench`).
 // ----------------------------------------------------------------------
-
-/** --space/--pca as a SpaceChoice (shared by serve and query). */
-service::SpaceChoice
-spaceChoiceFromArgs(const util::CliArgs &args)
-{
-    service::SpaceChoice sc;
-    sc.space = args.value("space", "mica");
-    sc.pca = static_cast<size_t>(args.intValue("pca", 0));
-    sc.given = args.has("space") || args.has("pca");
-    return sc;
-}
-
-/** Build the immutable query snapshot the way every front end must. */
-std::shared_ptr<const service::ServerSnapshot>
-buildSnapshotReported(const experiments::DatasetConfig &cfg,
-                      const service::SpaceChoice &sc,
-                      pipeline::ThreadPool *pool, std::string *err)
-{
-    return service::buildServerSnapshot(
-        cfg, sc, pool, /*generation=*/0,
-        [](const experiments::DatasetConfig &c) {
-            return collectReported(c);
-        },
-        err);
-}
 
 /**
  * The running daemon, for the signal handlers. requestStop() is
@@ -1919,8 +1868,7 @@ constexpr VerbDef kVerbs[] = {
      "  --pca=K        project onto K principal components\n"
      "  --k=N          neighbors per query (query)\n"
      "  --radius=R     radius query instead of kNN (query)\n"
-     "  --top=N        pairs to report (redundant)\n"
-     "  --brute        brute-force reference path (no VP-tree)\n",
+     "  --top=N        pairs to report (redundant)\n",
      cmdIndex},
     {"serve",
      "  serve [--listen=ADDR]     similarity-query daemon (JSON lines)\n",
@@ -2174,9 +2122,9 @@ knownFlags(const std::string &cmd, const std::string &sub)
     if (cmd == "index") {
         known.insert(known.end(), {"space=", "pca="});
         if (sub == "query")
-            known.insert(known.end(), {"k=", "radius=", "brute"});
+            known.insert(known.end(), {"k=", "radius="});
         if (sub == "redundant")
-            known.insert(known.end(), {"top=", "brute"});
+            known.push_back("top=");
     }
     return known;
 }
