@@ -598,9 +598,10 @@ BENCHMARK(BM_IndexKnn);
 // ----------------------------------------------------------------------
 // serve family: the similarity-query daemon under load. The snapshot
 // is the synthetic index corpus (queries run the same scan the
-// index family measures), so the delta between local_requests_per_sec
-// and the daemon numbers is exactly what the wire adds: socket round
-// trip, envelope parse/serialize, and the poll-loop handoff.
+// index family measures; only knn is asked, so the snapshot needs no
+// answer tables), so the delta between local_requests_per_sec and
+// the daemon numbers is exactly what the wire adds: socket round trip
+// and one poll pass of the connection's event loop.
 // ----------------------------------------------------------------------
 
 /** The immutable snapshot every serve benchmark queries. */
@@ -633,7 +634,7 @@ struct ServeHarness
         std::filesystem::create_directories(dir);
         service::ServerOptions opt;
         opt.address = "unix:" + (dir / "bench.sock").string();
-        opt.jobs = 4;
+        opt.jobs = 4;   // event loops
         server = std::make_unique<service::Server>(
             opt, serveSnapshot(), experiments::DatasetConfig{},
             service::SpaceChoice{});
@@ -1509,7 +1510,8 @@ writeJsonProfile(const std::string &path, double obsRef,
 
     if (on("serve")) {
         // Daemon saturation (aggregate requests/sec at 1, 2, 4, 8
-        // concurrent connections against a 4-worker daemon), the
+        // concurrent connections against a daemon with 4 event loops;
+        // the "workers" key below keeps its name), the
         // in-process one-shot rate for contrast, warm daemon start
         // (snapshot reopen), and the per-request round-trip latency
         // tail on one connection.

@@ -173,36 +173,4 @@ FingerprintIndex::batchKnn(size_t k, pipeline::ThreadPool *pool) const
     return out;
 }
 
-std::vector<RedundantPair>
-FingerprintIndex::mostRedundant(size_t topN,
-                                pipeline::ThreadPool *pool) const
-{
-    const size_t n = fps_.size();
-    if (n < 2 || topN == 0)
-        return {};
-    const size_t k = std::min(topN, n - 1);
-    const auto perRow = batchKnn(k, pool);
-
-    // Serial merge in id order: canonicalize to a < b, drop the
-    // duplicate each pair produces from its other endpoint.
-    util::FlatHashSet<uint64_t> seen;
-    seen.reserve(n * k);
-    std::vector<RedundantPair> pairs;
-    pairs.reserve(n * k / 2);
-    for (size_t i = 0; i < n; ++i) {
-        for (const Neighbor &nb : perRow[i]) {
-            const uint32_t a = std::min<uint32_t>(i, nb.id);
-            const uint32_t b = std::max<uint32_t>(i, nb.id);
-            const uint64_t pairKey =
-                (static_cast<uint64_t>(a) << 32) | b;
-            if (seen.insert(pairKey))
-                pairs.push_back({nb.dist, a, b});
-        }
-    }
-    std::sort(pairs.begin(), pairs.end());
-    if (pairs.size() > topN)
-        pairs.resize(topN);
-    return pairs;
-}
-
 } // namespace mica::index

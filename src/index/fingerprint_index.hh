@@ -3,12 +3,14 @@
  * FingerprintIndex: the queryable workload-similarity index.
  *
  * Binds a FingerprintSet (the frozen vectors + embedding parameters)
- * to a flat-hash name→id map and answers the three queries the
- * paper's methodology keeps re-deriving from scratch: nearest
- * neighbors of a workload (is this application already covered?),
- * everything within a similarity radius (the paper's 20%-of-max
- * threshold), and the most redundant benchmark pairs in a population
- * (which tuples waste simulation time).
+ * to a flat-hash name→id map and answers the two queries the paper's
+ * methodology keeps re-deriving from scratch: nearest neighbors of a
+ * workload (is this application already covered?) and everything
+ * within a similarity radius (the paper's 20%-of-max threshold). The
+ * most redundant pairs in a population (which tuples waste
+ * simulation time) are a constant of the population: the query
+ * service computes them once per snapshot, in one pass over all
+ * pairs (service::fillAnswerTables), as RedundantPair rows.
  *
  * Every query is one exact linear scan over the rows. Results are
  * totally ordered by (distance, id), so ties on distance (duplicated
@@ -134,16 +136,6 @@ class FingerprintIndex
      */
     std::vector<std::vector<Neighbor>>
     batchKnn(size_t k, pipeline::ThreadPool *pool = nullptr) const;
-
-    /**
-     * The topN closest (most redundant) pairs in the population,
-     * ascending (distance, a, b). Per-benchmark kNN candidates are
-     * fanned across @p pool, then merged serially in id order — any
-     * globally top-N pair (a, b) has fewer than N pairs below it, so b
-     * is within a's N nearest and the merge sees every winner.
-     */
-    std::vector<RedundantPair>
-    mostRedundant(size_t topN, pipeline::ThreadPool *pool = nullptr) const;
 
   private:
     void buildNameMap();

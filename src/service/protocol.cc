@@ -75,11 +75,10 @@ requireBench(const JsonValue &doc, Request *out, ErrorCode *code,
     return true;
 }
 
-/** Read an optional non-negative count field with a range ceiling. */
+/** Read an optional count field in [0, kMaxCount]. */
 bool
 optionalCount(const JsonValue &doc, const char *field, size_t fallback,
-              size_t maxValue, size_t *out, ErrorCode *code,
-              std::string *message)
+              size_t *out, ErrorCode *code, std::string *message)
 {
     const JsonValue *v = doc.find(field);
     if (!v) {
@@ -87,11 +86,11 @@ optionalCount(const JsonValue &doc, const char *field, size_t fallback,
         return true;
     }
     const int64_t n = v->asCount();
-    if (n < 0 || static_cast<uint64_t>(n) > maxValue) {
+    if (n < 0 || static_cast<uint64_t>(n) > kMaxCount) {
         return failWith(code, message, ErrorCode::BadRequest,
                         std::string("'") + field +
                             "' must be an integer in [0, " +
-                            std::to_string(maxValue) + "]");
+                            std::to_string(kMaxCount) + "]");
     }
     *out = static_cast<size_t>(n);
     return true;
@@ -154,7 +153,7 @@ parseRequest(const std::string &line, Request *out, ErrorCode *code,
     if (name == "knn") {
         out->op = Op::Knn;
         return requireBench(doc, out, code, message) &&
-            optionalCount(doc, "k", 10, 1u << 20, &out->k, code, message);
+            optionalCount(doc, "k", 10, &out->k, code, message);
     }
     if (name == "radius") {
         out->op = Op::Radius;
@@ -170,8 +169,7 @@ parseRequest(const std::string &line, Request *out, ErrorCode *code,
     }
     if (name == "redundant") {
         out->op = Op::Redundant;
-        return optionalCount(doc, "top", 10, 1u << 20, &out->top, code,
-                             message);
+        return optionalCount(doc, "top", 10, &out->top, code, message);
     }
     if (name == "suites") {
         out->op = Op::Suites;

@@ -41,6 +41,13 @@ namespace mica::service
  */
 constexpr size_t kMaxLineBytes = 1 << 20;
 
+/**
+ * Ceiling on every count a request can ask for: knn's k and
+ * redundant's top. A snapshot keeps this many closest pairs, so every
+ * valid top is a prefix of its pair table.
+ */
+constexpr size_t kMaxCount = 1 << 20;
+
 /** The closed set of protocol error codes. */
 enum class ErrorCode
 {

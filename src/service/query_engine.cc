@@ -75,27 +75,83 @@ indexFromDataset(const experiments::SuiteDataset &ds,
     return index::FingerprintIndex::build(m, opt);
 }
 
-namespace
+void
+fillAnswerTables(ServerSnapshot *snap, size_t maxPairs)
 {
+    const index::FingerprintSet &fps = snap->idx.fingerprints();
+    const size_t n = fps.size();
 
-/** Max pairwise fingerprint distance across the whole population. */
-double
-populationMaxDist(const index::FingerprintIndex &idx)
-{
-    const index::FingerprintSet &fps = idx.fingerprints();
+    // Every pair once. Only the maxPairs closest are kept: whenever
+    // the candidates reach twice that, nth_element cuts them back.
+    std::vector<index::RedundantPair> &closest = snap->closestPairs;
+    closest.clear();
+    const auto keepClosest = [&] {
+        if (closest.size() <= maxPairs)
+            return;
+        std::nth_element(closest.begin(), closest.begin() + maxPairs,
+                         closest.end());
+        closest.resize(maxPairs);
+    };
     double maxD = 0.0;
-    for (size_t a = 0; a + 1 < fps.size(); ++a) {
-        for (size_t b = a + 1; b < fps.size(); ++b) {
+    for (size_t a = 0; a + 1 < n; ++a) {
+        for (size_t b = a + 1; b < n; ++b) {
             const double d =
                 index::l2Dist(fps.vec(a), fps.vec(b), fps.dim);
             if (d > maxD)
                 maxD = d;
+            closest.push_back({d, static_cast<uint32_t>(a),
+                               static_cast<uint32_t>(b)});
         }
+        if (closest.size() >= 2 * maxPairs)
+            keepClosest();
     }
-    return maxD;
-}
+    keepClosest();
+    std::sort(closest.begin(), closest.end());
+    snap->maxPairDist = maxD;
 
-} // namespace
+    // Suites in first-appearance order of the dataset; members in
+    // dataset order and pairs in (i, j) order, so mean_dist sums in
+    // the same order as the walk a request used to make.
+    snap->suiteRows.clear();
+    const double simCut = 0.2 * maxD;
+    for (const auto &bench : snap->ds.benchmarks) {
+        if (std::any_of(snap->suiteRows.begin(), snap->suiteRows.end(),
+                        [&](const SuiteRow &r) {
+                            return r.suite == bench.suite;
+                        }))
+            continue;
+        std::vector<size_t> ids;
+        for (const auto &b : snap->ds.benchmarks) {
+            if (b.suite != bench.suite)
+                continue;
+            const int64_t id = snap->idx.idOf(b.fullName());
+            if (id >= 0)
+                ids.push_back(static_cast<size_t>(id));
+        }
+        SuiteRow row;
+        row.suite = bench.suite;
+        row.count = ids.size();
+        double sum = 0.0;
+        size_t pairs = 0;
+        for (size_t i = 0; i + 1 < ids.size(); ++i) {
+            for (size_t j = i + 1; j < ids.size(); ++j) {
+                const double d = index::l2Dist(
+                    fps.vec(ids[i]), fps.vec(ids[j]), fps.dim);
+                if (pairs == 0 || d < row.minDist)
+                    row.minDist = d;
+                if (d > row.maxDist)
+                    row.maxDist = d;
+                sum += d;
+                ++pairs;
+                if (d <= simCut)
+                    ++row.within20;
+            }
+        }
+        if (pairs)
+            row.meanDist = sum / static_cast<double>(pairs);
+        snap->suiteRows.push_back(std::move(row));
+    }
+}
 
 std::shared_ptr<const ServerSnapshot>
 buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
@@ -161,7 +217,7 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
     // quarantine. The index stands alone (similarity queries answer
     // from fingerprints), but profile queries answer only from the
     // dataset, so the two can legitimately differ in membership.
-    snap->maxPairDist = populationMaxDist(snap->idx);
+    fillAnswerTables(snap.get());
     span.arg("benchmarks", static_cast<uint64_t>(snap->ds.benchmarks.size()));
     span.arg("generation", generation);
     return snap;
@@ -259,11 +315,12 @@ execRadius(const ServerSnapshot &snap, const Request &req,
 JsonValue
 execRedundant(const ServerSnapshot &snap, const Request &req)
 {
-    const auto pairs = snap.idx.mostRedundant(req.top);
     JsonValue result = JsonValue::object();
     result.set("top", JsonValue::number(static_cast<uint64_t>(req.top)));
     JsonValue arr = JsonValue::array();
-    for (const auto &p : pairs) {
+    const size_t shown = std::min(req.top, snap.closestPairs.size());
+    for (size_t i = 0; i < shown; ++i) {
+        const index::RedundantPair &p = snap.closestPairs[i];
         JsonValue one = JsonValue::object();
         one.set("a", JsonValue::str(snap.idx.nameOf(p.a)));
         one.set("b", JsonValue::str(snap.idx.nameOf(p.b)));
@@ -278,68 +335,27 @@ JsonValue
 execSuites(const ServerSnapshot &snap, const Request &req,
            ErrorCode *code, std::string *message)
 {
-    // Suites in first-appearance order of the served dataset: stable,
-    // and only suites the snapshot actually holds.
-    std::vector<std::string> suites;
-    for (const auto &b : snap.ds.benchmarks) {
-        if (std::find(suites.begin(), suites.end(), b.suite) ==
-            suites.end())
-            suites.push_back(b.suite);
-    }
-    if (!req.suite.empty()) {
-        if (std::find(suites.begin(), suites.end(), req.suite) ==
-            suites.end()) {
-            *code = ErrorCode::UnknownBench;
-            *message =
-                "suite '" + req.suite + "' is not in the served dataset";
-            return JsonValue();
-        }
-        suites = {req.suite};
-    }
-
-    const index::FingerprintSet &fps = snap.idx.fingerprints();
-    const double simCut = 0.2 * snap.maxPairDist;
     JsonValue arr = JsonValue::array();
-    for (const auto &suite : suites) {
-        // Member fingerprint ids (benchmarks present in the index).
-        std::vector<size_t> ids;
-        for (const auto &b : snap.ds.benchmarks) {
-            if (b.suite != suite)
-                continue;
-            const int64_t id = snap.idx.idOf(b.fullName());
-            if (id >= 0)
-                ids.push_back(static_cast<size_t>(id));
-        }
-        double minD = 0.0, maxD = 0.0, sum = 0.0;
-        size_t pairs = 0, redundant = 0;
-        for (size_t i = 0; i + 1 < ids.size(); ++i) {
-            for (size_t j = i + 1; j < ids.size(); ++j) {
-                const double d = index::l2Dist(
-                    fps.vec(ids[i]), fps.vec(ids[j]), fps.dim);
-                if (pairs == 0 || d < minD)
-                    minD = d;
-                if (d > maxD)
-                    maxD = d;
-                sum += d;
-                ++pairs;
-                if (d <= simCut)
-                    ++redundant;
-            }
-        }
+    for (const SuiteRow &row : snap.suiteRows) {
+        if (!req.suite.empty() && row.suite != req.suite)
+            continue;
         JsonValue one = JsonValue::object();
-        one.set("suite", JsonValue::str(suite));
+        one.set("suite", JsonValue::str(row.suite));
         one.set("count",
-                JsonValue::number(static_cast<uint64_t>(ids.size())));
-        one.set("mean_dist",
-                JsonValue::number(pairs ? sum / static_cast<double>(pairs)
-                                        : 0.0));
-        one.set("min_dist", JsonValue::number(pairs ? minD : 0.0));
-        one.set("max_dist", JsonValue::number(pairs ? maxD : 0.0));
+                JsonValue::number(static_cast<uint64_t>(row.count)));
+        one.set("mean_dist", JsonValue::number(row.meanDist));
+        one.set("min_dist", JsonValue::number(row.minDist));
+        one.set("max_dist", JsonValue::number(row.maxDist));
         // The paper's 20%-of-max similarity threshold: how many
         // within-suite pairs are redundant by that cut.
         one.set("pairs_within_20pct_max",
-                JsonValue::number(static_cast<uint64_t>(redundant)));
+                JsonValue::number(static_cast<uint64_t>(row.within20)));
         arr.push(std::move(one));
+    }
+    if (!req.suite.empty() && arr.items().empty()) {
+        *code = ErrorCode::UnknownBench;
+        *message = "suite '" + req.suite + "' is not in the served dataset";
+        return JsonValue();
     }
     JsonValue result = JsonValue::object();
     result.set("population_max_dist",

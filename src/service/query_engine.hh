@@ -8,10 +8,13 @@
  * its verb handler. The engine splits that into:
  *
  *  - **ServerSnapshot** — everything a query needs (the collected
- *    dataset, the fingerprint index, the frozen space parameters),
- *    loaded once and immutable thereafter. Concurrent readers share
- *    it by shared_ptr; a re-index builds a *new* snapshot and swaps
- *    the pointer (see SnapshotHolder in server.hh), so readers never
+ *    dataset, the fingerprint index, the frozen space parameters)
+ *    plus the answer tables computed from them once, at build: the
+ *    population's closest pairs and one distance summary per suite,
+ *    so `redundant` and `suites` render instead of recompute.
+ *    Immutable once built. Concurrent readers share it by
+ *    shared_ptr; a re-index builds a *new* snapshot and swaps the
+ *    pointer (see SnapshotHolder in server.hh), so readers never
  *    block and never observe a half-updated state.
  *
  *  - **executeRequest** — the one dispatch point for every protocol
@@ -34,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "experiments/experiments.hh"
 #include "index/fingerprint_index.hh"
@@ -82,10 +86,26 @@ indexFromDataset(const experiments::SuiteDataset &ds,
                  const std::string &space, size_t pca,
                  pipeline::ThreadPool *pool);
 
+/** One suite's row of the `suites` reply. */
+struct SuiteRow
+{
+    std::string suite;
+    size_t count = 0;          ///< members present in the index
+    double meanDist = 0.0;     ///< over within-suite pairs; 0 if none
+    double minDist = 0.0;
+    double maxDist = 0.0;
+    size_t within20 = 0;       ///< pairs <= 20% of maxPairDist apart
+};
+
 /**
  * Everything a query reads, frozen at load time. Immutable once
  * published: queries take a shared_ptr<const ServerSnapshot> and the
  * swap path never mutates a published snapshot.
+ *
+ * The last three fields are the answer tables: the paper computes
+ * the matrix of all pairwise distances once and cuts it at 20% of
+ * its maximum, and a snapshot does the same when it is built
+ * (fillAnswerTables).
  */
 struct ServerSnapshot
 {
@@ -95,16 +115,34 @@ struct ServerSnapshot
     size_t pca = 0;
     std::string key;            ///< full index key this was built under
 
+    /** Monotonic swap counter; 0 = the snapshot loaded at startup. */
+    uint64_t generation = 0;
+
     /**
-     * Population max pairwise fingerprint distance, precomputed so
-     * the paper's 20%-of-max similarity threshold is one multiply at
-     * query time.
+     * Population max pairwise fingerprint distance: the paper's
+     * 20%-of-max similarity threshold is one multiply at query time.
      */
     double maxPairDist = 0.0;
 
-    /** Monotonic swap counter; 0 = the snapshot loaded at startup. */
-    uint64_t generation = 0;
+    /**
+     * The closest pairs, ascending (distance, a, b), at most
+     * kMaxCount of them: every valid `redundant` top is a prefix.
+     */
+    std::vector<index::RedundantPair> closestPairs;
+
+    /** One row per suite, in first-appearance order of ds.benchmarks. */
+    std::vector<SuiteRow> suiteRows;
 };
+
+/**
+ * Fill @p snap's answer tables from its index and dataset in one
+ * pass over all pairs (the same l2Dist as every query, so values are
+ * bit-equal to a per-request walk). buildServerSnapshot calls it;
+ * snapshots assembled by hand call it when they answer `redundant`
+ * or `suites`. Never holds much more than 2 * @p maxPairs candidate
+ * pairs; @p maxPairs below kMaxCount only serves tests of that cut.
+ */
+void fillAnswerTables(ServerSnapshot *snap, size_t maxPairs = kMaxCount);
 
 /**
  * Dataset collection hook: the CLI passes its quarantine-reporting

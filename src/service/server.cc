@@ -14,12 +14,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.hh"
-#include "pipeline/thread_pool.hh"
 #include "util/failpoint.hh"
 
 namespace mica::service
@@ -128,52 +128,155 @@ failDecisionFails(const util::FailDecision &d)
     return true;
 }
 
+/** Every op, in enum order: telemetry tables are indexed by Op. */
+constexpr Op kOps[] = {Op::Ping,   Op::Stats,     Op::Profile,
+                       Op::Knn,    Op::Radius,    Op::Redundant,
+                       Op::Suites, Op::Reindex};
+
 /** @return the per-op request counter for @p op (static registry). */
 obs::Counter &
 opCounter(Op op)
 {
-    static obs::Counter ping("serve.request.op.ping");
-    static obs::Counter stats("serve.request.op.stats");
-    static obs::Counter profile("serve.request.op.profile");
-    static obs::Counter knn("serve.request.op.knn");
-    static obs::Counter radius("serve.request.op.radius");
-    static obs::Counter redundant("serve.request.op.redundant");
-    static obs::Counter suites("serve.request.op.suites");
-    static obs::Counter reindex("serve.request.op.reindex");
-    switch (op) {
-    case Op::Ping:
-        return ping;
-    case Op::Stats:
-        return stats;
-    case Op::Profile:
-        return profile;
-    case Op::Knn:
-        return knn;
-    case Op::Radius:
-        return radius;
-    case Op::Redundant:
-        return redundant;
-    case Op::Suites:
-        return suites;
-    case Op::Reindex:
-        break;
-    }
-    return reindex;
+    static std::vector<obs::Counter> counters = [] {
+        std::vector<obs::Counter> c;
+        for (Op o : kOps)
+            c.emplace_back(std::string("serve.request.op.") + opName(o));
+        return c;
+    }();
+    return counters[static_cast<size_t>(op)];
 }
 
-/** One accepted client. Sockets are touched only by the event loop;
- *  workers append to `out` under `mu` and wake the loop. */
+/** Where one query op's time goes, named like micabench's layers. */
+struct PhaseHistograms
+{
+    obs::Histogram parse;
+    obs::Histogram execute;
+    obs::Histogram serialize;
+
+    explicit PhaseHistograms(const std::string &op)
+        : parse("serve." + op + ".parse_us"),
+          execute("serve." + op + ".execute_us"),
+          serialize("serve." + op + ".serialize_us")
+    {
+    }
+};
+
+/** @return the phase histograms of a query op (reindex has none). */
+PhaseHistograms &
+opPhases(Op op)
+{
+    static std::vector<PhaseHistograms> table = [] {
+        std::vector<PhaseHistograms> t;
+        for (Op o : kOps) {
+            if (o != Op::Reindex)
+                t.emplace_back(opName(o));
+        }
+        return t;
+    }();
+    return table[static_cast<size_t>(op)];
+}
+
+/**
+ * Serialize an envelope as one reply line; count it in
+ * serve.request.error when it failed and its time since @p t0.
+ */
+std::string
+replyLine(const JsonValue &resp, uint64_t t0)
+{
+    static obs::Counter errors("serve.request.error");
+    static obs::Histogram latency("serve.request.us");
+    // Every envelope carries "ok" (makeResponse/makeError).
+    if (!resp.find("ok")->asBool())
+        errors.add(1);
+    std::string line = serializeResponse(resp);
+    line += '\n';
+    latency.record((obs::nowNs() - t0) / 1000);
+    return line;
+}
+
+/** One accepted client, owned by one loop for its whole life. */
 struct Connection
 {
+    Connection() = default;
+    Connection(const Connection &) = delete;   // its address is mailed
+    Connection &operator=(const Connection &) = delete;
+
     int fd = -1;
-    std::string in;            ///< unparsed request bytes
-    std::atomic<bool> busy{false};   ///< a request is on a worker
+    std::string in;            ///< request bytes not yet answered
+    std::string out;           ///< reply bytes awaiting flush
     bool sawEof = false;       ///< client half-closed its write side
     bool closeAfterFlush = false;
-    bool dead = false;         ///< quarantined; reap when not busy
+    bool awaitingReindex = false;   ///< reply due from the reindex thread
+    bool dead = false;         ///< closed; reaped once no reply is due
 
-    std::mutex mu;
-    std::string out;           ///< response bytes awaiting flush
+    bool hasLine() const { return in.find('\n') != std::string::npos; }
+
+    /** Whether the loop has a line (or an EOF) of this client to act on. */
+    bool
+    answerable() const
+    {
+        return !dead && out.empty() && !awaitingReindex &&
+            !closeAfterFlush && (sawEof || hasLine());
+    }
+
+    /** Whether to read more: nothing buffered or owed, stream open. */
+    bool
+    readable() const
+    {
+        return out.empty() && !awaitingReindex && !closeAfterFlush &&
+            !sawEof && !hasLine();
+    }
+};
+
+/** What crosses threads to a loop: a client to adopt or a reply. */
+struct Mail
+{
+    int fd = -1;                   ///< a new connection, or -1
+    Connection *conn = nullptr;    ///< the reindex reply's connection
+    std::string reply;
+};
+
+/** One event loop: its connections, its mailbox and its self-pipe. */
+struct Loop
+{
+    Loop() = default;
+    Loop(const Loop &) = delete;   // owns fds; its address is mailed to
+    Loop &operator=(const Loop &) = delete;
+
+    int wakeRead = -1;
+    int wakeWrite = -1;
+    std::mutex mu;                 ///< guards mailbox
+    std::vector<Mail> mailbox;
+    std::vector<std::unique_ptr<Connection>> conns;   ///< loop thread only
+
+    ~Loop()
+    {
+        // run() closes every connection, mailed ones included.
+        if (wakeRead >= 0)
+            ::close(wakeRead);
+        if (wakeWrite >= 0)
+            ::close(wakeWrite);
+    }
+
+    void
+    wake() noexcept
+    {
+        if (wakeWrite < 0)
+            return;
+        const char b = 'w';
+        // A full pipe already guarantees a pending wakeup.
+        [[maybe_unused]] ssize_t n = ::write(wakeWrite, &b, 1);
+    }
+
+    void
+    post(Mail m)
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            mailbox.push_back(std::move(m));
+        }
+        wake();
+    }
 };
 
 } // namespace
@@ -187,17 +290,23 @@ struct Server::Impl
     SpaceChoice sc;
     CollectFn collect;
 
-    int listenFd = -1;
-    int wakeRead = -1;
-    int wakeWrite = -1;
+    int listenFd = -1;         ///< loop 0 only, once run() starts
     std::string bound;         ///< canonical bound-address string
     bool unlinkOnClose = false;
 
-    std::unique_ptr<pipeline::ThreadPool> pool;
-    std::vector<std::unique_ptr<Connection>> conns;
+    std::vector<std::unique_ptr<Loop>> loops;   ///< fixed by start()
+    size_t nextLoop = 0;       ///< round-robin cursor (loop 0)
+    std::atomic<size_t> live{0};   ///< open connections, all loops
     std::atomic<bool> stopping{false};
     std::atomic<bool> reindexing{false};
     std::atomic<uint64_t> generation{0};
+
+    /**
+     * The reindex thread. Started and joined only by the loop that
+     * wins `reindexing`, which it clears when it delivers the reply,
+     * and joined last by run() once every loop has exited.
+     */
+    std::thread reindexer;
 
     Impl(ServerOptions o, std::shared_ptr<const ServerSnapshot> snap,
          experiments::DatasetConfig c, SpaceChoice s, CollectFn col)
@@ -208,42 +317,35 @@ struct Server::Impl
 
     ~Impl()
     {
-        // Workers reference connections; they must retire first.
-        pool.reset();
-        for (auto &c : conns) {
-            if (c->fd >= 0)
-                ::close(c->fd);
-        }
+        if (reindexer.joinable())
+            reindexer.join();
         if (listenFd >= 0)
             ::close(listenFd);
-        if (wakeRead >= 0)
-            ::close(wakeRead);
-        if (wakeWrite >= 0)
-            ::close(wakeWrite);
         if (unlinkOnClose)
             ::unlink(addr.path.c_str());
     }
 
     void
-    wake() noexcept
+    wakeAll() noexcept
     {
-        if (wakeWrite < 0)
-            return;
-        const char b = 'w';
-        // A full pipe already guarantees a pending wakeup.
-        [[maybe_unused]] ssize_t n = ::write(wakeWrite, &b, 1);
+        for (const auto &lp : loops)
+            lp->wake();
     }
 
     bool start(std::string *err);
     int run();
+    int runLoop(Loop &lp);
+    void takeMail(Loop &lp);
     void acceptClients();
     void readClient(Connection &c);
+    void answerOne(Loop &lp, Connection &c);
+    void respond(Loop &lp, Connection &c, const std::string &line);
+    bool startReindex(Loop &lp, Connection &c, const Request &req,
+                      uint64_t t0);
+    JsonValue rebuild(const Request &req);
     void flushClient(Connection &c);
-    void dispatchLines(Connection &c);
-    void submitRequest(Connection &c, std::string line);
-    JsonValue handleReindex(const Request &req);
-    void quarantine(Connection &c);
-    void closeAllConnections();
+    void closeConnection(Connection &c, bool quarantine);
+    void closeAllConnections(Loop &lp);
 };
 
 bool
@@ -262,13 +364,20 @@ Server::Impl::start(std::string *err)
     if (!parseAddress(opt.address, &addr, err))
         return false;
 
-    int pipeFds[2] = {-1, -1};
-    if (pipe(pipeFds) != 0)
-        return fail("pipe");
-    wakeRead = pipeFds[0];
-    wakeWrite = pipeFds[1];
-    setNonBlocking(wakeRead);
-    setNonBlocking(wakeWrite);
+    const size_t nLoops = opt.jobs
+        ? opt.jobs
+        : std::max(1u, std::thread::hardware_concurrency());
+    for (size_t i = 0; i < nLoops; ++i) {
+        auto lp = std::make_unique<Loop>();
+        int pipeFds[2] = {-1, -1};
+        if (pipe(pipeFds) != 0)
+            return fail("pipe");
+        lp->wakeRead = pipeFds[0];
+        lp->wakeWrite = pipeFds[1];
+        setNonBlocking(lp->wakeRead);
+        setNonBlocking(lp->wakeWrite);
+        loops.push_back(std::move(lp));
+    }
 
     if (addr.isUnix) {
         listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -314,44 +423,55 @@ Server::Impl::start(std::string *err)
         return fail("listen");
     if (!setNonBlocking(listenFd))
         return fail("fcntl");
-
-    pool = std::make_unique<pipeline::ThreadPool>(
-        static_cast<unsigned>(opt.jobs));
     return true;
 }
 
 void
-Server::Impl::quarantine(Connection &c)
+Server::Impl::closeConnection(Connection &c, bool quarantine)
 {
     static obs::Counter quarantined("serve.conn.quarantined");
     static obs::Gauge open("serve.conn.open");
     if (c.dead)
         return;
-    quarantined.add(1);
+    if (quarantine)
+        quarantined.add(1);
     open.add(-1);
-    if (c.fd >= 0) {
-        ::close(c.fd);
-        c.fd = -1;
-    }
+    live.fetch_sub(1);
+    ::close(c.fd);
+    c.fd = -1;
     c.dead = true;
 }
 
 void
-Server::Impl::closeAllConnections()
+Server::Impl::closeAllConnections(Loop &lp)
 {
     // Shutdown teardown: every connection still live leaves through
     // the same gauge that counted it in, so serve.conn.open reads 0
     // after any exit, not just a quiet one.
-    static obs::Gauge open("serve.conn.open");
-    for (auto &c : conns) {
-        if (c->dead)
+    for (auto &c : lp.conns)
+        closeConnection(*c, false);
+}
+
+void
+Server::Impl::takeMail(Loop &lp)
+{
+    std::vector<Mail> mail;
+    {
+        std::lock_guard<std::mutex> lk(lp.mu);
+        mail.swap(lp.mailbox);
+    }
+    for (Mail &m : mail) {
+        if (m.fd >= 0) {
+            auto conn = std::make_unique<Connection>();
+            conn->fd = m.fd;
+            lp.conns.push_back(std::move(conn));
             continue;
-        open.add(-1);
-        if (c->fd >= 0) {
-            ::close(c->fd);
-            c->fd = -1;
         }
-        c->dead = true;
+        Connection &c = *m.conn;
+        c.awaitingReindex = false;
+        if (!c.dead)
+            c.out = std::move(m.reply);
+        reindexing.store(false);
     }
 }
 
@@ -378,22 +498,16 @@ Server::Impl::acceptClients()
         const int fd = ::accept(listenFd, nullptr, nullptr);
         if (fd < 0)
             return;   // EAGAIN (drained) or transient error: move on
-        size_t live = 0;
-        for (const auto &c : conns) {
-            if (!c->dead)
-                ++live;
-        }
-        if (live >= opt.maxConnections) {
+        if (live.load() >= opt.maxConnections) {
             rejected.add(1);
             ::close(fd);
             continue;
         }
         setNonBlocking(fd);
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        conns.push_back(std::move(conn));
+        live.fetch_add(1);
         accepted.add(1);
         open.add(1);
+        loops[nextLoop++ % loops.size()]->post({fd, nullptr, {}});
     }
 }
 
@@ -405,149 +519,147 @@ Server::Impl::readClient(Connection &c)
     for (;;) {
         if (auto d = fp.eval()) {
             if (failDecisionFails(d)) {
-                quarantine(c);
+                closeConnection(c, true);
                 return;
             }
         }
         const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
         if (n > 0) {
             c.in.append(buf, static_cast<size_t>(n));
-            if (c.in.size() > kMaxLineBytes &&
-                c.in.find('\n') == std::string::npos) {
+            // Stop at the first complete line: the rest stays in the
+            // kernel until this client's lines are answered.
+            if (std::memchr(buf, '\n', static_cast<size_t>(n)))
+                return;
+            if (c.in.size() > kMaxLineBytes) {
                 // Reply before closing so the client learns why.
-                Request req;
-                std::lock_guard<std::mutex> lk(c.mu);
-                c.out += serializeResponse(makeError(
-                    req, ErrorCode::LineTooLong,
-                    "request exceeds " +
-                        std::to_string(kMaxLineBytes) + " bytes"));
+                c.out = serializeResponse(makeError(
+                    Request(), ErrorCode::LineTooLong,
+                    "request exceeds " + std::to_string(kMaxLineBytes) +
+                        " bytes"));
                 c.out += '\n';
                 c.in.clear();
                 c.closeAfterFlush = true;
                 return;
             }
             if (n < static_cast<ssize_t>(sizeof(buf)))
-                break;
+                return;
             continue;
         }
         if (n == 0) {
             c.sawEof = true;
-            break;
+            return;
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-            break;
-        quarantine(c);
+            return;
+        closeConnection(c, true);
         return;
     }
-    dispatchLines(c);
 }
 
 void
-Server::Impl::dispatchLines(Connection &c)
+Server::Impl::answerOne(Loop &lp, Connection &c)
 {
-    if (c.busy || c.dead || c.closeAfterFlush)
+    if (!c.answerable())
         return;
-    const size_t nl = c.in.find('\n');
-    if (nl != std::string::npos) {
+    for (size_t nl; (nl = c.in.find('\n')) != std::string::npos;) {
         std::string line = c.in.substr(0, nl);
         c.in.erase(0, nl + 1);
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
-        if (line.empty()) {
-            // Blank keep-alive lines are ignored, like a newline-only
-            // probe from `nc`.
-            dispatchLines(c);
+        // Blank keep-alive lines are ignored, like a newline-only
+        // probe from `nc`.
+        if (!line.empty()) {
+            respond(lp, c, line);
             return;
         }
-        submitRequest(c, std::move(line));
-        return;
     }
     if (c.sawEof) {
+        // Half-closed mid-line: answer the fragment (almost always
+        // bad_json) so the client still gets a reply.
         if (!c.in.empty()) {
-            // Half-closed mid-line: answer the fragment (almost
-            // always bad_json) so the client still gets a reply.
             std::string line;
             line.swap(c.in);
-            submitRequest(c, std::move(line));
-            c.closeAfterFlush = true;
-            return;
+            respond(lp, c, line);
         }
-        std::lock_guard<std::mutex> lk(c.mu);
         c.closeAfterFlush = true;
     }
 }
 
 void
-Server::Impl::submitRequest(Connection &c, std::string line)
+Server::Impl::respond(Loop &lp, Connection &c, const std::string &line)
 {
     static obs::Counter requests("serve.request.count");
-    static obs::Counter errors("serve.request.error");
-    static obs::Histogram latency("serve.request.us");
-    c.busy = true;
-    Connection *conn = &c;
-    pool->submit([this, conn, line = std::move(line)] {
-        requests.add(1);
-        const uint64_t t0 = obs::nowNs();
-        std::string reply;
-        {
-            obs::ObsSpan span("serve.request");
-            span.arg("bytes", static_cast<uint64_t>(line.size()));
-            Request req;
-            ErrorCode code = ErrorCode::Internal;
-            std::string message;
-            JsonValue resp;
-            if (!parseRequest(line, &req, &code, &message)) {
-                resp = makeError(req, code, message);
-            } else if (req.op == Op::Reindex) {
-                span.arg("op", opName(req.op));
-                opCounter(req.op).add(1);
-                resp = handleReindex(req);
-            } else {
-                span.arg("op", opName(req.op));
-                opCounter(req.op).add(1);
-                const auto snap = holder.get();
-                resp = executeRequest(*snap, req, /*serverMode=*/true);
-            }
-            // Every envelope carries "ok" (makeResponse/makeError).
-            if (!resp.find("ok")->asBool())
-                errors.add(1);
-            reply = serializeResponse(resp);
+    requests.add(1);
+    obs::ObsSpan span("serve.request");
+    span.arg("bytes", static_cast<uint64_t>(line.size()));
+    const uint64_t t0 = obs::nowNs();
+    Request req;
+    ErrorCode code = ErrorCode::Internal;
+    std::string message;
+    if (!parseRequest(line, &req, &code, &message)) {
+        c.out = replyLine(makeError(req, code, message), t0);
+        return;
+    }
+    span.arg("op", opName(req.op));
+    opCounter(req.op).add(1);
+    if (req.op == Op::Reindex) {
+        if (!startReindex(lp, c, req, t0))
+            c.out = replyLine(makeError(req, ErrorCode::Unavailable,
+                                        "a reindex is already running"),
+                              t0);
+        return;
+    }
+    const uint64_t t1 = obs::nowNs();
+    const JsonValue resp =
+        executeRequest(*holder.get(), req, /*serverMode=*/true);
+    const uint64_t t2 = obs::nowNs();
+    c.out = replyLine(resp, t0);
+    PhaseHistograms &phases = opPhases(req.op);
+    phases.parse.record((t1 - t0) / 1000);
+    phases.execute.record((t2 - t1) / 1000);
+    phases.serialize.record((obs::nowNs() - t2) / 1000);
+}
+
+bool
+Server::Impl::startReindex(Loop &lp, Connection &c, const Request &req,
+                           uint64_t t0)
+{
+    bool expected = false;
+    if (!reindexing.compare_exchange_strong(expected, true))
+        return false;
+    // The previous rebuild's reply was delivered before `reindexing`
+    // was cleared, so its thread is done or about to be.
+    if (reindexer.joinable())
+        reindexer.join();
+    c.awaitingReindex = true;
+    reindexer = std::thread([this, &lp, conn = &c, req, t0] {
+        JsonValue resp;
+        try {
+            resp = rebuild(req);
+        } catch (const std::exception &e) {
+            // The client still gets a reply, and `reindexing` clears.
+            resp = makeError(req, ErrorCode::Internal, e.what());
         }
-        latency.record((obs::nowNs() - t0) / 1000);
-        {
-            std::lock_guard<std::mutex> lk(conn->mu);
-            conn->out += reply;
-            conn->out += '\n';
-            conn->busy = false;
-        }
-        wake();
+        lp.post({-1, conn, replyLine(resp, t0)});
     });
+    return true;
 }
 
 JsonValue
-Server::Impl::handleReindex(const Request &req)
+Server::Impl::rebuild(const Request &req)
 {
     static obs::Counter swaps("serve.snapshot.swap");
-    bool expected = false;
-    if (!reindexing.compare_exchange_strong(expected, true)) {
-        return makeError(req, ErrorCode::Unavailable,
-                         "a reindex is already running");
-    }
-    // Rebuild on this worker while every other worker keeps answering
-    // from the current snapshot; the swap below is the only publication
-    // point. Serial build (no pool): the query pool must stay free for
-    // queries, and nested parallelBlocks is not allowed anyway.
+    // Every loop keeps answering from the current snapshot while this
+    // builds; the swap below is the only publication point. Serial
+    // build (no pool): the loops keep the other cores.
     const uint64_t gen = generation.load() + 1;
     std::string err;
     auto next = buildServerSnapshot(cfg, sc, nullptr, gen, collect, &err);
-    if (!next) {
-        reindexing.store(false);
+    if (!next)
         return makeError(req, ErrorCode::Internal, err);
-    }
     holder.swap(next);
     generation.store(gen);
     swaps.add(1);
-    reindexing.store(false);
 
     JsonValue result = JsonValue::object();
     result.set("generation", JsonValue::number(gen));
@@ -561,12 +673,10 @@ void
 Server::Impl::flushClient(Connection &c)
 {
     static util::Failpoint fp("serve.write");
-    std::unique_lock<std::mutex> lk(c.mu);
     while (!c.out.empty()) {
         if (auto d = fp.eval()) {
             if (failDecisionFails(d)) {
-                lk.unlock();
-                quarantine(c);
+                closeConnection(c, true);
                 return;
             }
         }
@@ -578,86 +688,78 @@ Server::Impl::flushClient(Connection &c)
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
             return;   // kernel buffer full; POLLOUT will resume
-        lk.unlock();
-        quarantine(c);
+        closeConnection(c, true);
         return;
     }
-    if (c.closeAfterFlush && !c.busy) {
-        static obs::Gauge open("serve.conn.open");
-        open.add(-1);
-        ::close(c.fd);
-        c.fd = -1;
-        c.dead = true;
-    }
+    if (c.closeAfterFlush && !c.awaitingReindex)
+        closeConnection(c, false);
 }
 
 int
-Server::Impl::run()
+Server::Impl::runLoop(Loop &lp)
 {
     using Clock = std::chrono::steady_clock;
+    const bool owner = &lp == loops.front().get();
     bool draining = false;
     Clock::time_point drainStart{};
-    const bool periodicMetrics =
-        !opt.metricsPath.empty() && opt.metricsIntervalMs > 0;
+    const bool periodicMetrics = owner && !opt.metricsPath.empty() &&
+        opt.metricsIntervalMs > 0;
     Clock::time_point lastFlush = Clock::now();
+    std::vector<pollfd> fds;
+    std::vector<Connection *> who;
 
+    takeMail(lp);
     for (;;) {
         if (stopping.load() && !draining) {
             draining = true;
             drainStart = Clock::now();
-            if (listenFd >= 0) {
+            if (owner && listenFd >= 0) {
                 ::close(listenFd);
                 listenFd = -1;
             }
         }
         if (draining) {
-            bool pending = false;
-            for (const auto &c : conns) {
-                if (c->dead)
-                    continue;
-                std::lock_guard<std::mutex> lk(c->mu);
-                if (c->busy || !c->out.empty())
-                    pending = true;
-            }
+            const bool pending = std::any_of(
+                lp.conns.begin(), lp.conns.end(),
+                [](const std::unique_ptr<Connection> &c) {
+                    return !c->dead &&
+                        (c->awaitingReindex || !c->out.empty() ||
+                         c->answerable());
+                });
             const auto waited =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     Clock::now() - drainStart)
                     .count();
             if (!pending ||
                 waited >= static_cast<int64_t>(opt.drainDeadlineMs)) {
-                closeAllConnections();
+                closeAllConnections(lp);
                 return 0;
             }
         }
 
-        std::vector<pollfd> fds;
-        std::vector<Connection *> who;
-        fds.push_back({wakeRead, POLLIN, 0});
+        fds.clear();
+        who.clear();
+        fds.push_back({lp.wakeRead, POLLIN, 0});
         who.push_back(nullptr);
-        if (listenFd >= 0) {
+        if (owner && listenFd >= 0) {
             fds.push_back({listenFd, POLLIN, 0});
             who.push_back(nullptr);
         }
-        for (auto &c : conns) {
-            if (c->dead || c->fd < 0)
+        bool ready = false;   // some client already has work to answer
+        for (auto &c : lp.conns) {
+            if (c->dead)
                 continue;
-            short ev = 0;
-            // Reading while busy would let one client queue unbounded
-            // work; its bytes stay in the kernel until the reply goes.
-            if (!c->busy && !c->closeAfterFlush && !c->sawEof)
-                ev |= POLLIN;
-            {
-                std::lock_guard<std::mutex> lk(c->mu);
-                if (!c->out.empty() || (c->closeAfterFlush && !c->busy))
-                    ev |= POLLOUT;
-            }
+            ready = ready || c->answerable();
+            const short ev = static_cast<short>(
+                (c->readable() ? POLLIN : 0) |
+                (c->out.empty() ? 0 : POLLOUT));
             if (ev == 0)
                 continue;
             fds.push_back({c->fd, ev, 0});
             who.push_back(c.get());
         }
 
-        int timeoutMs = draining ? 20 : 1000;
+        int timeoutMs = ready ? 0 : draining ? 20 : 1000;
         if (periodicMetrics && !draining) {
             const auto sinceFlush =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -676,7 +778,7 @@ Server::Impl::run()
         }
         const int rc = ::poll(fds.data(), fds.size(), timeoutMs);
         if (rc < 0 && errno != EINTR) {
-            closeAllConnections();
+            closeAllConnections(lp);
             return 1;
         }
 
@@ -684,13 +786,14 @@ Server::Impl::run()
             for (size_t i = 0; i < fds.size(); ++i) {
                 if (fds[i].revents == 0)
                     continue;
-                if (fds[i].fd == wakeRead) {
+                if (fds[i].fd == lp.wakeRead) {
                     char buf[64];
-                    while (::read(wakeRead, buf, sizeof(buf)) > 0) {
+                    while (::read(lp.wakeRead, buf, sizeof(buf)) > 0) {
                     }
+                    takeMail(lp);
                     continue;
                 }
-                if (listenFd >= 0 && fds[i].fd == listenFd) {
+                if (owner && fds[i].fd == listenFd) {
                     acceptClients();
                     continue;
                 }
@@ -701,33 +804,57 @@ Server::Impl::run()
                     // Peer reset. Anything readable is still drained
                     // below; a pure error means quarantine.
                     if (!(fds[i].revents & (POLLIN | POLLOUT))) {
-                        quarantine(*c);
+                        closeConnection(*c, true);
                         continue;
                     }
                 }
                 if (fds[i].revents & POLLIN)
                     readClient(*c);
-                if (c->dead)
-                    continue;
-                if (fds[i].revents & POLLOUT)
+                if (!c->dead && (fds[i].revents & POLLOUT))
                     flushClient(*c);
             }
         }
 
-        // A worker finishing may have unblocked the next queued line.
-        for (auto &c : conns) {
-            if (!c->dead && c->fd >= 0) {
-                dispatchLines(*c);
-                flushClient(*c);
-            }
+        // Answer at most one line per client, then send what is owed.
+        for (auto &c : lp.conns) {
+            if (c->dead)
+                continue;
+            answerOne(lp, *c);
+            flushClient(*c);
         }
-        conns.erase(
-            std::remove_if(conns.begin(), conns.end(),
+        lp.conns.erase(
+            std::remove_if(lp.conns.begin(), lp.conns.end(),
                            [](const std::unique_ptr<Connection> &c) {
-                               return c->dead && !c->busy;
+                               return c->dead && !c->awaitingReindex;
                            }),
-            conns.end());
+            lp.conns.end());
     }
+}
+
+int
+Server::Impl::run()
+{
+    if (loops.empty())
+        return 1;
+    std::vector<int> rcs(loops.size(), 0);
+    std::vector<std::thread> others;
+    for (size_t i = 1; i < loops.size(); ++i)
+        others.emplace_back(
+            [this, &rcs, i] { rcs[i] = runLoop(*loops[i]); });
+    rcs[0] = runLoop(*loops[0]);
+    // Loop 0 returns on a drain or a failure; either way the rest stop.
+    stopping.store(true);
+    wakeAll();
+    for (auto &t : others)
+        t.join();
+    if (reindexer.joinable())
+        reindexer.join();
+    // A client dealt or a reply posted after its loop had exited.
+    for (auto &lp : loops) {
+        takeMail(*lp);
+        closeAllConnections(*lp);
+    }
+    return *std::max_element(rcs.begin(), rcs.end());
 }
 
 Server::Server(ServerOptions opt,
@@ -764,7 +891,7 @@ void
 Server::requestStop() noexcept
 {
     impl_->stopping.store(true);
-    impl_->wake();
+    impl_->wakeAll();
 }
 
 std::shared_ptr<const ServerSnapshot>

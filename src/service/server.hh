@@ -3,28 +3,40 @@
  * The `mica serve` daemon: a concurrent similarity-query server over
  * line-delimited JSON.
  *
- * Threading model — one poll loop, N workers, zero reader locks:
+ * Threading model — N event loops, inline execution, zero reader
+ * locks:
  *
- *  - The **event loop** (Server::run, on the caller's thread) owns
- *    every socket: it accepts, reads request bytes, and flushes
- *    response bytes. Sockets are nonblocking; a self-pipe wakes the
- *    loop when a worker finishes or a stop is requested (the write
- *    end is async-signal-safe, so signal handlers may call
- *    requestStop directly).
+ *  - ServerOptions::jobs **event loops** (Server::run's thread is
+ *    loop 0; the others are threads run() starts and joins). Loop 0
+ *    also owns the listener: it accepts and deals connections to the
+ *    loops round-robin. A connection stays on its loop for life, and
+ *    the loop alone reads it, parses each request line, executes it
+ *    against the snapshot, serializes the reply and sends it, all on
+ *    its own thread. Sockets are nonblocking.
  *
- *  - Complete request lines are handed to a ThreadPool (the PR-1
- *    pool). Each connection processes one request at a time (replies
- *    stay in request order per client); different connections execute
- *    concurrently. Workers never touch sockets — they compute the
- *    response string, append it to the connection's output buffer
- *    under its mutex, and wake the loop to flush.
+ *  - **Backpressure.** A loop answers at most one line per connection
+ *    per pass, and reads a connection only while it has no complete
+ *    line buffered and no unflushed reply. Replies stay in request
+ *    order per client, a client that does not read its replies stops
+ *    being read, and different connections on different loops run
+ *    concurrently.
  *
  *  - Queries read the current snapshot via SnapshotHolder::get(): an
- *    atomic shared_ptr load, no lock, never blocked by a writer. A
- *    `reindex` request builds a whole new ServerSnapshot on its
- *    worker (other workers keep answering from the old one) and
- *    publishes it with one atomic pointer swap — a reader sees the
- *    old snapshot or the new one, complete either way, never a mix.
+ *    atomic shared_ptr load, no lock, never blocked by a writer. Its
+ *    answer tables make `redundant` and `suites` as cheap as a kNN.
+ *
+ *  - **reindex** is the one long job. It runs on a background thread
+ *    (one at a time), which builds a whole new ServerSnapshot while
+ *    every loop keeps answering from the old one, and publishes it
+ *    with one atomic pointer swap — a reader sees the old snapshot or
+ *    the new one, complete either way, never a mix. The reindexing
+ *    connection reads nothing more until its reply arrives.
+ *
+ *  - Each loop has one mailbox and one self-pipe to wake it. Only two
+ *    things cross threads: a new connection's fd (loop 0 → its
+ *    loop) and a finished reindex reply (reindex thread → the
+ *    connection's loop). The pipe's write end is async-signal-safe,
+ *    so signal handlers may call requestStop directly.
  *
  * Failure containment: the serve.accept/read/write failpoints (and
  * real socket errors) quarantine exactly one connection — close it,
@@ -34,9 +46,10 @@
  * line_too_long reply and then the connection is closed (the buffer
  * is the resource being protected).
  *
- * Shutdown (SIGINT/SIGTERM → requestStop): stop accepting, let
- * in-flight requests finish, flush every pending reply (bounded by
- * kDrainDeadlineMs), close, return 0.
+ * Shutdown (SIGINT/SIGTERM → requestStop): stop accepting; each loop
+ * answers the lines it holds, waits for a pending reindex reply and
+ * flushes every reply (bounded by drainDeadlineMs), closes its
+ * connections; run() joins the loops and returns 0.
  */
 
 #pragma once
@@ -94,7 +107,7 @@ class SnapshotHolder
 struct ServerOptions
 {
     std::string address = "unix:mica.sock";
-    size_t jobs = 0;               ///< worker threads (0 = hardware)
+    size_t jobs = 0;               ///< event loops (0 = hardware)
     size_t maxConnections = 256;   ///< accepted clients at once
 
     /** Drain budget for graceful shutdown, milliseconds. */
@@ -141,19 +154,20 @@ class Server
     std::string boundAddress() const;
 
     /**
-     * Serve until requestStop(). Blocks the calling thread (the CLI
-     * runs this on main; tests run it on a std::thread).
-     * @return 0 on clean drain, 1 when the listener died
+     * Serve until requestStop(). Blocks the calling thread, which
+     * runs loop 0 (the CLI runs this on main; tests run it on a
+     * std::thread), and joins the other loops before returning.
+     * @return 0 on clean drain, 1 when a loop's poll failed
      */
     int run();
 
     /**
-     * Ask the loop to shut down gracefully. Async-signal-safe (one
-     * write() to the self-pipe) and idempotent.
+     * Ask the loops to shut down gracefully. Async-signal-safe (one
+     * write() to each loop's self-pipe) and idempotent.
      */
     void requestStop() noexcept;
 
-    /** Current snapshot accessor (tests; the loop uses it per request). */
+    /** Current snapshot accessor (tests; loops use it per request). */
     std::shared_ptr<const ServerSnapshot> snapshot() const;
 
   private:

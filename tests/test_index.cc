@@ -3,8 +3,9 @@
  * Tests for the workload-fingerprint similarity index: fingerprint
  * canonicalization, the exact kNN/radius scans against a full-sort
  * oracle (bit equality is the property the whole subsystem rests
- * on), pooled batch-query determinism, the most-redundant-pair
- * engine, and snapshot durability.
+ * on), pooled batch-query determinism, the query snapshot's
+ * closest-pair table against a per-row kNN merge oracle, and
+ * snapshot durability.
  */
 
 #include <algorithm>
@@ -21,7 +22,10 @@
 #include "index/snapshot.hh"
 #include "methodology/workload_space.hh"
 #include "pipeline/thread_pool.hh"
+#include "service/json.hh"
+#include "service/query_engine.hh"
 #include "stats/rng.hh"
+#include "util/flat_hash.hh"
 
 namespace mica::index
 {
@@ -62,6 +66,86 @@ fullSortKnn(const FingerprintSet &fps, const double *q, size_t k,
     if (all.size() > k)
         all.resize(k);
     return all;
+}
+
+/**
+ * The closest-pair oracle: the per-row kNN plus hash-set merge that
+ * answered `redundant` per request before snapshots kept a pair
+ * table. Any top-N pair (a, b) has fewer than N pairs ranked before
+ * it, so b is within a's N nearest and the merge sees it.
+ */
+std::vector<RedundantPair>
+knnMergeTop(const FingerprintIndex &idx, size_t topN)
+{
+    const size_t n = idx.size();
+    if (n < 2 || topN == 0)
+        return {};
+    const size_t k = std::min(topN, n - 1);
+    const auto perRow = idx.batchKnn(k);
+    util::FlatHashSet<uint64_t> seen;
+    seen.reserve(n * k);
+    std::vector<RedundantPair> pairs;
+    for (size_t i = 0; i < n; ++i) {
+        for (const Neighbor &nb : perRow[i]) {
+            const uint32_t a = std::min<uint32_t>(i, nb.id);
+            const uint32_t b = std::max<uint32_t>(i, nb.id);
+            if (seen.insert((static_cast<uint64_t>(a) << 32) | b))
+                pairs.push_back({nb.dist, a, b});
+        }
+    }
+    std::sort(pairs.begin(), pairs.end());
+    if (pairs.size() > topN)
+        pairs.resize(topN);
+    return pairs;
+}
+
+/** A query snapshot over @p raw with its answer tables filled. */
+service::ServerSnapshot
+tabledSnapshot(const Matrix &raw, size_t maxPairs = service::kMaxCount)
+{
+    service::ServerSnapshot snap;
+    snap.idx = FingerprintIndex::build(raw);
+    service::fillAnswerTables(&snap, maxPairs);
+    return snap;
+}
+
+/** The first @p top rows of a pair table: what `redundant` renders. */
+std::vector<RedundantPair>
+tablePrefix(const service::ServerSnapshot &snap, size_t top)
+{
+    const auto &t = snap.closestPairs;
+    return {t.begin(), t.begin() + std::min(top, t.size())};
+}
+
+/** The pairs a `redundant` request renders from @p snap. */
+std::vector<RedundantPair>
+renderedPairs(const service::ServerSnapshot &snap, size_t top)
+{
+    service::JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(service::parseJson(
+        service::executeLine(snap, "{\"op\":\"redundant\",\"top\":" +
+                                       std::to_string(top) + "}"),
+        &doc, &err))
+        << err;
+    std::vector<RedundantPair> pairs;
+    for (const auto &p : doc.find("result")->find("pairs")->items()) {
+        pairs.push_back(
+            {p.find("dist")->asDouble(),
+             static_cast<uint32_t>(snap.idx.idOf(p.find("a")->asString())),
+             static_cast<uint32_t>(snap.idx.idOf(p.find("b")->asString()))});
+    }
+    return pairs;
+}
+
+/** Same pairs, same distance bits, same order. */
+void
+expectSamePairs(const std::vector<RedundantPair> &got,
+                const std::vector<RedundantPair> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(got[i] == want[i]) << "rank " << i;
 }
 
 /** Same neighbors, same distance bits, same order. */
@@ -250,7 +334,9 @@ TEST(VpTreeTest, DegenerateSizes)
     const FingerprintIndex single = FingerprintIndex::build(one);
     EXPECT_TRUE(single.knn(0, 5).empty());          // only self exists
     EXPECT_TRUE(single.radius(0, 100.0).empty());
-    EXPECT_TRUE(single.mostRedundant(4).empty());
+    EXPECT_TRUE(tabledSnapshot(Matrix{}).closestPairs.empty());
+    EXPECT_TRUE(tabledSnapshot(one).closestPairs.empty());
+    EXPECT_EQ(tabledSnapshot(one).maxPairDist, 0.0);
     const FingerprintIndex two = FingerprintIndex::build(
         randomDataset(2, 3, 2));
     EXPECT_TRUE(two.knn(0, 0).empty());
@@ -320,29 +406,90 @@ TEST(FingerprintIndexTest, BatchKnnIsJobsInvariant)
 TEST(FingerprintIndexTest, MostRedundantMatchesAllPairsScan)
 {
     const Matrix raw = randomDataset(25, 4, 17);
-    const FingerprintIndex idx = FingerprintIndex::build(raw);
-    pipeline::ThreadPool pool(8);
+    const service::ServerSnapshot snap = tabledSnapshot(raw);
     const size_t topN = 8;
-    const auto serial = idx.mostRedundant(topN);
-    const auto pooled = idx.mostRedundant(topN, &pool);
 
     // Ground truth: every pair, sorted by (dist, a, b).
     std::vector<RedundantPair> all;
-    const auto &fps = idx.fingerprints();
+    const auto &fps = snap.idx.fingerprints();
     for (size_t a = 0; a < fps.size(); ++a)
         for (size_t b = a + 1; b < fps.size(); ++b)
             all.push_back({l2Dist(fps.vec(a), fps.vec(b), fps.dim),
                            static_cast<uint32_t>(a),
                            static_cast<uint32_t>(b)});
     std::sort(all.begin(), all.end());
+    expectSamePairs(snap.closestPairs, all);
     all.resize(topN);
+    expectSamePairs(tablePrefix(snap, topN), all);
+    expectSamePairs(knnMergeTop(snap.idx, topN), all);
+}
 
-    ASSERT_EQ(serial.size(), topN);
-    ASSERT_EQ(pooled.size(), topN);
-    for (size_t i = 0; i < topN; ++i) {
-        EXPECT_TRUE(serial[i] == all[i]) << "rank " << i;
-        EXPECT_TRUE(pooled[i] == all[i]) << "rank " << i;
+/** Rows drawn from a small pool of points, so exact copies tie at 0. */
+Matrix
+datasetWithCopies(size_t rows, size_t cols, uint64_t seed)
+{
+    const Matrix pool = randomDataset(rows / 3 + 1, cols, seed);
+    Matrix m;
+    Rng rng(seed + 1);
+    for (size_t r = 0; r < rows; ++r) {
+        m.appendRow(pool.rowVec(rng.below(pool.rows())));
+        m.rowNames.push_back("bench" + std::to_string(r));
     }
+    return m;
+}
+
+TEST(FingerprintIndexTest, PairTableMatchesKnnMergeOracle)
+{
+    for (const uint64_t seed : {3ull, 11ull, 29ull}) {
+        for (const size_t n : {size_t{40}, size_t{97}, size_t{150}}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " n " +
+                         std::to_string(n));
+            const service::ServerSnapshot snap =
+                tabledSnapshot(datasetWithCopies(n, 5, seed));
+            const size_t allPairs = n * (n - 1) / 2;
+            ASSERT_EQ(snap.closestPairs.size(), allPairs);
+            EXPECT_EQ(snap.closestPairs.front().dist, 0.0);
+            for (const size_t top :
+                 {size_t{0}, size_t{1}, size_t{5}, size_t{10}, size_t{50},
+                  size_t{1000}, allPairs, service::kMaxCount}) {
+                SCOPED_TRACE("top " + std::to_string(top));
+                const auto want = knnMergeTop(snap.idx, top);
+                expectSamePairs(tablePrefix(snap, top), want);
+                if (top <= 1000)
+                    expectSamePairs(renderedPairs(snap, top), want);
+            }
+            // The max is the walk populationMaxDist used to make.
+            const auto &fps = snap.idx.fingerprints();
+            double maxD = 0.0;
+            for (size_t a = 0; a + 1 < n; ++a)
+                for (size_t b = a + 1; b < n; ++b)
+                    maxD = std::max(
+                        maxD, l2Dist(fps.vec(a), fps.vec(b), fps.dim));
+            EXPECT_EQ(snap.maxPairDist, maxD);
+            // A smaller cap trims while rows are added; what is kept
+            // is still exactly the closest pairs.
+            for (const size_t cap : {size_t{0}, size_t{1}, size_t{7},
+                                     size_t{50}, size_t{333}}) {
+                SCOPED_TRACE("cap " + std::to_string(cap));
+                const service::ServerSnapshot small =
+                    tabledSnapshot(datasetWithCopies(n, 5, seed), cap);
+                expectSamePairs(small.closestPairs,
+                                knnMergeTop(snap.idx, cap));
+                EXPECT_EQ(small.maxPairDist, snap.maxPairDist);
+            }
+        }
+    }
+}
+
+TEST(FingerprintIndexTest, PairTableHoldsExactlyTheCountCeiling)
+{
+    // 1450 points have 1,050,525 pairs: more than the protocol's top
+    // ceiling, so the table keeps exactly that many, the closest.
+    const service::ServerSnapshot snap =
+        tabledSnapshot(datasetWithCopies(1450, 2, 5));
+    ASSERT_EQ(snap.closestPairs.size(), service::kMaxCount);
+    expectSamePairs(snap.closestPairs,
+                    knnMergeTop(snap.idx, service::kMaxCount));
 }
 
 TEST(FingerprintIndexTest, NameLookup)

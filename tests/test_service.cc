@@ -1,25 +1,33 @@
 /**
  * @file
  * Tests for the service layer: address parsing, request validation,
- * the query engine against direct index calls, CLI↔server
+ * the query engine against direct index calls, the snapshot's suite
+ * rows against the per-request walk they replace, CLI↔server
  * byte-identity, concurrent snapshot swap (readers see a complete old
- * or a complete new snapshot, never a mix), and wire-protocol fuzz
- * (oversized lines, bad JSON, half-closed sockets get error replies,
- * never a crash).
+ * or a complete new snapshot, never a mix), the event loops (pipelined
+ * bursts answered in order, a held-open reindex beside live queries,
+ * per-op phase telemetry), and wire-protocol fuzz (oversized lines,
+ * bad JSON, half-closed sockets get error replies, never a crash).
  */
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -301,6 +309,163 @@ TEST(ServiceEngineTest, StatsReflectsTheSnapshot)
 }
 
 // ----------------------------------------------------------------------
+// Answer tables: suite rows against the per-request walk.
+// ----------------------------------------------------------------------
+
+/**
+ * The suites oracle: the walk every `suites` request made before
+ * snapshots kept suite rows. Rows must match it bit for bit.
+ */
+std::vector<SuiteRow>
+suitesWalk(const ServerSnapshot &snap)
+{
+    std::vector<std::string> suites;
+    for (const auto &b : snap.ds.benchmarks) {
+        if (std::find(suites.begin(), suites.end(), b.suite) ==
+            suites.end())
+            suites.push_back(b.suite);
+    }
+    const index::FingerprintSet &fps = snap.idx.fingerprints();
+    const double simCut = 0.2 * snap.maxPairDist;
+    std::vector<SuiteRow> rows;
+    for (const auto &suite : suites) {
+        std::vector<size_t> ids;
+        for (const auto &b : snap.ds.benchmarks) {
+            const int64_t id = snap.idx.idOf(b.fullName());
+            if (b.suite == suite && id >= 0)
+                ids.push_back(static_cast<size_t>(id));
+        }
+        double minD = 0.0, maxD = 0.0, sum = 0.0;
+        size_t pairs = 0, redundant = 0;
+        for (size_t i = 0; i + 1 < ids.size(); ++i) {
+            for (size_t j = i + 1; j < ids.size(); ++j) {
+                const double d = index::l2Dist(
+                    fps.vec(ids[i]), fps.vec(ids[j]), fps.dim);
+                if (pairs == 0 || d < minD)
+                    minD = d;
+                if (d > maxD)
+                    maxD = d;
+                sum += d;
+                ++pairs;
+                if (d <= simCut)
+                    ++redundant;
+            }
+        }
+        SuiteRow row;
+        row.suite = suite;
+        row.count = ids.size();
+        row.meanDist = pairs ? sum / static_cast<double>(pairs) : 0.0;
+        row.minDist = pairs ? minD : 0.0;
+        row.maxDist = pairs ? maxD : 0.0;
+        row.within20 = redundant;
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+uint64_t
+bitsOf(double d)
+{
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+}
+
+/** One rendered `suites` row equals @p want, doubles bit for bit. */
+void
+expectSuiteRowJson(const JsonValue &one, const SuiteRow &want)
+{
+    EXPECT_EQ(one.find("suite")->asString(), want.suite);
+    EXPECT_EQ(one.find("count")->asCount(),
+              static_cast<int64_t>(want.count));
+    EXPECT_EQ(bitsOf(one.find("mean_dist")->asDouble()),
+              bitsOf(want.meanDist));
+    EXPECT_EQ(bitsOf(one.find("min_dist")->asDouble()),
+              bitsOf(want.minDist));
+    EXPECT_EQ(bitsOf(one.find("max_dist")->asDouble()),
+              bitsOf(want.maxDist));
+    EXPECT_EQ(one.find("pairs_within_20pct_max")->asCount(),
+              static_cast<int64_t>(want.within20));
+}
+
+TEST(ServiceEngineTest, SuiteRowsMatchThePerRequestWalk)
+{
+    // Four suites, interleaved in dataset order; Solo has one member
+    // and so no pairs. The index holds the rows in reverse order and
+    // lacks Beta/b2 (a reloaded index may predate a quarantine), so
+    // member order is not id order.
+    const std::vector<std::pair<std::string, std::string>> members = {
+        {"Alpha", "a0"}, {"Beta", "b0"},  {"Alpha", "a1"},
+        {"Solo", "s0"},  {"Gamma", "g0"}, {"Beta", "b1"},
+        {"Alpha", "a2"}, {"Gamma", "g1"}, {"Beta", "b2"},
+        {"Alpha", "a3"}, {"Gamma", "g2"}, {"Beta", "b3"},
+        {"Alpha", "a4"}};
+    ServerSnapshot snap;
+    for (const auto &[suite, program] : members) {
+        workloads::BenchmarkInfo b;
+        b.suite = suite;
+        b.program = program;
+        b.input = "ref";
+        snap.ds.benchmarks.push_back(b);
+    }
+    Matrix m;
+    Rng rng(23);
+    for (size_t r = members.size(); r-- > 0;) {
+        if (members[r].second == "b2")
+            continue;
+        std::vector<double> v(5);
+        for (auto &x : v)
+            x = rng.gauss();
+        m.appendRow(v);
+        m.rowNames.push_back(snap.ds.benchmarks[r].fullName());
+    }
+    snap.idx = index::FingerprintIndex::build(m);
+    fillAnswerTables(&snap);
+
+    const std::vector<SuiteRow> want = suitesWalk(snap);
+    ASSERT_EQ(want.size(), 4u);
+    ASSERT_EQ(snap.suiteRows.size(), want.size());
+    EXPECT_EQ(want[2].suite, "Solo");
+    EXPECT_EQ(want[2].count, 1u);
+    EXPECT_EQ(want[1].count, 3u);   // b2 is not indexed
+    for (size_t i = 0; i < want.size(); ++i) {
+        const SuiteRow &got = snap.suiteRows[i];
+        SCOPED_TRACE(want[i].suite);
+        EXPECT_EQ(got.suite, want[i].suite);
+        EXPECT_EQ(got.count, want[i].count);
+        EXPECT_EQ(bitsOf(got.meanDist), bitsOf(want[i].meanDist));
+        EXPECT_EQ(bitsOf(got.minDist), bitsOf(want[i].minDist));
+        EXPECT_EQ(bitsOf(got.maxDist), bitsOf(want[i].maxDist));
+        EXPECT_EQ(got.within20, want[i].within20);
+    }
+
+    // Replies render those rows: all suites, or the one asked for.
+    std::string err;
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(executeLine(snap, "{\"op\":\"suites\"}"), &doc,
+                          &err))
+        << err;
+    const JsonValue *rows = doc.find("result")->find("suites");
+    ASSERT_EQ(rows->items().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        expectSuiteRowJson(rows->items()[i], want[i]);
+    for (const SuiteRow &row : want) {
+        ASSERT_TRUE(parseJson(
+            executeLine(snap, "{\"op\":\"suites\",\"suite\":\"" +
+                                  row.suite + "\"}"),
+            &doc, &err))
+            << err;
+        rows = doc.find("result")->find("suites");
+        ASSERT_EQ(rows->items().size(), 1u);
+        expectSuiteRowJson(rows->items()[0], row);
+    }
+    const std::string unknown =
+        executeLine(snap, "{\"op\":\"suites\",\"suite\":\"nope\"}");
+    EXPECT_NE(unknown.find("\"unknown_bench\""), std::string::npos)
+        << unknown;
+}
+
+// ----------------------------------------------------------------------
 // Snapshot opening: the stored space is adopted unless one is given.
 // ----------------------------------------------------------------------
 
@@ -458,13 +623,14 @@ struct RunningServer
     std::thread loop;
     int rc = -1;
 
-    explicit RunningServer(size_t jobs = 2)
+    explicit RunningServer(size_t jobs = 2, CollectFn collect = {})
     {
         ServerOptions opt;
         opt.address = "unix:" + dir.dir + "/srv.sock";
         opt.jobs = jobs;
         server = std::make_unique<Server>(opt, testSnapshot(),
-                                          testConfig(), SpaceChoice{});
+                                          testConfig(), SpaceChoice{},
+                                          std::move(collect));
         std::string err;
         if (!server->start(&err)) {
             ADD_FAILURE() << "start: " << err;
@@ -665,6 +831,278 @@ TEST(ServiceServerTest, ReindexSwapsUnderConcurrentQueries)
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(rs.server->snapshot()->generation, 1u);
 }
+
+// ----------------------------------------------------------------------
+// Event loops: pipelined bursts, a held-open reindex, phase telemetry.
+// ----------------------------------------------------------------------
+
+/** 512 request lines cycling through all seven query ops, with ids. */
+std::vector<std::string>
+mixedBurst(const ServerSnapshot &snap)
+{
+    std::vector<std::string> lines;
+    for (size_t i = 0; lines.size() < 512; ++i) {
+        const std::string head =
+            "{\"id\":" + std::to_string(i) + ",\"op\":";
+        const std::string bench =
+            "\"bench\":\"" + snap.idx.nameOf(i % snap.idx.size()) + "\"";
+        switch (i % 7) {
+        case 0:
+            lines.push_back(head + "\"ping\"}");
+            break;
+        case 1:
+            lines.push_back(head + "\"stats\"}");
+            break;
+        case 2:
+            lines.push_back(head + "\"profile\"," + bench +
+                            (i % 2 ? ",\"space\":\"hpc\"}" : "}"));
+            break;
+        case 3:
+            lines.push_back(head + "\"knn\"," + bench + ",\"k\":" +
+                            std::to_string(1 + i % 5) + "}");
+            break;
+        case 4:
+            lines.push_back(head + "\"radius\"," + bench + ",\"r\":" +
+                            std::to_string(i % 4) + "}");
+            break;
+        case 5:
+            lines.push_back(head + "\"redundant\",\"top\":" +
+                            std::to_string(i % 12) + "}");
+            break;
+        default:
+            lines.push_back(head + "\"suites\"" +
+                            (i % 2 ? ",\"suite\":\"CommBench\"}" : "}"));
+            break;
+        }
+    }
+    return lines;
+}
+
+/**
+ * Two clients each write a 512-line burst in one send, then read 512
+ * replies: each must equal the one-shot answer, in request order.
+ */
+void
+pipelinedBurstTest(size_t jobs)
+{
+    RunningServer rs(jobs);
+    auto snap = testSnapshot();
+    const std::vector<std::string> lines = mixedBurst(*snap);
+    std::string burst;
+    for (const auto &line : lines)
+        burst += line + "\n";
+    burst.pop_back();   // sendLine adds the last newline
+    std::atomic<size_t> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 2; ++c) {
+        clients.emplace_back([&] {
+            ServiceClient client;
+            std::string err, reply;
+            if (!client.connect(rs.address(), &err) ||
+                !client.sendLine(burst, &err)) {
+                failures.fetch_add(lines.size());
+                return;
+            }
+            for (size_t i = 0; i < lines.size(); ++i) {
+                if (!client.recvLine(&reply, &err)) {
+                    failures.fetch_add(lines.size() - i);
+                    return;
+                }
+                // A daemon's stats carry live counters, so only its
+                // envelope is fixed.
+                const bool same =
+                    lines[i].find("\"stats\"") != std::string::npos
+                    ? reply.rfind("{\"id\":" + std::to_string(i) +
+                                      ",\"ok\":true,\"op\":\"stats\"",
+                                  0) == 0
+                    : reply == executeLine(*snap, lines[i], true);
+                if (!same) {
+                    failures.fetch_add(1);
+                    ADD_FAILURE() << lines[i] << " -> " << reply;
+                }
+            }
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+    EXPECT_EQ(failures.load(), 0u);
+}
+
+TEST(ServiceServerTest, PipelinedBurstAnswersInOrderOnOneLoop)
+{
+    pipelinedBurstTest(1);
+}
+
+TEST(ServiceServerTest, PipelinedBurstAnswersInOrderOnFourLoops)
+{
+    pipelinedBurstTest(4);
+}
+
+/** A collect hook that holds a rebuild open until released. */
+struct CollectLatch
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+
+    CollectFn
+    fn()
+    {
+        return [this](const experiments::DatasetConfig &cfg) {
+            {
+                std::unique_lock<std::mutex> lk(mu);
+                entered = true;
+                cv.notify_all();
+                cv.wait(lk, [this] { return released; });
+            }
+            return experiments::collectSuiteDataset(cfg);
+        };
+    }
+
+    bool
+    waitEntered()
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        return cv.wait_for(lk, std::chrono::seconds(60),
+                           [this] { return entered; });
+    }
+
+    void
+    release()
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            released = true;
+        }
+        cv.notify_all();
+    }
+};
+
+/** Releases the latch before the server is torn down, on any path. */
+struct ReleaseOnExit
+{
+    CollectLatch &latch;
+
+    ~ReleaseOnExit() { latch.release(); }
+};
+
+/**
+ * One client pipelines reindex + ping while the rebuild is held open:
+ * another client's knn is answered meanwhile, a second reindex is
+ * turned away, and once released the reindex reply comes first, then
+ * the ping, both at generation 1. With @p stopMidway a requestStop
+ * issued during the rebuild still delivers both, and run() returns 0.
+ */
+void
+reindexBesideQueriesTest(size_t jobs, bool stopMidway)
+{
+    CollectLatch latch;
+    RunningServer rs(jobs, latch.fn());
+    ReleaseOnExit guard{latch};
+    ServiceClient r, q;
+    std::string err, reply;
+    ASSERT_TRUE(r.connect(rs.address(), &err)) << err;
+    ASSERT_TRUE(q.connect(rs.address(), &err)) << err;
+    ASSERT_TRUE(r.sendLine("{\"id\":1,\"op\":\"reindex\"}\n"
+                           "{\"id\":2,\"op\":\"ping\"}",
+                           &err))
+        << err;
+    ASSERT_TRUE(latch.waitEntered());
+
+    const std::string knn = "{\"op\":\"knn\",\"bench\":\"" +
+                            testSnapshot()->idx.nameOf(0) + "\",\"k\":3}";
+    ASSERT_TRUE(q.request(knn, &reply, &err)) << err;
+    EXPECT_EQ(reply, executeLine(*testSnapshot(), knn, true));
+    ASSERT_TRUE(q.request("{\"op\":\"reindex\"}", &reply, &err)) << err;
+    EXPECT_NE(reply.find("\"unavailable\""), std::string::npos) << reply;
+
+    if (stopMidway)
+        rs.server->requestStop();
+    latch.release();
+    ASSERT_TRUE(r.recvLine(&reply, &err)) << err;
+    EXPECT_EQ(reply.rfind("{\"id\":1,\"ok\":true,\"op\":\"reindex\"", 0),
+              0u)
+        << reply;
+    EXPECT_NE(reply.find("\"generation\":1"), std::string::npos) << reply;
+    ASSERT_TRUE(r.recvLine(&reply, &err)) << err;
+    EXPECT_EQ(reply.rfind("{\"id\":2,\"ok\":true,\"op\":\"ping\"", 0), 0u)
+        << reply;
+    EXPECT_NE(reply.find("\"generation\":1"), std::string::npos) << reply;
+    if (stopMidway) {
+        rs.loop.join();
+        EXPECT_EQ(rs.rc, 0);
+        return;
+    }
+    // The finished rebuild freed the slot: the next reindex runs.
+    ASSERT_TRUE(q.request("{\"op\":\"reindex\"}", &reply, &err)) << err;
+    EXPECT_NE(reply.find("\"generation\":2"), std::string::npos) << reply;
+}
+
+TEST(ServiceServerTest, HeldReindexLeavesQueriesAnsweredOnOneLoop)
+{
+    reindexBesideQueriesTest(1, false);
+}
+
+TEST(ServiceServerTest, HeldReindexLeavesQueriesAnsweredOnFourLoops)
+{
+    reindexBesideQueriesTest(4, false);
+}
+
+TEST(ServiceServerTest, StopDuringReindexStillDeliversItsReply)
+{
+    reindexBesideQueriesTest(1, true);
+    reindexBesideQueriesTest(4, true);
+}
+
+#if MICA_OBS
+TEST(ServiceServerTest, EveryQueryOpRecordsItsThreePhases)
+{
+    // 21 histograms: a registration past the slab's capacity would
+    // silently become a no-op, and its count would stay put.
+    RunningServer rs;
+    const std::string bench =
+        "\"bench\":\"" + testSnapshot()->idx.nameOf(0) + "\"";
+    const std::vector<std::pair<std::string, std::string>> ops = {
+        {"ping", "{\"op\":\"ping\"}"},
+        {"stats", "{\"op\":\"stats\"}"},
+        {"profile", "{\"op\":\"profile\"," + bench + "}"},
+        {"knn", "{\"op\":\"knn\"," + bench + "}"},
+        {"radius", "{\"op\":\"radius\"," + bench + ",\"r\":1}"},
+        {"redundant", "{\"op\":\"redundant\"}"},
+        {"suites", "{\"op\":\"suites\"}"}};
+    const auto counts = [&] {
+        const obs::MetricsSnapshot ms = obs::snapshotMetrics();
+        std::map<std::string, int64_t> out;
+        for (const auto &op : ops) {
+            for (const char *phase : {"parse", "execute", "serialize"}) {
+                const std::string name =
+                    "serve." + op.first + "." + phase + "_us";
+                const auto it = ms.metrics.find(name);
+                out[name] =
+                    it == ms.metrics.end() ? 0 : it->second.hist.count;
+            }
+        }
+        return out;
+    };
+    const auto before = counts();
+    ServiceClient client;
+    std::string err, reply;
+    ASSERT_TRUE(client.connect(rs.address(), &err)) << err;
+    constexpr int64_t kEach = 3;
+    for (int64_t i = 0; i < kEach; ++i) {
+        for (const auto &op : ops) {
+            ASSERT_TRUE(client.request(op.second, &reply, &err)) << err;
+            ASSERT_NE(reply.find("\"ok\":true"), std::string::npos)
+                << reply;
+        }
+    }
+    const auto after = counts();
+    ASSERT_EQ(after.size(), 21u);
+    for (const auto &[name, n] : after)
+        EXPECT_EQ(n - before.at(name), kEach) << name;
+}
+#endif
 
 // ----------------------------------------------------------------------
 // Wire-protocol fuzz: hostile bytes must produce error replies (or a

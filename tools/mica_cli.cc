@@ -90,6 +90,7 @@
 #include "report/table.hh"
 #include "service/client.hh"
 #include "service/json.hh"
+#include "service/protocol.hh"
 #include "service/query_engine.hh"
 #include "service/server.hh"
 #include "stats/descriptive.hh"
@@ -586,6 +587,17 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
     // Query verbs validate everything before opening the snapshot.
     std::string target;
     const size_t k = static_cast<size_t>(args.intValue("k", 10));
+    const int64_t top = args.intValue("top", 10);
+    if (sub == "redundant" &&
+        static_cast<uint64_t>(top) > service::kMaxCount) {
+        // The snapshot keeps the kMaxCount closest pairs, so a larger
+        // --top would be cut silently once there are that many.
+        std::fprintf(stderr,
+                     "mica index redundant: --top must be at most %zu "
+                     "(got %lld)\n",
+                     service::kMaxCount, static_cast<long long>(top));
+        return 2;
+    }
     const bool hasRadius = args.has("radius");
     double r = 0.0;
     if (sub == "query") {
@@ -629,21 +641,22 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
     const index::FingerprintIndex &idx = snap->idx;
 
     if (sub == "redundant") {
-        const size_t top = static_cast<size_t>(args.intValue("top", 10));
-        const auto pairs = idx.mostRedundant(top, p);
+        const auto &pairs = snap->closestPairs;
+        const size_t shown =
+            std::min(static_cast<size_t>(top), pairs.size());
         report::TextTable t({"rank", "benchmark A", "benchmark B",
                              "distance"},
                             {report::Align::Right, report::Align::Left,
                              report::Align::Left, report::Align::Right});
-        for (size_t i = 0; i < pairs.size(); ++i) {
+        for (size_t i = 0; i < shown; ++i) {
             t.addRow({std::to_string(i + 1), idx.nameOf(pairs[i].a),
                       idx.nameOf(pairs[i].b),
                       report::TextTable::num(pairs[i].dist, 4)});
         }
         std::printf("%s\n%zu most redundant of %zu benchmarks "
                     "(space %s)\n",
-                    t.render("Most redundant pairs").c_str(),
-                    pairs.size(), idx.size(), snap->space.c_str());
+                    t.render("Most redundant pairs").c_str(), shown,
+                    idx.size(), snap->space.c_str());
         return 0;
     }
 
@@ -1875,6 +1888,8 @@ constexpr VerbDef kVerbs[] = {
      "  --listen=ADDR  unix:PATH or tcp:HOST:PORT (default "
      "unix:mica.sock)\n"
      "  --space=mica|hpc|key / --pca=K   fingerprint space knobs\n"
+     "  --jobs=N       event loops answering queries (default 1;\n"
+     "                 0 = one per hardware thread)\n"
      "  --max-conns=N  concurrent client cap (default 256)\n"
      "  --drain-ms=N   graceful-shutdown drain budget (default 5000)\n"
      "  --metrics-interval=SEC  rewrite --metrics=FILE every SEC\n"
