@@ -7,15 +7,19 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "isa/interpreter.hh"
 #include "mica/dataset.hh"
 #include "mica/ilp.hh"
 #include "mica/inst_mix.hh"
 #include "mica/profile.hh"
 #include "mica/runner.hh"
 #include "trace/synthetic.hh"
+#include "workloads/registry.hh"
 
 namespace mica
 {
@@ -146,6 +150,44 @@ TEST(RunnerTest, SubsetLeavesUnrequestedFamiliesAtZero)
     EXPECT_GT(p[PctLoads], 0.0);
     EXPECT_DOUBLE_EQ(p[Ilp32], 0.0);        // ILP family not requested
     EXPECT_DOUBLE_EQ(p[PpmGAg], 0.0);       // PPM family not requested
+}
+
+/**
+ * tests/mica_golden.tsv holds the instruction count and all 47
+ * characteristics (hex floats) the one-pass runner gives every
+ * registry kernel's first 100K records. The characteristics are
+ * ratios of integer counts, so the table does not depend on libm; any
+ * analyzer rewrite must match it bit for bit.
+ */
+TEST(RunnerTest, RegistryKernelsMatchGoldenCharacteristics)
+{
+    std::ifstream in(std::string(MICA_TESTS_DIR) + "/mica_golden.tsv");
+    ASSERT_TRUE(in) << "cannot open tests/mica_golden.tsv";
+    std::vector<std::string> want;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#')
+            want.push_back(line);
+    }
+
+    MicaRunnerConfig cfg;
+    cfg.maxInsts = 100000;
+    std::vector<std::string> got;
+    for (const auto &e : workloads::BenchmarkRegistry::instance().all()) {
+        const isa::Program prog = e.build();
+        isa::Interpreter interp(prog);
+        const MicaProfile p =
+            collectMicaProfile(interp, e.info.fullName(), cfg);
+        std::string line = p.name + "\t" + std::to_string(p.instCount);
+        for (double v : p.values) {
+            char hex[64];
+            std::snprintf(hex, sizeof hex, "\t%a", v);
+            line += hex;
+        }
+        got.push_back(line);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]);
 }
 
 TEST(DatasetTest, ProfilesToMatrixLayout)
