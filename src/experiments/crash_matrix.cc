@@ -41,7 +41,9 @@ constexpr int kChildSurvived = 42;
  * performs the write the crash lands in (run faulted in the child,
  * then unfaulted for recovery), validateNew() accepts only the
  * completed post-mutate state. `file` is the destination the
- * old-or-new contract is checked on.
+ * old-or-new contract is checked on. validateOld() accepts the
+ * pre-crash state given the file's pre-crash bytes; when empty, the
+ * survivor must be byte-identical to them.
  */
 struct Scenario
 {
@@ -50,15 +52,45 @@ struct Scenario
     std::function<void(const std::string &dir)> prepare;
     std::function<void(const std::string &dir)> mutate;
     std::function<bool(const std::string &dir)> validateNew;
+    std::function<bool(const std::string &dir, const std::string &before)>
+        validateOld;
 };
 
+/** @return a profile whose every value is distinct and non-zero. */
 pipeline::StoredProfile
 profileNamed(const std::string &name)
 {
     pipeline::StoredProfile p;
     p.mica.name = name;
+    p.mica.instCount = name.size();
+    for (size_t i = 0; i < p.mica.values.size(); ++i)
+        p.mica.values[i] = double(name.size()) + 0.25 * double(i);
     p.hpc.name = name;
+    p.hpc.instCount = p.mica.instCount;
+    p.hpc.ipcEv56 = 0.5;
+    p.hpc.ipcEv67 = 1.5;
     return p;
+}
+
+/** @return whether the store holds @p want, bit for bit. */
+bool
+holdsExactly(const pipeline::StoredProfile *got,
+             const pipeline::StoredProfile &want)
+{
+    if (!got || got->mica.instCount != want.mica.instCount ||
+        got->hpc.instCount != want.hpc.instCount)
+        return false;
+    const std::vector<double> a = got->hpc.toVector();
+    const std::vector<double> b = want.hpc.toVector();
+    return std::memcmp(got->mica.values.data(), want.mica.values.data(),
+                       sizeof(want.mica.values)) == 0 &&
+        std::memcmp(a.data(), b.data(), b.size() * sizeof(double)) == 0;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    return util::readFileBytes(path, "store.load");
 }
 
 /** @return a deterministic tiny index; @p salt varies the contents. */
@@ -92,21 +124,48 @@ std::vector<Scenario>
 scenarios()
 {
     const pipeline::StoreKey key;
+    const std::string alpha = "crash/alpha.a";
+    const std::string beta = "crash/beta.b";
+    // Both store scenarios mutate the same way: open, then put beta.
+    const auto putBeta = [key, beta](const std::string &dir) {
+        pipeline::ProfileStore s(dir, key);
+        s.open();
+        s.put(profileNamed(beta));
+    };
+    const auto holdsBoth = [key, alpha, beta](const std::string &dir) {
+        pipeline::ProfileStore s(dir, key);
+        return s.open() && s.size() == 2 &&
+            holdsExactly(s.find(alpha), profileNamed(alpha)) &&
+            holdsExactly(s.find(beta), profileNamed(beta));
+    };
     return {
+        // The rewrite: prepare leaves a torn last frame, so the put
+        // after open() rewrites the store instead of appending.
         {"store.put", "profiles.bin",
-         [key](const std::string &dir) {
+         [key, alpha](const std::string &dir) {
              pipeline::ProfileStore s(dir, key);
-             s.put(profileNamed("crash/alpha.a"));
+             s.put(profileNamed(alpha));
+             s.put(profileNamed("crash/gamma.c"));
+             const std::string bin = dir + "/profiles.bin";
+             fs::resize_file(bin, fs::file_size(bin) - 5);
          },
-         [key](const std::string &dir) {
+         putBeta, holdsBoth, nullptr},
+        // The append: a crash leaves the old bytes plus at most part
+        // of beta's frame. The old state is any file that starts with
+        // the baseline's bytes and reads back as exactly the baseline.
+        {"store.append", "profiles.bin",
+         [key, alpha](const std::string &dir) {
              pipeline::ProfileStore s(dir, key);
-             s.open();
-             s.put(profileNamed("crash/beta.b"));
+             s.put(profileNamed(alpha));
          },
-         [key](const std::string &dir) {
+         putBeta, holdsBoth,
+         [key, alpha](const std::string &dir, const std::string &before) {
+             if (slurp(dir + "/profiles.bin").compare(0, before.size(),
+                                                      before) != 0)
+                 return false;
              pipeline::ProfileStore s(dir, key);
-             return s.open() && s.find("crash/alpha.a") &&
-                 s.find("crash/beta.b");
+             return s.open() && s.size() == 1 &&
+                 holdsExactly(s.find(alpha), profileNamed(alpha));
          }},
         {"index.snapshot", "index.bin",
          [](const std::string &dir) {
@@ -128,7 +187,8 @@ scenarios()
              std::string why;
              return index::loadIndexSnapshot(dir + "/index.bin",
                                              "crash-key", &idx, &why);
-         }},
+         },
+         nullptr},
         {"trace.record", "crash__t.a.trace",
          [](const std::string &dir) {
              writeTrace(dir + "/crash__t.a.trace", 100);
@@ -139,14 +199,9 @@ scenarios()
          [](const std::string &dir) {
              return probeTraceFile(dir + "/crash__t.a.trace")
                         .recordCount == 120;
-         }},
+         },
+         nullptr},
     };
-}
-
-std::string
-slurp(const std::string &path)
-{
-    return util::readFileBytes(path, "store.load");
 }
 
 bool
@@ -223,11 +278,16 @@ runCell(const util::FailpointInfo &site, const Scenario &sc,
         return row;
     }
 
-    // The contract: the survivor is the complete old file or the
-    // complete new one. (With abort@1 every site fires before the
-    // rename, so byte-identical-to-old is the expected arm; a parsing
-    // new file is accepted for forward compatibility.)
-    row.oldValid = slurp(target) == before;
+    // The contract: the survivor is the complete old state or the
+    // complete new one. (With abort@1 every rewrite site fires before
+    // the rename, so the old state is the expected arm there; an
+    // append crashed at its fsync has already written the new one.)
+    try {
+        row.oldValid = sc.validateOld ? sc.validateOld(dir, before)
+                                      : slurp(target) == before;
+    } catch (...) {
+        row.oldValid = false;
+    }
     if (!row.oldValid) {
         try {
             row.newValid = sc.validateNew(dir);

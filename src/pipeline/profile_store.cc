@@ -1,5 +1,7 @@
 #include "pipeline/profile_store.hh"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -9,6 +11,7 @@
 #include <thread>
 
 #include "obs/obs.hh"
+#include "trace/trace_file.hh"
 #include "util/checked_io.hh"
 
 namespace mica::pipeline
@@ -20,41 +23,56 @@ namespace
 constexpr char kMagic[8] = {'M', 'I', 'C', 'A', 'P', 'S', 'T', '\n'};
 constexpr uint32_t kEntryMagic = 0x50524F46;    // "PROF"
 
-template <typename T>
-void
-writePod(std::ostream &out, const T &v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
+/** Version 1 stored bare entries back to back, without frames. */
+constexpr uint32_t kUnframedVersion = 1;
 
 template <typename T>
-bool
-readPod(std::istream &in, T &v)
+void
+writePod(std::string &out, const T &v)
 {
-    in.read(reinterpret_cast<char *>(&v), sizeof(T));
-    return in.gcount() == sizeof(T);
+    out.append(reinterpret_cast<const char *>(&v), sizeof(T));
 }
 
 void
-writeString(std::ostream &out, const std::string &s)
+writeString(std::string &out, const std::string &s)
 {
     writePod(out, static_cast<uint32_t>(s.size()));
-    out.write(s.data(), static_cast<std::streamsize>(s.size()));
+    out += s;
 }
 
-bool
-readString(std::istream &in, std::string &s)
+/** Bounds-checked reads over bytes loaded from disk. */
+struct Cursor
 {
-    uint32_t len = 0;
-    if (!readPod(in, len) || len > 4096)
-        return false;
-    s.resize(len);
-    in.read(s.data(), len);
-    return in.gcount() == static_cast<std::streamsize>(len);
-}
+    const char *p;
+    const char *end;
+
+    size_t left() const { return static_cast<size_t>(end - p); }
+
+    template <typename T>
+    bool
+    pod(T &v)
+    {
+        if (left() < sizeof(T))
+            return false;
+        std::memcpy(&v, p, sizeof(T));
+        p += sizeof(T);
+        return true;
+    }
+
+    bool
+    string(std::string &s)
+    {
+        uint32_t len = 0;
+        if (!pod(len) || len > 4096 || left() < len)
+            return false;
+        s.assign(p, len);
+        p += len;
+        return true;
+    }
+};
 
 void
-writeEntry(std::ostream &out, const StoredProfile &p)
+writeEntry(std::string &out, const StoredProfile &p)
 {
     writePod(out, kEntryMagic);
     writeString(out, p.mica.name);
@@ -67,24 +85,24 @@ writeEntry(std::ostream &out, const StoredProfile &p)
 }
 
 bool
-readEntry(std::istream &in, StoredProfile &p)
+readEntry(Cursor &in, StoredProfile &p)
 {
     uint32_t magic = 0;
-    if (!readPod(in, magic) || magic != kEntryMagic)
+    if (!in.pod(magic) || magic != kEntryMagic)
         return false;
-    if (!readString(in, p.mica.name))
+    if (!in.string(p.mica.name))
         return false;
-    if (!readPod(in, p.mica.instCount))
+    if (!in.pod(p.mica.instCount))
         return false;
     for (double &v : p.mica.values) {
-        if (!readPod(in, v))
+        if (!in.pod(v))
             return false;
     }
-    if (!readPod(in, p.hpc.instCount))
+    if (!in.pod(p.hpc.instCount))
         return false;
     std::array<double, uarch::HwCounterProfile::kNumMetrics> m{};
     for (double &v : m) {
-        if (!readPod(in, v))
+        if (!in.pod(v))
             return false;
     }
     p.hpc.name = p.mica.name;
@@ -96,6 +114,44 @@ readEntry(std::istream &in, StoredProfile &p)
     p.hpc.l2MissRate = m[5];
     p.hpc.dtlbMissRate = m[6];
     return true;
+}
+
+/** One frame: u32 payload length, u64 FNV-1a of the payload, payload. */
+void
+writeFrame(std::string &out, const StoredProfile &p)
+{
+    std::string payload;
+    writeEntry(payload, p);
+    writePod(out, static_cast<uint32_t>(payload.size()));
+    writePod(out, fnv1a(payload.data(), payload.size()));
+    out += payload;
+}
+
+/** @return false on a short frame, a checksum mismatch or a bad entry. */
+bool
+readFrame(Cursor &in, StoredProfile &p)
+{
+    uint32_t len = 0;
+    uint64_t sum = 0;
+    if (!in.pod(len) || !in.pod(sum) || in.left() < len ||
+        fnv1a(in.p, len) != sum)
+        return false;
+    Cursor payload{in.p, in.p + len};
+    in.p += len;
+    return readEntry(payload, p) && payload.left() == 0;
+}
+
+/** @return the complete store: header, then one frame per entry. */
+std::string
+serializeStore(const std::string &keyCanon,
+               const std::map<std::string, StoredProfile> &entries)
+{
+    std::string bytes(kMagic, sizeof(kMagic));
+    writePod(bytes, ProfileStore::kFormatVersion);
+    writeString(bytes, keyCanon);
+    for (const auto &kv : entries)
+        writeFrame(bytes, kv.second);
+    return bytes;
 }
 
 } // namespace
@@ -128,6 +184,7 @@ ProfileStore::open()
     obs::ObsSpan sp("store.open");
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
+    appendable_ = false;
 
     std::string bytes;
     try {
@@ -140,30 +197,43 @@ ProfileStore::open()
         // degrade to compute-without-cache with a loud warning.
         throw;
     }
-    std::istringstream in;
-    in.str(bytes);
+    Cursor in{bytes.data(), bytes.data() + bytes.size()};
 
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    if (in.gcount() != sizeof(magic) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        rejected.add(1);
-        return false;
-    }
     uint32_t version = 0;
     std::string keyCanon;
-    if (!readPod(in, version) || version != kFormatVersion) {
+    if (in.left() < sizeof(kMagic) ||
+        std::memcmp(in.p, kMagic, sizeof(kMagic)) != 0) {
         rejected.add(1);
         return false;
     }
-    if (!readString(in, keyCanon) || keyCanon != keyCanon_) {
+    in.p += sizeof(kMagic);
+    if (!in.pod(version) ||
+        (version != kFormatVersion && version != kUnframedVersion)) {
+        rejected.add(1);
+        return false;
+    }
+    if (!in.string(keyCanon) || keyCanon != keyCanon_) {
         rejected.add(1);
         return false;
     }
 
     StoredProfile p;
-    while (readEntry(in, p))
-        entries_[p.name()] = p;
+    if (version == kUnframedVersion) {
+        while (readEntry(in, p))
+            entries_[p.name()] = p;
+    } else {
+        // Stop at the first torn or corrupt frame, keeping every entry
+        // before it. Only a file read to its end may be appended to;
+        // otherwise the next put rewrites it without the torn tail.
+        appendable_ = true;
+        while (in.left() > 0) {
+            if (!readFrame(in, p)) {
+                appendable_ = false;
+                break;
+            }
+            entries_[p.name()] = p;
+        }
+    }
     bytesRead.add(bytes.size());
     opened.add(1);
     sp.arg("entries", static_cast<uint64_t>(entries_.size()));
@@ -184,31 +254,18 @@ void
 ProfileStore::put(const StoredProfile &profile)
 {
     static obs::Counter puts("store.put.count");
+    static obs::Counter rewrites("store.put.rewrite");
+    static obs::Counter appends("store.put.append");
     static obs::Counter bytesWritten("store.bytes.written");
+    static obs::Counter retries("store.retry");
     obs::ObsSpan sp("store.commit");
     puts.add(1);
     std::lock_guard<std::mutex> lock(mutex_);
     entries_[profile.name()] = profile;
     sp.arg("entries", static_cast<uint64_t>(entries_.size()));
 
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-
-    // Serialize the complete store once, then write it to a sibling
-    // and rename it into place: a crash at any byte of the write
-    // leaves the previous complete file untouched, and rename() on
-    // one filesystem is atomic, so a reader can never observe a
-    // header without its entries or an entry cut mid-double.
-    // Rewriting everything per put costs tens of KB for the full
-    // 122-benchmark suite — noise next to one benchmark's profiling
-    // time.
-    std::ostringstream out;
-    out.write(kMagic, sizeof(kMagic));
-    writePod(out, kFormatVersion);
-    writeString(out, keyCanon_);
-    for (const auto &kv : entries_)
-        writeEntry(out, kv.second);
-    const std::string bytes = out.str();
+    std::string frame;
+    writeFrame(frame, profile);
 
     // Transient I/O errors (NFS hiccup, EINTR-adjacent weirdness) get
     // a bounded exponential-backoff retry; a persistently failing
@@ -216,13 +273,39 @@ ProfileStore::put(const StoredProfile &profile)
     // results of this run are still correct, they just are not
     // cached. Every put keeps trying, so debris or a transient
     // condition from one failure never blocks the next attempt.
-    static obs::Counter retries("store.retry");
     for (int attempt = 0;; ++attempt) {
         try {
-            util::atomicWriteFile(path_, bytes, "store.put");
-            bytesWritten.add(bytes.size());
+            if (appendable_) {
+                // One write() on an O_APPEND fd, durable before put
+                // returns. A .tmp here can only be debris of a crashed
+                // rewrite; drop it like a rewrite would.
+                ::unlink((path_ + ".tmp").c_str());
+                util::CheckedFile f =
+                    util::CheckedFile::openAppend(path_, "store.append");
+                f.writeAll(frame.data(), frame.size());
+                f.syncToDisk();
+                f.close();
+                appends.add(1);
+                bytesWritten.add(frame.size());
+            } else {
+                // Write the complete store to a sibling and rename it
+                // into place: a crash at any byte of the write leaves
+                // the previous complete file untouched, and rename()
+                // on one filesystem is atomic, so a reader can never
+                // observe a header without its entries.
+                std::error_code ec;
+                std::filesystem::create_directories(dir_, ec);
+                const std::string bytes = serializeStore(keyCanon_, entries_);
+                util::atomicWriteFile(path_, bytes, "store.put");
+                rewrites.add(1);
+                bytesWritten.add(bytes.size());
+                appendable_ = true;
+            }
             return;
         } catch (const util::IoError &e) {
+            // A failed append may have left part of its frame on disk;
+            // the retry rewrites the whole store over it.
+            appendable_ = false;
             if (attempt + 1 >= kPutAttempts) {
                 if (!warnedPutFailure_) {
                     warnedPutFailure_ = true;

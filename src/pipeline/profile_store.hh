@@ -14,8 +14,18 @@
  * Entries are stored per benchmark and persisted as they are
  * produced, so an interrupted sweep resumes from the benchmarks
  * already on disk (a partial cache hit re-profiles only the missing
- * ones). Every write goes through a ".tmp" sibling and an atomic
- * rename, so a crash mid-write can never leave a torn store behind.
+ * ones). A put appends one length-framed, checksummed entry and
+ * fsyncs it. A crash mid-append leaves at most a torn last frame,
+ * which open() detects and drops; the next put then rewrites the
+ * whole store through a ".tmp" sibling and an atomic rename, so the
+ * torn bytes never outlive it. A store directory has one writer at a
+ * time.
+ *
+ * Layout: an 8-byte magic, a u32 format version and the key string,
+ * then one frame per put: a u32 payload length, the u64 FNV-1a of the
+ * payload, and the payload (one entry). Version 1 stored the same
+ * entries back to back without frames; open() still reads it, and
+ * the first put converts it.
  */
 
 #pragma once
@@ -76,7 +86,7 @@ class ProfileStore
 {
   public:
     /** Bump when the binary layout or profile shape changes. */
-    static constexpr uint32_t kFormatVersion = 1;
+    static constexpr uint32_t kFormatVersion = 2;
 
     ProfileStore(const std::string &dir, const StoreKey &key);
 
@@ -84,8 +94,10 @@ class ProfileStore
      * Load every valid entry recorded under this store's key.
      * @return false when the file is absent or keyed to a different
      * configuration/format version; the store is then empty and the
-     * first put() rewrites it from scratch. A truncated trailing
-     * entry (interrupted run) is dropped, keeping the rest.
+     * first put() rewrites it from scratch. Reading stops at the
+     * first short frame or checksum mismatch (an interrupted append)
+     * and keeps the entries before it; the next put() rewrites the
+     * file without the torn tail.
      * @throws util::IoError when the file exists but cannot be read
      * (EACCES, EIO, …) — callers degrade to compute-without-cache
      * with a loud warning rather than serving silently from an
@@ -103,16 +115,21 @@ class ProfileStore
     static constexpr int kPutAttempts = 3;
 
     /**
-     * Record one benchmark's result and persist immediately. Each
-     * put rewrites the complete store (header + every entry, tens of
-     * KB for the full suite) to a ".tmp" sibling and renames it into
-     * place, so a crash at any instant leaves either the previous
-     * complete file or the new complete file — never a torn one.
-     * Transient commit failures are retried (kPutAttempts, bounded
-     * exponential backoff, `store.retry` counter); a persistent
-     * failure warns once on stderr and the entry stays in memory —
-     * put never throws for I/O, so one full disk cannot abort a
-     * sweep whose computation is fine.
+     * Record one benchmark's result and persist it before returning.
+     * When the file on disk is a clean store under this key that this
+     * object opened or wrote, the put appends one frame with a single
+     * write() and fsyncs it (`store.put.append`); a crash leaves the
+     * previous entries plus at most a torn frame that open() drops.
+     * Otherwise — the first put when the file is missing, under
+     * another key, version 1 or torn — it rewrites the complete store
+     * to a ".tmp" sibling and renames it into place
+     * (`store.put.rewrite`), so a crash leaves the previous file or
+     * the new one. Transient commit failures are retried
+     * (kPutAttempts, bounded exponential backoff, `store.retry`
+     * counter), and a retry after a failed append rewrites. A
+     * persistent failure warns once on stderr and the entry stays in
+     * memory — put never throws for I/O, so one full disk cannot
+     * abort a sweep whose computation is fine.
      */
     void put(const StoredProfile &profile);
 
@@ -123,8 +140,10 @@ class ProfileStore
     std::string dir_;
     std::string path_;
     std::string keyCanon_;
-    std::map<std::string, StoredProfile> entries_;
     std::mutex mutex_;
+    std::map<std::string, StoredProfile> entries_;
+    /** The file is a clean v2 store of entries_: a put may append. */
+    bool appendable_ = false;
     bool warnedPutFailure_ = false;
 };
 

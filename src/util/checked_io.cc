@@ -71,13 +71,13 @@ IoError::IoError(const std::string &op, const std::string &path, int err)
 }
 
 CheckedFile
-CheckedFile::openRead(const std::string &path,
-                      const std::string &sitePrefix)
+CheckedFile::openWith(const std::string &path,
+                      const std::string &sitePrefix, int flags)
 {
     checkSite(sitePrefix, "open", path, false);
     int fd;
     do {
-        fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
     } while (fd < 0 && errno == EINTR);
     if (fd < 0)
         throw IoError("open", path, errno);
@@ -89,22 +89,24 @@ CheckedFile::openRead(const std::string &path,
 }
 
 CheckedFile
+CheckedFile::openRead(const std::string &path,
+                      const std::string &sitePrefix)
+{
+    return openWith(path, sitePrefix, O_RDONLY);
+}
+
+CheckedFile
 CheckedFile::openWrite(const std::string &path,
                        const std::string &sitePrefix)
 {
-    checkSite(sitePrefix, "open", path, false);
-    int fd;
-    do {
-        fd = ::open(path.c_str(),
-                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0)
-        throw IoError("open", path, errno);
-    CheckedFile f;
-    f.fd_ = fd;
-    f.path_ = path;
-    f.prefix_ = sitePrefix;
-    return f;
+    return openWith(path, sitePrefix, O_WRONLY | O_CREAT | O_TRUNC);
+}
+
+CheckedFile
+CheckedFile::openAppend(const std::string &path,
+                        const std::string &sitePrefix)
+{
+    return openWith(path, sitePrefix, O_WRONLY | O_APPEND);
 }
 
 CheckedFile::~CheckedFile()

@@ -17,12 +17,14 @@
  *    faults into all three on-disk formats without per-format hooks;
  *    see failpoint.hh for the spec grammar and registry.
  *
- * The helpers cover the two shapes the formats actually use: slurp a
- * whole file for in-memory parsing (readFileBytes), and the atomic
+ * The helpers cover the shapes the formats actually use: slurp a
+ * whole file for in-memory parsing (readFileBytes), the atomic
  * write-.tmp/fsync/rename commit that is the repo-wide durability
  * idiom (atomicWriteFile, or a streaming CheckedFile + checkedRename
- * for the trace writer). Failed commits always remove their .tmp, so
- * debris from one failed attempt never blocks the next.
+ * for the trace writer), and the profile store's checksummed append
+ * (CheckedFile::openAppend + writeAll + syncToDisk). Failed commits
+ * always remove their .tmp, so debris from one failed attempt never
+ * blocks the next.
  */
 
 #pragma once
@@ -73,6 +75,13 @@ class CheckedFile
     static CheckedFile openWrite(const std::string &path,
                                  const std::string &sitePrefix);
 
+    /**
+     * Open an existing @p path so every write lands at its end
+     * (O_APPEND). @throws IoError (code ENOENT when absent).
+     */
+    static CheckedFile openAppend(const std::string &path,
+                                  const std::string &sitePrefix);
+
     CheckedFile() = default;
     ~CheckedFile();
 
@@ -107,6 +116,9 @@ class CheckedFile
     const std::string &path() const { return path_; }
 
   private:
+    static CheckedFile openWith(const std::string &path,
+                                const std::string &sitePrefix, int flags);
+
     int fd_ = -1;
     std::string path_;
     std::string prefix_;

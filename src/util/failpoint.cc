@@ -33,11 +33,15 @@ struct SiteDef
 };
 
 constexpr SiteDef kSites[] = {
-    // Profile store commit (put: serialize + .tmp + rename).
+    // Profile store rewrite (put: serialize + .tmp + rename).
     {"store.put.open", true},
     {"store.put.write", true},
     {"store.put.fsync", true},
     {"store.put.rename", true},
+    // Profile store append (put: one checksummed frame + fsync).
+    {"store.append.open", true},
+    {"store.append.write", true},
+    {"store.append.fsync", true},
     // Profile store load.
     {"store.load.open", false},
     {"store.load.read", false},

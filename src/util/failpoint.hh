@@ -37,7 +37,7 @@
  *
  * Examples:
  *
- *   store.put.write=error:ENOSPC@2      second store commit hits ENOSPC
+ *   store.append.write=error:ENOSPC@2   second store append hits ENOSPC
  *   trace.chunk.read=error,every=3      every 3rd chunk read fails EIO
  *   index.snapshot.rename=abort@1       crash at the snapshot rename
  *   store.put.write=shortwrite:100      torn 100-byte writes, always

@@ -207,15 +207,17 @@ TEST_F(CheckedIoTest, StorePutEnospcLeavesPreviousStoreReadable)
 
     // put() retries kPutAttempts times, warns, and never throws for
     // I/O: a full disk must not abort a sweep whose computation is
-    // fine. The destination stays the previous complete store.
-    arm("store.put.write=error:ENOSPC");
+    // fine. The first attempt appends; after it fails, each retry
+    // rewrites. The destination stays the previous complete store.
+    arm("store.append.write=error:ENOSPC;store.put.write=error:ENOSPC");
     {
         pipeline::ProfileStore s(tmp.dir, key);
         ASSERT_TRUE(s.open());
         s.put(namedProfile("suite/beta.b"));
     }
+    EXPECT_EQ(util::failpointFireCount("store.append.write"), 1u);
     EXPECT_EQ(util::failpointFireCount("store.put.write"),
-              uint64_t(pipeline::ProfileStore::kPutAttempts));
+              uint64_t(pipeline::ProfileStore::kPutAttempts - 1));
     util::disarmFailpoints();
 
     EXPECT_EQ(readAll(bin), before);

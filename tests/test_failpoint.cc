@@ -73,6 +73,7 @@ TEST_F(FailpointTest, RegistryHasTheDocumentedShape)
     ASSERT_FALSE(pts.empty());
 
     bool sawPutWrite = false, sawLoadRead = false, sawAnalyze = false;
+    bool sawAppendWrite = false;
     size_t writeSites = 0;
     for (const auto &fp : pts) {
         writeSites += fp.writeSite;
@@ -80,6 +81,11 @@ TEST_F(FailpointTest, RegistryHasTheDocumentedShape)
             sawPutWrite = true;
             EXPECT_TRUE(fp.writeSite);
         }
+        if (fp.name == "store.append.write") {
+            sawAppendWrite = true;
+            EXPECT_TRUE(fp.writeSite);
+        }
+        EXPECT_NE(fp.name, "store.append.rename");
         if (fp.name == "store.load.read") {
             sawLoadRead = true;
             EXPECT_FALSE(fp.writeSite);
@@ -88,11 +94,13 @@ TEST_F(FailpointTest, RegistryHasTheDocumentedShape)
             sawAnalyze = true;
     }
     EXPECT_TRUE(sawPutWrite);
+    EXPECT_TRUE(sawAppendWrite);
     EXPECT_TRUE(sawLoadRead);
     EXPECT_TRUE(sawAnalyze);
-    // Every durable writer contributes open/write/fsync/rename.
-    EXPECT_EQ(writeSites % 4, 0u);
-    EXPECT_GE(writeSites, 12u);
+    // Every durable writer contributes open/write/fsync/rename, except
+    // the profile store's append, which has no rename.
+    EXPECT_EQ((writeSites - 3) % 4, 0u);
+    EXPECT_GE(writeSites, 15u);
 }
 
 TEST_F(FailpointTest, ErrorActionCarriesTheNamedErrno)

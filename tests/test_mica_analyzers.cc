@@ -144,14 +144,12 @@ TEST(IlpTest, LargerWindowsNeverHurt)
     EXPECT_LE(ilp.ipc(3), 256.0);
 }
 
-TEST(IlpTest, NonPowerOfTwoWindowsUseTheSlowPathCorrectly)
+TEST(IlpTest, NonPowerOfTwoWindowsAreExact)
 {
-    // The hot path masks the ring index because the paper windows are
-    // powers of two; a non-pow2 window must still be accepted and
-    // produce exact results through the modulo slow path. With fully
-    // independent instructions, each group of W completes one cycle
-    // after the previous group: IPC = N / ceil(N / W).
-    IlpAnalyzer ilp({32, 48});      // pow2 fast path + non-pow2 slow path
+    // A window need not be a power of two. With fully independent
+    // instructions, each group of W completes one cycle after the
+    // previous group: IPC = N / ceil(N / W).
+    IlpAnalyzer ilp({32, 48});
     std::vector<InstRecord> recs(96, test::alu(kInvalidReg));
     feed(ilp, recs);
     EXPECT_EQ(ilp.windowSize(0), 32u);
@@ -178,6 +176,71 @@ TEST(IlpTest, NonPowerOfTwoWindowMatchesPowerOfTwoSemantics)
     EXPECT_LE(ilp.ipc(1), ilp.ipc(2) + 1e-9);   // 33 <= 64
 }
 
+/**
+ * The model one window at a time, as defined: a ring of W completion
+ * cycles and one ready cycle per register.
+ */
+double
+referenceIlp(const std::vector<InstRecord> &recs, size_t window)
+{
+    std::vector<uint64_t> complete(window, 0);
+    std::vector<uint64_t> ready(kNumRegs, 0);
+    uint64_t maxComplete = 0;
+    for (size_t i = 0; i < recs.size(); ++i) {
+        const InstRecord &rec = recs[i];
+        uint64_t start = complete[i % window];
+        for (unsigned s = 0; s < rec.numSrcRegs; ++s) {
+            const uint16_t r = rec.srcRegs[s];
+            if (r != kZeroReg && r < kNumRegs)
+                start = std::max(start, ready[r]);
+        }
+        const uint64_t comp = start + 1;
+        complete[i % window] = comp;
+        if (rec.dstReg != kZeroReg && rec.dstReg < kNumRegs)
+            ready[rec.dstReg] = comp;
+        maxComplete = std::max(maxComplete, comp);
+    }
+    return maxComplete ? double(recs.size()) / double(maxComplete) : 0.0;
+}
+
+TEST(IlpTest, LockstepWindowsMatchOneWindowAtATime)
+{
+    // Every window of a list must read as if it ran alone: lists of
+    // one to four windows, unsorted, repeated, pow2 and not, with
+    // operands on the zero register and out of range.
+    const std::vector<std::vector<size_t>> lists = {
+        {1}, {3}, {256, 32}, {7, 64, 65, 200}, {128, 128},
+        {2, 4, 8, 16}, {300, 1, 33}};
+    for (uint64_t seed : {5u, 17u}) {
+        RandomTraceParams p;
+        p.numInsts = 6000;
+        p.seed = seed;
+        RandomTraceSource src(p);
+        std::vector<InstRecord> recs;
+        InstRecord r;
+        while (src.next(r)) {
+            if (recs.size() % 7 == 0)
+                r.dstReg = kNumRegs + 3;
+            if (recs.size() % 11 == 0 && r.numSrcRegs > 0)
+                r.srcRegs[0] = kNumRegs + 5;
+            if (recs.size() % 13 == 0 && r.numSrcRegs > 0)
+                r.srcRegs[0] = kZeroReg;
+            recs.push_back(r);
+        }
+        for (const auto &windows : lists) {
+            IlpAnalyzer ilp(windows);
+            ilp.acceptBatch(recs.data(), recs.size());
+            ilp.finish();
+            ASSERT_EQ(ilp.numWindows(), windows.size());
+            for (size_t w = 0; w < windows.size(); ++w) {
+                EXPECT_EQ(ilp.windowSize(w), windows[w]);
+                EXPECT_EQ(ilp.ipc(w), referenceIlp(recs, windows[w]))
+                    << "seed " << seed << " window " << windows[w];
+            }
+        }
+    }
+}
+
 TEST(IlpTest, BatchedAcceptMatchesPerRecord)
 {
     RandomTraceParams p;
@@ -195,6 +258,22 @@ TEST(IlpTest, BatchedAcceptMatchesPerRecord)
     batched.finish();
     for (size_t w = 0; w < single.numWindows(); ++w)
         EXPECT_DOUBLE_EQ(single.ipc(w), batched.ipc(w));
+}
+
+TEST(IlpTest, RejectsAnEmptyWindowList)
+{
+    EXPECT_THROW(IlpAnalyzer(std::vector<size_t>{}), std::invalid_argument);
+}
+
+TEST(IlpTest, RejectsAZeroWindow)
+{
+    EXPECT_THROW(IlpAnalyzer({32, 0}), std::invalid_argument);
+}
+
+TEST(IlpTest, RejectsMoreThanFourWindows)
+{
+    EXPECT_THROW(IlpAnalyzer({16, 32, 64, 128, 256}),
+                 std::invalid_argument);
 }
 
 TEST(IlpTest, ZeroRegisterCarriesNoDependence)

@@ -8,9 +8,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -287,11 +291,185 @@ TEST(ProfileStoreTest, TornHeaderRejectsCleanlyAndPutRebuilds)
     EXPECT_NE(reopened.find("s/c.z"), nullptr);
 }
 
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void
+setFileBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/** @return whether @p got is @p want, bit for bit. */
+bool
+sameBits(const StoredProfile *got, const StoredProfile &want)
+{
+    return got && got->mica.name == want.mica.name &&
+        got->mica.instCount == want.mica.instCount &&
+        got->hpc.instCount == want.hpc.instCount &&
+        std::memcmp(got->mica.values.data(), want.mica.values.data(),
+                    sizeof(want.mica.values)) == 0 &&
+        got->hpc.toVector() == want.hpc.toVector();
+}
+
+/** The version-1 layout: the header, then bare entries, no frames. */
+void
+writeVersionOneStore(const std::string &path, const StoreKey &key,
+                     const std::vector<StoredProfile> &profiles)
+{
+    std::string out("MICAPST\n");
+    const auto pod = [&out](auto v) {
+        out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    const std::string canon = key.describe();
+    pod(uint32_t{1});
+    pod(static_cast<uint32_t>(canon.size()));
+    out += canon;
+    for (const StoredProfile &p : profiles) {
+        pod(uint32_t{0x50524F46});
+        pod(static_cast<uint32_t>(p.mica.name.size()));
+        out += p.mica.name;
+        pod(p.mica.instCount);
+        for (double v : p.mica.values)
+            pod(v);
+        pod(p.hpc.instCount);
+        for (double v : p.hpc.toVector())
+            pod(v);
+    }
+    setFileBytes(path, out);
+}
+
+TEST(ProfileStoreTest, TornOrCorruptLastFrameKeepsTheEntriesBeforeIt)
+{
+    StoreDir tmp;
+    StoreKey key;
+    const std::string bin = tmp.dir + "/profiles.bin";
+    const StoredProfile a = fakeProfile("s/a.x", 0.5);
+    const StoredProfile b = fakeProfile("s/b.y", 0.25);
+    const StoredProfile c = fakeProfile("s/c.z", 0.75);
+    const StoredProfile d = fakeProfile("s/d.w", 0.125);
+    {
+        ProfileStore writer(tmp.dir, key);
+        writer.put(a);
+        writer.put(b);
+    }
+    const size_t lastFrame = fileBytes(bin).size();
+    {
+        ProfileStore writer(tmp.dir, key);
+        ASSERT_TRUE(writer.open());
+        writer.put(c);
+    }
+    const std::string whole = fileBytes(bin);
+    ASSERT_GT(whole.size(), lastFrame + 12);
+
+    // Every damaged copy must open to exactly a and b. The next put
+    // must rewrite the file without the damage, so that a reopen sees
+    // a, b and the new entry.
+    const auto expectRepairs = [&](const std::string &damaged,
+                                   const std::string &what) {
+        SCOPED_TRACE(what);
+        setFileBytes(bin, damaged);
+        ProfileStore reader(tmp.dir, key);
+        ASSERT_TRUE(reader.open());
+        EXPECT_EQ(reader.size(), 2u);
+        EXPECT_TRUE(sameBits(reader.find("s/a.x"), a));
+        EXPECT_TRUE(sameBits(reader.find("s/b.y"), b));
+        EXPECT_EQ(reader.find("s/c.z"), nullptr);
+
+        reader.put(d);
+        ProfileStore reopened(tmp.dir, key);
+        ASSERT_TRUE(reopened.open());
+        EXPECT_EQ(reopened.size(), 3u);
+        EXPECT_TRUE(sameBits(reopened.find("s/a.x"), a));
+        EXPECT_TRUE(sameBits(reopened.find("s/b.y"), b));
+        EXPECT_TRUE(sameBits(reopened.find("s/d.w"), d));
+    };
+    for (size_t cut = lastFrame; cut < whole.size(); ++cut)
+        expectRepairs(whole.substr(0, cut), "cut at " + std::to_string(cut));
+    // Past the u32 length: the u64 checksum, then the payload.
+    for (size_t at = lastFrame + 4; at < whole.size(); ++at) {
+        std::string flipped = whole;
+        flipped[at] = static_cast<char>(flipped[at] ^ 0xff);
+        expectRepairs(flipped, "flip at " + std::to_string(at));
+    }
+    // A checksummed payload must hold one entry and nothing after it.
+    const std::string payload = whole.substr(lastFrame + 12) + "x";
+    const auto len = static_cast<uint32_t>(payload.size());
+    const uint64_t sum = fnv1a(payload.data(), payload.size());
+    expectRepairs(whole.substr(0, lastFrame) +
+                      std::string(reinterpret_cast<const char *>(&len), 4) +
+                      std::string(reinterpret_cast<const char *>(&sum), 8) +
+                      payload,
+                  "stray payload byte");
+}
+
+TEST(ProfileStoreTest, VersionOneStoreOpensAndAPutConvertsIt)
+{
+    StoreDir tmp;
+    StoreKey key;
+    key.maxInsts = 20000;
+    const std::string bin = tmp.dir + "/profiles.bin";
+    const std::vector<StoredProfile> old = {fakeProfile("s/a.x", 0.5),
+                                            fakeProfile("s/b.y", 0.25),
+                                            fakeProfile("s/c.z", 0.75)};
+    writeVersionOneStore(bin, key, old);
+
+    ProfileStore store(tmp.dir, key);
+    ASSERT_TRUE(store.open());
+    ASSERT_EQ(store.size(), 3u);
+    for (const StoredProfile &p : old)
+        EXPECT_TRUE(sameBits(store.find(p.name()), p)) << p.name();
+
+    const StoredProfile d = fakeProfile("s/d.w", 0.125);
+    store.put(d);
+    uint32_t version = 0;
+    std::memcpy(&version, fileBytes(bin).data() + 8, sizeof(version));
+    EXPECT_EQ(version, ProfileStore::kFormatVersion);
+    ProfileStore reopened(tmp.dir, key);
+    ASSERT_TRUE(reopened.open());
+    EXPECT_EQ(reopened.size(), 4u);
+    for (const StoredProfile &p : old)
+        EXPECT_TRUE(sameBits(reopened.find(p.name()), p)) << p.name();
+    EXPECT_TRUE(sameBits(reopened.find("s/d.w"), d));
+}
+
+TEST(ProfileStoreTest, PutOnACleanStoreAppendsExactlyOneFrame)
+{
+    StoreDir tmp;
+    StoreKey key;
+    const std::string bin = tmp.dir + "/profiles.bin";
+    {
+        ProfileStore writer(tmp.dir, key);
+        writer.put(fakeProfile("s/a.x", 0.5));
+    }
+    const std::string before = fileBytes(bin);
+    ProfileStore store(tmp.dir, key);
+    ASSERT_TRUE(store.open());
+    store.put(fakeProfile("s/b.y", 0.25));
+    const std::string after = fileBytes(bin);
+
+    // The old bytes stay in place; the rest is one frame: a u32
+    // payload length, the payload's u64 FNV-1a, then the payload.
+    ASSERT_GT(after.size(), before.size() + 12);
+    EXPECT_EQ(after.compare(0, before.size(), before), 0);
+    uint32_t len = 0;
+    uint64_t sum = 0;
+    std::memcpy(&len, after.data() + before.size(), sizeof(len));
+    std::memcpy(&sum, after.data() + before.size() + 4, sizeof(sum));
+    EXPECT_EQ(after.size(), before.size() + 12 + len);
+    EXPECT_EQ(sum, fnv1a(after.data() + before.size() + 12, len));
+}
+
 TEST(ProfileStoreTest, EveryPutLeavesACompleteLoadableFile)
 {
-    // The atomic-rewrite scheme means the on-disk file is a complete
-    // store after every single put — an interrupted sweep can always
-    // reload everything persisted so far.
+    // Rewrites go through tmp+rename and appends are fsynced before
+    // put returns, so the on-disk file is a complete store after every
+    // single put — an interrupted sweep can always reload everything
+    // persisted so far.
     StoreDir tmp;
     StoreKey key;
     ProfileStore writer(tmp.dir, key);
