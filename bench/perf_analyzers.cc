@@ -413,29 +413,19 @@ BM_TraceRecord(benchmark::State &state)
 BENCHMARK(BM_TraceRecord);
 
 /** Full 47-characteristic collection replayed from the trace file. */
-template <bool Streamed>
 void
-BM_TraceReplayProfile(benchmark::State &state)
+BM_TraceReplay(benchmark::State &state)
 {
     const std::string &path = recordedTracePath();
     for (auto _ : state) {
-        auto src = openTraceFile(path, Streamed);
-        const MicaProfile p = collectMicaProfile(*src, "x", {});
+        FileTraceSource src(path);
+        const MicaProfile p = collectMicaProfile(src, "x", {});
         benchmark::DoNotOptimize(p.values[0]);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(sharedTrace().size()));
 }
-void BM_TraceReplayMmap(benchmark::State &s)
-{
-    BM_TraceReplayProfile<false>(s);
-}
-void BM_TraceReplayStream(benchmark::State &s)
-{
-    BM_TraceReplayProfile<true>(s);
-}
-BENCHMARK(BM_TraceReplayMmap);
-BENCHMARK(BM_TraceReplayStream);
+BENCHMARK(BM_TraceReplay);
 
 // ----------------------------------------------------------------------
 // Methodology engine (GA fitness, clustering sweep) benchmarks.
@@ -875,7 +865,7 @@ clusterSweepRate(mica::pipeline::ThreadPool *pool)
 struct TraceReplayRates
 {
     uint64_t records = 0;
-    Summary interp, record, stream, mmap;
+    Summary interp, record, stream;
 };
 
 TraceReplayRates
@@ -936,27 +926,22 @@ traceReplayRates()
         const MicaProfile p = collectMicaProfile(src, "x", cfg);
         benchmark::DoNotOptimize(p.values[0]);
     });
-    r.mmap = rateSummary(r.records, [&] {
-        MappedTraceSource src(path);
-        const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
-    });
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".rec");
     return r;
 }
 
 /**
- * trace_v2 family: the columnar format against the flat one over the
- * same record stream — encode and decode rates in isolation (no
- * analyzers), the end-to-end replay rate through each reader, and the
- * on-disk compression ratio the column streams buy.
+ * trace_v2 family: the columnar format over one record stream — encode
+ * and decode rates in isolation (no analyzers), the end-to-end replay
+ * rate, and the on-disk compression ratio the column streams buy
+ * against the flat in-memory records (the base `mica trace ls` uses).
  */
 struct TraceV2Rates
 {
     uint64_t records = 0;
-    uint64_t v1Bytes = 0, v2Bytes = 0;
-    Summary encode, decode, replayV1, replayV2;
+    uint64_t v2Bytes = 0;
+    Summary encode, decode, replayV2;
 };
 
 TraceV2Rates
@@ -967,44 +952,40 @@ traceV2Rates()
     const isa::Program prog = e->build();
     MicaRunnerConfig cfg;
     cfg.maxInsts = 200000;
-    const auto tmp = std::filesystem::temp_directory_path();
-    const std::string p1 = (tmp / "mica_perf_trace_v2.v1.trace").string();
-    const std::string p2 = (tmp / "mica_perf_trace_v2.v2.trace").string();
+    const std::string p2 = (std::filesystem::temp_directory_path() /
+                            "mica_perf_trace_v2.trace")
+                               .string();
 
     TraceV2Rates r;
-    // Record the stream once into the flat format, then keep the
-    // records resident so encode timings see no interpreter cost.
+    // Keep the records resident so encode timings see no interpreter
+    // cost.
     std::vector<InstRecord> recs;
     {
         isa::Interpreter interp(prog);
-        TraceFileWriter w(p1, kTraceFormatV1);
-        RecordingSource tee(interp, w);
         std::vector<InstRecord> buf(4096);
         const InstRecord *span = nullptr;
         size_t got;
         while (r.records < cfg.maxInsts &&
-               (got = tee.nextSpan(
+               (got = interp.nextSpan(
                     span, buf.data(),
                     std::min<uint64_t>(buf.size(),
                                        cfg.maxInsts - r.records))) != 0) {
             recs.insert(recs.end(), span, span + got);
             r.records += got;
         }
-        w.close();
     }
     {
-        TraceFileWriter w(p2, kTraceFormatV2);
+        TraceFileWriter w(p2);
         w.append(recs.data(), recs.size());
         w.close();
     }
-    r.v1Bytes = std::filesystem::file_size(p1);
     r.v2Bytes = std::filesystem::file_size(p2);
 
     r.encode = rateSummary(r.records, [&] {
-        TraceFileWriter w(p2 + ".enc", kTraceFormatV2);
+        TraceFileWriter w(p2 + ".enc");
         w.append(recs.data(), recs.size());
         w.close();
-        benchmark::DoNotOptimize(w.version());
+        benchmark::DoNotOptimize(w.recordCount());
     });
     r.decode = rateSummary(r.records, [&] {
         FileTraceSource src(p2);
@@ -1016,17 +997,11 @@ traceV2Rates()
             n += got;
         benchmark::DoNotOptimize(n);
     });
-    r.replayV1 = rateSummary(r.records, [&] {
-        FileTraceSource src(p1);
-        const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
-    });
     r.replayV2 = rateSummary(r.records, [&] {
         FileTraceSource src(p2);
         const MicaProfile p = collectMicaProfile(src, "x", cfg);
         benchmark::DoNotOptimize(p.values[0]);
     });
-    std::filesystem::remove(p1);
     std::filesystem::remove(p2);
     std::filesystem::remove(p2 + ".enc");
     return r;
@@ -1452,10 +1427,7 @@ writeJsonProfile(const std::string &path, double obsRef,
         emitSummary(os, trr.record);
         os << ",\n        \"stream_replay\": ";
         emitSummary(os, trr.stream);
-        os << ",\n        \"mmap_replay\": ";
-        emitSummary(os, trr.mmap);
-        os << ",\n        \"mmap_speedup_vs_interp\": "
-           << ratio(trr.mmap, trr.interp) << "\n      }\n    }";
+        os << "\n      }\n    }";
         fams.emplace_back("trace_replay", os.str());
     }
 
@@ -1464,23 +1436,20 @@ writeJsonProfile(const std::string &path, double obsRef,
         std::ostringstream os;
         os.precision(17);
         os << "{\n      \"records\": " << tv.records << ",\n"
-           << "      \"v1_bytes\": " << tv.v1Bytes << ",\n"
            << "      \"v2_bytes\": " << tv.v2Bytes << ",\n"
            << "      \"compression_ratio\": "
-           << (tv.v2Bytes > 0 ? static_cast<double>(tv.v1Bytes) /
-                                    static_cast<double>(tv.v2Bytes)
-                              : 0.0)
+           << (tv.v2Bytes > 0
+                   ? static_cast<double>(tv.records * sizeof(InstRecord)) /
+                         static_cast<double>(tv.v2Bytes)
+                   : 0.0)
            << ",\n      \"encode_records_per_sec\": ";
         emitSummary(os, tv.encode);
         os << ",\n      \"decode_records_per_sec\": ";
         emitSummary(os, tv.decode);
         os << ",\n      \"full_profile_records_per_sec\": {\n"
-           << "        \"v1_stream_replay\": ";
-        emitSummary(os, tv.replayV1);
-        os << ",\n        \"v2_stream_replay\": ";
+           << "        \"v2_stream_replay\": ";
         emitSummary(os, tv.replayV2);
-        os << ",\n        \"v2_speedup_vs_v1\": "
-           << ratio(tv.replayV2, tv.replayV1) << "\n      }\n    }";
+        os << "\n      }\n    }";
         fams.emplace_back("trace_v2", os.str());
     }
 

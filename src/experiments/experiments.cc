@@ -114,14 +114,12 @@ collectSuiteDataset(const DatasetConfig &cfg)
         traceEntries =
             cfg.traceDir.empty()
                 ? workloads::traceBenchmarksFromFiles(
-                      cfg.traceFiles, cfg.traceStream, cfg.maxInsts,
-                      &traceStamp, &badFiles,
+                      cfg.traceFiles, cfg.maxInsts, &traceStamp,
+                      &badFiles,
                       cfg.traceLabel.empty() ? "trace set"
                                              : cfg.traceLabel)
-                : workloads::traceBenchmarks(cfg.traceDir,
-                                             cfg.traceStream,
-                                             cfg.maxInsts, &traceStamp,
-                                             &badFiles);
+                : workloads::traceBenchmarks(cfg.traceDir, cfg.maxInsts,
+                                             &traceStamp, &badFiles);
         std::sort(badFiles.begin(), badFiles.end());
         for (auto &bad : badFiles)
             ds.failures.push_back({std::move(bad.first), "scan",
@@ -353,8 +351,6 @@ configFromArgs(int argc, char **argv)
             cfg.suites = splitCommas(arg + 9);
         else if (std::strncmp(arg, "--traces=", 9) == 0)
             cfg.traceDir = arg + 9;
-        else if (std::strncmp(arg, "--reader=", 9) == 0)
-            cfg.traceStream = std::strcmp(arg + 9, "stream") == 0;
         else if (std::strncmp(arg, "--max-failures=", 15) == 0)
             cfg.maxFailures = std::strtoull(arg + 15, nullptr, 10);
         else if (std::strcmp(arg, "--quick") == 0)

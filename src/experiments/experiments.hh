@@ -88,13 +88,6 @@ struct DatasetConfig
     std::string traceLabel;
 
     /**
-     * Replay through the streamed FileTraceSource instead of the
-     * default mmap-backed reader. Byte-identical output either way,
-     * so (like jobs) this is not part of the store key.
-     */
-    bool traceStream = false;
-
-    /**
      * Profiling worker threads (1 = serial on the calling thread,
      * 0 = one per hardware thread). Output is bit-identical for every
      * value; this only changes wall-clock time.
@@ -157,11 +150,11 @@ SuiteDataset collectSuiteDataset(const DatasetConfig &cfg = {});
  * Parse harness flags shared by the bench executables:
  * --budget=N (maxInsts), --cache=DIR, --jobs=N (0 = auto),
  * --quick (reduced budget), --suites=A,B (suite filter),
- * --traces=DIR (replay recorded traces), --reader=stream|mmap
- * (trace reader choice), --max-failures=N (fault-isolation cap,
- * see DatasetConfig::maxFailures). Environment overrides: MICA_BUDGET,
- * MICA_CACHE, MICA_JOBS, MICA_TRACES. Unrecognized arguments are
- * ignored so google-benchmark flags pass through.
+ * --traces=DIR (replay recorded traces), --max-failures=N
+ * (fault-isolation cap, see DatasetConfig::maxFailures). Environment
+ * overrides: MICA_BUDGET, MICA_CACHE, MICA_JOBS, MICA_TRACES.
+ * Unrecognized arguments are ignored so google-benchmark flags pass
+ * through.
  */
 DatasetConfig configFromArgs(int argc, char **argv);
 

@@ -54,9 +54,7 @@ struct StoreKey
      * Callers set it to "<dir>#<content-digest>" — the digest covers
      * every trace file's name and payload checksum, so re-recording a
      * trace invalidates the store instead of silently serving
-     * profiles of the old bytes. The reader kind (mmap vs streamed)
-     * is deliberately *not* part of the key — profiles are
-     * byte-identical either way, like engineBatch.
+     * profiles of the old bytes.
      */
     std::string traceDir;
 

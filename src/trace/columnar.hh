@@ -2,8 +2,8 @@
  * @file
  * Columnar chunk codec for trace format v2.
  *
- * A v1 chunk stores raw 40-byte InstRecords; at corpus scale that is
- * ~40 GB per billion records and the page cache becomes the limit. A
+ * A v1 chunk stores raw 48-byte InstRecords; at corpus scale that is
+ * ~48 GB per billion records and the page cache becomes the limit. A
  * v2 chunk stores the same records as six independent column streams,
  * each encoded with the cheapest scheme that fits its distribution:
  *
@@ -25,12 +25,11 @@
  *                        control-transfer record only.
  *
  * The encoder canonicalizes records exactly as the field-validity
- * rules in inst_record.hh allow (and as the v1 writer already zeroes
- * struct padding): unused srcRegs lanes read back as kInvalidReg,
- * memAddr/memSize are 0 for non-memory records, target is 0 for
- * non-control records. The taken flag survives for every class. The
- * interpreter only ever emits canonical records, so real recordings
- * round-trip byte-identically; canonicalRecord() is the shared
+ * rules in inst_record.hh allow: unused srcRegs lanes read back as
+ * kInvalidReg, memAddr/memSize are 0 for non-memory records, target
+ * is 0 for non-control records. The taken flag survives for every
+ * class. The interpreter only ever emits canonical records, so real
+ * recordings round-trip byte-identically; canonicalRecord() is the shared
  * definition used by the codec and by `mica trace convert`'s
  * record-identity verification.
  *

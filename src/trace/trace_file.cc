@@ -1,8 +1,5 @@
 #include "trace/trace_file.hh"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -80,9 +77,7 @@ checkChunkHeaderV2(const char *raw, uint64_t remaining,
 }
 
 static_assert(std::is_trivially_copyable<InstRecord>::value,
-              "trace files store raw InstRecord bytes");
-static_assert(alignof(InstRecord) <= 8,
-              "chunk layout only guarantees 8-byte record alignment");
+              "v1 trace files store raw InstRecord bytes");
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -90,7 +85,7 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 /** Fixed-size header, written and patched field by field. */
 struct TraceHeader
 {
-    uint32_t version = kTraceFormatV1;
+    uint32_t version = kTraceFormatV2;
     uint32_t recordBytes = sizeof(InstRecord);
     uint64_t layoutHash = kTraceLayoutHash;
     uint64_t recordCount = kTraceUnfinished;
@@ -366,15 +361,9 @@ probeTraceFile(const std::string &path)
 // TraceFileWriter
 // ----------------------------------------------------------------------
 
-TraceFileWriter::TraceFileWriter(const std::string &path,
-                                 uint32_t version)
-    : path_(path), tmpPath_(path + ".tmp"), version_(version),
-      chunkCap_(version == kTraceFormatV2 ? kChunkRecordsV2
-                                          : kChunkRecords)
+TraceFileWriter::TraceFileWriter(const std::string &path)
+    : path_(path), tmpPath_(path + ".tmp")
 {
-    if (version < kTraceFormatV1 || version > kTraceFormatLatest)
-        throw TraceFileError(path, "unknown trace format version " +
-                                       std::to_string(version));
     std::error_code ec;
     const auto parent = std::filesystem::path(path).parent_path();
     if (!parent.empty())
@@ -382,16 +371,14 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
 
     try {
         out_ = util::CheckedFile::openWrite(tmpPath_, "trace.record");
-        TraceHeader unfinished;
-        unfinished.version = version_;
-        const std::string h = headerBytes(unfinished);
+        const std::string h = headerBytes(TraceHeader());
         out_.writeAll(h.data(), h.size());    // recordCount = unfinished
     } catch (const util::IoError &e) {
         out_ = util::CheckedFile();
         std::filesystem::remove(tmpPath_, ec);
         rethrowTraceIo(e);
     }
-    chunk_.reserve(chunkCap_);
+    chunk_.reserve(kChunkRecordsV2);
     open_ = true;
 }
 
@@ -410,24 +397,12 @@ TraceFileWriter::append(const InstRecord &rec)
 void
 TraceFileWriter::append(const InstRecord *recs, size_t n)
 {
-    // Copy field by field into a once-zeroed scratch record so struct
-    // padding bytes land on disk as zeros — recordings of the same
-    // trace are byte-identical files, not just equivalent ones.
-    InstRecord clean;
-    std::memset(static_cast<void *>(&clean), 0, sizeof(clean));
-    for (size_t i = 0; i < n; ++i) {
-        const InstRecord &r = recs[i];
-        clean.pc = r.pc;
-        clean.cls = r.cls;
-        clean.numSrcRegs = r.numSrcRegs;
-        clean.srcRegs = r.srcRegs;
-        clean.dstReg = r.dstReg;
-        clean.memAddr = r.memAddr;
-        clean.memSize = r.memSize;
-        clean.taken = r.taken;
-        clean.target = r.target;
-        chunk_.push_back(clean);
-        if (chunk_.size() == chunkCap_)
+    for (size_t i = 0; i < n;) {
+        const size_t take =
+            std::min(n - i, kChunkRecordsV2 - chunk_.size());
+        chunk_.insert(chunk_.end(), recs + i, recs + i + take);
+        i += take;
+        if (chunk_.size() == kChunkRecordsV2)
             flushChunk();
     }
     count_ += n;
@@ -439,36 +414,18 @@ TraceFileWriter::flushChunk()
     if (chunk_.empty())
         return;
     const uint32_t count = static_cast<uint32_t>(chunk_.size());
-    if (version_ == kTraceFormatV1) {
-        const size_t bytes = chunk_.size() * sizeof(InstRecord);
-        char ch[kChunkHeaderBytes];
-        std::memcpy(ch, &kTraceChunkMagic, sizeof(kTraceChunkMagic));
-        std::memcpy(ch + 4, &count, sizeof(count));
-        out_.writeAll(ch, sizeof(ch));
-        out_.writeAll(chunk_.data(), bytes);
-        // Hash magic and count as two 4-byte pieces, exactly as the
-        // probe does — FNV's word folding makes piecewise and whole
-        // hashing differ.
-        payloadHash_ = fnv1a(&kTraceChunkMagic, sizeof(kTraceChunkMagic),
-                             payloadHash_);
-        payloadHash_ = fnv1a(&count, sizeof(count), payloadHash_);
-        payloadHash_ = fnv1a(chunk_.data(), bytes, payloadHash_);
-        payloadBytes_ += kChunkHeaderBytes + bytes;
-    } else {
-        enc_.clear();
-        uint32_t colBytes[columnar::kNumColumns] = {};
-        columnar::encodeChunk(chunk_.data(), chunk_.size(), enc_,
-                              colBytes);
-        char ch[kChunkHeaderBytesV2];
-        std::memcpy(ch, &kTraceChunkMagicV2, sizeof(kTraceChunkMagicV2));
-        std::memcpy(ch + 4, &count, sizeof(count));
-        std::memcpy(ch + 8, colBytes, sizeof(colBytes));
-        out_.writeAll(ch, sizeof(ch));
-        out_.writeAll(enc_.data(), enc_.size());
-        payloadHash_ = fnv1a(ch, sizeof(ch), payloadHash_);
-        payloadHash_ = fnv1a(enc_.data(), enc_.size(), payloadHash_);
-        payloadBytes_ += kChunkHeaderBytesV2 + enc_.size();
-    }
+    enc_.clear();
+    uint32_t colBytes[columnar::kNumColumns] = {};
+    columnar::encodeChunk(chunk_.data(), chunk_.size(), enc_, colBytes);
+    char ch[kChunkHeaderBytesV2];
+    std::memcpy(ch, &kTraceChunkMagicV2, sizeof(kTraceChunkMagicV2));
+    std::memcpy(ch + 4, &count, sizeof(count));
+    std::memcpy(ch + 8, colBytes, sizeof(colBytes));
+    out_.writeAll(ch, sizeof(ch));
+    out_.writeAll(enc_.data(), enc_.size());
+    payloadHash_ = fnv1a(ch, sizeof(ch), payloadHash_);
+    payloadHash_ = fnv1a(enc_.data(), enc_.size(), payloadHash_);
+    payloadBytes_ += kChunkHeaderBytesV2 + enc_.size();
     chunk_.clear();
 }
 
@@ -481,7 +438,6 @@ TraceFileWriter::close()
         flushChunk();
 
         TraceHeader h;
-        h.version = version_;
         h.recordCount = count_;
         h.payloadBytes = payloadBytes_;
         h.payloadHash = payloadHash_;
@@ -513,14 +469,14 @@ TraceFileWriter::abort()
 }
 
 // ----------------------------------------------------------------------
-// FileTraceSource (streamed)
+// FileTraceSource
 // ----------------------------------------------------------------------
 
 FileTraceSource::FileTraceSource(const std::string &path,
                                  const TraceFileInfo *known)
     : path_(path), info_(known ? *known : probeTraceFile(path))
 {
-    static obs::Counter opens("trace.open.stream");
+    static obs::Counter opens("trace.open");
     opens.add(1);
     try {
         in_ = util::CheckedFile::openRead(path_, "trace.replay");
@@ -532,8 +488,6 @@ FileTraceSource::FileTraceSource(const std::string &path,
             in_.readExact(hb, sizeof(hb));
             TraceHeader h;
             checkHeaderBytes(hb, path_, h);
-            if (info_.version == 0)
-                info_.version = h.version;  // pre-v2 probe results
             if (h.version != info_.version ||
                 h.recordCount != info_.recordCount ||
                 h.payloadBytes != info_.payloadBytes ||
@@ -572,7 +526,10 @@ FileTraceSource::refill()
         }
         std::memcpy(&magic, ch, sizeof(magic));
         std::memcpy(&count, ch + 4, sizeof(count));
-        if (magic != kTraceChunkMagic || count == 0)
+        // Bound the count before allocating: a rewritten header must
+        // not size the buffer past what the validated payload holds.
+        if (magic != kTraceChunkMagic || count == 0 ||
+            uint64_t(count) * sizeof(InstRecord) > info_.payloadBytes)
             throw TraceFileError(path_,
                                  "chunk header changed after open");
         buf_.resize(count);
@@ -665,157 +622,6 @@ FileTraceSource::reset()
     buf_.clear();
     pos_ = 0;
     chunksRead_ = 0;
-    return true;
-}
-
-// ----------------------------------------------------------------------
-// MappedTraceSource
-// ----------------------------------------------------------------------
-
-MappedTraceSource::MappedTraceSource(const std::string &path,
-                                     const TraceFileInfo *known)
-    : path_(path), info_(known ? *known : probeTraceFile(path))
-{
-    static obs::Counter opens("trace.open.mmap");
-    opens.add(1);
-    // v2 chunks hold encoded column streams, not InstRecord bytes, so
-    // there is nothing a mapping could lend spans out of.
-    if (info_.version == kTraceFormatV2)
-        throw TraceFileError(path,
-                             "columnar v2 trace: mmap replay is "
-                             "v1-only; use the streamed reader");
-    mapBytes_ = kTraceHeaderBytes + info_.payloadBytes;
-    checkReadFailpoint("trace.replay.open", path, "open");
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        throw TraceFileError(path,
-                             std::string("open failed: ") +
-                                 std::strerror(errno),
-                             errno);
-    // The probe ran against a separate open: re-stat through this fd
-    // so a file swapped in between cannot shrink the mapping under
-    // the validated byte counts (reads past EOF in a mapping are
-    // SIGBUS, not recoverable errors).
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0 ||
-        static_cast<uint64_t>(st.st_size) != mapBytes_) {
-        ::close(fd);
-        throw TraceFileError(path, "file changed since it was scanned");
-    }
-    void *base =
-        ::mmap(nullptr, mapBytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (base == MAP_FAILED)
-        throw TraceFileError(path,
-                             std::string("mmap failed: ") +
-                                 std::strerror(errno),
-                             errno);
-    base_ = static_cast<const char *>(base);
-    cursor_ = base_ + kTraceHeaderBytes;
-
-    // Validate the mapped header itself (cheap), so both the no-probe
-    // fast path and a probe raced by a same-size rewrite reject here.
-    TraceHeader h;
-    std::memcpy(&h.version, base_ + 8, sizeof(h.version));
-    std::memcpy(&h.recordBytes, base_ + 12, sizeof(h.recordBytes));
-    std::memcpy(&h.layoutHash, base_ + 16, sizeof(h.layoutHash));
-    std::memcpy(&h.recordCount, base_ + 24, sizeof(h.recordCount));
-    std::memcpy(&h.payloadBytes, base_ + 32, sizeof(h.payloadBytes));
-    std::memcpy(&h.payloadHash, base_ + 40, sizeof(h.payloadHash));
-    if (std::memcmp(base_, kTraceMagic, sizeof(kTraceMagic)) != 0 ||
-        h.version != kTraceFormatV1 ||
-        h.recordBytes != sizeof(InstRecord) ||
-        h.layoutHash != kTraceLayoutHash ||
-        h.recordCount != info_.recordCount ||
-        h.payloadBytes != info_.payloadBytes ||
-        h.payloadHash != info_.payloadHash) {
-        ::munmap(const_cast<char *>(base_), mapBytes_);
-        base_ = nullptr;
-        throw TraceFileError(path, "file changed since it was scanned");
-    }
-}
-
-MappedTraceSource::~MappedTraceSource()
-{
-    if (base_)
-        ::munmap(const_cast<char *>(base_), mapBytes_);
-}
-
-bool
-MappedTraceSource::advanceChunk()
-{
-    const char *end = base_ + mapBytes_;
-    if (cursor_ == end)
-        return false;
-    // Bounds-check every chunk walk: the validation probe ran against
-    // a separate open of the path, so a concurrent rewrite could put
-    // arbitrary counts here — decoding them unchecked would walk the
-    // cursor (and the next memcpy) out of the mapping.
-    uint32_t magic = 0, count = 0;
-    if (end - cursor_ < static_cast<ptrdiff_t>(kChunkHeaderBytes))
-        throw TraceFileError(path_, "chunk header out of bounds (file "
-                                    "changed after open?)");
-    std::memcpy(&magic, cursor_, sizeof(magic));
-    std::memcpy(&count, cursor_ + 4, sizeof(count));
-    if (magic != kTraceChunkMagic || count == 0 ||
-        static_cast<uint64_t>(end - cursor_) - kChunkHeaderBytes <
-            uint64_t(count) * sizeof(InstRecord))
-        throw TraceFileError(path_, "corrupt chunk in mapping (file "
-                                    "changed after open?)");
-    recs_ = reinterpret_cast<const InstRecord *>(cursor_ +
-                                                 kChunkHeaderBytes);
-    left_ = count;
-    cursor_ += kChunkHeaderBytes + size_t(count) * sizeof(InstRecord);
-    static obs::Counter chunks("trace.chunk.decoded");
-    chunks.add(1);
-    return true;
-}
-
-bool
-MappedTraceSource::next(InstRecord &rec)
-{
-    if (left_ == 0 && !advanceChunk())
-        return false;
-    rec = *recs_++;
-    --left_;
-    return true;
-}
-
-size_t
-MappedTraceSource::nextBatch(InstRecord *buf, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        if (left_ == 0 && !advanceChunk())
-            break;
-        const size_t take = std::min(n - got, left_);
-        std::copy_n(recs_, take, buf + got);
-        recs_ += take;
-        left_ -= take;
-        got += take;
-    }
-    return got;
-}
-
-size_t
-MappedTraceSource::nextSpan(const InstRecord *&span, InstRecord *,
-                            size_t n)
-{
-    if (left_ == 0 && !advanceChunk())
-        return 0;
-    const size_t got = std::min(n, left_);
-    span = recs_;
-    recs_ += got;
-    left_ -= got;
-    return got;
-}
-
-bool
-MappedTraceSource::reset()
-{
-    cursor_ = base_ ? base_ + kTraceHeaderBytes : nullptr;
-    recs_ = nullptr;
-    left_ = 0;
     return true;
 }
 
@@ -995,39 +801,27 @@ readTextTrace(const std::string &path)
 }
 
 std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, bool streamed,
-              const TraceFileInfo *known)
+openTraceFile(const std::string &path, const TraceFileInfo *known)
 {
     const std::string ext =
         std::filesystem::path(path).extension().string();
     if (ext == ".csv" || ext == ".txt")
         return std::make_unique<VectorTraceSource>(readTextTrace(path));
-    // Dispatch on the header format version: v2 files always replay
-    // through the streamed reader (mmap has no raw records to lend).
-    TraceFileInfo local;
-    if (known == nullptr) {
-        local = probeTraceFile(path);
-        known = &local;
-    }
-    if (streamed || known->version == kTraceFormatV2)
-        return std::make_unique<FileTraceSource>(path, known);
-    return std::make_unique<MappedTraceSource>(path, known);
+    return std::make_unique<FileTraceSource>(path, known);
 }
 
 TraceConvertStats
-convertTraceFile(const std::string &src, const std::string &dst,
-                 uint32_t dstVersion)
+convertTraceFile(const std::string &src, const std::string &dst)
 {
     obs::ObsSpan sp("trace.convert");
     const TraceFileInfo srcInfo = probeTraceFile(src);
     TraceConvertStats stats;
     stats.srcVersion = srcInfo.version;
-    stats.dstVersion = dstVersion;
     stats.srcBytes = kTraceHeaderBytes + srcInfo.payloadBytes;
 
     {
         FileTraceSource in(src, &srcInfo);
-        TraceFileWriter out(dst, dstVersion);
+        TraceFileWriter out(dst);
         const InstRecord *span = nullptr;
         size_t got = 0;
         while ((got = in.nextSpan(span, nullptr, size_t(-1))) > 0)

@@ -7,9 +7,8 @@
  * mini-ISA interpreter. A versioned binary trace format decouples the
  * two: any TraceSource can be teed to disk once (RecordingSource +
  * TraceFileWriter) and replayed any number of times, byte-identically,
- * by either of two readers — a streamed FileTraceSource and an
- * mmap-backed MappedTraceSource whose spans point straight into the
- * mapping (zero copy). A lenient text reader covers hand-made traces.
+ * by the streamed FileTraceSource. A lenient text reader covers
+ * hand-made traces.
  *
  * Format (all integers native-endian; a byte-swapped file fails the
  * version check and is rejected):
@@ -22,7 +21,7 @@
  *     u64      recordCount  total records (kTraceUnfinished until the
  *                           writer's close() patches it)
  *     u64      payloadBytes total bytes of all chunks after the header
- *     u64      payloadHash  FNV-1a over every payload byte
+ *     u64      payloadHash  fnv1a over every payload byte
  *   v1 payload: a sequence of chunks
  *     u32      chunkMagic   kTraceChunkMagic ("TCHK")
  *     u32      count        records in this chunk (> 0)
@@ -34,21 +33,18 @@
  *     byte[..] columns      the six streams, concatenated in column
  *                           order (see trace/columnar.hh)
  *
- * A v1 chunk advances the file offset by 8 + count * sizeof(InstRecord)
- * with records 8-byte aligned, so the mmap reader lends InstRecord
- * spans directly out of the mapping. A v2 chunk stores the same records
- * as delta/varint/bit-packed column streams (~5 bytes per record
- * instead of 48); it must be decoded, so v2 files replay through the
- * streamed reader (MappedTraceSource is v1-only). Readers dispatch
- * on the header version; both versions stay readable forever.
+ * The writer emits v2 only: a v2 chunk stores the records as
+ * delta/varint/bit-packed column streams (~5 bytes per record instead
+ * of 48). v1 files, written by older builds, stay readable forever:
+ * FileTraceSource dispatches on the header version and reads both.
  *
- * Every reader validates the whole chunk structure AND the payload
- * checksum up front (one sequential read at open; for v2 the probe
- * fully decodes every chunk so corruption is reported per column) and
- * rejects corrupt, truncated, or version/layout-mismatched files with
- * a TraceFileError naming the file and the reason — a bad trace file
- * can never silently degrade into re-interpreting, partial replay, or
- * replaying flipped bits.
+ * Opening a binary trace validates the whole chunk structure AND the
+ * payload checksum up front (one sequential read at open; for v2 the
+ * probe fully decodes every chunk so corruption is reported per
+ * column) and rejects corrupt, truncated, or version/layout-mismatched
+ * files with a TraceFileError naming the file and the reason — a bad
+ * trace file can never silently degrade into re-interpreting, partial
+ * replay, or replaying flipped bits.
  */
 
 #pragma once
@@ -67,13 +63,13 @@
 namespace mica
 {
 
-/** Format 1: chunks of raw 8-byte-aligned InstRecords (mmap-able). */
+/** Format 1: chunks of raw InstRecords (read only; the writer emits v2). */
 constexpr uint32_t kTraceFormatV1 = 1;
 
 /** Format 2: columnar chunks (delta/varint/bit-packed streams). */
 constexpr uint32_t kTraceFormatV2 = 2;
 
-/** Newest format this build can read and write. */
+/** Newest format this build can read, and the one it writes. */
 constexpr uint32_t kTraceFormatLatest = kTraceFormatV2;
 
 /** Sentinel recordCount of a recording whose writer never closed. */
@@ -157,7 +153,7 @@ uint64_t fnv1a(const void *data, size_t n,
 TraceFileInfo probeTraceFile(const std::string &path);
 
 /**
- * Streaming writer for the binary trace format.
+ * Streaming writer for the binary trace format (always v2).
  *
  * Records are buffered into fixed-size chunks and flushed as each
  * chunk fills. All bytes go to "<path>.tmp"; close() patches the
@@ -168,11 +164,8 @@ TraceFileInfo probeTraceFile(const std::string &path);
 class TraceFileWriter
 {
   public:
-    /** Records buffered per v1 chunk (192 KB of payload). */
-    static constexpr size_t kChunkRecords = 4096;
-
     /**
-     * Records buffered per v2 chunk. Columnar encoding amortizes the
+     * Records buffered per chunk. Columnar encoding amortizes the
      * 32-byte chunk header and the per-chunk delta restart over more
      * records; the decode scratch stays well under 1 MB.
      */
@@ -181,13 +174,9 @@ class TraceFileWriter
     /**
      * Create the destination directory if needed and open the .tmp
      * sibling.
-     * @param version on-disk format: kTraceFormatV1 (raw records) or
-     *        kTraceFormatV2 (columnar).
-     * @throws TraceFileError when the file cannot be opened or
-     *         @p version is unknown.
+     * @throws TraceFileError when the file cannot be opened.
      */
-    explicit TraceFileWriter(const std::string &path,
-                             uint32_t version = kTraceFormatV1);
+    explicit TraceFileWriter(const std::string &path);
 
     /** Discards the .tmp file unless close() already ran. */
     ~TraceFileWriter();
@@ -217,19 +206,14 @@ class TraceFileWriter
     /** @return the destination path. */
     const std::string &path() const { return path_; }
 
-    /** @return the on-disk format version being written. */
-    uint32_t version() const { return version_; }
-
   private:
     void flushChunk();
 
     std::string path_;
     std::string tmpPath_;
-    uint32_t version_ = kTraceFormatV1;
-    size_t chunkCap_ = kChunkRecords;
     util::CheckedFile out_;
     std::vector<InstRecord> chunk_;
-    std::string enc_;           ///< reused v2 chunk encode buffer
+    std::string enc_;           ///< reused chunk encode buffer
     uint64_t count_ = 0;
     uint64_t payloadBytes_ = 0;
     uint64_t payloadHash_ = 14695981039346656037ull;    // FNV-1a basis
@@ -237,9 +221,10 @@ class TraceFileWriter
 };
 
 /**
- * Streamed reader: one buffered chunk in memory at a time, so replay
- * cost is O(chunk) memory regardless of trace length. Supports
- * reset(); spans point into the internal chunk buffer.
+ * The binary trace reader, for both formats: one buffered chunk in
+ * memory at a time, so replay cost is O(chunk) memory regardless of
+ * trace length. Supports reset(); spans point into the internal chunk
+ * buffer.
  */
 class FileTraceSource : public TraceSource
 {
@@ -275,54 +260,6 @@ class FileTraceSource : public TraceSource
     std::vector<char> enc_;     ///< reused v2 column payload buffer
     size_t pos_ = 0;            ///< consumed records within buf_
     uint64_t chunksRead_ = 0;
-};
-
-/**
- * mmap-backed reader: the whole file is mapped read-only and
- * nextSpan() lends records directly out of the mapping — zero copies
- * on the profiling hot path (chunks keep records 8-byte aligned).
- * Supports reset(). v1-only by design: a v2 file stores encoded
- * columns, not InstRecord bytes, so there is nothing to lend spans
- * out of — the constructor rejects v2 files and points at the
- * streamed reader.
- */
-class MappedTraceSource : public TraceSource
-{
-  public:
-    /**
-     * @param known as for FileTraceSource: skips the full payload
-     *        re-probe; the mapping's header and size are still
-     *        verified and every chunk walk is bounds-checked.
-     * @throws TraceFileError when the file fails validation or mmap.
-     */
-    explicit MappedTraceSource(const std::string &path,
-                               const TraceFileInfo *known = nullptr);
-
-    ~MappedTraceSource() override;
-
-    MappedTraceSource(const MappedTraceSource &) = delete;
-    MappedTraceSource &operator=(const MappedTraceSource &) = delete;
-
-    bool next(InstRecord &rec) override;
-    size_t nextBatch(InstRecord *buf, size_t n) override;
-    size_t nextSpan(const InstRecord *&span, InstRecord *buf,
-                    size_t n) override;
-    bool reset() override;
-
-    /** @return total records in the file. */
-    uint64_t recordCount() const { return info_.recordCount; }
-
-  private:
-    /** Position cursor at the next chunk; @return false at end. */
-    bool advanceChunk();
-
-    std::string path_;
-    TraceFileInfo info_;
-    const char *base_ = nullptr;    ///< mapping base (nullptr if empty)
-    size_t mapBytes_ = 0;
-    const char *cursor_ = nullptr;  ///< next unread chunk header
-    const InstRecord *recs_ = nullptr;  ///< next record in current chunk
-    size_t left_ = 0;               ///< records left in current chunk
 };
 
 /**
@@ -398,19 +335,14 @@ std::vector<InstRecord> parseTextTrace(std::istream &in,
 std::vector<InstRecord> readTextTrace(const std::string &path);
 
 /**
- * Open a trace file with the reader its contents call for: binary
- * ".trace" files dispatch on the header format version — v1 via
- * MappedTraceSource (or FileTraceSource when @p streamed), v2 always
- * via the streamed FileTraceSource — and ".csv"/".txt" text traces
- * replay from a parsed buffer.
+ * Open a trace file: binary ".trace" files replay through
+ * FileTraceSource (either format), ".csv"/".txt" text traces from a
+ * parsed buffer.
  * @param known optional earlier probe result for binary files (see
- *        the reader constructors); when omitted the file is probed
- *        here so the version dispatch can read it. Ignored for text
- *        traces.
+ *        the FileTraceSource constructor). Ignored for text traces.
  * @throws TraceFileError when the file fails validation.
  */
 std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           bool streamed = false,
                                            const TraceFileInfo *known =
                                                nullptr);
 
@@ -418,25 +350,23 @@ std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
 struct TraceConvertStats
 {
     uint32_t srcVersion = 0;    ///< format of the source file
-    uint32_t dstVersion = 0;    ///< format written
     uint64_t records = 0;       ///< records copied
     uint64_t srcBytes = 0;      ///< source file size on disk
     uint64_t dstBytes = 0;      ///< destination file size on disk
 };
 
 /**
- * Re-encode the binary trace at @p src into @p dst with format
- * @p dstVersion (written atomically via the normal .tmp + rename
- * writer path), then re-open both files and verify them
- * record-identical — every record of @p dst must equal the canonical
- * form (trace/columnar.hh) of the corresponding @p src record.
+ * Re-encode the binary trace at @p src (v1 or v2) into a v2 file at
+ * @p dst (written atomically via the normal .tmp + rename writer
+ * path), then re-open both files and verify them record-identical —
+ * every record of @p dst must equal the canonical form
+ * (trace/columnar.hh) of the corresponding @p src record.
  *
  * @throws TraceFileError when @p src fails validation, the write
  *         fails, or — after deleting @p dst — verification fails.
  */
 TraceConvertStats convertTraceFile(const std::string &src,
-                                   const std::string &dst,
-                                   uint32_t dstVersion);
+                                   const std::string &dst);
 
 /**
  * Replay @p a and @p b side by side and compare canonicalized records.

@@ -633,9 +633,31 @@ traceInfoFromStem(const std::string &stem)
 
 } // namespace
 
+std::string
+traceStem(const std::string &fullName)
+{
+    std::string stem = fullName;
+    const size_t slash = stem.find('/');
+    if (slash != std::string::npos)
+        stem.replace(slash, 1, "__");
+    return stem;
+}
+
+std::string
+findTraceFile(const std::string &dir, const std::string &fullName)
+{
+    const std::string base = dir + "/" + traceStem(fullName);
+    for (const char *ext : {".trace", ".csv", ".txt"}) {
+        std::error_code ec;
+        if (std::filesystem::is_regular_file(base + ext, ec))
+            return base + ext;
+    }
+    return "";
+}
+
 std::vector<BenchmarkEntry>
-traceBenchmarks(const std::string &dir, bool streamReader,
-                uint64_t maxInsts, uint64_t *contentStamp,
+traceBenchmarks(const std::string &dir, uint64_t maxInsts,
+                uint64_t *contentStamp,
                 std::vector<std::pair<std::string, std::string>>
                     *quarantined)
 {
@@ -648,14 +670,13 @@ traceBenchmarks(const std::string &dir, bool streamReader,
         if (de.is_regular_file())
             files.push_back(de.path().string());
     }
-    return traceBenchmarksFromFiles(files, streamReader, maxInsts,
-                                    contentStamp, quarantined, dir);
+    return traceBenchmarksFromFiles(files, maxInsts, contentStamp,
+                                    quarantined, dir);
 }
 
 std::vector<BenchmarkEntry>
 traceBenchmarksFromFiles(const std::vector<std::string> &files,
-                         bool streamReader, uint64_t maxInsts,
-                         uint64_t *contentStamp,
+                         uint64_t maxInsts, uint64_t *contentStamp,
                          std::vector<std::pair<std::string, std::string>>
                              *quarantined,
                          const std::string &what)
@@ -698,8 +719,8 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                     fnv1a(&fi.recordCount, sizeof(fi.recordCount),
                           fnv1a(&fi.payloadHash,
                                 sizeof(fi.payloadHash)));
-                e.source = [path = p.string(), streamReader, fi] {
-                    return openTraceFile(path, streamReader, &fi);
+                e.source = [path = p.string(), fi] {
+                    return openTraceFile(path, &fi);
                 };
             } else {
                 if (contentStamp || maxInsts != 0) {
@@ -728,8 +749,8 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                         }
                     }
                 }
-                e.source = [path = p.string(), streamReader] {
-                    return openTraceFile(path, streamReader);
+                e.source = [path = p.string()] {
+                    return openTraceFile(path);
                 };
             }
         } catch (const TraceFileError &ex) {

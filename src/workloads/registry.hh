@@ -52,18 +52,34 @@ class BenchmarkRegistry
 };
 
 /**
+ * The trace-file stem of a benchmark: "suite/program.input" ->
+ * "suite__program.input" (the first '/' becomes "__"; a name without
+ * one is its own stem). `mica trace record` writes <stem>.trace, and
+ * traceBenchmarks maps a stem back to the name.
+ */
+std::string traceStem(const std::string &fullName);
+
+/**
+ * The file in @p dir that holds benchmark @p fullName: the first of
+ * <stem>.trace, <stem>.csv and <stem>.txt that exists as a regular
+ * file, or "" when none does.
+ */
+std::string findTraceFile(const std::string &dir,
+                          const std::string &fullName);
+
+/**
  * Surface a directory of recorded traces as first-class benchmarks.
  *
- * Every "*.trace" (binary, see trace/trace_file.hh) and "*.csv"/
- * "*.txt" (hand-made text trace) file in @p dir becomes one entry
- * whose source factory replays the file; the filename stem maps back
- * to the benchmark identity by replacing the first "__" with "/"
+ * Every "*.trace" (binary, v1 or v2, see trace/trace_file.hh) and
+ * "*.csv"/"*.txt" (hand-made text trace) file in @p dir becomes one
+ * entry whose source factory replays the file; the filename stem maps
+ * back to the benchmark identity by replacing the first "__" with "/"
  * ("SPEC2000__gzip.graphic.trace" -> "SPEC2000/gzip.graphic", the
- * inverse of what `mica trace record` writes). Stems without "__"
- * land in the synthetic "traces" suite. Entries are ordered by Table
- * I position (unknown names after, sorted by name), so replaying a
- * recorded registry sweep reproduces the interpreter sweep's report
- * ordering byte for byte.
+ * inverse of traceStem). Stems without "__" land in the synthetic
+ * "traces" suite. Entries are ordered by Table I position (unknown
+ * names after, sorted by name), so replaying a recorded registry
+ * sweep reproduces the interpreter sweep's report ordering byte for
+ * byte.
  *
  * Binary files are validated eagerly (header + chunk chain +
  * payload checksum), so a corrupt or version-mismatched trace
@@ -74,9 +90,6 @@ class BenchmarkRegistry
  * files mapping to the same benchmark name reject too.
  *
  * @param dir directory holding the trace files
- * @param streamReader replay via FileTraceSource instead of the
- *        default MappedTraceSource (profiles are byte-identical
- *        either way)
  * @param maxInsts the profiling budget the entries will run under:
  *        a binary trace holding fewer records than a nonzero budget
  *        rejects, because replay would silently produce a shorter
@@ -99,8 +112,8 @@ class BenchmarkRegistry
  *         @p quarantined null) a trace file in it fails validation
  */
 std::vector<BenchmarkEntry>
-traceBenchmarks(const std::string &dir, bool streamReader = false,
-                uint64_t maxInsts = 0, uint64_t *contentStamp = nullptr,
+traceBenchmarks(const std::string &dir, uint64_t maxInsts = 0,
+                uint64_t *contentStamp = nullptr,
                 std::vector<std::pair<std::string, std::string>>
                     *quarantined = nullptr);
 
@@ -114,7 +127,6 @@ traceBenchmarks(const std::string &dir, bool streamReader = false,
  */
 std::vector<BenchmarkEntry>
 traceBenchmarksFromFiles(const std::vector<std::string> &files,
-                         bool streamReader = false,
                          uint64_t maxInsts = 0,
                          uint64_t *contentStamp = nullptr,
                          std::vector<std::pair<std::string, std::string>>

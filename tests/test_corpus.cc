@@ -21,6 +21,7 @@
 #include "pipeline/corpus_runner.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
+#include "trace_v1_writer.hh"
 #include "workloads/corpus.hh"
 
 namespace mica
@@ -66,11 +67,10 @@ sampleRecords(uint64_t n, uint64_t seed = 7)
 }
 
 void
-writeTraceAt(const std::string &path, const std::vector<InstRecord> &recs,
-             uint32_t version = kTraceFormatV2)
+writeTraceAt(const std::string &path, const std::vector<InstRecord> &recs)
 {
     fs::create_directories(fs::path(path).parent_path());
-    TraceFileWriter w(path, version);
+    TraceFileWriter w(path);
     w.append(recs.data(), recs.size());
     w.close();
 }
@@ -83,8 +83,8 @@ workloads::CorpusManifest
 makeCorpus(const TmpDir &tmp, size_t shardSize = 2)
 {
     writeTraceAt(tmp.file("CommBench__tcp.tcp.trace"), sampleRecords(50, 1));
-    writeTraceAt(tmp.file("MiBench__sha.large.trace"), sampleRecords(60, 2),
-                 kTraceFormatV1);
+    test::writeTraceV1(tmp.file("MiBench__sha.large.trace"),
+                       sampleRecords(60, 2));
     writeTraceAt(tmp.file("nested/a.trace"), sampleRecords(70, 3));
     writeTraceAt(tmp.file("nested/b.trace"), sampleRecords(80, 4));
     writeTraceAt(tmp.file("zz.trace"), sampleRecords(90, 5));
@@ -309,8 +309,8 @@ TEST(CorpusDatasetTest, FileListDatasetMatchesDirectoryDataset)
     TmpDir tmp;
     writeTraceAt(tmp.file("CommBench__tcp.tcp.trace"),
                  sampleRecords(400, 11));
-    writeTraceAt(tmp.file("MiBench__sha.large.trace"),
-                 sampleRecords(400, 12), kTraceFormatV1);
+    test::writeTraceV1(tmp.file("MiBench__sha.large.trace"),
+                       sampleRecords(400, 12));
     const auto m = workloads::scanCorpus(tmp.dir, 8);
     ASSERT_EQ(m.shards.size(), 1u);
 

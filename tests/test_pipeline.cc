@@ -569,7 +569,7 @@ TEST(ParallelCollectorTest, FusedPassMatchesSeparateCollectors)
         stem.replace(stem.find('/'), 1, "__");
         const isa::Program prog = e->build();
         isa::Interpreter interp(prog);
-        TraceFileWriter w(tmp.dir + "/" + stem + ".trace", kTraceFormatV2);
+        TraceFileWriter w(tmp.dir + "/" + stem + ".trace");
         InstRecord r;
         for (uint64_t n = 0; n < rc.maxInsts && interp.next(r); ++n)
             w.append(r);

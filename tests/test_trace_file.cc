@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for file-backed trace recording and replay: the binary format
- * round trip (streamed and mmap readers, bit for bit), writer
- * atomicity, rejection of corrupt/truncated/version-mismatched files,
- * the RecordingSource tee, the next()/nextBatch()/nextSpan() prefix
- * contract across every source, text traces, trace-directory
- * benchmark surfacing, and the load-bearing contract of the whole
- * subsystem: replaying a recorded trace produces profiles
- * byte-identical to interpreting the program directly.
+ * round trip (v2 as written, v1 from the test-only writer, bit for
+ * bit), writer atomicity, rejection of corrupt, truncated and
+ * version-mismatched files, the RecordingSource tee, the
+ * next()/nextBatch()/nextSpan() prefix contract across every source,
+ * text traces, trace-directory benchmark surfacing, and the
+ * load-bearing contract of the whole subsystem: replaying a recorded
+ * trace produces profiles byte-identical to interpreting the program
+ * directly.
  */
 
 #include <cstdint>
@@ -24,11 +25,13 @@
 
 #include "experiments/experiments.hh"
 #include "isa/interpreter.hh"
+#include "mica/dataset.hh"
 #include "mica/runner.hh"
 #include "pipeline/profile_store.hh"
 #include "test_util.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
+#include "trace_v1_writer.hh"
 #include "uarch/hpc_runner.hh"
 #include "workloads/registry.hh"
 
@@ -85,6 +88,7 @@ sampleRecords(uint64_t n, uint64_t seed = 7)
     return out;
 }
 
+/** Write @p recs with the library writer (format v2). */
 std::string
 writeTrace(const TmpDir &tmp, const std::vector<InstRecord> &recs,
            const std::string &name = "t.trace")
@@ -94,6 +98,34 @@ writeTrace(const TmpDir &tmp, const std::vector<InstRecord> &recs,
     w.append(recs.data(), recs.size());
     w.close();
     return path;
+}
+
+/** Write @p recs in format v1 (test-only writer, 4096-record chunks). */
+std::string
+writeTraceV1(const TmpDir &tmp, const std::vector<InstRecord> &recs,
+             const std::string &name = "v1.trace")
+{
+    const std::string path = tmp.file(name);
+    test::writeTraceV1(path, recs);
+    return path;
+}
+
+/** Write @p recs in format v1 (test-only writer) or v2 (library). */
+std::string
+writeTraceAs(bool v1, const TmpDir &tmp, const std::vector<InstRecord> &recs,
+             const std::string &name)
+{
+    return v1 ? writeTraceV1(tmp, recs, name) : writeTrace(tmp, recs, name);
+}
+
+/** @return the whole file as one string. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::stringstream s;
+    s << f.rdbuf();
+    return s.str();
 }
 
 /** Overwrite bytes at an absolute file offset. */
@@ -112,29 +144,24 @@ patchBytes(const std::string &path, uint64_t offset, const void *data,
 // Round trip
 // ----------------------------------------------------------------------
 
-TEST(TraceFileTest, RoundTripsBitForBitThroughBothReaders)
+TEST(TraceFileTest, RoundTripsBitForBitInBothFormats)
 {
     TmpDir tmp;
-    // Spans multiple chunks (kChunkRecords = 4096) plus a partial one.
-    const auto recs = sampleRecords(3 * TraceFileWriter::kChunkRecords +
-                                    1234);
-    const std::string path = writeTrace(tmp, recs);
-
-    EXPECT_EQ(probeTraceFile(path).recordCount, recs.size());
-
-    FileTraceSource streamed(path);
-    MappedTraceSource mapped(path);
-    EXPECT_EQ(streamed.recordCount(), recs.size());
-    EXPECT_EQ(mapped.recordCount(), recs.size());
-    InstRecord a, b;
-    for (size_t i = 0; i < recs.size(); ++i) {
-        ASSERT_TRUE(streamed.next(a)) << i;
-        ASSERT_TRUE(mapped.next(b)) << i;
-        EXPECT_TRUE(sameRec(a, recs[i])) << i;
-        EXPECT_TRUE(sameRec(b, recs[i])) << i;
+    // Several chunks of either format plus a partial one.
+    const auto recs =
+        sampleRecords(TraceFileWriter::kChunkRecordsV2 + 3 * 4096 + 1234);
+    for (const std::string &path :
+         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
+        EXPECT_EQ(probeTraceFile(path).recordCount, recs.size());
+        FileTraceSource src(path);
+        EXPECT_EQ(src.recordCount(), recs.size());
+        InstRecord a;
+        for (size_t i = 0; i < recs.size(); ++i) {
+            ASSERT_TRUE(src.next(a)) << path << " " << i;
+            EXPECT_TRUE(sameRec(a, recs[i])) << path << " " << i;
+        }
+        EXPECT_FALSE(src.next(a));
     }
-    EXPECT_FALSE(streamed.next(a));
-    EXPECT_FALSE(mapped.next(b));
 }
 
 TEST(TraceFileTest, RecordingTheSameTraceTwiceIsByteIdentical)
@@ -143,78 +170,52 @@ TEST(TraceFileTest, RecordingTheSameTraceTwiceIsByteIdentical)
     const auto recs = sampleRecords(5000);
     const std::string p1 = writeTrace(tmp, recs, "a.trace");
     const std::string p2 = writeTrace(tmp, recs, "b.trace");
-    std::ifstream f1(p1, std::ios::binary), f2(p2, std::ios::binary);
-    std::stringstream s1, s2;
-    s1 << f1.rdbuf();
-    s2 << f2.rdbuf();
-    // Zeroed struct padding makes recordings reproducible files.
-    EXPECT_EQ(s1.str(), s2.str());
-    EXPECT_EQ(s1.str().size(), fs::file_size(p1));
+    // The writer encodes fields, never struct bytes, so recordings
+    // are reproducible files.
+    EXPECT_EQ(fileBytes(p1), fileBytes(p2));
+    EXPECT_EQ(fileBytes(p1).size(), fs::file_size(p1));
 }
 
 TEST(TraceFileTest, EmptyTraceRoundTrips)
 {
     TmpDir tmp;
-    const std::string path = writeTrace(tmp, {});
+    const std::string path = writeTraceV1(tmp, {});
+    EXPECT_EQ(probeTraceFile(path).version, kTraceFormatV1);
     EXPECT_EQ(probeTraceFile(path).recordCount, 0u);
-    FileTraceSource streamed(path);
-    MappedTraceSource mapped(path);
+    FileTraceSource src(path);
     InstRecord r;
-    EXPECT_FALSE(streamed.next(r));
-    EXPECT_FALSE(mapped.next(r));
+    EXPECT_FALSE(src.next(r));
 }
 
-TEST(TraceFileTest, ResetRewindsBothReaders)
+TEST(TraceFileTest, ResetRewindsInBothFormats)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(6000);
-    const std::string path = writeTrace(tmp, recs);
-    FileTraceSource streamed(path);
-    MappedTraceSource mapped(path);
-    InstRecord r;
-    for (int i = 0; i < 4999; ++i) {
-        ASSERT_TRUE(streamed.next(r));
-        ASSERT_TRUE(mapped.next(r));
+    for (const std::string &path :
+         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
+        FileTraceSource src(path);
+        InstRecord r;
+        for (int i = 0; i < 4999; ++i)
+            ASSERT_TRUE(src.next(r));
+        EXPECT_TRUE(src.reset());
+        size_t n = 0;
+        while (src.next(r)) {
+            ASSERT_TRUE(sameRec(r, recs[n])) << path;
+            ++n;
+        }
+        EXPECT_EQ(n, recs.size()) << path;
     }
-    EXPECT_TRUE(streamed.reset());
-    EXPECT_TRUE(mapped.reset());
-    size_t n = 0;
-    while (streamed.next(r)) {
-        ASSERT_TRUE(sameRec(r, recs[n]));
-        ++n;
-    }
-    EXPECT_EQ(n, recs.size());
-    n = 0;
-    while (mapped.next(r)) {
-        ASSERT_TRUE(sameRec(r, recs[n]));
-        ++n;
-    }
-    EXPECT_EQ(n, recs.size());
-}
-
-TEST(TraceFileTest, MappedSpansAreZeroCopy)
-{
-    TmpDir tmp;
-    const auto recs = sampleRecords(100);
-    const std::string path = writeTrace(tmp, recs);
-    MappedTraceSource mapped(path);
-    InstRecord backing[128];
-    const InstRecord *span = nullptr;
-    const size_t got = mapped.nextSpan(span, backing, 128);
-    EXPECT_EQ(got, 100u);
-    EXPECT_NE(span, backing);   // points into the mapping, not at buf
-    EXPECT_TRUE(sameRec(span[0], recs[0]));
-    EXPECT_TRUE(sameRec(span[99], recs[99]));
 }
 
 TEST(TraceFileTest, SpansStopAtChunkBoundariesButNeverReturnZeroMidTrace)
 {
     TmpDir tmp;
-    const size_t n = TraceFileWriter::kChunkRecords + 17;
-    const auto recs = sampleRecords(n);
-    const std::string path = writeTrace(tmp, recs);
-    for (int streamed = 0; streamed < 2; ++streamed) {
-        auto src = openTraceFile(path, streamed != 0);
+    // One full chunk plus 17 records, in each format's chunk size.
+    for (const bool v1 : {true, false}) {
+        const size_t n =
+            (v1 ? 4096 : TraceFileWriter::kChunkRecordsV2) + 17;
+        const auto recs = sampleRecords(n);
+        auto src = openTraceFile(writeTraceAs(v1, tmp, recs, "s.trace"));
         std::vector<InstRecord> buf(n + 100);
         const InstRecord *span = nullptr;
         size_t total = 0, calls = 0;
@@ -245,20 +246,27 @@ expectReject(Fn &&fn, const std::string &needle)
     }
 }
 
+TEST(TraceFileTest, ChunkCountPatchedAfterOpenRejects)
+{
+    TmpDir tmp;
+    const auto recs = sampleRecords(5000);
+    // A count rewritten after the open-time probe must be bounded
+    // before it sizes the chunk buffer (~206 GB for 0xFFFFFFFF v1
+    // records), in either format.
+    for (const std::string &path :
+         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
+        FileTraceSource src(path);
+        const uint32_t huge = 0xFFFFFFFFu;
+        patchBytes(path, 48 + 4, &huge, sizeof(huge));
+        InstRecord r;
+        expectReject([&] { src.next(r); },
+                     "chunk header changed after open");
+    }
+}
+
 // ----------------------------------------------------------------------
 // Columnar format v2
 // ----------------------------------------------------------------------
-
-std::string
-writeTraceV2(const TmpDir &tmp, const std::vector<InstRecord> &recs,
-             const std::string &name = "v2.trace")
-{
-    const std::string path = tmp.file(name);
-    TraceFileWriter w(path, kTraceFormatV2);
-    w.append(recs.data(), recs.size());
-    w.close();
-    return path;
-}
 
 TEST(TraceV2Test, RoundTripsThroughTheStreamedReader)
 {
@@ -266,7 +274,7 @@ TEST(TraceV2Test, RoundTripsThroughTheStreamedReader)
     // Multiple v2 chunks plus a partial one.
     const auto recs =
         sampleRecords(2 * TraceFileWriter::kChunkRecordsV2 + 777);
-    const std::string path = writeTraceV2(tmp, recs);
+    const std::string path = writeTrace(tmp, recs);
 
     const TraceFileInfo info = probeTraceFile(path);
     EXPECT_EQ(info.version, kTraceFormatV2);
@@ -290,22 +298,18 @@ TEST(TraceV2Test, CompressesAtLeast3xAndIsDeterministic)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(50000);
-    const std::string p1 = writeTrace(tmp, recs, "v1.trace");
-    const std::string pa = writeTraceV2(tmp, recs, "a.trace");
-    const std::string pb = writeTraceV2(tmp, recs, "b.trace");
+    const std::string p1 = writeTraceV1(tmp, recs);
+    const std::string pa = writeTrace(tmp, recs, "a.trace");
+    const std::string pb = writeTrace(tmp, recs, "b.trace");
     EXPECT_GE(fs::file_size(p1), 3 * fs::file_size(pa))
         << "v2 must be >= 3x smaller than v1";
-    std::ifstream f1(pa, std::ios::binary), f2(pb, std::ios::binary);
-    std::stringstream s1, s2;
-    s1 << f1.rdbuf();
-    s2 << f2.rdbuf();
-    EXPECT_EQ(s1.str(), s2.str());
+    EXPECT_EQ(fileBytes(pa), fileBytes(pb));
 }
 
 TEST(TraceV2Test, EmptyTraceRoundTrips)
 {
     TmpDir tmp;
-    const std::string path = writeTraceV2(tmp, {});
+    const std::string path = writeTrace(tmp, {});
     const TraceFileInfo info = probeTraceFile(path);
     EXPECT_EQ(info.version, kTraceFormatV2);
     EXPECT_EQ(info.recordCount, 0u);
@@ -314,63 +318,48 @@ TEST(TraceV2Test, EmptyTraceRoundTrips)
     EXPECT_FALSE(streamed.next(r));
 }
 
-TEST(TraceV2Test, MmapReaderRejectsV2AndOpenTraceFileDispatches)
-{
-    TmpDir tmp;
-    const auto recs = sampleRecords(100);
-    const std::string path = writeTraceV2(tmp, recs);
-    expectReject([&] { MappedTraceSource s(path); }, "v1-only");
-
-    // openTraceFile must route a v2 file to the streamed reader even
-    // when the caller asked for the default (mmap) path.
-    for (int streamed = 0; streamed < 2; ++streamed) {
-        auto src = openTraceFile(path, streamed != 0);
-        InstRecord r;
-        size_t n = 0;
-        while (src->next(r)) {
-            ASSERT_TRUE(sameRec(r, recs[n])) << n;
-            ++n;
-        }
-        EXPECT_EQ(n, recs.size());
-    }
-}
-
-TEST(TraceV2Test, ConvertRoundTripsBothWaysRecordIdentical)
+TEST(TraceV2Test, ConvertUpgradesV1AndReencodesV2)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(20000);
-    const std::string v1 = writeTrace(tmp, recs, "orig.trace");
+    const std::string v1 = writeTraceV1(tmp, recs, "orig.trace");
 
     const TraceConvertStats up =
-        convertTraceFile(v1, tmp.file("conv.trace"), kTraceFormatV2);
+        convertTraceFile(v1, tmp.file("conv.trace"));
     EXPECT_EQ(up.srcVersion, kTraceFormatV1);
-    EXPECT_EQ(up.dstVersion, kTraceFormatV2);
     EXPECT_EQ(up.records, recs.size());
     EXPECT_GE(up.srcBytes, 3 * up.dstBytes);
-
-    const TraceConvertStats down = convertTraceFile(
-        tmp.file("conv.trace"), tmp.file("back.trace"), kTraceFormatV1);
-    EXPECT_EQ(down.records, recs.size());
-
-    // Canonical records + deterministic writer: a v1 -> v2 -> v1 round
-    // trip reproduces the original file bit for bit.
-    std::ifstream f1(v1, std::ios::binary),
-        f2(tmp.file("back.trace"), std::ios::binary);
-    std::stringstream s1, s2;
-    s1 << f1.rdbuf();
-    s2 << f2.rdbuf();
-    EXPECT_EQ(s1.str(), s2.str());
-
+    EXPECT_EQ(probeTraceFile(tmp.file("conv.trace")).version,
+              kTraceFormatV2);
     std::string why;
     EXPECT_TRUE(
         traceRecordsIdentical(v1, tmp.file("conv.trace"), why)) << why;
+
+    // The upgrade equals a direct recording of the same records, and
+    // re-encoding a v2 file reproduces it bit for bit.
+    const std::string direct = writeTrace(tmp, recs, "direct.trace");
+    EXPECT_EQ(fileBytes(tmp.file("conv.trace")), fileBytes(direct));
+    const TraceConvertStats again =
+        convertTraceFile(direct, tmp.file("again.trace"));
+    EXPECT_EQ(again.srcVersion, kTraceFormatV2);
+    EXPECT_EQ(fileBytes(tmp.file("again.trace")), fileBytes(direct));
+
+    // Canonical records: writing the upgraded file's records back as
+    // v1 reproduces the original file bit for bit.
+    std::vector<InstRecord> back;
+    FileTraceSource in(tmp.file("conv.trace"));
+    InstRecord r;
+    while (in.next(r))
+        back.push_back(r);
+    EXPECT_EQ(fileBytes(writeTraceV1(tmp, back, "back.trace")),
+              fileBytes(v1));
 }
 
 TEST(TraceV2Test, FlippedColumnByteRejectsNamingTheColumn)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(3000);
-    const std::string path = writeTraceV2(tmp, recs);
+    const std::string path = writeTrace(tmp, recs);
 
     // Read the first chunk's column lengths so the patch lands on the
     // register column's width byte (offset: 48-byte file header +
@@ -391,7 +380,7 @@ TEST(TraceV2Test, FlippedPayloadBitsAndTruncationReject)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(3000);
-    const std::string path = writeTraceV2(tmp, recs);
+    const std::string path = writeTrace(tmp, recs);
     const uint64_t full = fs::file_size(path);
 
     const std::string cut = tmp.file("cut.trace");
@@ -453,8 +442,6 @@ TEST(TraceFileTest, RejectsMissingAndNonTraceFiles)
                  "not a mica trace file");
     expectReject([&] { FileTraceSource s(tmp.file("junk.trace")); },
                  "not a mica trace file");
-    expectReject([&] { MappedTraceSource s(tmp.file("junk.trace")); },
-                 "not a mica trace file");
 }
 
 TEST(TraceFileTest, RejectsVersionAndLayoutMismatch)
@@ -462,32 +449,35 @@ TEST(TraceFileTest, RejectsVersionAndLayoutMismatch)
     TmpDir tmp;
     const auto recs = sampleRecords(10);
 
-    const std::string p1 = writeTrace(tmp, recs, "v.trace");
-    const uint32_t badVersion = kTraceFormatLatest + 1;
-    patchBytes(p1, 8, &badVersion, sizeof(badVersion));
-    expectReject([&] { probeTraceFile(p1); }, "version");
+    for (const bool v1 : {true, false}) {
+        const std::string p1 = writeTraceAs(v1, tmp, recs, "v.trace");
+        const uint32_t badVersion = kTraceFormatLatest + 1;
+        patchBytes(p1, 8, &badVersion, sizeof(badVersion));
+        expectReject([&] { probeTraceFile(p1); }, "version");
 
-    const std::string p2 = writeTrace(tmp, recs, "h.trace");
-    const uint64_t badHash = kTraceLayoutHash ^ 1;
-    patchBytes(p2, 16, &badHash, sizeof(badHash));
-    expectReject([&] { probeTraceFile(p2); }, "layout mismatch");
+        const std::string p2 = writeTraceAs(v1, tmp, recs, "h.trace");
+        const uint64_t badHash = kTraceLayoutHash ^ 1;
+        patchBytes(p2, 16, &badHash, sizeof(badHash));
+        expectReject([&] { probeTraceFile(p2); }, "layout mismatch");
+    }
 }
 
 TEST(TraceFileTest, RejectsTruncationAnywhere)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(100);
-    const std::string path = writeTrace(tmp, recs);
-    const uint64_t full = fs::file_size(path);
-
-    for (uint64_t keep : {uint64_t(0), uint64_t(7), uint64_t(47),
-                          uint64_t(48), uint64_t(56), full - 1}) {
-        const std::string cut = tmp.file("cut.trace");
-        fs::copy_file(path, cut, fs::copy_options::overwrite_existing);
-        fs::resize_file(cut, keep);
-        EXPECT_THROW(probeTraceFile(cut), TraceFileError) << keep;
-        EXPECT_THROW(FileTraceSource s(cut), TraceFileError) << keep;
-        EXPECT_THROW(MappedTraceSource s(cut), TraceFileError) << keep;
+    for (const std::string &path :
+         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
+        const uint64_t full = fs::file_size(path);
+        for (uint64_t keep : {uint64_t(0), uint64_t(7), uint64_t(47),
+                              uint64_t(48), uint64_t(56), full - 1}) {
+            const std::string cut = tmp.file("cut.trace");
+            fs::copy_file(path, cut,
+                          fs::copy_options::overwrite_existing);
+            fs::resize_file(cut, keep);
+            EXPECT_THROW(probeTraceFile(cut), TraceFileError) << keep;
+            EXPECT_THROW(FileTraceSource s(cut), TraceFileError) << keep;
+        }
     }
 }
 
@@ -495,7 +485,7 @@ TEST(TraceFileTest, RejectsFlippedPayloadBits)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(100);
-    const std::string path = writeTrace(tmp, recs);
+    const std::string path = writeTraceV1(tmp, recs);
     const uint8_t junk = 0xa5;
     patchBytes(path, 56 + 3, &junk, 1);     // inside the first record
     expectReject([&] { probeTraceFile(path); }, "checksum mismatch");
@@ -506,24 +496,31 @@ TEST(TraceFileTest, RejectsCorruptChunkHeaderAndCountMismatch)
     TmpDir tmp;
     const auto recs = sampleRecords(100);
 
-    const std::string p1 = writeTrace(tmp, recs, "cm.trace");
-    const uint32_t badMagic = 0xdeadbeef;
-    patchBytes(p1, 48, &badMagic, sizeof(badMagic));
-    expectReject([&] { probeTraceFile(p1); }, "corrupt chunk header");
+    for (const bool v1 : {true, false}) {
+        const std::string p1 = writeTraceAs(v1, tmp, recs, "cm.trace");
+        const uint32_t badMagic = 0xdeadbeef;
+        patchBytes(p1, 48, &badMagic, sizeof(badMagic));
+        expectReject([&] { probeTraceFile(p1); }, "corrupt chunk header");
 
-    const std::string p2 = writeTrace(tmp, recs, "cc.trace");
-    const uint64_t badCount = 99;
-    patchBytes(p2, 24, &badCount, sizeof(badCount));
-    expectReject([&] { probeTraceFile(p2); }, "record count mismatch");
+        const std::string p2 = writeTraceAs(v1, tmp, recs, "cc.trace");
+        const uint64_t badCount = 99;
+        patchBytes(p2, 24, &badCount, sizeof(badCount));
+        expectReject([&] { probeTraceFile(p2); },
+                     "record count mismatch");
+    }
 }
 
 TEST(TraceFileTest, RejectsUnfinishedRecording)
 {
     TmpDir tmp;
-    const std::string path = writeTrace(tmp, sampleRecords(10));
-    const uint64_t unfinished = kTraceUnfinished;
-    patchBytes(path, 24, &unfinished, sizeof(unfinished));
-    expectReject([&] { probeTraceFile(path); }, "unfinished recording");
+    for (const bool v1 : {true, false}) {
+        const std::string path =
+            writeTraceAs(v1, tmp, sampleRecords(10), "u.trace");
+        const uint64_t unfinished = kTraceUnfinished;
+        patchBytes(path, 24, &unfinished, sizeof(unfinished));
+        expectReject([&] { probeTraceFile(path); },
+                     "unfinished recording");
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -553,7 +550,7 @@ TEST(RecordingSourceTest, TeesEveryConsumedRecordExactlyOnce)
         EXPECT_EQ(w.recordCount(), recs.size());
         w.close();
     }
-    MappedTraceSource replay(path);
+    FileTraceSource replay(path);
     InstRecord r;
     size_t i = 0;
     while (replay.next(r)) {
@@ -668,24 +665,23 @@ TEST(PrefixContractTest, Interpreter)
     expectPrefixContract(a, b, 20000);
 }
 
-TEST(PrefixContractTest, FileAndMappedSources)
+TEST(PrefixContractTest, FileSourceInBothFormats)
 {
     TmpDir tmp;
     const auto recs =
-        sampleRecords(TraceFileWriter::kChunkRecords + 321);
-    const std::string path = writeTrace(tmp, recs);
+        sampleRecords(TraceFileWriter::kChunkRecordsV2 + 321);
+    const std::string v1 = writeTraceV1(tmp, recs);
+    const std::string v2 = writeTrace(tmp, recs);
 
-    FileTraceSource fa(path), fb(path);
-    expectPrefixContract(fa, fb, recs.size());
+    FileTraceSource a1(v1), b1(v1);
+    expectPrefixContract(a1, b1, recs.size());
 
-    MappedTraceSource ma(path), mb(path);
-    expectPrefixContract(ma, mb, recs.size());
+    FileTraceSource a2(v2), b2(v2);
+    expectPrefixContract(a2, b2, recs.size());
 
-    // And across reader kinds: streamed and mapped observe the same
-    // stream.
-    FileTraceSource fs2(path);
-    MappedTraceSource ms2(path);
-    expectPrefixContract(fs2, ms2, recs.size());
+    // And across formats: both files observe the same stream.
+    FileTraceSource c1(v1), c2(v2);
+    expectPrefixContract(c1, c2, recs.size());
 }
 
 // ----------------------------------------------------------------------
@@ -741,11 +737,13 @@ TEST(TextTraceTest, OpenTraceFileDispatchesOnExtension)
     ASSERT_TRUE(text->next(r));
     EXPECT_EQ(r.cls, InstClass::IntAlu);
 
-    const std::string bin = writeTrace(tmp, sampleRecords(3));
-    auto mapped = openTraceFile(bin, false);
-    auto streamed = openTraceFile(bin, true);
-    ASSERT_TRUE(mapped->next(r));
-    ASSERT_TRUE(streamed->next(r));
+    const auto recs = sampleRecords(3);
+    for (const std::string &bin :
+         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
+        auto src = openTraceFile(bin);
+        ASSERT_TRUE(src->next(r));
+        EXPECT_TRUE(sameRec(r, recs[0]));
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -756,9 +754,9 @@ TEST(TraceBenchmarksTest, SurfacesNamesAndRegistryOrder)
 {
     TmpDir tmp;
     // Deliberately created in anti-registry order; MiBench/sha.large
-    // follows CommBench/tcp.tcp in Table I.
+    // follows CommBench/tcp.tcp in Table I. Either format surfaces.
     writeTrace(tmp, sampleRecords(10), "MiBench__sha.large.trace");
-    writeTrace(tmp, sampleRecords(10), "CommBench__tcp.tcp.trace");
+    writeTraceV1(tmp, sampleRecords(10), "CommBench__tcp.tcp.trace");
     std::ofstream(tmp.file("zcustom.txt")) << "alu dst=1\n";
     std::ofstream(tmp.file("notes.md")) << "ignored\n";
 
@@ -791,21 +789,65 @@ TEST(TraceBenchmarksTest, RejectsCorruptFilesAndMissingDirs)
 TEST(TraceBenchmarksTest, RejectsBudgetBeyondTheRecording)
 {
     TmpDir tmp;
-    writeTrace(tmp, sampleRecords(500), "CommBench__tcp.tcp.trace");
+    writeTraceV1(tmp, sampleRecords(500), "CommBench__tcp.tcp.trace");
     // Budget within (or at) the recorded length is fine; 0 means
     // "replay everything recorded".
-    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, false, 500).size(), 1u);
-    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, false, 0).size(), 1u);
+    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, 500).size(), 1u);
+    EXPECT_EQ(workloads::traceBenchmarks(tmp.dir, 0).size(), 1u);
     // Beyond it, replay would come up short of direct interpretation.
+    expectReject([&] { workloads::traceBenchmarks(tmp.dir, 501); },
+                 "silently diverge");
+}
+
+TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
+{
+    TmpDir tmp;
+    // The stem round-trips through the name mapping traceBenchmarks
+    // applies; a name without a suite is its own stem.
+    EXPECT_EQ(workloads::traceStem("CommBench/tcp.tcp"),
+              "CommBench__tcp.tcp");
+    EXPECT_EQ(workloads::traceStem("zcustom"), "zcustom");
+
+    // .trace wins over .csv for the same stem.
+    writeTrace(tmp, sampleRecords(500), "CommBench__tcp.tcp.trace");
+    std::ofstream(tmp.file("CommBench__tcp.tcp.csv")) << "alu dst=1\n";
+    const std::string found =
+        workloads::findTraceFile(tmp.dir, "CommBench/tcp.tcp");
+    EXPECT_EQ(found, tmp.file("CommBench__tcp.tcp.trace"));
+    auto entries = workloads::traceBenchmarksFromFiles({found}, 500);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].info.fullName(), "CommBench/tcp.tcp");
+    auto src = entries[0].source();
+    InstRecord r;
+    size_t n = 0;
+    while (src->next(r))
+        ++n;
+    EXPECT_EQ(n, 500u);
+
+    // A missing file is "", not an error; a budget beyond the
+    // recording rejects as it does in a sweep.
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "MiBench/sha.large"), "");
     expectReject(
-        [&] { workloads::traceBenchmarks(tmp.dir, false, 501); },
+        [&] { workloads::traceBenchmarksFromFiles({found}, 501); },
+        "silently diverge");
+
+    // A stem with no suite lands in the "traces" suite.
+    std::ofstream(tmp.file("zcustom.txt")) << "alu dst=1\nld addr=8\n";
+    const std::string text = workloads::findTraceFile(tmp.dir, "zcustom");
+    EXPECT_EQ(text, tmp.file("zcustom.txt"));
+    entries = workloads::traceBenchmarksFromFiles({text}, 2);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].info.suite, "traces");
+    EXPECT_EQ(entries[0].info.program, "zcustom");
+    expectReject(
+        [&] { workloads::traceBenchmarksFromFiles({text}, 3); },
         "silently diverge");
 }
 
 TEST(TraceBenchmarksTest, RejectsDuplicateBenchmarkNames)
 {
     TmpDir tmp;
-    writeTrace(tmp, sampleRecords(10), "CommBench__tcp.tcp.trace");
+    writeTraceV1(tmp, sampleRecords(10), "CommBench__tcp.tcp.trace");
     std::ofstream(tmp.file("CommBench__tcp.tcp.csv")) << "alu dst=1\n";
     expectReject([&] { workloads::traceBenchmarks(tmp.dir); },
                  "duplicate trace benchmark 'CommBench/tcp.tcp'");
@@ -814,23 +856,23 @@ TEST(TraceBenchmarksTest, RejectsDuplicateBenchmarkNames)
 TEST(TraceBenchmarksTest, ContentStampTracksTraceBytes)
 {
     TmpDir tmp;
-    writeTrace(tmp, sampleRecords(100, 1), "CommBench__tcp.tcp.trace");
+    writeTraceV1(tmp, sampleRecords(100, 1), "CommBench__tcp.tcp.trace");
     uint64_t s1 = 0, s2 = 0, s3 = 0;
-    workloads::traceBenchmarks(tmp.dir, false, 0, &s1);
-    workloads::traceBenchmarks(tmp.dir, false, 0, &s2);
+    workloads::traceBenchmarks(tmp.dir, 0, &s1);
+    workloads::traceBenchmarks(tmp.dir, 0, &s2);
     EXPECT_EQ(s1, s2);      // stable for unchanged contents
     // Re-record the same benchmark with different records: the name
     // is identical but the stamp must move (this is what keys the
     // profile store to trace contents, not the directory path).
-    writeTrace(tmp, sampleRecords(100, 2), "CommBench__tcp.tcp.trace");
-    workloads::traceBenchmarks(tmp.dir, false, 0, &s3);
+    writeTraceV1(tmp, sampleRecords(100, 2), "CommBench__tcp.tcp.trace");
+    workloads::traceBenchmarks(tmp.dir, 0, &s3);
     EXPECT_NE(s1, s3);
 }
 
 // ----------------------------------------------------------------------
 // The load-bearing contract: replayed profiles are byte-identical to
 // interpreting the program directly, for every analyzer, at any
-// batch path, through either reader.
+// batch path, from either format.
 // ----------------------------------------------------------------------
 
 void
@@ -853,54 +895,56 @@ TEST(TraceReplayTest, ReplayedProfilesMatchInterpreterBitForBit)
         ASSERT_NE(e, nullptr) << name;
         const isa::Program prog = e->build();
 
-        // Record under the same budget the profiling run uses.
-        const std::string path = tmp.file("r.trace");
+        // Record under the same budget the profiling run uses: v2
+        // through the library writer, v1 through the test-only one.
+        const std::string v2 = tmp.file("r.trace");
+        std::vector<InstRecord> recs;
         {
             isa::Interpreter interp(prog);
-            TraceFileWriter w(path);
+            TraceFileWriter w(v2);
             RecordingSource tee(interp, w);
             std::vector<InstRecord> buf(1024);
-            uint64_t n = 0;
             const InstRecord *span = nullptr;
             size_t got;
-            while (n < rc.maxInsts &&
+            while (recs.size() < rc.maxInsts &&
                    (got = tee.nextSpan(
                         span, buf.data(),
                         std::min<uint64_t>(buf.size(),
-                                           rc.maxInsts - n))) != 0)
-                n += got;
+                                           rc.maxInsts - recs.size()))) !=
+                       0)
+                recs.insert(recs.end(), span, span + got);
             w.close();
         }
+        const std::string v1 = writeTraceV1(tmp, recs, "r1.trace");
 
         isa::Interpreter direct(prog);
         const MicaProfile ref = collectMicaProfile(direct, name, rc);
-
-        FileTraceSource streamed(path);
-        expectProfilesIdentical(
-            collectMicaProfile(streamed, name, rc), ref);
-
-        MappedTraceSource mapped(path);
-        expectProfilesIdentical(collectMicaProfile(mapped, name, rc),
-                                ref);
-
-        // The per-record reference engine path sees the same stream.
-        MicaRunnerConfig perRecord = rc;
-        perRecord.engineBatch = 0;
-        MappedTraceSource mapped2(path);
-        expectProfilesIdentical(
-            collectMicaProfile(mapped2, name, perRecord), ref);
-
-        // And the HPC characterization.
         direct.reset();
         const auto hpcRef =
             uarch::collectHwProfile(direct, name, rc.maxInsts);
-        ASSERT_TRUE(mapped.reset());
-        const auto hpcReplay =
-            uarch::collectHwProfile(mapped, name, rc.maxInsts);
-        const auto va = hpcRef.toVector(), vb = hpcReplay.toVector();
-        ASSERT_EQ(va.size(), vb.size());
-        for (size_t i = 0; i < va.size(); ++i)
-            EXPECT_EQ(va[i], vb[i]) << "hpc metric " << i;
+
+        for (const std::string &path : {v1, v2}) {
+            FileTraceSource src(path);
+            expectProfilesIdentical(collectMicaProfile(src, name, rc),
+                                    ref);
+
+            // The per-record reference engine path sees the same
+            // stream.
+            MicaRunnerConfig perRecord = rc;
+            perRecord.engineBatch = 0;
+            ASSERT_TRUE(src.reset());
+            expectProfilesIdentical(
+                collectMicaProfile(src, name, perRecord), ref);
+
+            // And the HPC characterization.
+            ASSERT_TRUE(src.reset());
+            const auto hpcReplay =
+                uarch::collectHwProfile(src, name, rc.maxInsts);
+            const auto va = hpcRef.toVector(), vb = hpcReplay.toVector();
+            ASSERT_EQ(va.size(), vb.size());
+            for (size_t i = 0; i < va.size(); ++i)
+                EXPECT_EQ(va[i], vb[i]) << path << " hpc metric " << i;
+        }
     }
 }
 
@@ -952,10 +996,9 @@ TEST(TraceReplayTest, DatasetFromTracesMatchesDirectAndIsJobsInvariant)
                                 directDs.micaProfiles[d]);
     }
 
-    // jobs=8 and the streamed reader replay the identical dataset.
+    // jobs=8 replays the identical dataset.
     experiments::DatasetConfig replay8 = replay;
     replay8.jobs = 8;
-    replay8.traceStream = true;
     auto replay8Ds = experiments::collectSuiteDataset(replay8);
     ASSERT_EQ(replay8Ds.benchmarks.size(), replayDs.benchmarks.size());
     for (size_t r = 0; r < replayDs.benchmarks.size(); ++r) {
@@ -965,6 +1008,55 @@ TEST(TraceReplayTest, DatasetFromTracesMatchesDirectAndIsJobsInvariant)
         const auto vb = replay8Ds.hpcProfiles[r].toVector();
         for (size_t i = 0; i < va.size(); ++i)
             EXPECT_EQ(va[i], vb[i]);
+    }
+}
+
+TEST(TraceReplayTest, V1CommBenchReplayMatchesDirectAtJobs1And8)
+{
+    TmpDir tmp;
+    const std::string traceDir = tmp.dir + "/v1";
+    const uint64_t budget = 20000;
+    fs::create_directories(traceDir);
+    const auto &reg = workloads::BenchmarkRegistry::instance();
+    const auto comm = reg.bySuite("CommBench");
+    ASSERT_EQ(comm.size(), 12u);
+    for (const auto *e : comm) {
+        const isa::Program prog = e->build();
+        isa::Interpreter interp(prog);
+        std::vector<InstRecord> recs;
+        InstRecord r;
+        while (recs.size() < budget && interp.next(r))
+            recs.push_back(r);
+        test::writeTraceV1(traceDir + "/" +
+                               workloads::traceStem(e->info.fullName()) +
+                               ".trace",
+                           recs);
+    }
+
+    // The CSVs `mica profile all` / `mica hpc all --csv` would write.
+    const auto csvs = [&](const experiments::DatasetConfig &cfg,
+                          const std::string &tag) {
+        const auto ds = experiments::collectSuiteDataset(cfg);
+        EXPECT_TRUE(ds.failures.empty()) << tag;
+        saveProfilesCsv(tmp.file(tag + ".mica.csv"), ds.micaProfiles);
+        saveMatrixCsv(tmp.file(tag + ".hpc.csv"), ds.hpcMatrix());
+        return std::make_pair(fileBytes(tmp.file(tag + ".mica.csv")),
+                              fileBytes(tmp.file(tag + ".hpc.csv")));
+    };
+    experiments::DatasetConfig direct;
+    direct.maxInsts = budget;
+    direct.suites = {"CommBench"};
+    const auto want = csvs(direct, "direct");
+    ASSERT_FALSE(want.first.empty());
+
+    for (const unsigned jobs : {1u, 8u}) {
+        experiments::DatasetConfig replay;
+        replay.maxInsts = budget;
+        replay.traceDir = traceDir;
+        replay.jobs = jobs;
+        const auto got = csvs(replay, "replay" + std::to_string(jobs));
+        EXPECT_EQ(got.first, want.first) << "MICA at jobs=" << jobs;
+        EXPECT_EQ(got.second, want.second) << "HPC at jobs=" << jobs;
     }
 }
 

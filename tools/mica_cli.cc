@@ -11,7 +11,7 @@
  *   mica subset                    pick suite representatives
  *   mica index build|query|redundant   persistent similarity index
  *   mica trace record <bench>|<suite>|all   record traces to disk
- *   mica trace convert <src> <dst> rewrite a trace v1 <-> v2
+ *   mica trace convert <src> <dst> rewrite a trace (v1 or v2) as v2
  *   mica trace ls [DIR]            list recorded trace files
  *   mica corpus init|ls|profile    sharded out-of-core trace corpora
  *   mica faults ls                 list fault-injection points
@@ -36,11 +36,10 @@
  * store (<cache>/index.bin) and answer kNN/radius/most-redundant
  * queries from it without re-profiling anything.
  *
- * Every dataset verb also takes --suites=A,B (suite filter),
+ * Every dataset verb also takes --suites=A,B (suite filter) and
  * --traces=DIR (profile recorded trace files instead of interpreting
  * the registry kernels — byte-identical profiles, keyed into the
- * store like everything else) and --reader=mmap|stream (trace reader
- * choice; byte-identical either way).
+ * store like everything else).
  *
  * Failure semantics: dataset verbs quarantine failing benchmarks
  * (bad trace files at scan time, throwing profiling jobs) instead of
@@ -251,20 +250,8 @@ cmdProfile(const util::CliArgs &args,
     isa::Program prog;
     std::unique_ptr<TraceSource> src;
     if (!cfg.traceDir.empty()) {
-        std::string stem = target;
-        const size_t slash = stem.find('/');
-        if (slash != std::string::npos)
-            stem.replace(slash, 1, "__");
-        std::string found, foundExt;
-        for (const char *ext : {".trace", ".csv", ".txt"}) {
-            const std::string cand = cfg.traceDir + "/" + stem + ext;
-            std::error_code ec;
-            if (std::filesystem::is_regular_file(cand, ec)) {
-                found = cand;
-                foundExt = ext;
-                break;
-            }
-        }
+        const std::string found =
+            workloads::findTraceFile(cfg.traceDir, target);
         if (found.empty()) {
             std::fprintf(stderr,
                          "'%s' has no trace in %s (try 'mica trace "
@@ -273,25 +260,10 @@ cmdProfile(const util::CliArgs &args,
                          cfg.traceDir.c_str());
             return kExitNoEnt;
         }
-        // Same budget guard traceBenchmarks applies to a full sweep.
-        uint64_t records = 0;
-        if (foundExt == ".trace") {
-            const TraceFileInfo fi = probeTraceFile(found);
-            records = fi.recordCount;
-            src = openTraceFile(found, cfg.traceStream, &fi);
-        } else {
-            auto recs = readTextTrace(found);
-            records = recs.size();
-            src = std::make_unique<VectorTraceSource>(std::move(recs));
-        }
-        if (cfg.maxInsts != 0 && cfg.maxInsts > records) {
-            throw TraceFileError(
-                found, "holds " + std::to_string(records) +
-                           " records but the profiling budget is " +
-                           std::to_string(cfg.maxInsts) +
-                           " — replay would silently diverge (lower "
-                           "--budget or use 0)");
-        }
+        // The sweep's validation and budget guard, for one file.
+        src = workloads::traceBenchmarksFromFiles({found}, cfg.maxInsts)
+                  .front()
+                  .source();
     } else {
         const auto *e =
             workloads::BenchmarkRegistry::instance().find(target);
@@ -979,32 +951,7 @@ cmdServeBench(const util::CliArgs &args,
 std::string
 traceFileName(const workloads::BenchmarkInfo &info)
 {
-    std::string stem = info.fullName();
-    const size_t slash = stem.find('/');
-    if (slash != std::string::npos)
-        stem.replace(slash, 1, "__");
-    return stem + ".trace";
-}
-
-/**
- * Parse a --format=v1|v2 flag into a trace format version.
- * @return 0 on a bad value (after printing the complaint).
- */
-uint32_t
-traceFormatFlag(const util::CliArgs &args, const char *verb,
-                uint32_t fallback)
-{
-    if (!args.has("format"))
-        return fallback;
-    const std::string f = args.value("format");
-    if (f == "v1")
-        return kTraceFormatV1;
-    if (f == "v2")
-        return kTraceFormatV2;
-    std::fprintf(stderr,
-                 "mica trace %s: --format must be v1 or v2 (got '%s')\n",
-                 verb, f.c_str());
-    return 0;
+    return workloads::traceStem(info.fullName()) + ".trace";
 }
 
 /**
@@ -1013,13 +960,13 @@ traceFormatFlag(const util::CliArgs &args, const char *verb,
  */
 uint64_t
 recordOne(const workloads::BenchmarkEntry &e, const std::string &path,
-          uint64_t maxInsts, uint32_t version)
+          uint64_t maxInsts)
 {
     const isa::Program prog = e.build();
     isa::Interpreter interp(prog);
-    TraceFileWriter writer(path, version);
+    TraceFileWriter writer(path);
     RecordingSource tee(interp, writer);
-    std::vector<InstRecord> buf(TraceFileWriter::kChunkRecords);
+    std::vector<InstRecord> buf(4096);
     uint64_t n = 0;
     for (;;) {
         size_t want = buf.size();
@@ -1045,12 +992,6 @@ cmdTraceRecord(const util::CliArgs &args,
         return usage();
     const std::string target = args.positionals[2];
     const std::string outDir = args.value("out", "traces");
-    // New recordings default to the columnar format; --format=v1
-    // keeps writing the flat format for old readers.
-    const uint32_t version =
-        traceFormatFlag(args, "record", kTraceFormatV2);
-    if (version == 0)
-        return 2;
 
     const auto &reg = workloads::BenchmarkRegistry::instance();
     std::vector<const workloads::BenchmarkEntry *> entries;
@@ -1080,7 +1021,7 @@ cmdTraceRecord(const util::CliArgs &args,
         records[i] =
             recordOne(*entries[i],
                       outDir + "/" + traceFileName(entries[i]->info),
-                      cfg.maxInsts, version);
+                      cfg.maxInsts);
     });
 
     report::TextTable t({"benchmark", "records", "file"},
@@ -1106,17 +1047,7 @@ cmdTraceConvert(const util::CliArgs &args)
         return usage();
     const std::string src = args.positionals[2];
     const std::string dst = args.positionals[3];
-    // Without --format, convert to the *other* format: v1 input
-    // upgrades to v2, v2 input downgrades to v1.
-    uint32_t version = traceFormatFlag(args, "convert", 0);
-    if (args.has("format") && version == 0)
-        return 2;
-    if (version == 0) {
-        const TraceFileInfo fi = probeTraceFile(src);
-        version = fi.version == kTraceFormatV1 ? kTraceFormatV2
-                                               : kTraceFormatV1;
-    }
-    const TraceConvertStats st = convertTraceFile(src, dst, version);
+    const TraceConvertStats st = convertTraceFile(src, dst);
     const double ratio =
         st.dstBytes > 0
             ? static_cast<double>(st.srcBytes) /
@@ -1126,7 +1057,7 @@ cmdTraceConvert(const util::CliArgs &args)
                 "bytes): %llu records verified identical, %.2fx\n",
                 src.c_str(), st.srcVersion,
                 static_cast<unsigned long long>(st.srcBytes),
-                dst.c_str(), st.dstVersion,
+                dst.c_str(), kTraceFormatV2,
                 static_cast<unsigned long long>(st.dstBytes),
                 static_cast<unsigned long long>(st.records), ratio);
     return 0;
@@ -1916,13 +1847,12 @@ constexpr VerbDef kVerbs[] = {
      cmdServeBench},
     {"trace",
      "  trace record <bench>|<suite>|all  record traces to --out=DIR\n"
-     "  trace convert <src> <dst> rewrite a trace in the other format\n"
+     "  trace convert <src> <dst> rewrite a v1 or v2 trace as v2\n"
      "  trace ls [DIR]            list recorded trace files\n",
      "  --out=DIR      destination directory (record; default "
      "traces)\n"
-     "  --format=v1|v2 on-disk format (record defaults to v2;\n"
-     "                 convert defaults to the other format);\n"
-     "                 conversion is verified record-identical\n",
+     "  traces are written in format v2; convert verifies the copy\n"
+     "  record-identical\n",
      cmdTrace},
     {"corpus",
      "  corpus init <dir>         shard a trace tree into corpus.json\n"
@@ -1978,7 +1908,7 @@ usage()
         std::printf("%s", v.usageLines);
     std::printf(
         "dataset verbs also take --suites=A,B --traces=DIR "
-        "--reader=mmap|stream --max-failures=N\n"
+        "--max-failures=N\n"
         "every verb takes --metrics=FILE --trace-out=FILE "
         "--obs-summary --failpoints=SPEC\n"
         "`mica <verb> --help` lists one verb's flags\n"
@@ -2105,13 +2035,13 @@ knownFlags(const std::string &cmd, const std::string &sub)
         cmd == "select" || cmd == "cluster" || cmd == "subset" ||
         cmd == "index" || cmd == "serve" || cmd == "query")
         known.insert(known.end(),
-                     {"suites=", "traces=", "reader=", "max-failures="});
+                     {"suites=", "traces=", "max-failures="});
     if (cmd == "corpus") {
         if (sub == "init")
             known.push_back("shard-size=");
         if (sub == "profile")
             known.insert(known.end(), {"out=", "rerun", "suites=",
-                                       "reader=", "max-failures="});
+                                       "max-failures="});
     }
     if (cmd == "serve")
         known.insert(known.end(),
@@ -2131,9 +2061,7 @@ knownFlags(const std::string &cmd, const std::string &sub)
     if (cmd == "cluster" || cmd == "subset")
         known.push_back("maxk=");
     if (cmd == "trace" && sub == "record")
-        known.insert(known.end(), {"out=", "format="});
-    if (cmd == "trace" && sub == "convert")
-        known.push_back("format=");
+        known.push_back("out=");
     if (cmd == "index") {
         known.insert(known.end(), {"space=", "pca="});
         if (sub == "query")
@@ -2152,6 +2080,11 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     const std::string cmd = argv[1];
+    // `mica --help` is `mica help`: the verb list, exit 0.
+    if (cmd == "--help" || cmd == "-h") {
+        usage();
+        return 0;
+    }
     // --help anywhere after a verb prints that verb's page (rendered
     // from the dispatch table) before strict flag parsing would
     // reject it as unknown.
@@ -2181,16 +2114,6 @@ main(int argc, char **argv)
     for (const char *flag : {"budget", "jobs", "max-failures"}) {
         if (rejectBadInt(args, cmd.c_str(), flag))
             return 2;
-    }
-    // A typo'd reader must not silently mean "the mmap default".
-    if (args.has("reader")) {
-        const std::string r = args.value("reader");
-        if (r != "mmap" && r != "stream") {
-            std::fprintf(stderr, "mica %s: --reader must be mmap or "
-                                 "stream (got '%s')\n",
-                         cmd.c_str(), r.c_str());
-            return 2;
-        }
     }
     const auto cfg = experiments::configFromArgs(argc, argv);
 
