@@ -1,49 +1,54 @@
 /**
  * @file
- * Measurement-cost microbenchmarks (Section V's "3X speedup" claim).
+ * Measurement-cost profile (Section V's "3X speedup" claim).
  *
  * The paper's motivation for feature selection is profiling cost: all
  * 47 characteristics take ~110 machine-days, the 8 GA-selected ones
  * ~37 (about 3X less), because fewer analyzer families need to run.
- * These google-benchmark timers measure each analyzer family and the
- * full vs key-subset collection over identical traces, for both the
- * batched engine (the default) and the per-record reference path.
+ * This harness times each analyzer family and the full vs key-subset
+ * collection over identical records, plus the layers around them:
+ * methodology, trace recording and replay, the index, the daemon and
+ * the telemetry primitives.
  *
- * Besides the google-benchmark timers, `--json=<path>` runs a small
- * self-timed harness and writes a machine-readable mica-perf-profile/2
- * document: every family runs one untimed warmup pass plus --reps
- * timed repetitions, and each metric is a dispersion summary
- * ({p50, p90, min, max, n} via util::QuantileSketch) instead of a
- * single-shot number, so `mica perf compare` can gate regressions
- * against noise. `--enable-file=<F>` restricts the run to the
- * families named in an enable JSON (the benchmark-automation
- * contract; see `mica capabilities` for the family list).
+ *   perf_analyzers --json=FILE [--reps=N] [--obs-ref=RATE]
+ *                  [--enable-file=FILE]
+ *
+ * writes one mica-perf-profile/2 document. Every measurement runs one
+ * untimed warmup pass plus --reps timed repetitions (default 5, 2 to
+ * 100), and each metric is a dispersion summary {p50, p90, min, max,
+ * n} of exact nearest-rank quantiles over the stored samples, so
+ * `mica perf compare` can gate regressions against noise.
+ * `--enable-file=F` restricts the run to the families named in an
+ * enable JSON ({"families": ["index", ...]}; `mica capabilities`
+ * lists them). A failed request, connect, start, save or load ends
+ * the run with exit 1 naming its family, and no document is written:
+ * a failed measurement must never read as a fast one. Unknown flags
+ * and bad values exit 2.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <atomic>
-
+#include "experiments/perf_compare.hh"
 #include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "isa/interpreter.hh"
-#include "legacy_analyzers.hh"
-#include "legacy_fitness.hh"
 #include "methodology/genetic_selector.hh"
 #include "methodology/workload_space.hh"
 #include "mica/ilp.hh"
@@ -57,7 +62,6 @@
 #include "pipeline/thread_pool.hh"
 #include "service/client.hh"
 #include "service/json.hh"
-#include "util/quantile.hh"
 #include "service/query_engine.hh"
 #include "service/server.hh"
 #include "stats/kmeans.hh"
@@ -65,7 +69,8 @@
 #include "trace/engine.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
-#include "uarch/hpc_runner.hh"
+#include "util/arg_parse.hh"
+#include "util/quantile.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -73,7 +78,15 @@ namespace
 
 using namespace mica;
 
-/** Pre-generated replay trace shared by all analyzer benchmarks. */
+/** Keep @p v observable so the timed work is not optimized away. */
+template <typename T>
+void
+keep(const T &v)
+{
+    asm volatile("" : : "r"(&v) : "memory");
+}
+
+/** Pre-generated replay trace shared by the analyzer families. */
 const std::vector<InstRecord> &
 sharedTrace()
 {
@@ -103,333 +116,6 @@ keySubset()
                                             DWorkSet4K, Ilp256};
     return key;
 }
-
-template <typename Analyzer, typename... Args>
-void
-runAnalyzer(benchmark::State &state, Args &&...args)
-{
-    const auto &trace = sharedTrace();
-    for (auto _ : state) {
-        Analyzer a(std::forward<Args>(args)...);
-        for (const auto &r : trace)
-            a.accept(r);
-        a.finish();
-        benchmark::DoNotOptimize(&a);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(trace.size()));
-}
-
-/** Same analyzer, driven through one acceptBatch span per iteration. */
-template <typename Analyzer, typename... Args>
-void
-runAnalyzerBatched(benchmark::State &state, Args &&...args)
-{
-    const auto &trace = sharedTrace();
-    for (auto _ : state) {
-        Analyzer a(std::forward<Args>(args)...);
-        a.acceptBatch(trace.data(), trace.size());
-        a.finish();
-        benchmark::DoNotOptimize(&a);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(trace.size()));
-}
-
-void BM_InstMix(benchmark::State &s) { runAnalyzer<InstMixAnalyzer>(s); }
-void BM_Ilp(benchmark::State &s) { runAnalyzer<IlpAnalyzer>(s); }
-void BM_RegTraffic(benchmark::State &s)
-{
-    runAnalyzer<RegTrafficAnalyzer>(s);
-}
-void BM_WorkingSet(benchmark::State &s)
-{
-    runAnalyzer<WorkingSetAnalyzer>(s);
-}
-void BM_Strides(benchmark::State &s) { runAnalyzer<StrideAnalyzer>(s); }
-void BM_Ppm(benchmark::State &s)
-{
-    runAnalyzer<PpmBranchAnalyzer>(s, 8u);
-}
-
-BENCHMARK(BM_InstMix);
-BENCHMARK(BM_Ilp);
-BENCHMARK(BM_RegTraffic);
-BENCHMARK(BM_WorkingSet);
-BENCHMARK(BM_Strides);
-BENCHMARK(BM_Ppm);
-
-void BM_InstMixBatched(benchmark::State &s)
-{
-    runAnalyzerBatched<InstMixAnalyzer>(s);
-}
-void BM_IlpBatched(benchmark::State &s)
-{
-    runAnalyzerBatched<IlpAnalyzer>(s);
-}
-void BM_RegTrafficBatched(benchmark::State &s)
-{
-    runAnalyzerBatched<RegTrafficAnalyzer>(s);
-}
-void BM_WorkingSetBatched(benchmark::State &s)
-{
-    runAnalyzerBatched<WorkingSetAnalyzer>(s);
-}
-void BM_StridesBatched(benchmark::State &s)
-{
-    runAnalyzerBatched<StrideAnalyzer>(s);
-}
-void BM_PpmBatched(benchmark::State &s)
-{
-    runAnalyzerBatched<PpmBranchAnalyzer>(s, 8u);
-}
-
-BENCHMARK(BM_InstMixBatched);
-BENCHMARK(BM_IlpBatched);
-BENCHMARK(BM_RegTrafficBatched);
-BENCHMARK(BM_WorkingSetBatched);
-BENCHMARK(BM_StridesBatched);
-BENCHMARK(BM_PpmBatched);
-
-/**
- * Full 47-characteristic collection over the shared replay trace —
- * the apples-to-apples engine comparison: identical records, identical
- * analyzers, only the dispatch granularity differs.
- */
-void
-runFullProfile(benchmark::State &state, size_t engineBatch)
-{
-    VectorTraceSource src(sharedTrace());
-    for (auto _ : state) {
-        src.reset();
-        MicaRunnerConfig cfg;
-        cfg.engineBatch = engineBatch;
-        const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(sharedTrace().size()));
-}
-
-void BM_FullProfilePerRecord(benchmark::State &s) { runFullProfile(s, 0); }
-void BM_FullProfileBatched(benchmark::State &s)
-{
-    runFullProfile(s, AnalysisEngine::kDefaultBatchSize);
-}
-
-BENCHMARK(BM_FullProfilePerRecord);
-BENCHMARK(BM_FullProfileBatched);
-
-/**
- * The seed baseline: all six PR-1 analyzer implementations (node
- * containers, two-pass PPM, modulo ILP) driven record-at-a-time —
- * what one full profile cost before this change. The key-subset
- * variant drops PPM, mirroring which families the Table IV subset
- * needs.
- */
-struct LegacyAnalyzerSet
-{
-    legacy::InstMixAnalyzer mix;
-    legacy::IlpAnalyzer ilp;
-    legacy::RegTrafficAnalyzer rt;
-    legacy::WorkingSetAnalyzer ws;
-    legacy::StrideAnalyzer st;
-    legacy::PpmBranchAnalyzer ppm{8};
-
-    void
-    addTo(AnalysisEngine &eng, bool keyOnly)
-    {
-        eng.add(&mix);
-        eng.add(&ilp);
-        eng.add(&rt);
-        eng.add(&ws);
-        eng.add(&st);
-        if (!keyOnly)
-            eng.add(&ppm);
-    }
-};
-
-/** One record-at-a-time run of the frozen seed analyzer set. */
-void
-runSeedOnce(VectorTraceSource &src, bool keyOnly)
-{
-    LegacyAnalyzerSet set;
-    AnalysisEngine eng;
-    set.addTo(eng, keyOnly);
-    src.reset();
-    eng.runPerRecord(src);
-    benchmark::DoNotOptimize(&eng);
-}
-
-template <bool KeyOnly>
-void
-runSeedBaseline(benchmark::State &state)
-{
-    VectorTraceSource src(sharedTrace());
-    for (auto _ : state)
-        runSeedOnce(src, KeyOnly);
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(sharedTrace().size()));
-}
-
-void BM_FullProfileSeedBaseline(benchmark::State &s)
-{
-    runSeedBaseline<false>(s);
-}
-void BM_KeySubsetSeedBaseline(benchmark::State &s)
-{
-    runSeedBaseline<true>(s);
-}
-
-BENCHMARK(BM_FullProfileSeedBaseline);
-BENCHMARK(BM_KeySubsetSeedBaseline);
-
-/** Full 47-characteristic collection over a registry benchmark. */
-void
-BM_CollectAll47(benchmark::State &state)
-{
-    const auto *e = workloads::BenchmarkRegistry::instance().find(
-        "SPEC2000/bzip2.source");
-    const isa::Program prog = e->build();
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        isa::Interpreter interp(prog);
-        MicaRunnerConfig cfg;
-        cfg.maxInsts = 100000;
-        const MicaProfile p = collectMicaProfile(interp, "x", cfg);
-        insts = p.instCount;
-        benchmark::DoNotOptimize(p.values[0]);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(insts));
-}
-BENCHMARK(BM_CollectAll47);
-
-/** Key-subset collection (the paper's Table IV set). */
-void
-BM_CollectKey8(benchmark::State &state)
-{
-    const auto *e = workloads::BenchmarkRegistry::instance().find(
-        "SPEC2000/bzip2.source");
-    const isa::Program prog = e->build();
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        isa::Interpreter interp(prog);
-        MicaRunnerConfig cfg;
-        cfg.maxInsts = 100000;
-        const MicaProfile p =
-            collectMicaProfileSubset(interp, "x", keySubset(), cfg);
-        insts = p.instCount;
-        benchmark::DoNotOptimize(p.values[0]);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(insts));
-}
-BENCHMARK(BM_CollectKey8);
-
-/** The HPC characterization for scale (fast on real HW, simulated here). */
-void
-BM_CollectHpc(benchmark::State &state)
-{
-    const auto *e = workloads::BenchmarkRegistry::instance().find(
-        "SPEC2000/bzip2.source");
-    const isa::Program prog = e->build();
-    for (auto _ : state) {
-        isa::Interpreter interp(prog);
-        const auto p = uarch::collectHwProfile(interp, "x", 100000);
-        benchmark::DoNotOptimize(p.ipcEv56);
-    }
-}
-BENCHMARK(BM_CollectHpc);
-
-/** Bare interpretation, to separate tracing cost from analysis cost. */
-void
-BM_InterpreterOnly(benchmark::State &state)
-{
-    const auto *e = workloads::BenchmarkRegistry::instance().find(
-        "SPEC2000/bzip2.source");
-    const isa::Program prog = e->build();
-    for (auto _ : state) {
-        isa::Interpreter interp(prog);
-        InstRecord r;
-        uint64_t n = 0;
-        while (n < 100000 && interp.next(r))
-            ++n;
-        benchmark::DoNotOptimize(n);
-    }
-}
-BENCHMARK(BM_InterpreterOnly);
-
-// ----------------------------------------------------------------------
-// Trace recording / replay benchmarks: what does moving records
-// through a file cost relative to interpreting the program directly?
-// ----------------------------------------------------------------------
-
-/** The shared trace recorded once to a scratch trace file. */
-const std::string &
-recordedTracePath()
-{
-    static const std::string path = [] {
-        std::string p =
-            (std::filesystem::temp_directory_path() /
-             "mica_perf_replay.trace")
-                .string();
-        VectorTraceSource src(sharedTrace());
-        TraceFileWriter w(p);
-        RecordingSource tee(src, w);
-        std::vector<InstRecord> buf(4096);
-        const InstRecord *span = nullptr;
-        while (tee.nextSpan(span, buf.data(), buf.size()) != 0) {
-        }
-        w.close();
-        return p;
-    }();
-    return path;
-}
-
-void
-BM_TraceRecord(benchmark::State &state)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "mica_perf_record_bm.trace")
-            .string();
-    VectorTraceSource src(sharedTrace());
-    for (auto _ : state) {
-        src.reset();
-        TraceFileWriter w(path);
-        RecordingSource tee(src, w);
-        std::vector<InstRecord> buf(4096);
-        const InstRecord *span = nullptr;
-        while (tee.nextSpan(span, buf.data(), buf.size()) != 0) {
-        }
-        w.close();
-        benchmark::DoNotOptimize(w.recordCount());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(sharedTrace().size()));
-    std::filesystem::remove(path);
-}
-BENCHMARK(BM_TraceRecord);
-
-/** Full 47-characteristic collection replayed from the trace file. */
-void
-BM_TraceReplay(benchmark::State &state)
-{
-    const std::string &path = recordedTracePath();
-    for (auto _ : state) {
-        FileTraceSource src(path);
-        const MicaProfile p = collectMicaProfile(src, "x", {});
-        benchmark::DoNotOptimize(p.values[0]);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(sharedTrace().size()));
-}
-BENCHMARK(BM_TraceReplay);
-
-// ----------------------------------------------------------------------
-// Methodology engine (GA fitness, clustering sweep) benchmarks.
-// ----------------------------------------------------------------------
 
 /**
  * Paper-scale synthetic workload space: 122 benchmarks x 47
@@ -475,63 +161,22 @@ methodologyMasks()
     return masks;
 }
 
-void
-BM_GaFitnessSeed(benchmark::State &state)
-{
-    legacy::FitnessEval eval(methodologySpace());
-    for (auto _ : state) {
-        double acc = 0.0;
-        // Clone the engine so every iteration starts with a cold memo,
-        // like the masks of one fresh GA generation.
-        legacy::FitnessEval fresh = eval;
-        for (uint64_t m : methodologyMasks())
-            acc += fresh(m).first;
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(methodologyMasks().size()));
-}
-BENCHMARK(BM_GaFitnessSeed);
-
-void
-BM_GaFitnessEngine(benchmark::State &state)
-{
-    FitnessEval eval(methodologySpace());
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (uint64_t m : methodologyMasks())
-            acc += eval.compute(m).first;    // pure path, no memo
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(methodologyMasks().size()));
-}
-BENCHMARK(BM_GaFitnessEngine);
-
-void
-BM_BicSweep(benchmark::State &state)
-{
-    const Matrix reduced = methodologySpace().normalized().selectCols(
-        {0, 1, 2, 3, 4, 5, 6, 7});
-    for (auto _ : state) {
-        const BicSweepResult r = bicSweep(reduced, 24, 5);
-        benchmark::DoNotOptimize(r.chosenK);
-    }
-}
-BENCHMARK(BM_BicSweep);
-
 // ----------------------------------------------------------------------
-// Index family: fingerprint-index build and query throughput. The
-// population is synthetic but index-shaped: a few thousand workloads
-// in a GA-reduced-size space, far past the paper's 122, so the exact
-// scan is measured at a corpus size it has to stay fast at.
+// Index and serve fixtures. The population is synthetic but
+// index-shaped: a few thousand workloads in a GA-reduced-size space,
+// far past the paper's 122, so the exact scan is measured at a corpus
+// size it has to stay fast at. The daemon serves the same corpus
+// (only knn is asked, so the snapshot needs no answer tables), so the
+// delta between local_requests_per_sec and the daemon numbers is
+// exactly what the wire adds: socket round trip and one poll pass of
+// the connection's event loop.
 // ----------------------------------------------------------------------
 
 constexpr size_t kIndexPoints = 4096;
 constexpr size_t kIndexDim = 16;
 constexpr size_t kIndexK = 10;
 
-/** Raw dataset the index benchmarks fingerprint. */
+/** Raw dataset the index family fingerprints. */
 const Matrix &
 indexDataset()
 {
@@ -558,43 +203,7 @@ indexCorpus()
     return idx;
 }
 
-void
-BM_IndexBuild(benchmark::State &state)
-{
-    const Matrix &raw = indexDataset();
-    for (auto _ : state) {
-        const auto idx = index::FingerprintIndex::build(raw);
-        benchmark::DoNotOptimize(idx.size());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(kIndexPoints));
-}
-BENCHMARK(BM_IndexBuild);
-
-void
-BM_IndexKnn(benchmark::State &state)
-{
-    const auto &idx = indexCorpus();
-    size_t q = 0;
-    for (auto _ : state) {
-        const auto r = idx.knn(q, kIndexK);
-        benchmark::DoNotOptimize(r.data());
-        q = (q + 1) % idx.size();
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_IndexKnn);
-
-// ----------------------------------------------------------------------
-// serve family: the similarity-query daemon under load. The snapshot
-// is the synthetic index corpus (queries run the same scan the
-// index family measures; only knn is asked, so the snapshot needs no
-// answer tables), so the delta between local_requests_per_sec and
-// the daemon numbers is exactly what the wire adds: socket round trip
-// and one poll pass of the connection's event loop.
-// ----------------------------------------------------------------------
-
-/** The immutable snapshot every serve benchmark queries. */
+/** The immutable snapshot every serve measurement queries. */
 std::shared_ptr<const service::ServerSnapshot>
 serveSnapshot()
 {
@@ -630,18 +239,19 @@ struct ServeHarness
             service::SpaceChoice{});
         std::string err;
         if (!server->start(&err)) {
-            std::cerr << "serve bench: " << err << "\n";
-            return;
+            std::filesystem::remove_all(dir);
+            throw std::runtime_error("daemon start: " + err);
         }
         loop = std::thread([this] { server->run(); });
     }
 
+    ServeHarness(const ServeHarness &) = delete;
+    ServeHarness &operator=(const ServeHarness &) = delete;
+
     ~ServeHarness()
     {
-        if (loop.joinable()) {
-            server->requestStop();
-            loop.join();
-        }
+        server->requestStop();
+        loop.join();
         std::filesystem::remove_all(dir);
     }
 };
@@ -655,103 +265,96 @@ serveRequestLine(size_t i)
            idx.nameOf(i % idx.size()) + "\",\"k\":10}";
 }
 
+/** Connect @p client to @p server; throws when the connect fails. */
 void
-BM_ServeRoundTrip(benchmark::State &state)
+connectTo(service::ServiceClient &client, const service::Server &server)
 {
-    static ServeHarness harness;
-    service::ServiceClient client;
     std::string err;
-    if (!client.connect(harness.server->boundAddress(), &err)) {
-        state.SkipWithError(err.c_str());
-        return;
-    }
-    size_t i = 0;
-    for (auto _ : state) {
-        std::string reply;
-        if (!client.request(serveRequestLine(i++), &reply, &err)) {
-            state.SkipWithError(err.c_str());
-            return;
-        }
-        benchmark::DoNotOptimize(reply.data());
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    if (!client.connect(server.boundAddress(), &err))
+        throw std::runtime_error("connect: " + err);
 }
-BENCHMARK(BM_ServeRoundTrip);
+
+/** Knn request @p i on @p client; throws unless the reply is ok. */
+void
+knnRoundTrip(service::ServiceClient &client, size_t i, std::string *reply)
+{
+    std::string err;
+    if (!client.request(serveRequestLine(i), reply, &err))
+        throw std::runtime_error("request: " + err);
+    if (reply->rfind("{\"ok\":true", 0) != 0)
+        throw std::runtime_error("request: " + *reply);
+}
 
 // ----------------------------------------------------------------------
-// --json mode: self-timed dispersion profile for trend tracking and
-// regression gating. Every family runs one untimed warmup pass (so a
-// cold first iteration never sets the number) and then g_reps timed
-// repetitions whose per-rep rates feed a deterministic quantile
-// sketch; the emitted summary is {p50, p90, min, max, n}.
+// Timing: every measurement runs one untimed warmup pass (so a cold
+// first iteration never sets the number) and then g_reps timed
+// repetitions, each one sample of an exact nearest-rank summary.
 // ----------------------------------------------------------------------
 
-/** Timed repetitions per family (--reps=N; warmup is extra). */
+/** Timed repetitions per measurement (--reps=N; warmup is extra). */
 int g_reps = 5;
 
-/** One metric's dispersion over the timed repetitions. */
-struct Summary
-{
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    uint64_t n = 0;
-};
+/** One metric's samples. */
+using Summary = util::ExactQuantiles;
 
-Summary
-fromSketch(const util::QuantileSketch &sk)
+/** Warmup + g_reps timed runs of @p run; @return each run's seconds. */
+template <typename Fn>
+std::vector<double>
+repSeconds(Fn &&run)
 {
-    Summary s;
-    s.p50 = sk.quantile(0.5);
-    s.p90 = sk.quantile(0.9);
-    s.min = sk.min();
-    s.max = sk.max();
-    s.n = sk.count();
-    return s;
+    run();   // warmup: first-touch page faults and cold caches
+    std::vector<double> secs;
+    for (int rep = 0; rep < g_reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        run();
+        secs.push_back(std::max(
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0).count(),
+            1e-12));
+    }
+    return secs;
 }
 
-/** Warmup + g_reps timed runs; per-rep value is items/sec. */
+/** Per-rep value is items/sec. */
 template <typename Fn>
 Summary
 rateSummary(uint64_t items, Fn &&run)
 {
-    run();   // warmup: first-touch page faults and cold caches
-    util::QuantileSketch sk;
-    for (int rep = 0; rep < g_reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        run();
-        const double dt = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0).count();
-        sk.add(static_cast<double>(items) / std::max(dt, 1e-12));
-    }
-    return fromSketch(sk);
+    Summary s;
+    for (const double dt : repSeconds(run))
+        s.add(static_cast<double>(items) / dt);
+    return s;
 }
 
-/** Warmup + g_reps timed runs; per-rep value is ns/item. */
+/** Per-rep value is ns/item. */
 template <typename Fn>
 Summary
 nsSummary(uint64_t items, Fn &&run)
 {
-    run();
-    util::QuantileSketch sk;
-    for (int rep = 0; rep < g_reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        run();
-        const double ns = std::chrono::duration<double, std::nano>(
-            std::chrono::steady_clock::now() - t0).count();
-        sk.add(ns / static_cast<double>(items));
-    }
-    return fromSketch(sk);
+    Summary s;
+    for (const double dt : repSeconds(run))
+        s.add(dt * 1e9 / static_cast<double>(items));
+    return s;
 }
 
-/** Render one summary as a single-line JSON object. */
+/** Render @p s as one {p50, p90[, p99], min, max, n} JSON object. */
 void
-emitSummary(std::ostream &out, const Summary &s)
+emitSummary(std::ostream &out, const Summary &s, bool p99 = false)
 {
-    out << "{\"p50\": " << s.p50 << ", \"p90\": " << s.p90
-        << ", \"min\": " << s.min << ", \"max\": " << s.max
-        << ", \"n\": " << s.n << "}";
+    out << "{\"p50\": " << s.quantile(0.5)
+        << ", \"p90\": " << s.quantile(0.9);
+    if (p99)
+        out << ", \"p99\": " << s.quantile(0.99);
+    out << ", \"min\": " << s.quantile(0.0)
+        << ", \"max\": " << s.quantile(1.0) << ", \"n\": " << s.count()
+        << "}";
+}
+
+/** p50 over p50. */
+double
+ratio(const Summary &num, const Summary &den)
+{
+    return num.quantile(0.5) / den.quantile(0.5);
 }
 
 /** Time one analyzer family over the shared trace, batched engine. */
@@ -765,50 +368,26 @@ familyRate(VectorTraceSource &src, MakeAnalyzer &&make)
         eng.add(&a);
         src.reset();
         eng.run(src);
-        benchmark::DoNotOptimize(&a);
+        keep(a);
     });
 }
 
-/** Time a full or key-subset collection on one engine path. */
+/** Time a full or key-subset collection on the batched engine. */
 Summary
-collectRate(VectorTraceSource &src, size_t engineBatch, bool keyOnly)
+collectRate(VectorTraceSource &src, bool keyOnly)
 {
     return rateSummary(src.size(), [&] {
-        MicaRunnerConfig cfg;
-        cfg.engineBatch = engineBatch;
         src.reset();
         const MicaProfile p = keyOnly
-            ? collectMicaProfileSubset(src, "x", keySubset(), cfg)
-            : collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
-    });
-}
-
-/** Time the frozen seed implementations (see legacy_analyzers.hh). */
-Summary
-seedBaselineRate(VectorTraceSource &src, bool keyOnly)
-{
-    return rateSummary(src.size(), [&] { runSeedOnce(src, keyOnly); });
-}
-
-/** Masks/sec of the frozen seed fitness engine (cold memo per rep). */
-Summary
-seedFitnessRate()
-{
-    const auto &masks = methodologyMasks();
-    legacy::FitnessEval proto(methodologySpace());
-    return rateSummary(masks.size(), [&] {
-        legacy::FitnessEval eval = proto;
-        double acc = 0.0;
-        for (uint64_t m : masks)
-            acc += eval(m).first;
-        benchmark::DoNotOptimize(acc);
+            ? collectMicaProfileSubset(src, "x", keySubset(), {})
+            : collectMicaProfile(src, "x", {});
+        keep(p.values[0]);
     });
 }
 
 /**
- * Masks/sec of the current fitness engine through the pure compute()
- * path, serial or fanned across a pool in the same fixed-size chunks
+ * Masks/sec of the fitness engine through the pure compute() path,
+ * serial or fanned across a pool in the same fixed-size chunks
  * geneticSelect uses.
  */
 Summary
@@ -825,7 +404,7 @@ engineFitnessRate(const FitnessEval &eval, mica::pipeline::ThreadPool *pool)
             for (size_t i = lo; i < hi; ++i)
                 out[i] = eval.compute(masks[i]).first;
         });
-        benchmark::DoNotOptimize(out.data());
+        keep(out);
     });
 }
 
@@ -838,7 +417,7 @@ gaGenerationsRate(mica::pipeline::ThreadPool *pool)
     cfg.stallGenerations = 10000;
     return rateSummary(cfg.maxGenerations, [&] {
         const GaResult r = geneticSelect(methodologySpace(), cfg, pool);
-        benchmark::DoNotOptimize(r.fitness);
+        keep(r.fitness);
     });
 }
 
@@ -851,7 +430,7 @@ clusterSweepRate(mica::pipeline::ThreadPool *pool)
     return rateSummary(1, [&] {
         const BicSweepResult r =
             bicSweep(reduced, 24, 5, 0.9, 0.0, pool);
-        benchmark::DoNotOptimize(r.chosenK);
+        keep(r.chosenK);
     });
 }
 
@@ -902,7 +481,7 @@ traceReplayRates()
     r.interp = rateSummary(r.records, [&] {
         isa::Interpreter interp(prog);
         const MicaProfile p = collectMicaProfile(interp, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
+        keep(p.values[0]);
     });
     r.record = rateSummary(r.records, [&] {
         isa::Interpreter interp(prog);
@@ -919,12 +498,12 @@ traceReplayRates()
                                        cfg.maxInsts - n))) != 0)
             n += got;
         w.close();
-        benchmark::DoNotOptimize(n);
+        keep(n);
     });
     r.stream = rateSummary(r.records, [&] {
         FileTraceSource src(path);
         const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
+        keep(p.values[0]);
     });
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".rec");
@@ -985,7 +564,7 @@ traceV2Rates()
         TraceFileWriter w(p2 + ".enc");
         w.append(recs.data(), recs.size());
         w.close();
-        benchmark::DoNotOptimize(w.recordCount());
+        keep(w);
     });
     r.decode = rateSummary(r.records, [&] {
         FileTraceSource src(p2);
@@ -995,12 +574,12 @@ traceV2Rates()
         size_t got;
         while ((got = src.nextSpan(span, buf.data(), buf.size())) != 0)
             n += got;
-        benchmark::DoNotOptimize(n);
+        keep(n);
     });
     r.replayV2 = rateSummary(r.records, [&] {
         FileTraceSource src(p2);
         const MicaProfile p = collectMicaProfile(src, "x", cfg);
-        benchmark::DoNotOptimize(p.values[0]);
+        keep(p.values[0]);
     });
     std::filesystem::remove(p2);
     std::filesystem::remove(p2 + ".enc");
@@ -1014,7 +593,7 @@ indexBuildRate()
     const Matrix &raw = indexDataset();
     return rateSummary(1, [&] {
         const auto idx = index::FingerprintIndex::build(raw);
-        benchmark::DoNotOptimize(idx.size());
+        keep(idx);
     });
 }
 
@@ -1027,8 +606,19 @@ indexKnnRate()
     return rateSummary(queries, [&] {
         for (size_t q = 0; q < queries; ++q) {
             const auto r = idx.knn(q, kIndexK);
-            benchmark::DoNotOptimize(r.data());
+            keep(r);
         }
+    });
+}
+
+/** Whole-population batch kNN throughput (queries/sec). */
+Summary
+indexBatchRate(mica::pipeline::ThreadPool *pool)
+{
+    const auto &idx = indexCorpus();
+    return rateSummary(idx.size(), [&] {
+        const auto r = idx.batchKnn(kIndexK, pool);
+        keep(r);
     });
 }
 
@@ -1044,15 +634,13 @@ serveSnapshotLoadRate()
                           .string();
     std::string why;
     if (!index::saveIndexSnapshot(indexCorpus(), path, "bench-serve",
-                                  &why)) {
-        std::cerr << "serve bench: save snapshot: " << why << "\n";
-        return {};
-    }
+                                  &why))
+        throw std::runtime_error("save snapshot: " + why);
     const Summary rate = rateSummary(1, [&] {
         index::FingerprintIndex loaded;
-        if (index::loadIndexSnapshot(path, "bench-serve", &loaded,
-                                     &why))
-            benchmark::DoNotOptimize(loaded.size());
+        if (!index::loadIndexSnapshot(path, "bench-serve", &loaded, &why))
+            throw std::runtime_error("load snapshot: " + why);
+        keep(loaded);
     });
     std::filesystem::remove(path);
     return rate;
@@ -1068,7 +656,7 @@ serveLocalRate()
         for (size_t i = 0; i < kReqs; ++i) {
             const std::string reply =
                 service::executeLine(*snap, serveRequestLine(i));
-            benchmark::DoNotOptimize(reply.data());
+            keep(reply);
         }
     });
 }
@@ -1079,102 +667,54 @@ serveDaemonRate(service::Server &server, size_t conns)
 {
     constexpr size_t kPerConn = 256;
     return rateSummary(conns * kPerConn, [&] {
-        std::atomic<size_t> failures{0};
+        std::vector<std::exception_ptr> failed(conns);
         std::vector<std::thread> clients;
         for (size_t c = 0; c < conns; ++c) {
             clients.emplace_back([&, c] {
-                service::ServiceClient client;
-                std::string err;
-                if (!client.connect(server.boundAddress(), &err)) {
-                    failures.fetch_add(kPerConn);
-                    return;
-                }
-                std::string reply;
-                for (size_t i = 0; i < kPerConn; ++i) {
-                    if (!client.request(
-                            serveRequestLine(c * kPerConn + i),
-                            &reply, &err))
-                        failures.fetch_add(1);
+                try {
+                    service::ServiceClient client;
+                    connectTo(client, server);
+                    std::string reply;
+                    for (size_t i = 0; i < kPerConn; ++i)
+                        knnRoundTrip(client, c * kPerConn + i, &reply);
+                } catch (...) {
+                    failed[c] = std::current_exception();
                 }
             });
         }
         for (auto &t : clients)
             t.join();
-        if (failures.load() != 0)
-            std::cerr << "serve bench: " << failures.load()
-                      << " failed requests\n";
+        for (const auto &f : failed) {
+            if (f)
+                std::rethrow_exception(f);
+        }
     });
 }
 
 /**
  * Per-request knn round-trip latency (microseconds) on one
  * connection: the latency-side complement of the aggregate
- * requests/sec numbers, with every individual request feeding the
- * sketch so the tail (p99) is visible.
+ * requests/sec numbers, with every individual request one sample so
+ * the tail (p99) is visible.
  */
-struct LatencySummary
-{
-    double p50 = 0.0, p90 = 0.0, p99 = 0.0, min = 0.0, max = 0.0;
-    uint64_t n = 0;
-};
-
-void
-emitLatencySummary(std::ostream &out, const LatencySummary &s)
-{
-    out << "{\"p50\": " << s.p50 << ", \"p90\": " << s.p90
-        << ", \"p99\": " << s.p99 << ", \"min\": " << s.min
-        << ", \"max\": " << s.max << ", \"n\": " << s.n << "}";
-}
-
-LatencySummary
-latencyFromSketch(const util::QuantileSketch &sk)
-{
-    LatencySummary s;
-    s.p50 = sk.quantile(0.5);
-    s.p90 = sk.quantile(0.9);
-    s.p99 = sk.quantile(0.99);
-    s.min = sk.min();
-    s.max = sk.max();
-    s.n = sk.count();
-    return s;
-}
-
-LatencySummary
+Summary
 serveKnnLatencyUs(service::Server &server)
 {
     service::ServiceClient client;
-    std::string err;
-    if (!client.connect(server.boundAddress(), &err)) {
-        std::cerr << "serve bench: " << err << "\n";
-        return {};
-    }
+    connectTo(client, server);
     constexpr size_t kWarmup = 64;
     constexpr size_t kTimed = 1024;
-    util::QuantileSketch sk;
+    Summary us;
     std::string reply;
     for (size_t i = 0; i < kWarmup + kTimed; ++i) {
         const auto t0 = std::chrono::steady_clock::now();
-        if (!client.request(serveRequestLine(i), &reply, &err)) {
-            std::cerr << "serve bench: " << err << "\n";
-            return {};
-        }
-        const double us = std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0).count();
+        knnRoundTrip(client, i, &reply);
         if (i >= kWarmup)
-            sk.add(us);
+            us.add(std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
     }
-    return latencyFromSketch(sk);
-}
-
-/** Whole-population batch kNN throughput (queries/sec). */
-Summary
-indexBatchRate(mica::pipeline::ThreadPool *pool)
-{
-    const auto &idx = indexCorpus();
-    return rateSummary(idx.size(), [&] {
-        const auto r = idx.batchKnn(kIndexK, pool);
-        benchmark::DoNotOptimize(r.data());
-    });
+    return us;
 }
 
 // ----------------------------------------------------------------------
@@ -1194,7 +734,7 @@ counterAddNs()
     return nsSummary(kAdds, [] {
         for (uint64_t i = 0; i < kAdds; ++i)
             c.add(1);
-        benchmark::DoNotOptimize(&c);
+        keep(c);
     });
 }
 
@@ -1212,16 +752,6 @@ spanRecordNs()
     });
     obs::setTraceEnabled(false);
     return ns;
-}
-
-/** The canonical family names (enable-file / capabilities contract). */
-const std::vector<std::string> &
-allFamilies()
-{
-    static const std::vector<std::string> fams = {
-        "analyzers", "engine", "methodology", "trace_replay",
-        "trace_v2",  "index",  "serve",       "obs"};
-    return fams;
 }
 
 /** Parse an enable JSON: {"families": ["index", "serve", ...]}. */
@@ -1248,11 +778,14 @@ loadEnableFile(const std::string &path, std::set<std::string> *out)
                   << ": missing \"families\" array\n";
         return false;
     }
-    const auto &known = allFamilies();
     for (const auto &f : fams->items()) {
-        if (!f.isString() ||
-            std::find(known.begin(), known.end(), f.asString()) ==
-                known.end()) {
+        const bool known = f.isString() &&
+            std::any_of(std::begin(experiments::kPerfFamilies),
+                        std::end(experiments::kPerfFamilies),
+                        [&](const experiments::PerfFamily &k) {
+                            return f.asString() == k.name;
+                        });
+        if (!known) {
             std::cerr << "perf_analyzers: " << path
                       << ": unknown family "
                       << (f.isString() ? f.asString() : f.dump())
@@ -1269,22 +802,12 @@ loadEnableFile(const std::string &path, std::set<std::string> *out)
     return true;
 }
 
-/** p50 ratio with a zero guard (a failed family reports 0 rates). */
-double
-ratio(const Summary &num, const Summary &den)
-{
-    return den.p50 > 0.0 ? num.p50 / den.p50 : 0.0;
-}
-
 int
 writeJsonProfile(const std::string &path, double obsRef,
                  const std::set<std::string> &enabled)
 {
     VectorTraceSource src(sharedTrace());
     const uint64_t records = src.size();
-    const auto on = [&](const char *fam) {
-        return enabled.count(fam) != 0;
-    };
 
     std::optional<mica::pipeline::ThreadPool> pool8;
     const auto pool = [&]() -> mica::pipeline::ThreadPool * {
@@ -1293,22 +816,16 @@ writeJsonProfile(const std::string &path, double obsRef,
         return &*pool8;
     };
 
-    // The engine's batched full-profile rate doubles as the obs
-    // family's "idle" number; computed once, whichever family asks
-    // first.
-    std::optional<Summary> fullBatchedCache;
-    const auto fullBatched = [&]() -> const Summary & {
-        if (!fullBatchedCache)
-            fullBatchedCache = collectRate(
-                src, AnalysisEngine::kDefaultBatchSize, false);
-        return *fullBatchedCache;
+    // The engine's full-profile rate doubles as the obs family's
+    // "idle" number; computed once, whichever family asks first.
+    std::optional<Summary> fullProfileCache;
+    const auto fullProfile = [&]() -> const Summary & {
+        if (!fullProfileCache)
+            fullProfileCache = collectRate(src, false);
+        return *fullProfileCache;
     };
 
-    // Each enabled family renders its own object; disabled families
-    // are simply absent from the document (the enable-file contract).
-    std::vector<std::pair<std::string, std::string>> fams;
-
-    if (on("analyzers")) {
+    const auto analyzers = [&] {
         const Summary mix =
             familyRate(src, [] { return InstMixAnalyzer(); });
         const Summary ilp = familyRate(src, [] { return IlpAnalyzer(); });
@@ -1336,47 +853,31 @@ writeJsonProfile(const std::string &path, double obsRef,
         os << ",\n      \"ppm\": ";
         emitSummary(os, ppm);
         os << "\n    }";
-        fams.emplace_back("analyzers", os.str());
-    }
+        return os.str();
+    };
 
-    if (on("engine")) {
-        const Summary fullSeed = seedBaselineRate(src, false);
-        const Summary fullPerRecord = collectRate(src, 0, false);
-        const Summary fullB = fullBatched();
-        const Summary keySeed = seedBaselineRate(src, true);
-        const Summary keyPerRecord = collectRate(src, 0, true);
-        const Summary keyBatched = collectRate(
-            src, AnalysisEngine::kDefaultBatchSize, true);
+    const auto engine = [&] {
+        const Summary &full = fullProfile();
+        const Summary key = collectRate(src, true);
         std::ostringstream os;
         os.precision(17);
         os << "{\n      \"units\": \"records_per_sec\",\n"
            << "      \"full_profile\": {\n"
-           << "        \"seed_baseline\": ";
-        emitSummary(os, fullSeed);
-        os << ",\n        \"per_record\": ";
-        emitSummary(os, fullPerRecord);
-        os << ",\n        \"batched\": ";
-        emitSummary(os, fullB);
-        os << ",\n        \"speedup_vs_seed\": " << ratio(fullB, fullSeed)
-           << "\n      },\n      \"key_subset\": {\n"
-           << "        \"seed_baseline\": ";
-        emitSummary(os, keySeed);
-        os << ",\n        \"per_record\": ";
-        emitSummary(os, keyPerRecord);
-        os << ",\n        \"batched\": ";
-        emitSummary(os, keyBatched);
-        os << ",\n        \"speedup_vs_seed\": "
-           << ratio(keyBatched, keySeed) << "\n      }\n    }";
-        fams.emplace_back("engine", os.str());
-    }
+           << "        \"batched\": ";
+        emitSummary(os, full);
+        os << "\n      },\n      \"key_subset\": {\n"
+           << "        \"batched\": ";
+        emitSummary(os, key);
+        os << "\n      }\n    }";
+        return os.str();
+    };
 
-    if (on("methodology")) {
-        // GA fitness stage (masks/sec, frozen seed vs current engine
-        // vs 8-job fan-out), whole-GA generations/sec, and clustering
-        // K-sweeps/sec. The 8-job numbers only beat serial on
-        // multi-core machines; the host block records the CPU count.
+    const auto methodology = [&] {
+        // GA fitness stage (masks/sec, serial vs 8-job fan-out),
+        // whole-GA generations/sec, and clustering K-sweeps/sec. The
+        // 8-job numbers only beat serial on multi-core machines; the
+        // host block records the CPU count.
         const FitnessEval methodologyEval(methodologySpace());
-        const Summary fitSeed = seedFitnessRate();
         const Summary fitSerial =
             engineFitnessRate(methodologyEval, nullptr);
         const Summary fitJobs8 =
@@ -1389,15 +890,11 @@ writeJsonProfile(const std::string &path, double obsRef,
         os.precision(17);
         os << "{\n      \"workers\": 8,\n"
            << "      \"ga_fitness_masks_per_sec\": {\n"
-           << "        \"seed_baseline\": ";
-        emitSummary(os, fitSeed);
-        os << ",\n        \"serial\": ";
+           << "        \"serial\": ";
         emitSummary(os, fitSerial);
         os << ",\n        \"jobs8\": ";
         emitSummary(os, fitJobs8);
-        os << ",\n        \"speedup_vs_seed\": " << ratio(fitJobs8, fitSeed)
-           << ",\n        \"serial_speedup_vs_seed\": "
-           << ratio(fitSerial, fitSeed) << "\n      },\n"
+        os << "\n      },\n"
            << "      \"ga_generations_per_sec\": {\n"
            << "        \"serial\": ";
         emitSummary(os, gaSerial);
@@ -1412,10 +909,10 @@ writeJsonProfile(const std::string &path, double obsRef,
         emitSummary(os, sweepJobs8);
         os << ",\n        \"speedup\": " << ratio(sweepJobs8, sweepSerial)
            << "\n      }\n    }";
-        fams.emplace_back("methodology", os.str());
-    }
+        return os.str();
+    };
 
-    if (on("trace_replay")) {
+    const auto traceReplay = [&] {
         const TraceReplayRates trr = traceReplayRates();
         std::ostringstream os;
         os.precision(17);
@@ -1428,20 +925,18 @@ writeJsonProfile(const std::string &path, double obsRef,
         os << ",\n        \"stream_replay\": ";
         emitSummary(os, trr.stream);
         os << "\n      }\n    }";
-        fams.emplace_back("trace_replay", os.str());
-    }
+        return os.str();
+    };
 
-    if (on("trace_v2")) {
+    const auto traceV2 = [&] {
         const TraceV2Rates tv = traceV2Rates();
         std::ostringstream os;
         os.precision(17);
         os << "{\n      \"records\": " << tv.records << ",\n"
            << "      \"v2_bytes\": " << tv.v2Bytes << ",\n"
            << "      \"compression_ratio\": "
-           << (tv.v2Bytes > 0
-                   ? static_cast<double>(tv.records * sizeof(InstRecord)) /
-                         static_cast<double>(tv.v2Bytes)
-                   : 0.0)
+           << static_cast<double>(tv.records * sizeof(InstRecord)) /
+                  static_cast<double>(tv.v2Bytes)
            << ",\n      \"encode_records_per_sec\": ";
         emitSummary(os, tv.encode);
         os << ",\n      \"decode_records_per_sec\": ";
@@ -1450,10 +945,10 @@ writeJsonProfile(const std::string &path, double obsRef,
            << "        \"v2_stream_replay\": ";
         emitSummary(os, tv.replayV2);
         os << "\n      }\n    }";
-        fams.emplace_back("trace_v2", os.str());
-    }
+        return os.str();
+    };
 
-    if (on("index")) {
+    const auto indexFamily = [&] {
         const Summary idxBuild = indexBuildRate();
         const Summary idxKnn = indexKnnRate();
         const Summary idxBatchSerial = indexBatchRate(nullptr);
@@ -1474,10 +969,10 @@ writeJsonProfile(const std::string &path, double obsRef,
         emitSummary(os, idxBatchJobs8);
         os << ",\n        \"speedup\": "
            << ratio(idxBatchJobs8, idxBatchSerial) << "\n      }\n    }";
-        fams.emplace_back("index", os.str());
-    }
+        return os.str();
+    };
 
-    if (on("serve")) {
+    const auto serve = [&] {
         // Daemon saturation (aggregate requests/sec at 1, 2, 4, 8
         // concurrent connections against a daemon with 4 event loops;
         // the "workers" key below keeps its name), the
@@ -1487,7 +982,7 @@ writeJsonProfile(const std::string &path, double obsRef,
         const Summary serveWarmLoad = serveSnapshotLoadRate();
         const Summary serveLocal = serveLocalRate();
         Summary serveConns[4];
-        LatencySummary lat;
+        Summary lat;
         {
             ServeHarness harness;
             const size_t counts[4] = {1, 2, 4, 8};
@@ -1515,20 +1010,19 @@ writeJsonProfile(const std::string &path, double obsRef,
         os << ",\n        \"saturation_speedup\": "
            << ratio(serveConns[3], serveConns[0]) << "\n      },\n"
            << "      \"knn_round_trip_us\": ";
-        emitLatencySummary(os, lat);
+        emitSummary(os, lat, true);
         os << "\n    }";
-        fams.emplace_back("serve", os.str());
-    }
+        return os.str();
+    };
 
-    if (on("obs")) {
+    const auto obsFamily = [&] {
         // Telemetry primitives plus the full-profile rate with the
         // tracer armed (idle = compiled in but no sinks attached).
         const Summary obsCounter = counterAddNs();
         const Summary obsSpan = spanRecordNs();
-        const Summary idle = fullBatched();
+        const Summary &idle = fullProfile();
         obs::setTraceEnabled(true);
-        const Summary fullTraced = collectRate(
-            src, AnalysisEngine::kDefaultBatchSize, false);
+        const Summary fullTraced = collectRate(src, false);
         obs::setTraceEnabled(false);
         std::ostringstream os;
         os.precision(17);
@@ -1547,10 +1041,33 @@ writeJsonProfile(const std::string &path, double obsRef,
         if (obsRef > 0.0) {
             os << ",\n        \"obs_off_reference\": " << obsRef
                << ",\n        \"idle_over_obs_off\": "
-               << (idle.p50 / obsRef);
+               << (idle.quantile(0.5) / obsRef);
         }
         os << "\n      }\n    }";
-        fams.emplace_back("obs", os.str());
+        return os.str();
+    };
+
+    // Each enabled family renders its own object; disabled families
+    // are simply absent from the document (the enable-file contract).
+    // The order is experiments::kPerfFamilies'.
+    const std::pair<const char *, std::function<std::string()>>
+        renderers[] = {
+            {"analyzers", analyzers},     {"engine", engine},
+            {"methodology", methodology}, {"trace_replay", traceReplay},
+            {"trace_v2", traceV2},        {"index", indexFamily},
+            {"serve", serve},             {"obs", obsFamily},
+        };
+    std::vector<std::pair<std::string, std::string>> fams;
+    for (const auto &[name, render] : renderers) {
+        if (enabled.count(name) == 0)
+            continue;
+        try {
+            fams.emplace_back(name, render());
+        } catch (const std::exception &e) {
+            std::cerr << "perf_analyzers: family " << name << " failed: "
+                      << e.what() << "\n";
+            return 1;
+        }
     }
 
     // Wall-clock stamp (UTC) so trend dashboards can order documents
@@ -1567,7 +1084,7 @@ writeJsonProfile(const std::string &path, double obsRef,
     }
     out.precision(17);
     out << "{\n"
-        << "  \"schema\": \"mica-perf-profile/2\",\n"
+        << "  \"schema\": \"" << experiments::kPerfProfileSchema << "\",\n"
         << "  \"host\": {\n"
         << "    \"generated_at\": \"" << generatedAt << "\",\n"
         << "    \"hardware_concurrency\": "
@@ -1581,9 +1098,23 @@ writeJsonProfile(const std::string &path, double obsRef,
             << "\": " << fams[i].second;
     out << "\n  }\n}\n";
     std::cout << "perf profile written to " << path << " ("
-              << fams.size() << "/" << allFamilies().size()
+              << fams.size() << "/" << std::size(experiments::kPerfFamilies)
               << " families, reps=" << g_reps << ")\n";
     return 0;
+}
+
+int
+usage()
+{
+    std::cerr << "usage: perf_analyzers --json=FILE [--reps=N] "
+                 "[--obs-ref=RATE] [--enable-file=FILE]\n"
+                 "  --reps=N           timed repetitions, 2..100 "
+                 "(default 5)\n"
+                 "  --obs-ref=RATE     the MICA_OBS=OFF build's "
+                 "full-profile p50, records/sec\n"
+                 "  --enable-file=F    run only the families named in "
+                 "F ({\"families\": [...]})\n";
+    return 2;
 }
 
 } // namespace
@@ -1591,48 +1122,48 @@ writeJsonProfile(const std::string &path, double obsRef,
 int
 main(int argc, char **argv)
 {
-    // Strip our own flags before google-benchmark sees (and rejects)
-    // them; any other arguments pass through untouched. --obs-ref
-    // feeds the MICA_OBS=0 build's full-profile p50 into the obs
-    // family so one document holds the compiled-in/out ratio.
-    std::string jsonPath;
-    std::string enablePath;
-    double obsRef = 0.0;
-    std::vector<char *> args;
-    args.reserve(static_cast<size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            jsonPath = argv[i] + 7;
-        else if (std::strncmp(argv[i], "--obs-ref=", 10) == 0)
-            obsRef = std::strtod(argv[i] + 10, nullptr);
-        else if (std::strncmp(argv[i], "--enable-file=", 14) == 0)
-            enablePath = argv[i] + 14;
-        else if (std::strncmp(argv[i], "--reps=", 7) == 0)
-            g_reps = static_cast<int>(std::strtol(argv[i] + 7,
-                                                  nullptr, 10));
-        else
-            args.push_back(argv[i]);
-    }
-    if (g_reps < 2 || g_reps > 100) {
-        std::cerr << "perf_analyzers: --reps must be in [2, 100]\n";
+    const util::CliArgs args = util::parseCliArgs(
+        argc, argv, {"json=", "reps=", "obs-ref=", "enable-file="});
+    if (!args.ok()) {
+        std::cerr << "perf_analyzers: " << args.error << "\n";
         return 2;
     }
-    if (!jsonPath.empty()) {
-        std::set<std::string> enabled(allFamilies().begin(),
-                                      allFamilies().end());
-        if (!enablePath.empty()) {
-            enabled.clear();
-            if (!loadEnableFile(enablePath, &enabled))
-                return 2;
-        }
-        return writeJsonProfile(jsonPath, obsRef, enabled);
+    if (!args.positionals.empty()) {
+        std::cerr << "perf_analyzers: unexpected argument '"
+                  << args.positionals[0] << "'\n";
+        return 2;
     }
-
-    int rest = static_cast<int>(args.size());
-    benchmark::Initialize(&rest, args.data());
-    if (benchmark::ReportUnrecognizedArguments(rest, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    const std::string jsonPath = args.value("json");
+    if (jsonPath.empty())
+        return usage();
+    const long long reps = args.intValue("reps", 5);
+    if (!args.intOk("reps") || reps < 2 || reps > 100) {
+        std::cerr << "perf_analyzers: --reps must be an integer in "
+                     "[2, 100] (got '" << args.value("reps") << "')\n";
+        return 2;
+    }
+    g_reps = static_cast<int>(reps);
+    // --obs-ref feeds the MICA_OBS=OFF build's full-profile p50 into
+    // the obs family so one document holds the compiled-in/out ratio.
+    double obsRef = 0.0;
+    if (args.has("obs-ref")) {
+        const std::string v = args.value("obs-ref");
+        char *end = nullptr;
+        obsRef = std::strtod(v.c_str(), &end);
+        if (v.empty() || *end != '\0' || !std::isfinite(obsRef) ||
+            obsRef <= 0.0) {
+            std::cerr << "perf_analyzers: --obs-ref must be a positive "
+                         "number (got '" << v << "')\n";
+            return 2;
+        }
+    }
+    std::set<std::string> enabled;
+    if (args.has("enable-file")) {
+        if (!loadEnableFile(args.value("enable-file"), &enabled))
+            return 2;
+    } else {
+        for (const auto &f : experiments::kPerfFamilies)
+            enabled.insert(f.name);
+    }
+    return writeJsonProfile(jsonPath, obsRef, enabled);
 }

@@ -153,8 +153,7 @@ SuiteDataset collectSuiteDataset(const DatasetConfig &cfg = {});
  * --traces=DIR (replay recorded traces), --max-failures=N
  * (fault-isolation cap, see DatasetConfig::maxFailures). Environment
  * overrides: MICA_BUDGET, MICA_CACHE, MICA_JOBS, MICA_TRACES.
- * Unrecognized arguments are ignored so google-benchmark flags pass
- * through.
+ * Unrecognized arguments are ignored.
  */
 DatasetConfig configFromArgs(int argc, char **argv);
 

@@ -1,14 +1,15 @@
 /**
  * @file
- * Strict command-line flag parsing for the mica CLI.
+ * Strict command-line flag parsing for the mica CLI and
+ * bench/perf_analyzers.
  *
  * The CLI's original loop scanned for the flags it knew and silently
  * ignored everything else, so `mica cluster --mask=40` (a typo for
  * --maxk) ran the full default sweep without a word. This helper
  * splits argv into positionals and --flag[=value] options against an
  * explicit allow-list and reports the first unknown flag *by name*.
- * The bench harnesses keep the permissive experiments::configFromArgs
- * on purpose — google-benchmark flags must pass through there.
+ * The paper harnesses still read their shared flags through the
+ * lenient experiments::configFromArgs.
  */
 
 #pragma once

@@ -1,14 +1,7 @@
-/**
- * @file
- * Deterministic multi-level compaction quantile sketch (see
- * quantile.hh for the design constraints it satisfies).
- */
-
 #include "util/quantile.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace mica::util
 {
@@ -28,115 +21,6 @@ quantileRank(double q, uint64_t n)
     if (r >= n)
         r = n - 1;
     return static_cast<size_t>(r);
-}
-
-QuantileSketch::QuantileSketch(size_t capacity)
-    : capacity_(capacity < 8 ? 8 : capacity)
-{
-    levels_.emplace_back();
-    levels_[0].reserve(capacity_);
-    takeOdd_.push_back(false);
-}
-
-void
-QuantileSketch::add(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    levels_[0].push_back(v);
-    if (levels_[0].size() >= capacity_)
-        compact(0);
-}
-
-void
-QuantileSketch::compact(size_t level)
-{
-    // Sort the full level, promote every other item one level up
-    // (doubling its weight), and flip the parity so the next
-    // compaction keeps the ranks it dropped this time. No randomness:
-    // the same inputs always leave the same state behind.
-    if (level + 1 >= levels_.size()) {
-        // Grow first: emplace_back may reallocate, so references into
-        // levels_ must only be taken afterwards.
-        levels_.emplace_back();
-        takeOdd_.push_back(false);
-    }
-    auto &src = levels_[level];
-    std::sort(src.begin(), src.end());
-    auto &dst = levels_[level + 1];
-    const size_t start = takeOdd_[level] ? 1 : 0;
-    takeOdd_[level] = !takeOdd_[level];
-    for (size_t i = start; i < src.size(); i += 2)
-        dst.push_back(src[i]);
-    src.clear();
-    if (dst.size() >= capacity_)
-        compact(level + 1);
-}
-
-void
-QuantileSketch::merge(const QuantileSketch &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-    for (size_t level = 0; level < other.levels_.size(); ++level) {
-        if (other.levels_[level].empty())
-            continue;
-        while (level >= levels_.size()) {
-            levels_.emplace_back();
-            takeOdd_.push_back(false);
-        }
-        auto &dst = levels_[level];
-        dst.insert(dst.end(), other.levels_[level].begin(),
-                   other.levels_[level].end());
-        if (dst.size() >= capacity_)
-            compact(level);
-    }
-}
-
-double
-QuantileSketch::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0.0;
-    // The retained extremes may have been compacted away, so the ends
-    // of the range answer from the exactly-tracked min/max.
-    if (q <= 0.0)
-        return min_;
-    if (q >= 1.0)
-        return max_;
-
-    std::vector<std::pair<double, uint64_t>> items;
-    uint64_t total = 0;
-    for (size_t level = 0; level < levels_.size(); ++level) {
-        const uint64_t weight = uint64_t(1) << level;
-        for (double v : levels_[level]) {
-            items.emplace_back(v, weight);
-            total += weight;
-        }
-    }
-    std::sort(items.begin(), items.end());
-
-    const uint64_t target = quantileRank(q, total);
-    uint64_t cum = 0;
-    for (const auto &[value, weight] : items) {
-        cum += weight;
-        if (cum > target)
-            return value;
-    }
-    return items.back().first;
 }
 
 double

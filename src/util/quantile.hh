@@ -1,33 +1,13 @@
 /**
  * @file
- * Deterministic streaming quantile estimation for the perf layer.
+ * Exact nearest-rank quantiles for the perf layer.
  *
- * The bench harness and the serve-bench client both need dispersion
- * (p50/p90/p99) over streams whose size is unknown up front — bench
- * repetitions are a handful of values, per-op round-trip latencies can
- * be hundreds of thousands. QuantileSketch covers both with one
- * structure shaped by three requirements:
- *
- *  - **Fixed size.** Memory is bounded by the compaction capacity
- *    regardless of stream length, so a long-running latency recorder
- *    never grows. Streams shorter than the capacity are held exactly
- *    and quantiles are then exact (nearest-rank), which is what makes
- *    the small-n bench summaries precise.
- *
- *  - **Deterministic.** Compaction uses an alternating parity selector
- *    instead of coin flips, so the same insertion order always yields
- *    byte-identical state and identical quantile answers — reruns of a
- *    bench diff cleanly, and tests can assert exact equality.
- *
- *  - **Mergeable.** merge() folds another sketch in level-by-level, so
- *    per-shard recorders (one per connection, one per repetition) can
- *    be combined into one summary without re-streaming raw values.
- *
- * The design is the standard multi-level compactor (KLL without the
- * randomness): level i holds items of weight 2^i; a full level is
- * sorted and every other item is promoted. Rank error grows slowly
- * with stream length — ExactQuantiles is the sort-everything oracle
- * the tests compare against to pin the bound.
+ * The bench harness and the serve-bench client summarize bounded
+ * samples: at most 100 bench repetitions, 1024 kNN round trips, or
+ * --conns x --requests round trips. Storing every value and sorting
+ * on demand is exact and cheap at that size, so there is no sketch.
+ * The daemon's own latency quantiles come from obs histograms, which
+ * share the rank convention below.
  */
 
 #pragma once
@@ -40,67 +20,29 @@ namespace mica::util
 {
 
 /**
- * Fixed-size deterministic quantile sketch over doubles.
- *
- * add() is amortised O(1); quantile() is O(S log S) in the retained
- * sample count S (<= ~2 * capacity). Not thread-safe — one writer, or
- * per-thread sketches folded with merge().
+ * @return the index selected by quantile @p q over @p n ordered items
+ * (the shared nearest-rank convention: ceil(q*n) - 1, clamped).
  */
-class QuantileSketch
-{
-  public:
-    /** Default per-level compaction capacity (items). */
-    static constexpr size_t kDefaultCapacity = 512;
-
-    explicit QuantileSketch(size_t capacity = kDefaultCapacity);
-
-    /** Insert one observation. */
-    void add(double v);
-
-    /** Fold @p other in; both must use the same capacity. */
-    void merge(const QuantileSketch &other);
-
-    /**
-     * Estimate the value at quantile @p q in [0, 1] (clamped).
-     * Nearest-rank over the weighted retained sample: exact while the
-     * stream still fits in level 0. @return 0.0 on an empty sketch.
-     */
-    double quantile(double q) const;
-
-    /** @return observations seen (not retained). */
-    uint64_t count() const { return count_; }
-
-    /** @return exact smallest observation (0.0 when empty). */
-    double min() const { return count_ == 0 ? 0.0 : min_; }
-
-    /** @return exact largest observation (0.0 when empty). */
-    double max() const { return count_ == 0 ? 0.0 : max_; }
-
-    bool empty() const { return count_ == 0; }
-
-  private:
-    void compact(size_t level);
-
-    size_t capacity_;
-    uint64_t count_ = 0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    /** levels_[i] holds items of weight 2^i; only level 0 is unsorted. */
-    std::vector<std::vector<double>> levels_;
-    /** Per-level parity: promote even- or odd-indexed items next. */
-    std::vector<bool> takeOdd_;
-};
+size_t quantileRank(double q, uint64_t n);
 
 /**
- * The exact oracle: stores every value, sorts on demand. Same
- * nearest-rank convention as QuantileSketch so the two agree exactly
- * on any stream the sketch retains in full. Test/reference use only —
- * memory is O(n).
+ * Stores every value and answers nearest-rank quantiles over them;
+ * quantile(0) is the minimum and quantile(1) the maximum. Memory is
+ * O(n). Not thread-safe: one writer, or per-thread samples folded
+ * with merge().
  */
 class ExactQuantiles
 {
   public:
     void add(double v) { values_.push_back(v); }
+
+    /** Append every value of @p other. */
+    void
+    merge(const ExactQuantiles &other)
+    {
+        values_.insert(values_.end(), other.values_.begin(),
+                       other.values_.end());
+    }
 
     /** @return the nearest-rank quantile; 0.0 when empty. */
     double quantile(double q) const;
@@ -110,11 +52,5 @@ class ExactQuantiles
   private:
     mutable std::vector<double> values_;
 };
-
-/**
- * @return the index selected by quantile @p q over @p n ordered items
- * (the shared nearest-rank convention: ceil(q*n) - 1, clamped).
- */
-size_t quantileRank(double q, uint64_t n);
 
 } // namespace mica::util

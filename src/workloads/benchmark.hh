@@ -31,18 +31,21 @@ struct BenchmarkInfo
     std::string input;      ///< e.g. "graphic"
     uint64_t paperICountM = 0;  ///< Table I dynamic insts (millions)
 
-    /** @return canonical "suite/program.input" name. */
+    /**
+     * @return canonical "suite/program.input" name; "suite/program"
+     * for a trace file whose stem names no input.
+     */
     std::string
     fullName() const
     {
-        return suite + "/" + program + "." + input;
+        return suite + "/" + shortName();
     }
 
-    /** @return "program.input" without the suite. */
+    /** @return "program.input" (or "program") without the suite. */
     std::string
     shortName() const
     {
-        return program + "." + input;
+        return input.empty() ? program : program + "." + input;
     }
 };
 

@@ -609,6 +609,9 @@ BenchmarkRegistry::suites() const
 namespace
 {
 
+/** The suite of trace stems without "__". */
+constexpr char kStemOnlySuite[] = "traces";
+
 /** Invert the "suite__program.input" filename-stem encoding. */
 BenchmarkInfo
 traceInfoFromStem(const std::string &stem)
@@ -620,14 +623,19 @@ traceInfoFromStem(const std::string &stem)
         info.suite = stem.substr(0, sep);
         rest = stem.substr(sep + 2);
     } else {
-        info.suite = "traces";
+        info.suite = kStemOnlySuite;
     }
     // Split at the first '.': inputs may themselves contain dots
-    // ("perlbmk.splitmail.535"), programs never do.
+    // ("perlbmk.splitmail.535"), registry programs never do. A stem
+    // with nothing after its first dot ("zcustom", "zcustom.") has no
+    // input and is all program, so fullName() maps back to this stem.
     const size_t dot = rest.find('.');
-    info.program = rest.substr(0, dot);
-    if (dot != std::string::npos)
+    if (dot == std::string::npos || dot + 1 == rest.size()) {
+        info.program = rest;
+    } else {
+        info.program = rest.substr(0, dot);
         info.input = rest.substr(dot + 1);
+    }
     return info;
 }
 
@@ -646,11 +654,19 @@ traceStem(const std::string &fullName)
 std::string
 findTraceFile(const std::string &dir, const std::string &fullName)
 {
-    const std::string base = dir + "/" + traceStem(fullName);
-    for (const char *ext : {".trace", ".csv", ".txt"}) {
-        std::error_code ec;
-        if (std::filesystem::is_regular_file(base + ext, ec))
-            return base + ext;
+    // A stem without "__" lands in the placeholder suite, so such a
+    // name's file may carry the bare stem.
+    std::vector<std::string> stems = {traceStem(fullName)};
+    const std::string placeholder = std::string(kStemOnlySuite) + "/";
+    if (fullName.compare(0, placeholder.size(), placeholder) == 0)
+        stems.push_back(fullName.substr(placeholder.size()));
+    for (const auto &stem : stems) {
+        for (const char *ext : {".trace", ".csv", ".txt"}) {
+            const std::string path = dir + "/" + stem + ext;
+            std::error_code ec;
+            if (std::filesystem::is_regular_file(path, ec))
+                return path;
+        }
     }
     return "";
 }

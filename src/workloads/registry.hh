@@ -62,7 +62,9 @@ std::string traceStem(const std::string &fullName);
 /**
  * The file in @p dir that holds benchmark @p fullName: the first of
  * <stem>.trace, <stem>.csv and <stem>.txt that exists as a regular
- * file, or "" when none does.
+ * file, or "" when none does. A name in the placeholder "traces"
+ * suite also tries the stem without the suite ("traces/zcustom" ->
+ * zcustom.txt), so every name traceBenchmarks reports finds its file.
  */
 std::string findTraceFile(const std::string &dir,
                           const std::string &fullName);

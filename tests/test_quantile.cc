@@ -1,17 +1,9 @@
 /**
  * @file
- * Tests for the deterministic streaming quantile sketch
- * (src/util/quantile): exactness below capacity, bounded rank error on
- * long uniform/lognormal/adversarial streams, exact min/max at the
- * range ends, merge consistency, and input-determinism (same stream,
- * same bytes out — the property the perf profiles rely on).
+ * Tests for the exact nearest-rank quantiles (src/util/quantile): the
+ * rank convention shared with the obs histograms, answers on known
+ * data, the min/max ends, and merge.
  */
-
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <random>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,39 +13,6 @@ namespace mica::util
 {
 namespace
 {
-
-const double kQs[] = {0.0, 0.01, 0.10, 0.25, 0.50,
-                      0.75, 0.90, 0.99, 1.0};
-
-/**
- * Rank-error check: the sketch's answer at q must sit within
- * @p tolFrac * n ranks of the nearest-rank target in the exact data.
- * Duplicates make a single rank ambiguous, so the estimate's whole
- * equal-range is compared against the target.
- */
-void
-expectRankClose(const QuantileSketch &sk, std::vector<double> sorted,
-                double tolFrac)
-{
-    std::sort(sorted.begin(), sorted.end());
-    const double n = static_cast<double>(sorted.size());
-    for (const double q : kQs) {
-        const double est = sk.quantile(q);
-        const auto lo = std::lower_bound(sorted.begin(), sorted.end(),
-                                         est) -
-            sorted.begin();
-        const auto hi = std::upper_bound(sorted.begin(), sorted.end(),
-                                         est) -
-            sorted.begin();
-        const auto target = static_cast<double>(
-            quantileRank(q, sorted.size()));
-        const double slack = tolFrac * n + 1.0;
-        EXPECT_GE(static_cast<double>(hi) - 1.0, target - slack)
-            << "q=" << q << " est=" << est;
-        EXPECT_LE(static_cast<double>(lo), target + slack)
-            << "q=" << q << " est=" << est;
-    }
-}
 
 TEST(QuantileRank, NearestRankConvention)
 {
@@ -66,185 +25,6 @@ TEST(QuantileRank, NearestRankConvention)
     EXPECT_EQ(quantileRank(0.5, 0), 0u);
 }
 
-TEST(QuantileSketch, EmptyAndSingle)
-{
-    QuantileSketch sk;
-    EXPECT_TRUE(sk.empty());
-    EXPECT_EQ(sk.quantile(0.5), 0.0);
-    sk.add(42.0);
-    EXPECT_EQ(sk.count(), 1u);
-    for (const double q : kQs)
-        EXPECT_EQ(sk.quantile(q), 42.0);
-}
-
-TEST(QuantileSketch, ExactBelowCapacity)
-{
-    // Below one level's capacity nothing is ever compacted away, so
-    // the sketch must agree with the exact reference bit-for-bit.
-    std::mt19937 rng(7);
-    std::uniform_real_distribution<double> dist(-100.0, 100.0);
-    QuantileSketch sk;
-    ExactQuantiles exact;
-    for (int i = 0; i < 100; ++i) {
-        const double v = dist(rng);
-        sk.add(v);
-        exact.add(v);
-    }
-    for (const double q : kQs)
-        EXPECT_EQ(sk.quantile(q), exact.quantile(q)) << "q=" << q;
-}
-
-TEST(QuantileSketch, UniformStream)
-{
-    std::mt19937 rng(11);
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    QuantileSketch sk;
-    std::vector<double> all;
-    for (int i = 0; i < 50000; ++i) {
-        const double v = dist(rng);
-        sk.add(v);
-        all.push_back(v);
-    }
-    expectRankClose(sk, all, 0.02);
-}
-
-TEST(QuantileSketch, LognormalStream)
-{
-    // Heavy tail: most mass near zero, rare huge values — the shape
-    // of a latency distribution, where p99 actually matters.
-    std::mt19937 rng(13);
-    std::lognormal_distribution<double> dist(0.0, 2.0);
-    QuantileSketch sk;
-    std::vector<double> all;
-    for (int i = 0; i < 50000; ++i) {
-        const double v = dist(rng);
-        sk.add(v);
-        all.push_back(v);
-    }
-    expectRankClose(sk, all, 0.02);
-}
-
-TEST(QuantileSketch, ConstantStream)
-{
-    QuantileSketch sk;
-    for (int i = 0; i < 20000; ++i)
-        sk.add(3.5);
-    for (const double q : kQs)
-        EXPECT_EQ(sk.quantile(q), 3.5);
-    EXPECT_EQ(sk.min(), 3.5);
-    EXPECT_EQ(sk.max(), 3.5);
-    EXPECT_EQ(sk.count(), 20000u);
-}
-
-TEST(QuantileSketch, AdversarialSortedStream)
-{
-    // Sorted input is the classic killer for naive sampling: every
-    // compaction sees a fully ordered level.
-    QuantileSketch sk;
-    std::vector<double> all;
-    for (int i = 0; i < 50000; ++i) {
-        sk.add(static_cast<double>(i));
-        all.push_back(static_cast<double>(i));
-    }
-    expectRankClose(sk, all, 0.02);
-
-    QuantileSketch desc;
-    for (int i = 50000; i-- > 0;)
-        desc.add(static_cast<double>(i));
-    expectRankClose(desc, all, 0.02);
-}
-
-TEST(QuantileSketch, AdversarialDuplicatesWithOutliers)
-{
-    // A spike distribution: 99% identical values, 1% far outliers.
-    QuantileSketch sk;
-    std::vector<double> all;
-    for (int i = 0; i < 30000; ++i) {
-        const double v = i % 100 == 0 ? 1e9 : 5.0;
-        sk.add(v);
-        all.push_back(v);
-    }
-    EXPECT_EQ(sk.quantile(0.5), 5.0);
-    EXPECT_EQ(sk.quantile(0.0), 5.0);
-    EXPECT_EQ(sk.quantile(1.0), 1e9);
-    expectRankClose(sk, all, 0.02);
-}
-
-TEST(QuantileSketch, ExactMinMaxSurviveCompaction)
-{
-    std::mt19937 rng(17);
-    std::uniform_real_distribution<double> dist(0.0, 1.0);
-    QuantileSketch sk;
-    double mn = 2.0, mx = -1.0;
-    for (int i = 0; i < 100000; ++i) {
-        const double v = dist(rng);
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-        sk.add(v);
-    }
-    // The ends of the range are tracked exactly, never estimated.
-    EXPECT_EQ(sk.quantile(0.0), mn);
-    EXPECT_EQ(sk.quantile(1.0), mx);
-    EXPECT_EQ(sk.min(), mn);
-    EXPECT_EQ(sk.max(), mx);
-    EXPECT_EQ(sk.count(), 100000u);
-}
-
-TEST(QuantileSketch, MergeMatchesAccuracyBound)
-{
-    std::mt19937 rng(19);
-    std::lognormal_distribution<double> dist(1.0, 1.5);
-    QuantileSketch parts[3];
-    std::vector<double> all;
-    for (int i = 0; i < 60000; ++i) {
-        const double v = dist(rng);
-        parts[i % 3].add(v);
-        all.push_back(v);
-    }
-    // Left fold and right fold must both respect the error bound and
-    // agree exactly on the exactly-tracked facts.
-    QuantileSketch left = parts[0];
-    left.merge(parts[1]);
-    left.merge(parts[2]);
-    QuantileSketch tail = parts[1];
-    tail.merge(parts[2]);
-    QuantileSketch right = parts[0];
-    right.merge(tail);
-
-    EXPECT_EQ(left.count(), all.size());
-    EXPECT_EQ(right.count(), all.size());
-    EXPECT_EQ(left.min(), right.min());
-    EXPECT_EQ(left.max(), right.max());
-    expectRankClose(left, all, 0.02);
-    expectRankClose(right, all, 0.02);
-
-    // Merging an empty sketch is the identity.
-    QuantileSketch empty;
-    const double before = left.quantile(0.5);
-    left.merge(empty);
-    EXPECT_EQ(left.quantile(0.5), before);
-    empty.merge(right);
-    EXPECT_EQ(empty.count(), right.count());
-    EXPECT_EQ(empty.quantile(0.9), right.quantile(0.9));
-}
-
-TEST(QuantileSketch, DeterministicAcrossRuns)
-{
-    // Two sketches fed the same stream must answer bit-identically at
-    // every probed q — no randomness anywhere in the compaction.
-    std::mt19937 rngA(23), rngB(23);
-    std::uniform_real_distribution<double> dist(0.0, 1e6);
-    QuantileSketch a, b;
-    for (int i = 0; i < 75000; ++i) {
-        a.add(dist(rngA));
-        b.add(dist(rngB));
-    }
-    for (const double q : kQs)
-        EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
-    for (double q = 0.0; q <= 1.0; q += 0.001)
-        ASSERT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
-}
-
 TEST(ExactQuantiles, NearestRankOnKnownData)
 {
     ExactQuantiles e;
@@ -255,6 +35,42 @@ TEST(ExactQuantiles, NearestRankOnKnownData)
     EXPECT_EQ(e.quantile(0.5), 5.0);
     EXPECT_EQ(e.quantile(0.9), 9.0);
     EXPECT_EQ(e.quantile(1.0), 10.0);
+}
+
+TEST(ExactQuantiles, EmptyIsZeroAndAddAfterQueryStaysExact)
+{
+    ExactQuantiles e;
+    EXPECT_EQ(e.count(), 0u);
+    EXPECT_EQ(e.quantile(0.5), 0.0);
+    e.add(3.0);
+    e.add(1.0);
+    EXPECT_EQ(e.quantile(0.0), 1.0);   // sorts on demand ...
+    e.add(0.5);
+    e.add(2.0);                        // ... and again after more adds
+    EXPECT_EQ(e.quantile(0.0), 0.5);
+    EXPECT_EQ(e.quantile(0.5), 1.0);
+    EXPECT_EQ(e.quantile(1.0), 3.0);
+}
+
+TEST(ExactQuantiles, MergeEqualsOneSampleOfEveryValue)
+{
+    // Per-thread samples folded in any order answer like one sample.
+    ExactQuantiles a, b, all;
+    for (int i = 0; i < 300; ++i) {
+        const double v = static_cast<double>((i * 37) % 101);
+        (i % 3 == 0 ? a : b).add(v);
+        all.add(v);
+    }
+    ExactQuantiles ab = a, ba = b;
+    ab.merge(b);
+    ba.merge(a);
+    ba.merge(ExactQuantiles{});
+    EXPECT_EQ(ab.count(), 300u);
+    EXPECT_EQ(ba.count(), 300u);
+    for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+        EXPECT_EQ(ab.quantile(q), all.quantile(q)) << "q=" << q;
+        EXPECT_EQ(ba.quantile(q), all.quantile(q)) << "q=" << q;
+    }
 }
 
 } // namespace

@@ -839,9 +839,39 @@ TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].info.suite, "traces");
     EXPECT_EQ(entries[0].info.program, "zcustom");
+    EXPECT_EQ(entries[0].info.input, "");
     expectReject(
         [&] { workloads::traceBenchmarksFromFiles({text}, 3); },
         "silently diverge");
+
+    // Every name a sweep of the directory reports finds its own file:
+    // a stem with no input is named without a trailing dot, and a name
+    // in the placeholder suite finds a bare stem as well as a
+    // "traces__" one.
+    std::ofstream(tmp.file("traces__y.txt")) << "alu dst=1\n";
+    std::filesystem::remove(tmp.file("CommBench__tcp.tcp.csv"));
+    const auto swept = workloads::traceBenchmarks(tmp.dir);
+    std::vector<std::string> names;
+    for (const auto &e : swept)
+        names.push_back(e.info.fullName());
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "CommBench/tcp.tcp", "traces/y", "traces/zcustom"}));
+    const std::string files[] = {"CommBench__tcp.tcp.trace",
+                                 "traces__y.txt", "zcustom.txt"};
+    for (size_t i = 0; i < swept.size() && i < 3; ++i) {
+        EXPECT_EQ(workloads::findTraceFile(tmp.dir, names[i]),
+                  tmp.file(files[i]))
+            << names[i];
+    }
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "traces/zcustom."), "");
+
+    // A stem ending in its dot has no input either, and still maps back.
+    std::ofstream(tmp.file("w..txt")) << "alu dst=1\n";
+    entries = workloads::traceBenchmarksFromFiles({tmp.file("w..txt")}, 0);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].info.fullName(), "traces/w.");
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "traces/w."),
+              tmp.file("w..txt"));
 }
 
 TEST(TraceBenchmarksTest, RejectsDuplicateBenchmarkNames)

@@ -73,6 +73,7 @@
 
 #include "experiments/crash_matrix.hh"
 #include "experiments/experiments.hh"
+#include "experiments/perf_compare.hh"
 #include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "isa/interpreter.hh"
@@ -116,7 +117,8 @@ namespace
  * kExitPerm — the named file or directory is missing / unreadable
  * (corruption stays exit 1: the file is there, its *contents* are the
  * problem). util::kCrashExitCode (97) is reserved for simulated
- * crashes under --failpoints=...abort.
+ * crashes under --failpoints=...abort. `perf compare` exits 3, the
+ * same partial code, for a degraded verdict.
  */
 constexpr int kExitPartial = 3;
 constexpr int kExitNoEnt = 4;
@@ -870,10 +872,11 @@ cmdServeBench(const util::CliArgs &args,
         opNames.push_back("knn");
     }
 
-    // Per-op round-trip sketches: each worker records into private
-    // sketches (no contention on the timed path) and merges them into
-    // the shared set once, after its connection is done.
-    std::vector<util::QuantileSketch> rtt(mix.size());
+    // Per-op round-trip samples: each worker records into private
+    // samples (no contention on the timed path) and merges them into
+    // the shared set once, after its connection is done. Quantiles are
+    // exact: --conns x --requests doubles are all there is to keep.
+    std::vector<util::ExactQuantiles> rtt(mix.size());
     std::mutex rttMu;
 
     std::atomic<uint64_t> okCount{0}, failCount{0};
@@ -888,7 +891,7 @@ cmdServeBench(const util::CliArgs &args,
                 failCount.fetch_add(requests);
                 return;
             }
-            std::vector<util::QuantileSketch> local(mix.size());
+            std::vector<util::ExactQuantiles> local(mix.size());
             for (size_t i = 0; i < requests; ++i) {
                 const size_t slot = (c + i) % mix.size();
                 const std::string &line = mix[slot];
@@ -931,13 +934,13 @@ cmdServeBench(const util::CliArgs &args,
     std::printf("serve-bench: %.3f s, %.0f req/s\n", secs,
                 secs > 0 ? static_cast<double>(total) / secs : 0.0);
     for (size_t s = 0; s < mix.size(); ++s) {
-        if (rtt[s].empty())
+        if (rtt[s].count() == 0)
             continue;
         std::printf("serve-bench: rtt %-9s p50=%.1fus p90=%.1fus "
                     "p99=%.1fus max=%.1fus (n=%llu)\n",
                     opNames[s].c_str(), rtt[s].quantile(0.50),
                     rtt[s].quantile(0.90), rtt[s].quantile(0.99),
-                    rtt[s].max(),
+                    rtt[s].quantile(1.0),
                     static_cast<unsigned long long>(rtt[s].count()));
     }
     return failCount.load() == 0 ? 0 : 1;
@@ -1499,121 +1502,9 @@ cmdObs(const util::CliArgs &args, const experiments::DatasetConfig &)
 
 // ----------------------------------------------------------------------
 // perf verbs: noise-aware regression gating over mica-perf-profile/2
-// documents (written by bench/perf_analyzers --json=...).
+// documents (written by bench/perf_analyzers --json=...); the rules
+// live in experiments/perf_compare.
 // ----------------------------------------------------------------------
-
-/** One dispersion summary pulled out of a profile document. */
-struct PerfMetric
-{
-    double p50 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    int64_t n = 0;
-};
-
-/** Per-family degradation thresholds (fractions of the base value). */
-struct PerfTolerance
-{
-    double noise;   ///< drops up to this are measurement noise: pass
-    double fail;    ///< drops past this are regressions: exit 1
-};
-
-/**
- * Loose enough for shared CI runners: "degraded" (exit 3) carries the
- * warning, and only unambiguous cliffs — an engine falling back to
- * per-record dispatch, a family erroring out to zero — hard-fail.
- * Socket-bound and telemetry numbers get the widest band.
- */
-PerfTolerance
-perfToleranceFor(const std::string &family)
-{
-    if (family == "engine")
-        return {0.10, 0.40};
-    if (family == "serve" || family == "obs")
-        return {0.15, 0.60};
-    if (family == "methodology" || family == "trace_replay" ||
-        family == "trace_v2" || family == "index")
-        return {0.12, 0.50};
-    return {0.10, 0.45};   // analyzers and anything unrecognized
-}
-
-/** Metric paths ending in _ns/_us time a cost: smaller is better. */
-bool
-perfLowerIsBetter(const std::string &path)
-{
-    const auto endsWith = [&](const char *suffix) {
-        const size_t n = std::strlen(suffix);
-        return path.size() >= n &&
-               path.compare(path.size() - n, n, suffix) == 0;
-    };
-    return endsWith("_ns") || endsWith("_us");
-}
-
-/**
- * Flatten every summary object ({p50, ..., n}) under @p node into
- * dotted paths ("serve.daemon_requests_per_sec.conns8"). Bare numbers
- * (derived speedup ratios, host facts) are not gated.
- */
-void
-collectPerfMetrics(const service::JsonValue &node,
-                   const std::string &path,
-                   std::map<std::string, PerfMetric> *out)
-{
-    if (!node.isObject())
-        return;
-    const service::JsonValue *p50 = node.find("p50");
-    const service::JsonValue *n = node.find("n");
-    if (p50 != nullptr && p50->isNumber() && n != nullptr &&
-        n->isNumber()) {
-        PerfMetric m;
-        m.p50 = p50->asDouble();
-        const service::JsonValue *mn = node.find("min");
-        const service::JsonValue *mx = node.find("max");
-        m.min = mn != nullptr && mn->isNumber() ? mn->asDouble() : m.p50;
-        m.max = mx != nullptr && mx->isNumber() ? mx->asDouble() : m.p50;
-        m.n = n->asCount(0);
-        (*out)[path] = m;
-        return;
-    }
-    for (const auto &kv : node.members())
-        collectPerfMetrics(kv.second,
-                           path.empty() ? kv.first
-                                        : path + "." + kv.first,
-                           out);
-}
-
-/** Load a profile, check its schema, flatten families to metrics. */
-bool
-loadPerfProfile(const std::string &path,
-                std::map<std::string, PerfMetric> *out,
-                std::string *err)
-{
-    const std::string text = util::readFileBytes(path, "perf.compare");
-    service::JsonValue doc;
-    if (!service::parseJson(text, &doc, err) || !doc.isObject()) {
-        if (err->empty())
-            *err = "not a JSON object";
-        return false;
-    }
-    const service::JsonValue *schema = doc.find("schema");
-    if (schema == nullptr || !schema->isString() ||
-        schema->asString() != "mica-perf-profile/2") {
-        *err = "schema is not mica-perf-profile/2 (regenerate with "
-               "perf_analyzers --json=...)";
-        return false;
-    }
-    const service::JsonValue *fams = doc.find("families");
-    if (fams == nullptr || !fams->isObject()) {
-        *err = "missing \"families\" object";
-        return false;
-    }
-    collectPerfMetrics(*fams, "", out);
-    if (out->empty()) {
-        *err = "no {p50, ..., n} summaries under \"families\"";
-        return false;
-    }
-    return true;
-}
 
 int
 cmdPerfCompare(const util::CliArgs &args)
@@ -1622,130 +1513,53 @@ cmdPerfCompare(const util::CliArgs &args)
         return usage();
     const std::string basePath = args.positionals[2];
     const std::string newPath = args.positionals[3];
-    const bool allowMissing = args.has("allow-missing");
 
-    std::map<std::string, PerfMetric> base, fresh;
+    experiments::PerfMetrics base, fresh;
     std::string err;
-    if (!loadPerfProfile(basePath, &base, &err)) {
+    if (!experiments::loadPerfProfile(basePath, &base, &err)) {
         std::fprintf(stderr, "mica perf compare: %s: %s\n",
                      basePath.c_str(), err.c_str());
         return 2;
     }
-    if (!loadPerfProfile(newPath, &fresh, &err)) {
+    if (!experiments::loadPerfProfile(newPath, &fresh, &err)) {
         std::fprintf(stderr, "mica perf compare: %s: %s\n",
                      newPath.c_str(), err.c_str());
         return 2;
     }
-
-    size_t okCount = 0, degradedCount = 0, regressedCount = 0;
-    std::vector<std::string> missing;
-    std::string worstPath;
-    double worstDrop = 0.0;
-    service::JsonValue findings = service::JsonValue::array();
+    const experiments::PerfComparison cmp = experiments::comparePerfProfiles(
+        base, fresh, args.has("allow-missing"));
 
     std::printf("%-54s %13s %13s %8s  %s\n", "metric", "base", "new",
                 "delta", "status");
-    for (const auto &kv : base) {
-        const std::string &path = kv.first;
-        const PerfMetric &b = kv.second;
-        const auto it = fresh.find(path);
-        if (it == fresh.end()) {
-            missing.push_back(path);
-            continue;
-        }
-        const PerfMetric &f = it->second;
-        const std::string family = path.substr(0, path.find('.'));
-        const bool lower = perfLowerIsBetter(path);
-        // Min-based fallback: with too few repetitions the median is
-        // itself a noisy draw, so low-n metrics compare best observed
-        // values instead (max of a rate, min of a cost).
-        const bool lowN = b.n < 4 || f.n < 4;
-        const double bv = lowN ? (lower ? b.min : b.max) : b.p50;
-        const double fv = lowN ? (lower ? f.min : f.max) : f.p50;
-        const char *basis = lowN ? "best" : "p50";
-        const char *status = "ok";
-        double drop = 0.0;
-        if (bv <= 0.0 && fv <= 0.0) {
-            ++okCount;   // both zero: the family failed identically
-        } else if (bv <= 0.0) {
-            ++okCount;   // baseline had nothing; new data can only help
-        } else {
-            drop = lower ? (fv - bv) / bv : (bv - fv) / bv;
-            const PerfTolerance tol = perfToleranceFor(family);
-            if (drop <= tol.noise) {
-                ++okCount;
-            } else if (drop <= tol.fail) {
-                status = "degraded";
-                ++degradedCount;
-            } else {
-                status = "regression";
-                ++regressedCount;
-            }
-            if (drop > worstDrop) {
-                worstDrop = drop;
-                worstPath = path;
-            }
-        }
-        const double deltaPct = bv > 0.0 ? (fv - bv) / bv * 100.0 : 0.0;
-        std::printf("%-54s %13.6g %13.6g %+7.1f%%  %s\n", path.c_str(),
-                    bv, fv, deltaPct, status);
-
-        service::JsonValue fo = service::JsonValue::object();
-        fo.set("metric", service::JsonValue::str(path));
-        fo.set("family", service::JsonValue::str(family));
-        fo.set("base", service::JsonValue::number(bv));
-        fo.set("new", service::JsonValue::number(fv));
-        fo.set("basis", service::JsonValue::str(basis));
-        fo.set("drop", service::JsonValue::number(drop));
-        fo.set("status", service::JsonValue::str(status));
-        findings.push(std::move(fo));
+    for (const auto &f : cmp.findings) {
+        const double deltaPct =
+            f.base > 0.0 ? (f.fresh - f.base) / f.base * 100.0 : 0.0;
+        std::printf("%-54s %13.6g %13.6g %+7.1f%%  %s\n", f.metric.c_str(),
+                    f.base, f.fresh, deltaPct,
+                    experiments::perfStatusName(f.status));
     }
-    for (const auto &path : missing)
+    for (const auto &path : cmp.missing)
         std::printf("%-54s %13s %13s %8s  %s\n", path.c_str(), "-", "-",
-                    "-", allowMissing ? "missing" : "MISSING");
+                    "-", cmp.allowMissing ? "missing" : "MISSING");
 
-    const bool missingFails = !missing.empty() && !allowMissing;
-    const char *verdict = regressedCount > 0 || missingFails
-        ? "regression"
-        : degradedCount > 0 ? "degraded"
-                            : "pass";
-    const int rc = regressedCount > 0 || missingFails
-        ? 1
-        : degradedCount > 0 ? kExitPartial
-                            : 0;
     std::printf("perf compare: %s (%zu ok, %zu degraded, "
                 "%zu regressed, %zu missing",
-                verdict, okCount, degradedCount, regressedCount,
-                missing.size());
-    if (!worstPath.empty() && worstDrop > 0.0)
-        std::printf("; worst %s -%.1f%%", worstPath.c_str(),
-                    worstDrop * 100.0);
+                cmp.verdict(), cmp.ok, cmp.degraded, cmp.regressed,
+                cmp.missing.size());
+    if (const experiments::PerfFinding *w = cmp.worst())
+        std::printf("; worst %s -%.1f%%", w->metric.c_str(),
+                    w->drop * 100.0);
     std::printf(")\n");
 
     const std::string verdictPath = args.value("verdict");
     if (!verdictPath.empty()) {
-        service::JsonValue doc = service::JsonValue::object();
-        doc.set("schema",
-                service::JsonValue::str("mica-perf-verdict/1"));
-        doc.set("base", service::JsonValue::str(basePath));
-        doc.set("new", service::JsonValue::str(newPath));
-        doc.set("verdict", service::JsonValue::str(verdict));
-        doc.set("exit_code",
-                service::JsonValue::number(int64_t(rc)));
-        doc.set("ok", service::JsonValue::number(int64_t(okCount)));
-        doc.set("degraded",
-                service::JsonValue::number(int64_t(degradedCount)));
-        doc.set("regressed",
-                service::JsonValue::number(int64_t(regressedCount)));
-        service::JsonValue miss = service::JsonValue::array();
-        for (const auto &path : missing)
-            miss.push(service::JsonValue::str(path));
-        doc.set("missing", std::move(miss));
-        doc.set("findings", std::move(findings));
-        util::atomicWriteFile(verdictPath, doc.dump() + "\n",
-                              "perf.verdict");
+        util::atomicWriteFile(
+            verdictPath,
+            experiments::perfVerdictJson(cmp, basePath, newPath).dump() +
+                "\n",
+            "perf.verdict");
     }
-    return rc;
+    return cmp.exitCode();
 }
 
 int
@@ -1967,10 +1781,8 @@ cmdCapabilities(const util::CliArgs &, const experiments::DatasetConfig &)
         spaces.push(service::JsonValue::str(s));
     doc.set("spaces", std::move(spaces));
     service::JsonValue fams = service::JsonValue::array();
-    for (const char *f : {"analyzers", "engine", "methodology",
-                          "trace_replay", "trace_v2", "index", "serve",
-                          "obs"})
-        fams.push(service::JsonValue::str(f));
+    for (const auto &f : experiments::kPerfFamilies)
+        fams.push(service::JsonValue::str(f.name));
     doc.set("perf_families", std::move(fams));
     service::JsonValue formats = service::JsonValue::array();
     for (uint32_t v = kTraceFormatV1; v <= kTraceFormatLatest; ++v)
@@ -1978,7 +1790,7 @@ cmdCapabilities(const util::CliArgs &, const experiments::DatasetConfig &)
             service::JsonValue::number(static_cast<uint64_t>(v)));
     doc.set("trace_formats", std::move(formats));
     doc.set("perf_profile_schema",
-            service::JsonValue::str("mica-perf-profile/2"));
+            service::JsonValue::str(experiments::kPerfProfileSchema));
     service::JsonValue compiled = service::JsonValue::object();
     compiled.set("obs", service::JsonValue::boolean(MICA_OBS != 0));
     compiled.set("failpoints",
