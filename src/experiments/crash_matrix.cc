@@ -56,11 +56,15 @@ struct Scenario
         validateOld;
 };
 
-/** @return a profile whose every value is distinct and non-zero. */
+/**
+ * @return a profile whose every value is distinct and non-zero, with
+ * a non-zero content id, so the cells also check that frames keep it.
+ */
 pipeline::StoredProfile
 profileNamed(const std::string &name)
 {
     pipeline::StoredProfile p;
+    p.id = fnv1a(name.data(), name.size());
     p.mica.name = name;
     p.mica.instCount = name.size();
     for (size_t i = 0; i < p.mica.values.size(); ++i)
@@ -72,11 +76,12 @@ profileNamed(const std::string &name)
     return p;
 }
 
-/** @return whether the store holds @p want, bit for bit. */
+/** @return whether @p store holds @p want under its id, bit for bit. */
 bool
-holdsExactly(const pipeline::StoredProfile *got,
+holdsExactly(const pipeline::ProfileStore &store,
              const pipeline::StoredProfile &want)
 {
+    const pipeline::StoredProfile *got = store.find(want.name(), want.id);
     if (!got || got->mica.instCount != want.mica.instCount ||
         got->hpc.instCount != want.hpc.instCount)
         return false;
@@ -135,8 +140,8 @@ scenarios()
     const auto holdsBoth = [key, alpha, beta](const std::string &dir) {
         pipeline::ProfileStore s(dir, key);
         return s.open() && s.size() == 2 &&
-            holdsExactly(s.find(alpha), profileNamed(alpha)) &&
-            holdsExactly(s.find(beta), profileNamed(beta));
+            holdsExactly(s, profileNamed(alpha)) &&
+            holdsExactly(s, profileNamed(beta));
     };
     return {
         // The rewrite: prepare leaves a torn last frame, so the put
@@ -165,7 +170,7 @@ scenarios()
                  return false;
              pipeline::ProfileStore s(dir, key);
              return s.open() && s.size() == 1 &&
-                 holdsExactly(s.find(alpha), profileNamed(alpha));
+                 holdsExactly(s, profileNamed(alpha));
          }},
         {"index.snapshot", "index.bin",
          [](const std::string &dir) {

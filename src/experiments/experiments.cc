@@ -6,13 +6,11 @@
 
 #include "experiments/experiments.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -98,29 +96,16 @@ collectSuiteDataset(const DatasetConfig &cfg)
     // so everything downstream (store, collector) is source-agnostic.
     std::vector<workloads::BenchmarkEntry> traceEntries;
     std::vector<const workloads::BenchmarkEntry *> selected;
-    uint64_t traceStamp = 0;
     // Every worker would reject the order, so check it once, before
     // the store or the pool: one error, not 122 quarantined benchmarks.
     PpmBranchAnalyzer::checkOrder(cfg.ppmMaxOrder);
-    if (!cfg.traceDir.empty() && !cfg.traceFiles.empty())
-        throw std::invalid_argument(
-            "traceDir and traceFiles are mutually exclusive");
-    if (!cfg.traceDir.empty() || !cfg.traceFiles.empty()) {
+    if (!cfg.traceDir.empty()) {
         // Scan-time quarantine: a corrupt or short trace file is
         // reported and skipped; the rest of the sweep proceeds. The
-        // directory iterator's order is filesystem-dependent, so sort
-        // the report to keep it deterministic across runs and hosts.
+        // tree walk is sorted, so the report reads the same every run.
         std::vector<std::pair<std::string, std::string>> badFiles;
-        traceEntries =
-            cfg.traceDir.empty()
-                ? workloads::traceBenchmarksFromFiles(
-                      cfg.traceFiles, cfg.maxInsts, &traceStamp,
-                      &badFiles,
-                      cfg.traceLabel.empty() ? "trace set"
-                                             : cfg.traceLabel)
-                : workloads::traceBenchmarks(cfg.traceDir, cfg.maxInsts,
-                                             &traceStamp, &badFiles);
-        std::sort(badFiles.begin(), badFiles.end());
+        traceEntries = workloads::traceBenchmarks(cfg.traceDir,
+                                                  cfg.maxInsts, &badFiles);
         for (auto &bad : badFiles)
             ds.failures.push_back({std::move(bad.first), "scan",
                                    std::move(bad.second)});
@@ -160,29 +145,16 @@ collectSuiteDataset(const DatasetConfig &cfg)
         }
     }
 
-    // The store is keyed by everything that changes measured values; a
-    // store written under a different budget/PPM-order/suite filter/
-    // trace directory (or a legacy CSV-era directory, which has no
-    // profiles.bin at all) is rejected wholesale and the sweep
-    // re-collects. For trace replay the key carries a digest of the
-    // trace *contents*, so re-recording a file invalidates the cache
-    // instead of silently serving profiles of the old bytes.
+    // The store is keyed by the knobs that change measured values; a
+    // store written under a different budget or PPM order (or a legacy
+    // CSV-era directory, which has no profiles.bin at all) is rejected
+    // wholesale and the sweep re-collects. What the records were is
+    // per entry: a lookup hits only on the entry's content id, so a
+    // re-recorded trace re-profiles alone instead of being served the
+    // profile of its old bytes.
     pipeline::StoreKey key;
     key.maxInsts = cfg.maxInsts;
     key.ppmMaxOrder = cfg.ppmMaxOrder;
-    key.suites = cfg.suites;
-    if (!cfg.traceDir.empty() || !cfg.traceFiles.empty()) {
-        // A file-list replay keys on its label (or "files") plus the
-        // same content digest a directory replay uses, so one shard's
-        // store never serves another's profiles.
-        std::ostringstream stamped;
-        stamped << (!cfg.traceDir.empty()
-                        ? cfg.traceDir
-                        : (cfg.traceLabel.empty() ? "files"
-                                                  : cfg.traceLabel))
-                << '#' << std::hex << traceStamp;
-        key.traceDir = stamped.str();
-    }
 
     std::unique_ptr<pipeline::ProfileStore> store;
     if (!cfg.cacheDir.empty()) {
@@ -205,7 +177,7 @@ collectSuiteDataset(const DatasetConfig &cfg)
 
     std::vector<const workloads::BenchmarkEntry *> missing;
     for (const auto *e : selected) {
-        if (!store || !store->find(e->info.fullName()))
+        if (!store || !store->find(e->info.fullName(), e->contentId))
             missing.push_back(e);
     }
 
@@ -266,7 +238,7 @@ collectSuiteDataset(const DatasetConfig &cfg)
             const std::string name = e->info.fullName();
             if (failedNames.count(name))
                 continue;
-            const auto *p = store->find(name);
+            const auto *p = store->find(name, e->contentId);
             if (!p) {
                 failedNames.insert(name);
                 ds.failures.push_back(

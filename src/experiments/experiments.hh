@@ -2,8 +2,10 @@
  * @file
  * Shared experiment support: one-call collection of the paper's two
  * datasets (47 MICA characteristics + 7 HPC metrics for all 122
- * benchmarks) with optional on-disk caching, plus small helpers used
- * by the bench harnesses.
+ * benchmarks, or for a tree of recorded traces) with an optional
+ * profile store that a rerun — or a sweep resumed after a crash —
+ * reads per benchmark, plus small helpers used by the bench
+ * harnesses.
  */
 
 #pragma once
@@ -38,8 +40,13 @@ struct DatasetConfig
     /**
      * Optional profile-store directory. When set, per-benchmark results
      * are served from <cacheDir>/profiles.bin when its key matches this
-     * config (budget, PPM order, suite filter); missing benchmarks are
-     * profiled and appended, so a partial store only costs the gap.
+     * config (budget, PPM order) and the entry was profiled from the
+     * same records (a registry kernel, or a trace with the same
+     * content id); missing or changed benchmarks are profiled and
+     * appended, so a partial store only costs the gap. The suite
+     * filter and the trace directory are not part of the key: a
+     * filtered run reads its entries out of a wider store and leaves
+     * the others in place, and a moved trace tree still hits.
      * Reference CSVs (mica_profiles.csv / hpc_profiles.csv) are also
      * exported there for human inspection, but are never read back as a
      * cache — the legacy CSV cache ignored the collection config and
@@ -54,38 +61,20 @@ struct DatasetConfig
     std::vector<std::string> suites;
 
     /**
-     * Replay benchmarks from recorded trace files in this directory
-     * (see workloads::traceBenchmarks) instead of interpreting the
-     * registry kernels. Replayed profiles are byte-identical to
-     * interpreting the same programs directly. The profile-store key
-     * carries the directory plus a digest of the trace contents, so
-     * re-recorded files re-profile instead of hitting a stale cache.
-     * Throws TraceFileError when the directory is missing or two
-     * files map to one benchmark name. A file that is corrupt,
+     * Replay benchmarks from the recorded trace files anywhere under
+     * this directory (see workloads::traceBenchmarks) instead of
+     * interpreting the registry kernels. Replayed profiles are
+     * byte-identical to interpreting the same programs directly.
+     * Each trace's store entry carries the file's content id, so a
+     * re-recorded file re-profiles (alone) instead of hitting a stale
+     * entry. Throws TraceFileError when the directory is missing or
+     * two files map to one benchmark name. A file that is corrupt,
      * version-mismatched, or shorter than a nonzero maxInsts (the
      * replay would silently come up short) is quarantined instead —
      * reported in SuiteDataset::failures, subject to maxFailures —
      * and replay never silently falls back to interpretation.
      */
     std::string traceDir;
-
-    /**
-     * Replay from an explicit list of trace files instead of a
-     * directory (mutually exclusive with traceDir; used by the corpus
-     * layer to profile one shard at a time). Same validation,
-     * quarantine, and byte-identity semantics as traceDir. The
-     * profile-store key carries traceLabel plus the content digest of
-     * exactly these files.
-     */
-    std::vector<std::string> traceFiles;
-
-    /**
-     * Cache-key label for a traceFiles replay (e.g.
-     * "corpus:shard-003"). Two different file sets never collide even
-     * under one label — the content digest is part of the key — but a
-     * stable label keeps a shard's store reusable across runs.
-     */
-    std::string traceLabel;
 
     /**
      * Profiling worker threads (1 = serial on the calling thread,
@@ -137,9 +126,11 @@ struct SuiteDataset
 };
 
 /**
- * Profile every registered benchmark with both characterizations,
- * fanning the per-benchmark jobs across cfg.jobs workers and reusing
- * any profile-store entries recorded under an identical config.
+ * Profile every registered benchmark (or every trace under
+ * cfg.traceDir) with both characterizations, fanning the
+ * per-benchmark jobs across cfg.jobs workers and reusing any
+ * profile-store entry recorded under an identical config from the
+ * same records.
  * Deterministic (bit-identical) for a fixed config at any job count.
  * This is the expensive step the paper spends 110 machine-days on;
  * here it is seconds — and now scales with cores.

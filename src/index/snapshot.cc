@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/obs.hh"
+#include "trace/trace_file.hh"
 #include "util/checked_io.hh"
 
 namespace mica::index
@@ -110,11 +111,6 @@ saveIndexSnapshot(const FingerprintIndex &idx, const std::string &path,
     // durability contract as ProfileStore::put).
     std::ostringstream out;
     const FingerprintSet &fps = idx.fingerprints();
-    out.write(kMagic, sizeof(kMagic));
-    writePod(out, kSnapshotVersion);
-    writePod(out, FingerprintSet::kVersion);
-    writeString(out, configKey);
-
     writePod(out, static_cast<uint64_t>(fps.size()));
     writePod(out, static_cast<uint64_t>(fps.dim));
     writePod(out, static_cast<uint64_t>(fps.sourceCols));
@@ -130,9 +126,18 @@ saveIndexSnapshot(const FingerprintIndex &idx, const std::string &path,
     writeDoubles(out, fps.pcaMean);
     writeDoubles(out, fps.pcaBasis);
     writeDoubles(out, fps.data);
+    const std::string payload = out.str();
+
+    std::ostringstream file;
+    file.write(kMagic, sizeof(kMagic));
+    writePod(file, kSnapshotVersion);
+    writePod(file, FingerprintSet::kVersion);
+    writeString(file, configKey);
+    writePod(file, fnv1a(payload.data(), payload.size()));
+    file << payload;
 
     try {
-        util::atomicWriteFile(path, out.str(), "index.snapshot");
+        util::atomicWriteFile(path, file.str(), "index.snapshot");
     } catch (const util::IoError &e) {
         if (why)
             *why = e.what();
@@ -153,11 +158,12 @@ probeSnapshotKey(const std::string &path)
     if (in.gcount() != sizeof(magic) ||
         std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
         return p;
-    // Version 1 shares this header layout; its key is still read so
-    // the space it recorded survives the rebuild its load will need.
+    // Versions 1 and 2 share this header layout up to the key, which
+    // is still read so the space it recorded survives the rebuild its
+    // load will need.
     uint32_t version = 0, fpVersion = 0;
-    if (!readPod(in, version) ||
-        (version != kSnapshotVersion && version != 1) ||
+    if (!readPod(in, version) || version < 1 ||
+        version > kSnapshotVersion ||
         !readPod(in, fpVersion) || fpVersion != FingerprintSet::kVersion)
         return p;
     p.valid = readString(in, p.key);
@@ -217,6 +223,10 @@ loadIndexSnapshot(const std::string &path, const std::string &configKey,
                 "', expected '" + configKey + "')";
         return false;
     }
+    uint64_t sum = 0;
+    if (!readPod(in, sum))
+        return fail(why, "truncated snapshot header");
+    const size_t payloadStart = static_cast<size_t>(in.tellg());
 
     uint64_t count = 0, dim = 0, sourceCols = 0, pcaDims = 0, nc = 0;
     if (!readPod(in, count) || count > kMaxCount || !readPod(in, dim) ||
@@ -264,6 +274,11 @@ loadIndexSnapshot(const std::string &path, const std::string &configKey,
         return fail(why, "snapshot payload shape mismatch");
     if (in.peek() != std::char_traits<char>::eof())
         return fail(why, "trailing bytes after snapshot payload");
+    // The shape checks above bound every allocation; the checksum
+    // catches what they cannot see, such as a flipped bit in a vector.
+    if (fnv1a(bytes.data() + payloadStart, bytes.size() - payloadStart) !=
+        sum)
+        return fail(why, "snapshot payload checksum mismatch");
 
     *out = FingerprintIndex::fromParts(std::move(fps));
     guard.ok = true;

@@ -3,16 +3,22 @@
  * Versioned binary snapshot of a FingerprintIndex.
  *
  * Follows the ProfileStore's durability rules: the header carries a
- * format version and the caller's canonical configuration key
- * (collection config + fingerprint space), compared *exactly* on
- * load — a snapshot built under a different budget, suite filter,
- * characteristic subset, or PCA setting is rejected wholesale rather
- * than answering queries in a stale space. The payload is a flat,
- * offset-free dump (names, frozen normalization parameters, vectors),
- * so a reopen is a sequential read plus a name-map rebuild — no
- * re-profiling, no re-normalization — and queries against the
+ * format version and the caller's canonical key (a digest of the
+ * indexed dataset + the fingerprint space, see service::indexKey),
+ * compared *exactly* on load — a snapshot of other profiles, another
+ * characteristic subset or another PCA setting is rejected wholesale
+ * rather than answering queries in a stale space. The payload is a
+ * flat, offset-free dump (names, frozen normalization parameters,
+ * vectors), so a reopen is a sequential read plus a name-map rebuild
+ * — no re-profiling, no re-normalization — and queries against the
  * reloaded index are byte-identical to queries against the freshly
  * built one.
+ *
+ * Layout (format 3): an 8-byte magic, u32 format version, u32
+ * fingerprint version, the key (u32 length + bytes), the u64 FNV-1a
+ * of the payload, then the payload to the end of the file. A load
+ * checks the payload against that checksum, so a damaged byte among
+ * the vectors rejects (reason "checksum") instead of moving answers.
  */
 
 #pragma once
@@ -26,10 +32,12 @@ namespace mica::index
 
 /**
  * Bump when the snapshot layout or fingerprint semantics change.
- * Version 2 dropped version 1's trailing VP-tree node array; the
- * header layout (magic, version, fingerprint version, key) is shared.
+ * Version 2 dropped version 1's trailing VP-tree node array, and
+ * version 3 added the payload checksum after the key; the header
+ * layout up to the key (magic, version, fingerprint version, key) is
+ * shared, so older snapshots still probe and then rebuild.
  */
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 
 /** Conventional snapshot file name inside a cache directory. */
 inline std::string
@@ -64,17 +72,18 @@ struct SnapshotKeyProbe
  * a load: which space/pca the snapshot holds (key adoption) and
  * whether its key matches the wanted config (load vs. rebuild). Call
  * once and branch on the result; only a matching key justifies the
- * full-payload loadIndexSnapshot read. A version-1 header probes
- * valid too, so a cache written before the format bump keeps its
- * recorded space: the load then rejects it and the caller rebuilds
- * in that space.
+ * full-payload loadIndexSnapshot read. A version 1 or 2 header
+ * probes valid too, so a cache written before a format bump keeps
+ * its recorded space: the load then rejects it and the caller
+ * rebuilds in that space.
  */
 SnapshotKeyProbe probeSnapshotKey(const std::string &path);
 
 /**
  * Load a snapshot recorded under exactly @p configKey.
  * @param why on failure, a one-line reason (missing file, version or
- *        key mismatch, truncation/corruption)
+ *        key mismatch, truncation/corruption, "checksum" for a payload
+ *        that does not match its recorded FNV-1a)
  * @return the reloaded index, or no value
  */
 bool loadIndexSnapshot(const std::string &path,

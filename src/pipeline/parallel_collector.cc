@@ -101,6 +101,7 @@ profileOne(const workloads::BenchmarkEntry &e, const MicaRunnerConfig &rc)
 
     uarch::HwCounterAnalyzer hw;
     StoredProfile out;
+    out.id = e.contentId;
     if (e.source) {
         auto src = e.source();
         out.mica = collectMicaProfile(*src, name, rc, {&hw});

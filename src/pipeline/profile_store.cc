@@ -7,7 +7,6 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "obs/obs.hh"
@@ -25,6 +24,9 @@ constexpr uint32_t kEntryMagic = 0x50524F46;    // "PROF"
 
 /** Version 1 stored bare entries back to back, without frames. */
 constexpr uint32_t kUnframedVersion = 1;
+
+/** Version 2 framed each entry, without its content id. */
+constexpr uint32_t kIdlessVersion = 2;
 
 template <typename T>
 void
@@ -116,20 +118,27 @@ readEntry(Cursor &in, StoredProfile &p)
     return true;
 }
 
-/** One frame: u32 payload length, u64 FNV-1a of the payload, payload. */
+/**
+ * One frame: u32 payload length, u64 FNV-1a of the payload, and the
+ * payload (u64 content id, then the entry).
+ */
 void
 writeFrame(std::string &out, const StoredProfile &p)
 {
     std::string payload;
+    writePod(payload, p.id);
     writeEntry(payload, p);
     writePod(out, static_cast<uint32_t>(payload.size()));
     writePod(out, fnv1a(payload.data(), payload.size()));
     out += payload;
 }
 
-/** @return false on a short frame, a checksum mismatch or a bad entry. */
+/**
+ * @return false on a short frame, a checksum mismatch or a bad entry.
+ * A version 2 frame (@p withId false) holds no id: it reads as 0.
+ */
 bool
-readFrame(Cursor &in, StoredProfile &p)
+readFrame(Cursor &in, StoredProfile &p, bool withId)
 {
     uint32_t len = 0;
     uint64_t sum = 0;
@@ -138,7 +147,22 @@ readFrame(Cursor &in, StoredProfile &p)
         return false;
     Cursor payload{in.p, in.p + len};
     in.p += len;
-    return readEntry(payload, p) && payload.left() == 0;
+    p.id = 0;
+    return (!withId || payload.pod(p.id)) && readEntry(payload, p) &&
+        payload.left() == 0;
+}
+
+/**
+ * @return whether a version 1 or 2 store keyed @p old holds registry
+ * profiles measured under the current key @p canon: the same budget
+ * and PPM order, any suite filter, and no trace source.
+ */
+bool
+legacyKeyMatches(const std::string &old, const std::string &canon)
+{
+    const std::string prefix = canon + "|suites=";
+    return old.compare(0, prefix.size(), prefix) == 0 &&
+        old.find("|traces=") == std::string::npos;
 }
 
 /** @return the complete store: header, then one frame per entry. */
@@ -159,15 +183,8 @@ serializeStore(const std::string &keyCanon,
 std::string
 StoreKey::describe() const
 {
-    std::ostringstream ss;
-    ss << "budget=" << maxInsts << "|ppm=" << ppmMaxOrder << "|suites=";
-    for (size_t i = 0; i < suites.size(); ++i)
-        ss << (i ? "," : "") << suites[i];
-    // Appended only when set so interpreter-sourced stores keep their
-    // pre-trace-era key strings (and stay readable).
-    if (!traceDir.empty())
-        ss << "|traces=" << traceDir;
-    return ss.str();
+    return "budget=" + std::to_string(maxInsts) +
+        "|ppm=" + std::to_string(ppmMaxOrder);
 }
 
 ProfileStore::ProfileStore(const std::string &dir, const StoreKey &key)
@@ -208,11 +225,12 @@ ProfileStore::open()
     }
     in.p += sizeof(kMagic);
     if (!in.pod(version) ||
-        (version != kFormatVersion && version != kUnframedVersion)) {
-        rejected.add(1);
-        return false;
-    }
-    if (!in.string(keyCanon) || keyCanon != keyCanon_) {
+        (version != kFormatVersion && version != kIdlessVersion &&
+         version != kUnframedVersion) ||
+        !in.string(keyCanon) ||
+        !(version == kFormatVersion ? keyCanon == keyCanon_
+                                    : legacyKeyMatches(keyCanon,
+                                                       keyCanon_))) {
         rejected.add(1);
         return false;
     }
@@ -223,16 +241,23 @@ ProfileStore::open()
             entries_[p.name()] = p;
     } else {
         // Stop at the first torn or corrupt frame, keeping every entry
-        // before it. Only a file read to its end may be appended to;
-        // otherwise the next put rewrites it without the torn tail.
-        appendable_ = true;
+        // before it. Only a current-format file read to its end may be
+        // appended to; otherwise the next put rewrites it (without the
+        // torn tail, in the current format).
+        appendable_ = version == kFormatVersion;
+        size_t frames = 0;
         while (in.left() > 0) {
-            if (!readFrame(in, p)) {
+            if (!readFrame(in, p, version == kFormatVersion)) {
                 appendable_ = false;
                 break;
             }
             entries_[p.name()] = p;
+            ++frames;
         }
+        // Frames that a later put of the same name replaced are dead
+        // weight; the next put rewrites the store without them, so
+        // alternating sources cannot grow the file without bound.
+        appendable_ = appendable_ && frames == entries_.size();
     }
     bytesRead.add(bytes.size());
     opened.add(1);
@@ -241,13 +266,14 @@ ProfileStore::open()
 }
 
 const StoredProfile *
-ProfileStore::find(const std::string &fullName) const
+ProfileStore::find(const std::string &fullName, uint64_t id) const
 {
     static obs::Counter hits("store.find.hit");
     static obs::Counter misses("store.find.miss");
-    auto it = entries_.find(fullName);
-    (it == entries_.end() ? misses : hits).add(1);
-    return it == entries_.end() ? nullptr : &it->second;
+    const auto it = entries_.find(fullName);
+    const bool hit = it != entries_.end() && it->second.id == id;
+    (hit ? hits : misses).add(1);
+    return hit ? &it->second : nullptr;
 }
 
 void

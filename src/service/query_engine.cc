@@ -1,6 +1,7 @@
 #include "service/query_engine.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <utility>
@@ -10,28 +11,31 @@
 #include "methodology/workload_space.hh"
 #include "mica/profile.hh"
 #include "obs/obs.hh"
-#include "pipeline/profile_store.hh"
 #include "pipeline/thread_pool.hh"
+#include "trace/trace_file.hh"
 #include "uarch/hw_counter.hh"
 
 namespace mica::service
 {
 
 std::string
-datasetKeyPart(const experiments::DatasetConfig &cfg)
-{
-    pipeline::StoreKey key;
-    key.maxInsts = cfg.maxInsts;
-    key.ppmMaxOrder = cfg.ppmMaxOrder;
-    key.suites = cfg.suites;
-    return key.describe();
-}
-
-std::string
-indexKey(const experiments::DatasetConfig &cfg, const std::string &space,
+indexKey(const experiments::SuiteDataset &ds, const std::string &space,
          size_t pca)
 {
-    return datasetKeyPart(cfg) + "|space=" + space +
+    uint64_t h = fnv1a(nullptr, 0);
+    for (const Matrix &m : {ds.micaMatrix(), ds.hpcMatrix()}) {
+        for (size_t r = 0; r < m.rows(); ++r) {
+            const std::string &name = m.rowNames[r];
+            const uint64_t len = name.size();
+            h = fnv1a(&len, sizeof(len), h);
+            h = fnv1a(name.data(), name.size(), h);
+            h = fnv1a(m.row(r), m.cols() * sizeof(double), h);
+        }
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string("data=") + digest + "|space=" + space +
         "|pca=" + std::to_string(pca);
 }
 
@@ -180,7 +184,6 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
     auto snap = std::make_shared<ServerSnapshot>();
     snap->space = sc.space;
     snap->pca = sc.pca;
-    snap->key = indexKey(icfg, sc.space, sc.pca);
     snap->generation = generation;
 
     try {
@@ -197,6 +200,7 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
         return nullptr;
     }
 
+    snap->key = indexKey(snap->ds, sc.space, sc.pca);
     bool loaded = false;
     if (probe.valid && probe.key == snap->key) {
         std::string why;

@@ -66,11 +66,15 @@ struct SpaceChoice
     bool given = false;
 };
 
-/** The dataset half of the index key (exactly the ProfileStore key). */
-std::string datasetKeyPart(const experiments::DatasetConfig &cfg);
-
-/** Canonical index-snapshot key: dataset key + space knobs. */
-std::string indexKey(const experiments::DatasetConfig &cfg,
+/**
+ * Canonical index-snapshot key: "data=<digest>|space=S|pca=K", where
+ * the digest covers the dataset's benchmark names and the bits of
+ * both profile matrices. It names what the index was built from, not
+ * how that was configured, so a snapshot is reused exactly when the
+ * collected dataset is the same — whichever budget, suite filter or
+ * trace tree produced it.
+ */
+std::string indexKey(const experiments::SuiteDataset &ds,
                      const std::string &space, size_t pca);
 
 /**
@@ -155,7 +159,8 @@ using CollectFn =
 /**
  * Load-or-build a complete snapshot: collect the dataset (profile
  * store hits make a warm start cheap), reuse the persistent index
- * snapshot when its probed key matches, rebuild + persist otherwise.
+ * snapshot when its key matches the collected dataset's indexKey,
+ * rebuild + persist otherwise.
  * @param cfg collection config; an empty cacheDir defaults to
  *        ".mica-index" (the index needs a durable home)
  * @param sc space knobs; adopted from the stored snapshot when not

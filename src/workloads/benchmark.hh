@@ -65,6 +65,13 @@ struct BenchmarkEntry
     BenchmarkInfo info;
     std::function<isa::Program()> build;
     std::function<std::unique_ptr<TraceSource>()> source;
+
+    /**
+     * What the records are, for the profile store: 0 for a registry
+     * kernel; for a trace, a digest of the file's contents (see
+     * traceBenchmarksFromFiles). Equal ids mean equal records.
+     */
+    uint64_t contentId = 0;
 };
 
 } // namespace mica::workloads

@@ -32,9 +32,11 @@ BenchmarkRegistry::BenchmarkRegistry()
     auto add = [this](std::string suite, std::string program,
                       std::string input, uint64_t icountM,
                       std::function<isa::Program()> build) {
-        entries_.push_back({{std::move(suite), std::move(program),
-                             std::move(input), icountM},
-                            std::move(build)});
+        BenchmarkEntry e;
+        e.info = {std::move(suite), std::move(program), std::move(input),
+                  icountM};
+        e.build = std::move(build);
+        entries_.push_back(std::move(e));
     };
 
     // ------------------------------------------------------------------
@@ -639,6 +641,14 @@ traceInfoFromStem(const std::string &stem)
     return info;
 }
 
+/** @return whether @p p names a trace file (binary or text). */
+bool
+isTraceFile(const std::filesystem::path &p)
+{
+    const std::string ext = p.extension().string();
+    return ext == ".trace" || ext == ".csv" || ext == ".txt";
+}
+
 } // namespace
 
 std::string
@@ -651,21 +661,46 @@ traceStem(const std::string &fullName)
     return stem;
 }
 
+std::vector<std::string>
+traceTreeFiles(const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> out;
+    for (auto it = fs::recursive_directory_iterator(dir);
+         it != fs::recursive_directory_iterator(); ++it) {
+        // A profile store kept inside the tree (--cache=DIR/sub) exports
+        // CSVs next to its profiles.bin that are not traces.
+        std::error_code ec;
+        if (it->is_directory() &&
+            fs::exists(it->path() / "profiles.bin", ec))
+            it.disable_recursion_pending();
+        else if (it->is_regular_file() && isTraceFile(it->path()))
+            out.push_back(it->path().lexically_relative(dir).string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 std::string
 findTraceFile(const std::string &dir, const std::string &fullName)
 {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!fs::is_directory(dir, ec))
+        return "";
     // A stem without "__" lands in the placeholder suite, so such a
     // name's file may carry the bare stem.
     std::vector<std::string> stems = {traceStem(fullName)};
     const std::string placeholder = std::string(kStemOnlySuite) + "/";
     if (fullName.compare(0, placeholder.size(), placeholder) == 0)
         stems.push_back(fullName.substr(placeholder.size()));
+    const std::vector<std::string> files = traceTreeFiles(dir);
     for (const auto &stem : stems) {
         for (const char *ext : {".trace", ".csv", ".txt"}) {
-            const std::string path = dir + "/" + stem + ext;
-            std::error_code ec;
-            if (std::filesystem::is_regular_file(path, ec))
-                return path;
+            for (const auto &rel : files) {
+                if (fs::path(rel).filename() == stem + ext)
+                    return dir + "/" + rel;
+            }
         }
     }
     return "";
@@ -673,46 +708,36 @@ findTraceFile(const std::string &dir, const std::string &fullName)
 
 std::vector<BenchmarkEntry>
 traceBenchmarks(const std::string &dir, uint64_t maxInsts,
-                uint64_t *contentStamp,
                 std::vector<std::pair<std::string, std::string>>
                     *quarantined)
 {
-    namespace fs = std::filesystem;
     std::error_code ec;
-    if (!fs::is_directory(dir, ec))
+    if (!std::filesystem::is_directory(dir, ec))
         throw TraceFileError(dir, "not a trace directory");
     std::vector<std::string> files;
-    for (const auto &de : fs::directory_iterator(dir)) {
-        if (de.is_regular_file())
-            files.push_back(de.path().string());
-    }
-    return traceBenchmarksFromFiles(files, maxInsts, contentStamp,
-                                    quarantined, dir);
+    for (const auto &rel : traceTreeFiles(dir))
+        files.push_back(dir + "/" + rel);
+    return traceBenchmarksFromFiles(files, maxInsts, quarantined);
 }
 
 std::vector<BenchmarkEntry>
 traceBenchmarksFromFiles(const std::vector<std::string> &files,
-                         uint64_t maxInsts, uint64_t *contentStamp,
+                         uint64_t maxInsts,
                          std::vector<std::pair<std::string, std::string>>
-                             *quarantined,
-                         const std::string &what)
+                             *quarantined)
 {
     namespace fs = std::filesystem;
 
-    // Per-entry content identity, folded into *contentStamp after the
-    // deterministic sort so cache keys depend on what the traces hold.
-    std::vector<uint64_t> fileHash;
     std::vector<BenchmarkEntry> out;
+    std::vector<std::string> paths;
     for (const auto &file : files) {
         const fs::path p(file);
-        const std::string ext = p.extension().string();
-        const bool binary = ext == ".trace";
-        if (!binary && ext != ".csv" && ext != ".txt")
+        if (!isTraceFile(p))
             continue;
+        const bool binary = p.extension() == ".trace";
 
         BenchmarkEntry e;
         e.info = traceInfoFromStem(p.stem().string());
-        uint64_t contentId = 0;
         try {
             if (binary) {
                 // Eager validation: a bad file must reject at scan
@@ -731,7 +756,7 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                             "direct interpretation (lower --budget, "
                             "use 0, or re-record)");
                 }
-                contentId =
+                e.contentId =
                     fnv1a(&fi.recordCount, sizeof(fi.recordCount),
                           fnv1a(&fi.payloadHash,
                                 sizeof(fi.payloadHash)));
@@ -739,30 +764,27 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                     return openTraceFile(path, &fi);
                 };
             } else {
-                if (contentStamp || maxInsts != 0) {
-                    std::ifstream in(p.string(), std::ios::binary);
-                    std::ostringstream bytes;
-                    bytes << in.rdbuf();
-                    const std::string s = bytes.str();
-                    contentId = fnv1a(s.data(), s.size());
-                    if (maxInsts != 0) {
-                        // Text traces get the same budget guard as
-                        // binary ones: coming up short must reject,
-                        // not silently profile a shorter stream.
-                        std::istringstream text(s);
-                        const size_t n =
-                            parseTextTrace(text, p.string()).size();
-                        if (maxInsts > n) {
-                            throw TraceFileError(
-                                p.string(),
-                                "holds " + std::to_string(n) +
-                                    " records but the profiling "
-                                    "budget is " +
-                                    std::to_string(maxInsts) +
-                                    " — replay would silently "
-                                    "diverge (lower --budget or "
-                                    "use 0)");
-                        }
+                std::ifstream in(p.string(), std::ios::binary);
+                std::ostringstream bytes;
+                bytes << in.rdbuf();
+                const std::string s = bytes.str();
+                e.contentId = fnv1a(s.data(), s.size());
+                if (maxInsts != 0) {
+                    // Text traces get the same budget guard as binary
+                    // ones: coming up short must reject, not silently
+                    // profile a shorter stream.
+                    std::istringstream text(s);
+                    const size_t n =
+                        parseTextTrace(text, p.string()).size();
+                    if (maxInsts > n) {
+                        throw TraceFileError(
+                            p.string(),
+                            "holds " + std::to_string(n) +
+                                " records but the profiling budget "
+                                "is " +
+                                std::to_string(maxInsts) +
+                                " — replay would silently diverge "
+                                "(lower --budget or use 0)");
                     }
                 }
                 e.source = [path = p.string()] {
@@ -772,13 +794,12 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
         } catch (const TraceFileError &ex) {
             // Scan-time quarantine: one bad file must not take down
             // the whole sweep when the caller opted into isolation.
-            // The file contributes neither an entry nor a stamp bit.
             if (!quarantined)
                 throw;
             quarantined->emplace_back(p.string(), ex.what());
             continue;
         }
-        fileHash.push_back(contentId);
+        paths.push_back(p.string());
         out.push_back(std::move(e));
     }
 
@@ -803,23 +824,18 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
 
     std::vector<BenchmarkEntry> sorted;
     sorted.reserve(out.size());
-    uint64_t stamp = fnv1a(nullptr, 0);
     for (size_t k = 0; k < order.size(); ++k) {
         const size_t idx = order[k];
-        const std::string &name = names[idx];
         // Two files mapping to one benchmark name would profile
         // whichever happened to win — reject instead of guessing.
-        if (k > 0 && names[order[k - 1]] == name)
-            throw TraceFileError(what, "duplicate trace benchmark '" +
-                                           name +
-                                           "' (two files map to the "
-                                           "same name)");
-        stamp = fnv1a(name.data(), name.size(), stamp);
-        stamp = fnv1a(&fileHash[idx], sizeof(fileHash[idx]), stamp);
+        if (k > 0 && names[order[k - 1]] == names[idx])
+            throw TraceFileError(paths[idx],
+                                 "duplicate trace benchmark '" +
+                                     names[idx] + "' (" +
+                                     paths[order[k - 1]] +
+                                     " maps to the same name)");
         sorted.push_back(std::move(out[idx]));
     }
-    if (contentStamp)
-        *contentStamp = stamp;
     return sorted;
 }
 

@@ -60,9 +60,23 @@ class BenchmarkRegistry
 std::string traceStem(const std::string &fullName);
 
 /**
- * The file in @p dir that holds benchmark @p fullName: the first of
- * <stem>.trace, <stem>.csv and <stem>.txt that exists as a regular
- * file, or "" when none does. A name in the placeholder "traces"
+ * The trace files anywhere under @p dir: every regular file named
+ * *.trace (binary), *.csv or *.txt (text), as paths relative to
+ * @p dir, sorted. Subdirectories are walked, except one holding a
+ * profile store (profiles.bin), whose exported CSVs are not traces;
+ * other files (.tmp staging files, notes) are skipped. The sweep
+ * (traceBenchmarks), findTraceFile and `mica trace ls` all list a
+ * tree with this walk.
+ * @throws std::filesystem::filesystem_error when the tree cannot be
+ *         read
+ */
+std::vector<std::string> traceTreeFiles(const std::string &dir);
+
+/**
+ * The file under @p dir that holds benchmark @p fullName: the first
+ * of <stem>.trace, <stem>.csv and <stem>.txt found anywhere in the
+ * tree (the first in sorted path order when several directories hold
+ * one), or "" when none does. A name in the placeholder "traces"
  * suite also tries the stem without the suite ("traces/zcustom" ->
  * zcustom.txt), so every name traceBenchmarks reports finds its file.
  */
@@ -70,12 +84,13 @@ std::string findTraceFile(const std::string &dir,
                           const std::string &fullName);
 
 /**
- * Surface a directory of recorded traces as first-class benchmarks.
+ * Surface a tree of recorded traces as first-class benchmarks.
  *
- * Every "*.trace" (binary, v1 or v2, see trace/trace_file.hh) and
- * "*.csv"/"*.txt" (hand-made text trace) file in @p dir becomes one
- * entry whose source factory replays the file; the filename stem maps
- * back to the benchmark identity by replacing the first "__" with "/"
+ * Every trace file under @p dir (traceTreeFiles: "*.trace" binary,
+ * v1 or v2, see trace/trace_file.hh, and "*.csv"/"*.txt" hand-made
+ * text traces, in any subdirectory) becomes one entry whose source
+ * factory replays the file; the filename stem maps back to the
+ * benchmark identity by replacing the first "__" with "/"
  * ("SPEC2000__gzip.graphic.trace" -> "SPEC2000/gzip.graphic", the
  * inverse of traceStem). Stems without "__" land in the synthetic
  * "traces" suite. Entries are ordered by Table I position (unknown
@@ -89,50 +104,44 @@ std::string findTraceFile(const std::string &dir,
  * mid-sweep — and never silently falls back to interpreting the
  * registry kernel. The source factories reuse that validation
  * (header-only re-check per open, no second payload pass). Two
- * files mapping to the same benchmark name reject too.
+ * files anywhere in the tree mapping to the same benchmark name
+ * reject too.
  *
- * @param dir directory holding the trace files
+ * Each entry's contentId identifies the file's contents, not its
+ * path: a binary trace's record count and payload hash, or the
+ * FNV-1a of a text trace's bytes. The profile store keys entries on
+ * it, so a moved tree still hits and a re-recorded file misses.
+ *
+ * @param dir root of the trace tree
  * @param maxInsts the profiling budget the entries will run under:
- *        a binary trace holding fewer records than a nonzero budget
+ *        a trace holding fewer records than a nonzero budget
  *        rejects, because replay would silently produce a shorter
  *        stream than interpreting the program directly (0 = replay
  *        whatever was recorded)
- * @param contentStamp when non-null, receives a digest of every
- *        file's identity and content (names, record counts, payload
- *        checksums; raw bytes for text traces) so callers can key
- *        caches on what the traces *hold*, not just the directory
- *        path — quarantined files are excluded from the digest, so a
- *        directory with a corrupt file keys differently from the
- *        same directory healthy
  * @param quarantined when non-null, a file that fails validation (or
- *        the budget guard) is recorded here as {path, error} and
- *        skipped instead of throwing; directory-level problems (not
- *        a directory, duplicate benchmark names) still throw. Order
- *        follows the directory scan, which is filesystem-dependent —
- *        callers wanting a deterministic report should sort.
+ *        the budget guard) is recorded here as {path, error}, in
+ *        sorted path order, and skipped instead of throwing;
+ *        tree-level problems (not a directory, duplicate benchmark
+ *        names) still throw.
  * @throws TraceFileError when @p dir is not a directory or (with
  *         @p quarantined null) a trace file in it fails validation
  */
 std::vector<BenchmarkEntry>
 traceBenchmarks(const std::string &dir, uint64_t maxInsts = 0,
-                uint64_t *contentStamp = nullptr,
                 std::vector<std::pair<std::string, std::string>>
                     *quarantined = nullptr);
 
 /**
  * As traceBenchmarks, but over an explicit file list instead of a
- * directory scan — the corpus layer hands one shard's files through
- * here. Semantics (validation, budget guard, quarantine, content
- * stamp, registry-order sort, duplicate-name rejection) are identical;
- * @p what names the trace set in set-level error messages (duplicate
- * benchmark names). Files with unknown extensions are skipped.
+ * tree walk; the single-benchmark path hands the one file it found
+ * through here. Semantics (validation, budget guard, quarantine,
+ * content ids, registry-order sort, duplicate-name rejection) are
+ * identical. Files with unknown extensions are skipped.
  */
 std::vector<BenchmarkEntry>
 traceBenchmarksFromFiles(const std::vector<std::string> &files,
                          uint64_t maxInsts = 0,
-                         uint64_t *contentStamp = nullptr,
                          std::vector<std::pair<std::string, std::string>>
-                             *quarantined = nullptr,
-                         const std::string &what = "trace set");
+                             *quarantined = nullptr);
 
 } // namespace mica::workloads

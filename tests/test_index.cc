@@ -693,12 +693,13 @@ TEST(SnapshotTest, RejectsHugeHeaderCountsWithoutAllocating)
 
     // Patch count and dim to values that pass the per-field caps but
     // whose product would ask for tens of gigabytes: the loader must
-    // reject the header, not attempt the allocation.
+    // reject the header, not attempt the allocation. The count follows
+    // the magic, both versions, the key and the payload checksum.
     std::fstream f(tmp.path(),
                    std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.good());
     const std::streamoff countOff = 8 + 4 + 4 + 4 +
-        static_cast<std::streamoff>(key.size());
+        static_cast<std::streamoff>(key.size()) + 8;
     const uint64_t hugeCount = 1u << 20, hugeDim = 1u << 16;
     f.seekp(countOff);
     f.write(reinterpret_cast<const char *>(&hugeCount),
@@ -710,6 +711,42 @@ TEST(SnapshotTest, RejectsHugeHeaderCountsWithoutAllocating)
     std::string why;
     EXPECT_FALSE(loadIndexSnapshot(tmp.path(), key, &out, &why));
     EXPECT_NE(why.find("corrupt"), std::string::npos);
+}
+
+TEST(SnapshotTest, EveryFlippedVectorByteRejectsAsChecksum)
+{
+    SnapDir tmp;
+    const FingerprintIndex built =
+        FingerprintIndex::build(randomDataset(6, 3, 11));
+    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-A"));
+    std::string whole;
+    {
+        std::ifstream in(tmp.path(), std::ios::binary);
+        whole.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // The vectors end the file. A flipped bit there leaves every
+    // length and count valid, so only the checksum can see it.
+    const size_t vectors =
+        built.fingerprints().data.size() * sizeof(double);
+    ASSERT_GT(whole.size(), vectors);
+    FingerprintIndex out;
+    std::string why;
+    for (size_t at = whole.size() - vectors; at < whole.size(); ++at) {
+        for (const unsigned char mask : {0x01, 0x10, 0x80}) {
+            std::string flipped = whole;
+            flipped[at] = static_cast<char>(flipped[at] ^ mask);
+            std::ofstream(tmp.path(), std::ios::binary | std::ios::trunc)
+                << flipped;
+            EXPECT_FALSE(
+                loadIndexSnapshot(tmp.path(), "key-A", &out, &why))
+                << "byte " << at << " mask " << int(mask);
+            EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+        }
+    }
+    std::ofstream(tmp.path(), std::ios::binary | std::ios::trunc) << whole;
+    ASSERT_TRUE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why)) << why;
+    EXPECT_EQ(out.fingerprints().data, built.fingerprints().data);
 }
 
 } // namespace

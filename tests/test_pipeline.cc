@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel profiling pipeline: ThreadPool semantics,
- * ProfileStore durability and key rejection, and end-to-end
- * determinism of parallel collection.
+ * ProfileStore durability, key rejection, per-entry content ids and
+ * older formats, and end-to-end determinism of parallel collection.
  */
 
 #include <atomic>
@@ -200,11 +200,6 @@ TEST(ProfileStoreTest, RejectsMismatchedKey)
     ProfileStore r2(tmp.dir, otherPpm);
     EXPECT_FALSE(r2.open());
 
-    StoreKey otherSuites = key;
-    otherSuites.suites = {"CommBench"};
-    ProfileStore r3(tmp.dir, otherSuites);
-    EXPECT_FALSE(r3.open());
-
     // A rejected store is rewritten by the next put, not appended to.
     r1.put(fakeProfile("s/b.y", 0.75));
     ProfileStore r4(tmp.dir, otherBudget);
@@ -316,31 +311,52 @@ sameBits(const StoredProfile *got, const StoredProfile &want)
         got->hpc.toVector() == want.hpc.toVector();
 }
 
-/** The version-1 layout: the header, then bare entries, no frames. */
+/**
+ * A store in an older format, written from the layout the store's
+ * header comment documents: the magic, the version, the old key
+ * ("budget=N|ppm=K|suites=..." with an optional "|traces=..."), then
+ * version 1's bare entries or version 2's frames (u32 length, u64
+ * FNV-1a, entry) — neither with a content id.
+ */
 void
-writeVersionOneStore(const std::string &path, const StoreKey &key,
-                     const std::vector<StoredProfile> &profiles)
+writeLegacyStore(const std::string &path, uint32_t version,
+                 const std::string &oldKey,
+                 const std::vector<StoredProfile> &profiles)
 {
     std::string out("MICAPST\n");
-    const auto pod = [&out](auto v) {
-        out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    const auto pod = [](std::string &to, auto v) {
+        to.append(reinterpret_cast<const char *>(&v), sizeof(v));
     };
-    const std::string canon = key.describe();
-    pod(uint32_t{1});
-    pod(static_cast<uint32_t>(canon.size()));
-    out += canon;
+    pod(out, version);
+    pod(out, static_cast<uint32_t>(oldKey.size()));
+    out += oldKey;
     for (const StoredProfile &p : profiles) {
-        pod(uint32_t{0x50524F46});
-        pod(static_cast<uint32_t>(p.mica.name.size()));
-        out += p.mica.name;
-        pod(p.mica.instCount);
+        std::string entry;
+        pod(entry, uint32_t{0x50524F46});
+        pod(entry, static_cast<uint32_t>(p.mica.name.size()));
+        entry += p.mica.name;
+        pod(entry, p.mica.instCount);
         for (double v : p.mica.values)
-            pod(v);
-        pod(p.hpc.instCount);
+            pod(entry, v);
+        pod(entry, p.hpc.instCount);
         for (double v : p.hpc.toVector())
-            pod(v);
+            pod(entry, v);
+        if (version == 2) {
+            pod(out, static_cast<uint32_t>(entry.size()));
+            pod(out, fnv1a(entry.data(), entry.size()));
+        }
+        out += entry;
     }
     setFileBytes(path, out);
+}
+
+/** @return the format version recorded in a store file. */
+uint32_t
+storeVersion(const std::string &path)
+{
+    uint32_t version = 0;
+    std::memcpy(&version, fileBytes(path).data() + 8, sizeof(version));
+    return version;
 }
 
 TEST(ProfileStoreTest, TornOrCorruptLastFrameKeepsTheEntriesBeforeIt)
@@ -416,7 +432,7 @@ TEST(ProfileStoreTest, VersionOneStoreOpensAndAPutConvertsIt)
     const std::vector<StoredProfile> old = {fakeProfile("s/a.x", 0.5),
                                             fakeProfile("s/b.y", 0.25),
                                             fakeProfile("s/c.z", 0.75)};
-    writeVersionOneStore(bin, key, old);
+    writeLegacyStore(bin, 1, key.describe() + "|suites=", old);
 
     ProfileStore store(tmp.dir, key);
     ASSERT_TRUE(store.open());
@@ -426,15 +442,125 @@ TEST(ProfileStoreTest, VersionOneStoreOpensAndAPutConvertsIt)
 
     const StoredProfile d = fakeProfile("s/d.w", 0.125);
     store.put(d);
-    uint32_t version = 0;
-    std::memcpy(&version, fileBytes(bin).data() + 8, sizeof(version));
-    EXPECT_EQ(version, ProfileStore::kFormatVersion);
+    EXPECT_EQ(storeVersion(bin), ProfileStore::kFormatVersion);
     ProfileStore reopened(tmp.dir, key);
     ASSERT_TRUE(reopened.open());
     EXPECT_EQ(reopened.size(), 4u);
     for (const StoredProfile &p : old)
         EXPECT_TRUE(sameBits(reopened.find(p.name()), p)) << p.name();
     EXPECT_TRUE(sameBits(reopened.find("s/d.w"), d));
+}
+
+TEST(ProfileStoreTest, FindHitsOnlyOnNameAndContentId)
+{
+    StoreDir tmp;
+    StoreKey key;
+    StoredProfile traced = fakeProfile("s/a.x", 0.5);
+    traced.id = 0x1234;
+    {
+        ProfileStore writer(tmp.dir, key);
+        writer.put(traced);
+        writer.put(fakeProfile("s/b.y", 0.25));
+    }
+
+    // The id survives the file: the trace entry serves only a lookup
+    // with its id, never a registry run (id 0) of the same name, and
+    // a registry entry never serves a trace.
+    ProfileStore reader(tmp.dir, key);
+    ASSERT_TRUE(reader.open());
+    ASSERT_NE(reader.find("s/a.x", 0x1234), nullptr);
+    EXPECT_EQ(reader.find("s/a.x", 0x1234)->id, 0x1234u);
+    EXPECT_EQ(reader.find("s/a.x"), nullptr);
+    EXPECT_EQ(reader.find("s/a.x", 0x1235), nullptr);
+    EXPECT_NE(reader.find("s/b.y"), nullptr);
+    EXPECT_EQ(reader.find("s/b.y", 0x1234), nullptr);
+
+    // A put replaces the entry of that name, on disk as in memory.
+    const StoredProfile registry = fakeProfile("s/a.x", 0.75);
+    reader.put(registry);
+    EXPECT_EQ(reader.size(), 2u);
+    ProfileStore reopened(tmp.dir, key);
+    ASSERT_TRUE(reopened.open());
+    EXPECT_EQ(reopened.size(), 2u);
+    EXPECT_EQ(reopened.find("s/a.x", 0x1234), nullptr);
+    ASSERT_NE(reopened.find("s/a.x"), nullptr);
+    EXPECT_EQ(reopened.find("s/a.x")->hpc.ipcEv56, 0.75);
+
+    // The replaced frame is dead weight: the next put after an open
+    // rewrites the file to exactly the live entries, byte for byte
+    // what a store holding only them would be.
+    const StoredProfile c = fakeProfile("s/c.z", 0.125);
+    reopened.put(c);
+    StoreDir clean;
+    {
+        ProfileStore writer(clean.dir, key);
+        writer.put(registry);
+        writer.put(fakeProfile("s/b.y", 0.25));
+        writer.put(c);
+    }
+    EXPECT_EQ(fileBytes(tmp.dir + "/profiles.bin"),
+              fileBytes(clean.dir + "/profiles.bin"));
+}
+
+TEST(ProfileStoreTest, VersionTwoStoresOpenOrRejectByTheirOldKey)
+{
+    StoreKey key;
+    key.maxInsts = 20000;
+    const std::vector<StoredProfile> old = {fakeProfile("s/a.x", 0.5),
+                                            fakeProfile("s/b.y", 0.25)};
+    const StoredProfile c = fakeProfile("s/c.z", 0.75);
+
+    // Registry profiles measured under this budget and PPM order are
+    // the same whatever suite filter the old key carried: they open
+    // as registry entries (id 0), and the first put converts the file.
+    for (const std::string suites : {"", "s,t"}) {
+        SCOPED_TRACE("suites=" + suites);
+        StoreDir tmp;
+        const std::string bin = tmp.dir + "/profiles.bin";
+        writeLegacyStore(bin, 2, key.describe() + "|suites=" + suites, old);
+        ProfileStore store(tmp.dir, key);
+        ASSERT_TRUE(store.open());
+        ASSERT_EQ(store.size(), 2u);
+        for (const StoredProfile &p : old)
+            EXPECT_TRUE(sameBits(store.find(p.name()), p)) << p.name();
+        store.put(c);
+        EXPECT_EQ(storeVersion(bin), ProfileStore::kFormatVersion);
+        ProfileStore reopened(tmp.dir, key);
+        ASSERT_TRUE(reopened.open());
+        EXPECT_EQ(reopened.size(), 3u);
+        for (const StoredProfile &p : old)
+            EXPECT_TRUE(sameBits(reopened.find(p.name()), p)) << p.name();
+        EXPECT_TRUE(sameBits(reopened.find("s/c.z"), c));
+    }
+
+    // Another budget, or a prefix of this one, is another config.
+    for (const std::string other :
+         {"budget=2000|ppm=8|suites=", "budget=200000|ppm=8|suites=",
+          "budget=20000|ppm=4|suites=", "budget=20000|ppm=8"}) {
+        SCOPED_TRACE(other);
+        StoreDir tmp;
+        writeLegacyStore(tmp.dir + "/profiles.bin", 2, other, old);
+        ProfileStore store(tmp.dir, key);
+        EXPECT_FALSE(store.open());
+        EXPECT_EQ(store.size(), 0u);
+    }
+
+    // A trace store's old key named a whole trace set, so no entry in
+    // it can be matched to its file: it reads as empty and the next
+    // put rewrites it once, in the current format.
+    StoreDir tmp;
+    const std::string bin = tmp.dir + "/profiles.bin";
+    writeLegacyStore(bin, 2,
+                     key.describe() + "|suites=|traces=tr#1f2e3d4c", old);
+    ProfileStore store(tmp.dir, key);
+    EXPECT_FALSE(store.open());
+    EXPECT_EQ(store.size(), 0u);
+    store.put(c);
+    EXPECT_EQ(storeVersion(bin), ProfileStore::kFormatVersion);
+    ProfileStore reopened(tmp.dir, key);
+    ASSERT_TRUE(reopened.open());
+    EXPECT_EQ(reopened.size(), 1u);
+    EXPECT_TRUE(sameBits(reopened.find("s/c.z"), c));
 }
 
 TEST(ProfileStoreTest, PutOnACleanStoreAppendsExactlyOneFrame)
@@ -699,7 +825,6 @@ TEST(PipelineDatasetTest, PartialStoreOnlyProfilesTheGap)
     pipeline::StoreKey key;
     key.maxInsts = cfg.maxInsts;
     key.ppmMaxOrder = cfg.ppmMaxOrder;
-    key.suites = cfg.suites;
     ProfileStore seeded(tmp.dir, key);
     ASSERT_TRUE(seeded.open());
     ASSERT_EQ(seeded.size(), full.benchmarks.size());
@@ -727,6 +852,41 @@ TEST(PipelineDatasetTest, PartialStoreOnlyProfilesTheGap)
         for (size_t c = 0; c < kNumMicaChars; ++c)
             EXPECT_EQ(merged.micaProfiles[i][c], full.micaProfiles[i][c]);
     }
+}
+
+TEST(PipelineDatasetTest, SuiteFilterReadsAWiderStoreAndKeepsIt)
+{
+    StoreDir tmp;
+    experiments::DatasetConfig wide;
+    wide.maxInsts = 5000;
+    wide.suites = {"CommBench", "MiBench"};
+    wide.cacheDir = tmp.dir;
+    wide.jobs = 2;
+    size_t profiled = 0;
+    wide.progress = [&profiled](size_t, size_t, const std::string &) {
+        ++profiled;
+    };
+    const auto all = experiments::collectSuiteDataset(wide);
+    EXPECT_EQ(profiled, all.benchmarks.size());
+    const std::string before =
+        fileBytes(tmp.dir + "/profiles.bin");
+
+    // The filtered run is served from the wider store and leaves the
+    // file alone, so the wider run after it still hits everything.
+    profiled = 0;
+    auto narrow = wide;
+    narrow.suites = {"CommBench"};
+    const auto comm = experiments::collectSuiteDataset(narrow);
+    EXPECT_EQ(profiled, 0u);
+    EXPECT_EQ(comm.benchmarks.size(), 12u);
+    EXPECT_EQ(fileBytes(tmp.dir + "/profiles.bin"), before);
+    for (size_t i = 0; i < comm.benchmarks.size(); ++i) {
+        const size_t j = all.indexOf(comm.benchmarks[i].fullName());
+        ASSERT_NE(j, static_cast<size_t>(-1));
+        EXPECT_EQ(comm.micaProfiles[i].values, all.micaProfiles[j].values);
+    }
+    experiments::collectSuiteDataset(wide);
+    EXPECT_EQ(profiled, 0u);
 }
 
 TEST(PipelineDatasetTest, ConfigFromArgsParsesJobs)

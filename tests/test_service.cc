@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,6 +44,8 @@
 #include "service/query_engine.hh"
 #include "service/server.hh"
 #include "stats/rng.hh"
+#include "trace/synthetic.hh"
+#include "trace/trace_file.hh"
 
 namespace mica::service
 {
@@ -549,6 +552,120 @@ TEST(ServiceSnapshotTest, VersionOneCacheKeepsItsSpaceAndIsRewritten)
     ASSERT_TRUE(index::loadIndexSnapshot(path, snap->key, &reloaded, &err))
         << err;
     EXPECT_EQ(reloaded.fingerprints().data, snap->idx.fingerprints().data);
+}
+
+/** Write four random traces under @p dir; @p seed varies the records. */
+void
+writeRandomTraces(const std::string &dir, uint64_t seed)
+{
+    std::filesystem::create_directories(dir);
+    for (uint64_t i = 0; i < 4; ++i) {
+        RandomTraceParams p;
+        p.numInsts = 4000;
+        p.seed = seed + i;
+        p.pLoad = 0.1 + 0.05 * static_cast<double>(i);
+        RandomTraceSource src(p);
+        TraceFileWriter w(dir + "/rand__t" + std::to_string(i) + ".x.trace");
+        InstRecord r;
+        while (src.next(r))
+            w.append(r);
+        w.close();
+    }
+}
+
+/** @return every benchmark's kNN reply, as the daemon renders them. */
+std::string
+allKnnReplies(const ServerSnapshot &snap)
+{
+    std::string out;
+    for (size_t i = 0; i < snap.idx.size(); ++i) {
+        out += executeLine(snap, "{\"op\":\"knn\",\"bench\":\"" +
+                                     snap.idx.nameOf(i) + "\",\"k\":2}") +
+            "\n";
+    }
+    return out;
+}
+
+TEST(ServiceSnapshotTest, KeyFollowsTheDatasetNotTheConfig)
+{
+    TempDir dir;
+    writeRandomTraces(dir.dir + "/t1", 1);
+    writeRandomTraces(dir.dir + "/t2", 11);
+    experiments::DatasetConfig cfg;
+    cfg.cacheDir = dir.dir + "/cache";
+    cfg.traceDir = dir.dir + "/t1";
+    std::string err;
+    const auto first =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(first, nullptr) << err;
+
+    // The same config over other traces is another dataset: the shared
+    // cache must answer it as a fresh cache does, not with the first
+    // dataset's index.
+    cfg.traceDir = dir.dir + "/t2";
+    const auto second =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(second, nullptr) << err;
+    auto freshCfg = cfg;
+    freshCfg.cacheDir = dir.dir + "/fresh";
+    const auto fresh =
+        buildServerSnapshot(freshCfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(fresh, nullptr) << err;
+    EXPECT_NE(second->key, first->key);
+    EXPECT_EQ(second->key, fresh->key);
+    EXPECT_EQ(second->idx.fingerprints().data,
+              fresh->idx.fingerprints().data);
+    EXPECT_EQ(allKnnReplies(*second), allKnnReplies(*fresh));
+    EXPECT_NE(allKnnReplies(*second), allKnnReplies(*first));
+
+    // The same dataset reloads its snapshot instead of rebuilding it:
+    // an index planted under its key is what comes back.
+    index::FingerprintOptions three;
+    three.columns = {0, 1, 2};
+    const index::FingerprintIndex planted =
+        index::FingerprintIndex::build(second->ds.micaMatrix(), three);
+    ASSERT_TRUE(index::saveIndexSnapshot(
+        planted, index::snapshotPath(cfg.cacheDir), second->key));
+    const auto again =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(again, nullptr) << err;
+    EXPECT_EQ(again->key, second->key);
+    EXPECT_EQ(again->idx.dim(), 3u);
+    EXPECT_EQ(again->idx.fingerprints().data, planted.fingerprints().data);
+}
+
+TEST(ServiceSnapshotTest, DamagedSnapshotRebuildsToFreshAnswers)
+{
+    TempDir dir;
+    const auto cfg = privateConfig(dir);
+    std::string err;
+    const auto built =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(built, nullptr) << err;
+
+    // Flip one bit among the vectors at the end of the file.
+    const std::string path = index::snapshotPath(dir.dir);
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 300u);
+    bytes[bytes.size() - 300] ^= 0x10;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    index::FingerprintIndex out;
+    EXPECT_FALSE(index::loadIndexSnapshot(path, built->key, &out, &err));
+    EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+
+    const auto rebuilt =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(rebuilt, nullptr) << err;
+    EXPECT_EQ(rebuilt->idx.fingerprints().data,
+              built->idx.fingerprints().data);
+    EXPECT_EQ(allKnnReplies(*rebuilt), allKnnReplies(*built));
+    ASSERT_TRUE(index::loadIndexSnapshot(path, built->key, &out, &err))
+        << err;
 }
 
 // ----------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -27,7 +28,6 @@
 #include "isa/interpreter.hh"
 #include "mica/dataset.hh"
 #include "mica/runner.hh"
-#include "pipeline/profile_store.hh"
 #include "test_util.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
@@ -883,20 +883,84 @@ TEST(TraceBenchmarksTest, RejectsDuplicateBenchmarkNames)
                  "duplicate trace benchmark 'CommBench/tcp.tcp'");
 }
 
-TEST(TraceBenchmarksTest, ContentStampTracksTraceBytes)
+TEST(TraceBenchmarksTest, WalksSubdirectoriesOfTheTree)
 {
     TmpDir tmp;
-    writeTraceV1(tmp, sampleRecords(100, 1), "CommBench__tcp.tcp.trace");
-    uint64_t s1 = 0, s2 = 0, s3 = 0;
-    workloads::traceBenchmarks(tmp.dir, 0, &s1);
-    workloads::traceBenchmarks(tmp.dir, 0, &s2);
-    EXPECT_EQ(s1, s2);      // stable for unchanged contents
-    // Re-record the same benchmark with different records: the name
-    // is identical but the stamp must move (this is what keys the
-    // profile store to trace contents, not the directory path).
-    writeTraceV1(tmp, sampleRecords(100, 2), "CommBench__tcp.tcp.trace");
-    workloads::traceBenchmarks(tmp.dir, 0, &s3);
-    EXPECT_NE(s1, s3);
+    fs::create_directories(tmp.file("sub/deeper"));
+    writeTrace(tmp, sampleRecords(10), "MiBench__sha.large.trace");
+    writeTraceV1(tmp, sampleRecords(10), "sub/CommBench__tcp.tcp.trace");
+    std::ofstream(tmp.file("sub/deeper/zcustom.txt")) << "alu dst=1\n";
+    std::ofstream(tmp.file("sub/deeper/notes.md")) << "ignored\n";
+    std::ofstream(tmp.file("sub/x.trace.tmp")) << "staging debris\n";
+    // A profile store inside the tree: its CSV exports are no traces.
+    fs::create_directories(tmp.file("sub/cache"));
+    std::ofstream(tmp.file("sub/cache/profiles.bin")) << "store\n";
+    std::ofstream(tmp.file("sub/cache/mica_profiles.csv")) << "name\n";
+
+    // One walk lists the tree, relative to its root and sorted.
+    EXPECT_EQ(workloads::traceTreeFiles(tmp.dir),
+              (std::vector<std::string>{"MiBench__sha.large.trace",
+                                        "sub/CommBench__tcp.tcp.trace",
+                                        "sub/deeper/zcustom.txt"}));
+
+    // The sweep finds every nested file, in registry order.
+    const auto entries = workloads::traceBenchmarks(tmp.dir);
+    std::vector<std::string> names;
+    for (const auto &e : entries)
+        names.push_back(e.info.fullName());
+    EXPECT_EQ(names, (std::vector<std::string>{"CommBench/tcp.tcp",
+                                               "MiBench/sha.large",
+                                               "traces/zcustom"}));
+
+    // The single-benchmark lookup finds nested files too.
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "CommBench/tcp.tcp"),
+              tmp.file("sub/CommBench__tcp.tcp.trace"));
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "traces/zcustom"),
+              tmp.file("sub/deeper/zcustom.txt"));
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir + "/nope", "traces/zcustom"),
+              "");
+
+    // Two files in different directories that map to one name reject
+    // the set, naming both files.
+    writeTrace(tmp, sampleRecords(10), "sub/deeper/CommBench__tcp.tcp.trace");
+    expectReject([&] { workloads::traceBenchmarks(tmp.dir); },
+                 "duplicate trace benchmark 'CommBench/tcp.tcp'");
+    expectReject([&] { workloads::traceBenchmarks(tmp.dir); },
+                 "sub/CommBench__tcp.tcp.trace");
+}
+
+TEST(TraceBenchmarksTest, ContentIdFollowsTheBytesNotThePath)
+{
+    TmpDir tmp;
+    fs::create_directories(tmp.file("a"));
+    writeTraceV1(tmp, sampleRecords(100, 1), "a/CommBench__tcp.tcp.trace");
+    writeTrace(tmp, sampleRecords(100, 3), "a/CommBench__frag.frag.trace");
+    const std::string text = "alu dst=1\nld addr=8\n";
+    std::ofstream(tmp.file("a/zcustom.txt")) << text;
+    const auto ids = [&](const std::string &dir) {
+        std::map<std::string, uint64_t> out;
+        for (const auto &e : workloads::traceBenchmarks(tmp.file(dir)))
+            out[e.info.fullName()] = e.contentId;
+        return out;
+    };
+    const std::string tcp = "CommBench/tcp.tcp", frag = "CommBench/frag.frag";
+    const auto first = ids("a");
+    ASSERT_EQ(first.size(), 3u);
+    EXPECT_NE(first.at(tcp), 0u);     // never a registry kernel's id
+    EXPECT_NE(first.at(tcp), first.at(frag));
+    EXPECT_EQ(first.at("traces/zcustom"), fnv1a(text.data(), text.size()));
+    EXPECT_EQ(ids("a"), first);       // stable for unchanged contents
+
+    // A copy elsewhere holds the same records under the same ids.
+    fs::copy(tmp.file("a"), tmp.file("b"), fs::copy_options::recursive);
+    EXPECT_EQ(ids("b"), first);
+
+    // Re-recording one benchmark moves its id and no other.
+    writeTraceV1(tmp, sampleRecords(100, 2), "a/CommBench__tcp.tcp.trace");
+    auto after = ids("a");
+    EXPECT_NE(after.at(tcp), first.at(tcp));
+    after[tcp] = first.at(tcp);
+    EXPECT_EQ(after, first);
 }
 
 // ----------------------------------------------------------------------
@@ -1143,15 +1207,156 @@ TEST(TraceReplayTest, UnknownSuiteFilterRejectsInsteadOfEmptyDataset)
                  std::invalid_argument);
 }
 
-TEST(TraceReplayTest, StoreKeySeparatesTraceAndInterpreterRuns)
+/** Interpret @p records of registry benchmark @p name into @p path. */
+void
+recordBenchmark(const std::string &name, const std::string &path,
+                uint64_t records)
 {
-    pipeline::StoreKey interp;
-    interp.maxInsts = 1000;
-    pipeline::StoreKey traced = interp;
-    traced.traceDir = "some/dir";
-    EXPECT_NE(interp.describe(), traced.describe());
-    // Interpreter-keyed stores keep their pre-trace-era key strings.
-    EXPECT_EQ(interp.describe().find("traces="), std::string::npos);
+    const auto *e = workloads::BenchmarkRegistry::instance().find(name);
+    ASSERT_NE(e, nullptr) << name;
+    const isa::Program prog = e->build();
+    isa::Interpreter interp(prog);
+    std::vector<InstRecord> recs;
+    InstRecord r;
+    while (recs.size() < records && interp.next(r))
+        recs.push_back(r);
+    fs::create_directories(fs::path(path).parent_path());
+    TraceFileWriter w(path);
+    w.append(recs.data(), recs.size());
+    w.close();
+}
+
+/** A tree of three CommBench traces, one of them in a subdirectory. */
+const char *const kTreeFiles[][2] = {
+    {"CommBench/tcp.tcp", "CommBench__tcp.tcp.trace"},
+    {"CommBench/frag.frag", "CommBench__frag.frag.trace"},
+    {"CommBench/drr.drr", "sub/CommBench__drr.drr.trace"},
+};
+
+/**
+ * @return a store-backed trace-tree config whose progress hook counts
+ * the benchmarks it profiles into @p profiled.
+ */
+experiments::DatasetConfig
+treeConfig(const std::string &tree, const std::string &cache,
+           size_t *profiled)
+{
+    experiments::DatasetConfig cfg;
+    cfg.maxInsts = 5000;
+    cfg.traceDir = tree;
+    cfg.cacheDir = cache;
+    cfg.progress = [profiled](size_t, size_t, const std::string &) {
+        ++*profiled;
+    };
+    return cfg;
+}
+
+TEST(TraceReplayTest, RewritingOneTraceRecomputesOnlyIt)
+{
+    TmpDir tmp;
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    size_t profiled = 0;
+    const auto cfg =
+        treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled);
+    const auto first = experiments::collectSuiteDataset(cfg);
+    ASSERT_EQ(first.benchmarks.size(), 3u);
+    EXPECT_EQ(profiled, 3u);
+
+    // Longer recordings replay the same first 5000 records, but they
+    // are other bytes: only the rewritten file is profiled again.
+    profiled = 0;
+    recordBenchmark("CommBench/drr.drr",
+                    tmp.file("tree/sub/CommBench__drr.drr.trace"), 7000);
+    const auto second = experiments::collectSuiteDataset(cfg);
+    EXPECT_EQ(profiled, 1u);
+    ASSERT_EQ(second.benchmarks.size(), 3u);
+    for (size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(second.micaProfiles[i].values,
+                  first.micaProfiles[i].values);
+    profiled = 0;
+    experiments::collectSuiteDataset(cfg);
+    EXPECT_EQ(profiled, 0u);
+}
+
+TEST(TraceReplayTest, MovedTreeHitsTheStore)
+{
+    TmpDir tmp;
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    size_t profiled = 0;
+    experiments::collectSuiteDataset(
+        treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled));
+    EXPECT_EQ(profiled, 3u);
+
+    profiled = 0;
+    fs::rename(tmp.file("tree"), tmp.file("moved"));
+    const auto moved = experiments::collectSuiteDataset(
+        treeConfig(tmp.file("moved"), tmp.file("cache"), &profiled));
+    EXPECT_EQ(profiled, 0u);
+    EXPECT_EQ(moved.benchmarks.size(), 3u);
+}
+
+TEST(TraceReplayTest, QuarantinedTraceAloneIsProfiledOnceMended)
+{
+    TmpDir tmp;
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    const std::string path = tmp.file("tree/sub/CommBench__drr.drr.trace");
+    const std::string good = fileBytes(path);
+    std::string damaged = good;
+    damaged.replace(100, 2, "XX");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << damaged;
+
+    // The damaged trace is quarantined at scan; the rest of the tree
+    // is profiled and stored.
+    size_t profiled = 0;
+    const auto cfg =
+        treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled);
+    const auto first = experiments::collectSuiteDataset(cfg);
+    ASSERT_EQ(first.failures.size(), 1u);
+    EXPECT_EQ(first.failures[0].bench, path);
+    EXPECT_EQ(first.failures[0].phase, "scan");
+    EXPECT_EQ(first.benchmarks.size(), 2u);
+    EXPECT_EQ(profiled, 2u);
+
+    // Once mended, it alone is profiled; the others come from the store.
+    profiled = 0;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << good;
+    const auto second = experiments::collectSuiteDataset(cfg);
+    EXPECT_TRUE(second.failures.empty());
+    EXPECT_EQ(second.benchmarks.size(), 3u);
+    EXPECT_EQ(profiled, 1u);
+}
+
+TEST(TraceReplayTest, TraceAndRegistryEntriesNeverServeEachOther)
+{
+    TmpDir tmp;
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    size_t profiled = 0;
+    const auto traced =
+        treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled);
+    experiments::collectSuiteDataset(traced);
+    EXPECT_EQ(profiled, 3u);
+
+    // Same names, same budget, same store: a registry run profiles
+    // all twelve kernels (the trace entries hold other records as far
+    // as the store knows) and replaces the three trace entries...
+    profiled = 0;
+    auto registry = traced;
+    registry.traceDir.clear();
+    registry.suites = {"CommBench"};
+    experiments::collectSuiteDataset(registry);
+    EXPECT_EQ(profiled, 12u);
+
+    // ...which in turn serve no trace replay.
+    profiled = 0;
+    experiments::collectSuiteDataset(traced);
+    EXPECT_EQ(profiled, 3u);
+    profiled = 0;
+    experiments::collectSuiteDataset(registry);
+    EXPECT_EQ(profiled, 3u);
 }
 
 } // namespace

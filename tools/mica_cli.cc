@@ -12,8 +12,7 @@
  *   mica index build|query|redundant   persistent similarity index
  *   mica trace record <bench>|<suite>|all   record traces to disk
  *   mica trace convert <src> <dst> rewrite a trace (v1 or v2) as v2
- *   mica trace ls [DIR]            list recorded trace files
- *   mica corpus init|ls|profile    sharded out-of-core trace corpora
+ *   mica trace ls [DIR]            list the trace files in a tree
  *   mica faults ls                 list fault-injection points
  *   mica faults crash-matrix       crash-consistency verification
  *   mica obs demo                  telemetry self-test
@@ -37,9 +36,10 @@
  * queries from it without re-profiling anything.
  *
  * Every dataset verb also takes --suites=A,B (suite filter) and
- * --traces=DIR (profile recorded trace files instead of interpreting
- * the registry kernels — byte-identical profiles, keyed into the
- * store like everything else).
+ * --traces=DIR (profile the recorded trace files anywhere under DIR
+ * instead of interpreting the registry kernels — byte-identical
+ * profiles, stored per benchmark under each file's content id, so a
+ * tree of any size is profiled in one sweep that a rerun resumes).
  *
  * Failure semantics: dataset verbs quarantine failing benchmarks
  * (bad trace files at scan time, throwing profiling jobs) instead of
@@ -84,7 +84,6 @@
 #include "methodology/subsetting.hh"
 #include "methodology/workload_space.hh"
 #include "obs/obs.hh"
-#include "pipeline/corpus_runner.hh"
 #include "pipeline/profile_store.hh"
 #include "pipeline/thread_pool.hh"
 #include "report/table.hh"
@@ -101,7 +100,6 @@
 #include "util/checked_io.hh"
 #include "util/failpoint.hh"
 #include "util/quantile.hh"
-#include "workloads/corpus.hh"
 #include "workloads/registry.hh"
 
 using namespace mica;
@@ -541,12 +539,13 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
     pipeline::ThreadPool *p = pool.get();
 
     if (sub == "build") {
-        const index::FingerprintIndex idx = service::indexFromDataset(
-            collectReported(icfg), sc.space, sc.pca, p);
+        const experiments::SuiteDataset ds = collectReported(icfg);
+        const index::FingerprintIndex idx =
+            service::indexFromDataset(ds, sc.space, sc.pca, p);
         const std::string path = index::snapshotPath(icfg.cacheDir);
         std::string why;
         if (!index::saveIndexSnapshot(
-                idx, path, service::indexKey(icfg, sc.space, sc.pca),
+                idx, path, service::indexKey(ds, sc.space, sc.pca),
                 &why)) {
             std::fprintf(stderr, "mica index build: %s\n", why.c_str());
             return 1;
@@ -931,8 +930,11 @@ cmdServeBench(const util::CliArgs &args,
                 static_cast<unsigned long long>(total),
                 static_cast<unsigned long long>(okCount.load()),
                 static_cast<unsigned long long>(failCount.load()));
+    // The rate counts answered requests only: a failed request costs
+    // time but is not throughput.
     std::printf("serve-bench: %.3f s, %.0f req/s\n", secs,
-                secs > 0 ? static_cast<double>(total) / secs : 0.0);
+                secs > 0 ? static_cast<double>(okCount.load()) / secs
+                         : 0.0);
     for (size_t s = 0; s < mix.size(); ++s) {
         if (rtt[s].count() == 0)
             continue;
@@ -1088,30 +1090,26 @@ cmdTraceLs(const util::CliArgs &args)
                      dir.c_str());
         return 1;
     }
-    std::vector<fs::path> files;
+    // The same walk the sweep makes: every trace file in the tree,
+    // listed relative to DIR.
+    std::vector<std::string> files;
     try {
-        for (const auto &de : fs::directory_iterator(dir)) {
-            if (de.is_regular_file())
-                files.push_back(de.path());
-        }
+        files = workloads::traceTreeFiles(dir);
     } catch (const fs::filesystem_error &e) {
         std::fprintf(stderr, "mica trace ls: %s: %s\n", dir.c_str(),
                      e.code().message().c_str());
         return exitCodeFor(e.code().value());
     }
-    std::sort(files.begin(), files.end());
 
     report::TextTable t({"file", "format", "records", "bytes", "ratio",
                          "status"},
                         {report::Align::Left, report::Align::Left,
                          report::Align::Right, report::Align::Right,
                          report::Align::Right, report::Align::Left});
-    size_t listed = 0, rejected = 0;
-    for (const auto &p : files) {
-        const std::string ext = p.extension().string();
-        const bool binary = ext == ".trace";
-        if (!binary && ext != ".csv" && ext != ".txt")
-            continue;   // .tmp leftovers, READMEs, ...
+    size_t rejected = 0;
+    for (const auto &rel : files) {
+        const fs::path p = fs::path(dir) / rel;
+        const bool binary = p.extension() == ".trace";
         const uint64_t bytes = fs::file_size(p, ec);
         std::string recs = "-", status = "ok", format = "text";
         std::string ratio = "-";
@@ -1145,152 +1143,15 @@ cmdTraceLs(const util::CliArgs &args)
             ++rejected;
             std::fprintf(stderr, "%s\n", e.what());
         }
-        t.addRow({p.filename().string(), format, recs,
+        t.addRow({rel, format, recs,
                   std::to_string(ec ? 0 : bytes), ratio, status});
-        ++listed;
     }
-    std::printf("%s\n%zu trace files in %s", t.render().c_str(), listed,
-                dir.c_str());
+    std::printf("%s\n%zu trace files in %s", t.render().c_str(),
+                files.size(), dir.c_str());
     if (rejected)
         std::printf(" (%zu rejected — see stderr)", rejected);
     std::printf("\n");
     return rejected ? 1 : 0;
-}
-
-// ----------------------------------------------------------------------
-// corpus verbs: manifest a directory tree of traces into shards, list
-// the manifest, and profile it shard-at-a-time with durable resume.
-// ----------------------------------------------------------------------
-
-/** Render one manifest as the shared shard summary table. */
-void
-printCorpusSummary(const workloads::CorpusManifest &m)
-{
-    report::TextTable t({"shard", "traces", "records", "bytes",
-                         "digest"},
-                        {report::Align::Left, report::Align::Right,
-                         report::Align::Right, report::Align::Right,
-                         report::Align::Left});
-    for (const auto &s : m.shards) {
-        char digest[24];
-        std::snprintf(digest, sizeof(digest), "0x%016llx",
-                      static_cast<unsigned long long>(s.digest()));
-        t.addRow({s.name, std::to_string(s.traces.size()),
-                  std::to_string(s.records()),
-                  std::to_string(s.bytes()), digest});
-    }
-    std::printf("%s\n%zu shards, %zu traces, %llu records in %s\n",
-                t.render().c_str(), m.shards.size(), m.traceCount(),
-                static_cast<unsigned long long>(m.records()),
-                m.root.c_str());
-}
-
-int
-cmdCorpusInit(const util::CliArgs &args)
-{
-    if (args.positionals.size() < 3)
-        return usage();
-    if (rejectBadInt(args, "corpus init", "shard-size"))
-        return 2;
-    const long long shardSize = args.intValue("shard-size", 16);
-    if (shardSize <= 0) {
-        std::fprintf(stderr,
-                     "mica corpus init: --shard-size must be >= 1\n");
-        return 2;
-    }
-    const workloads::CorpusManifest m = workloads::scanCorpus(
-        args.positionals[2], static_cast<size_t>(shardSize));
-    workloads::saveCorpus(m);
-    printCorpusSummary(m);
-    return 0;
-}
-
-int
-cmdCorpusLs(const util::CliArgs &args)
-{
-    if (args.positionals.size() < 3)
-        return usage();
-    printCorpusSummary(workloads::loadCorpus(args.positionals[2]));
-    return 0;
-}
-
-/**
- * Profile every shard of a corpus into per-shard profile stores under
- * --out, one shard at a time (peak memory is one shard's working
- * set). Each finished shard gets a durable done marker, so re-running
- * after a crash recomputes only the unfinished shards; --rerun
- * ignores the markers. A shard whose collection throws is quarantined
- * into the summary and the run continues.
- */
-int
-cmdCorpusProfile(const util::CliArgs &args,
-                 const experiments::DatasetConfig &cfg)
-{
-    if (args.positionals.size() < 3)
-        return usage();
-    const workloads::CorpusManifest m =
-        workloads::loadCorpus(args.positionals[2]);
-
-    pipeline::CorpusRunOptions opt;
-    opt.outDir = args.value("out", "corpus-out");
-    opt.rerunAll = args.has("rerun");
-
-    const auto outcomes = pipeline::runCorpusShards(
-        m, opt,
-        [&](size_t i, const std::string &shardDir)
-            -> pipeline::ShardResult {
-            // Each shard is one dataset collection over exactly its
-            // files, cached in the shard's own store directory and
-            // keyed by the shard label + content digest.
-            experiments::DatasetConfig shardCfg = cfg;
-            shardCfg.traceDir.clear();
-            shardCfg.traceFiles = m.shardFiles(i);
-            shardCfg.traceLabel = "corpus:" + m.shards[i].name;
-            shardCfg.cacheDir = shardDir;
-            const auto ds = collectReported(shardCfg);
-            return {ds.benchmarks.size(), ds.failures.size()};
-        });
-
-    report::TextTable t({"shard", "status", "benchmarks", "failures",
-                         "detail"},
-                        {report::Align::Left, report::Align::Left,
-                         report::Align::Right, report::Align::Right,
-                         report::Align::Left});
-    size_t done = 0, skipped = 0, failed = 0;
-    for (const auto &o : outcomes) {
-        const char *status = "done";
-        if (o.status == pipeline::ShardOutcome::Status::Skipped) {
-            status = "skipped";
-            ++skipped;
-        } else if (o.status == pipeline::ShardOutcome::Status::Failed) {
-            status = "FAILED";
-            ++failed;
-        } else {
-            ++done;
-        }
-        t.addRow({o.shard, status, std::to_string(o.benchmarks),
-                  std::to_string(o.failures), o.error});
-    }
-    std::printf("%s\n%zu shards: %zu profiled, %zu resumed (already "
-                "done), %zu failed -> %s\n",
-                t.render().c_str(), outcomes.size(), done, skipped,
-                failed, opt.outDir.c_str());
-    return failed == 0 ? 0 : kExitPartial;
-}
-
-int
-cmdCorpus(const util::CliArgs &args,
-          const experiments::DatasetConfig &cfg)
-{
-    const std::string sub =
-        args.positionals.size() >= 2 ? args.positionals[1] : "";
-    if (sub == "init")
-        return cmdCorpusInit(args);
-    if (sub == "ls")
-        return cmdCorpusLs(args);
-    if (sub == "profile")
-        return cmdCorpusProfile(args, cfg);
-    return usage();
 }
 
 // ----------------------------------------------------------------------
@@ -1599,7 +1460,10 @@ constexpr VerbDef kVerbs[] = {
      "", cmdListVerb},
     {"profile",
      "  profile <name>|all        print MICA profiles\n",
-     "  --csv=FILE     dump `all` as CSV instead of a table\n",
+     "  --csv=FILE     dump `all` as CSV instead of a table\n"
+     "  --traces=DIR   profile the trace files anywhere under DIR; with\n"
+     "                 --cache, a rerun (also after a crash) profiles\n"
+     "                 only the traces that are new or changed\n",
      cmdProfileMica},
     {"hpc",
      "  hpc <name>|all            print hardware-counter profiles\n",
@@ -1662,24 +1526,13 @@ constexpr VerbDef kVerbs[] = {
     {"trace",
      "  trace record <bench>|<suite>|all  record traces to --out=DIR\n"
      "  trace convert <src> <dst> rewrite a v1 or v2 trace as v2\n"
-     "  trace ls [DIR]            list recorded trace files\n",
+     "  trace ls [DIR]            list the trace files in a tree\n",
      "  --out=DIR      destination directory (record; default "
      "traces)\n"
      "  traces are written in format v2; convert verifies the copy\n"
-     "  record-identical\n",
+     "  record-identical; ls walks subdirectories and prints paths\n"
+     "  relative to DIR, as `--traces=DIR` sweeps them\n",
      cmdTrace},
-    {"corpus",
-     "  corpus init <dir>         shard a trace tree into corpus.json\n"
-     "  corpus ls <dir>           list a corpus manifest\n"
-     "  corpus profile <dir>      profile every shard, resumable\n",
-     "  --shard-size=N traces per shard (init; default 16)\n"
-     "  --out=DIR      per-shard stores + done markers (profile;\n"
-     "                 default corpus-out)\n"
-     "  --rerun        ignore done markers and recompute (profile)\n"
-     "  profile runs one shard at a time (bounded memory), writes a\n"
-     "  durable marker per finished shard, and on re-run recomputes\n"
-     "  only shards without a matching marker.\n",
-     cmdCorpus},
     {"faults",
      "  faults ls                 list fault-injection points\n"
      "  faults crash-matrix       crash-consistency check of every\n"
@@ -1848,13 +1701,6 @@ knownFlags(const std::string &cmd, const std::string &sub)
         cmd == "index" || cmd == "serve" || cmd == "query")
         known.insert(known.end(),
                      {"suites=", "traces=", "max-failures="});
-    if (cmd == "corpus") {
-        if (sub == "init")
-            known.push_back("shard-size=");
-        if (sub == "profile")
-            known.insert(known.end(), {"out=", "rerun", "suites=",
-                                       "max-failures="});
-    }
     if (cmd == "serve")
         known.insert(known.end(),
                      {"listen=", "space=", "pca=", "max-conns=",
