@@ -438,8 +438,8 @@ clusterSweepRate(mica::pipeline::ThreadPool *pool)
  * trace_replay family: one registry program, one record stream —
  * profile it from the interpreter vs from a recorded trace file, so
  * the ratio isolates what the trace source itself costs (record =
- * interpret + write; replay = read instead of interpret; open cost,
- * including the full checksum validation pass, is in the loop).
+ * interpret + write; replay = read instead of interpret; the open and
+ * the checks the reader runs as it decodes are in the loop).
  */
 struct TraceReplayRates
 {

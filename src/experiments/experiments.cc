@@ -100,9 +100,10 @@ collectSuiteDataset(const DatasetConfig &cfg)
     // the store or the pool: one error, not 122 quarantined benchmarks.
     PpmBranchAnalyzer::checkOrder(cfg.ppmMaxOrder);
     if (!cfg.traceDir.empty()) {
-        // Scan-time quarantine: a corrupt or short trace file is
-        // reported and skipped; the rest of the sweep proceeds. The
-        // tree walk is sorted, so the report reads the same every run.
+        // Scan-time quarantine: a trace file whose header fails a
+        // check, or that is short of the budget, is reported and
+        // skipped; the rest of the sweep proceeds. The tree walk is
+        // sorted, so the report reads the same every run.
         std::vector<std::pair<std::string, std::string>> badFiles;
         traceEntries = workloads::traceBenchmarks(cfg.traceDir,
                                                   cfg.maxInsts, &badFiles);

@@ -68,11 +68,15 @@ struct DatasetConfig
      * Each trace's store entry carries the file's content id, so a
      * re-recorded file re-profiles (alone) instead of hitting a stale
      * entry. Throws TraceFileError when the directory is missing or
-     * two files map to one benchmark name. A file that is corrupt,
-     * version-mismatched, or shorter than a nonzero maxInsts (the
-     * replay would silently come up short) is quarantined instead —
-     * reported in SuiteDataset::failures, subject to maxFailures —
-     * and replay never silently falls back to interpretation.
+     * two files map to one benchmark name. A file whose header is
+     * corrupt or version-mismatched, or that is shorter than a
+     * nonzero maxInsts (the replay would silently come up short), is
+     * quarantined at scan under its path; one whose payload is
+     * damaged fails its own profiling job, under its benchmark name.
+     * Either way it is reported in SuiteDataset::failures, subject to
+     * maxFailures, and replay never silently falls back to
+     * interpretation. A benchmark not profiled (a store hit, a suite
+     * filtered out) has only its file's header read.
      */
     std::string traceDir;
 
@@ -87,8 +91,8 @@ struct DatasetConfig
     pipeline::ProgressFn progress;
 
     /**
-     * Fault-isolation cap: a benchmark whose trace fails validation
-     * at scan time, or whose profiling job throws, is quarantined
+     * Fault-isolation cap: a benchmark whose trace fails the scan's
+     * checks, or whose profiling job throws, is quarantined
      * (reported in SuiteDataset::failures, excluded from the
      * dataset) instead of aborting the sweep — up to this many.
      * Exceeding the cap throws pipeline::SweepAborted after the pool

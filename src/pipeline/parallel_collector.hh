@@ -28,7 +28,8 @@ namespace mica::pipeline
 
 /**
  * One quarantined benchmark: which one, which phase gave up on it
- * ("scan" for trace validation, "profile" for its profiling job), and
+ * ("scan" for a trace file's header checks, "profile" for its
+ * profiling job, which includes the payload checks), and
  * the error message. Reports are deterministic: failures are listed
  * in input (registry) order regardless of worker count.
  */

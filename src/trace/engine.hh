@@ -64,7 +64,7 @@ class AnalysisEngine
 
     /**
      * Pull record batches from the source until exhaustion or a budget
-     * is hit, then finish() every analyzer.
+     * is hit, then finish() the source and every analyzer.
      *
      * @param src trace producer
      * @param maxInsts maximum number of dynamic instructions to process
@@ -106,7 +106,7 @@ class AnalysisEngine
             n += got;
             records.add(got);
         }
-        finishAll();
+        finishAll(src);
         sp.arg("records", n);
         return n;
     }
@@ -127,14 +127,15 @@ class AnalysisEngine
                 a->accept(rec);
             ++n;
         }
-        finishAll();
+        finishAll(src);
         return n;
     }
 
   private:
     void
-    finishAll()
+    finishAll(TraceSource &src)
     {
+        src.finish();
         for (auto *a : analyzers_)
             a->finish();
     }

@@ -37,44 +37,15 @@ constexpr size_t kChunkHeaderBytesV2 =
 /**
  * Upper bounds a v2 chunk header may claim. The writer emits at most
  * kChunkRecordsV2 records (< 1 MB encoded); these caps only exist so
- * a corrupt or concurrently rewritten file cannot make a reader
- * allocate gigabytes before validation catches up.
+ * a corrupt chunk header cannot make the reader allocate gigabytes
+ * before the end-of-payload checksum could reject the file.
  */
 constexpr uint32_t kMaxChunkRecordsV2 = 1u << 20;
 constexpr uint64_t kMaxChunkPayloadV2 = 64ull << 20;
 
-/** Parsed v2 chunk header (validated against the caps above). */
-struct ChunkHeaderV2
-{
-    uint32_t count = 0;
-    uint32_t colBytes[columnar::kNumColumns] = {};
-    uint64_t payloadBytes = 0;  ///< sum of colBytes
-};
-
-/**
- * Validate the 32 raw bytes of a v2 chunk header. @p remaining is the
- * payload left in the file after this header; @p what distinguishes
- * the probe ("corrupt chunk header at payload offset N") from the
- * replay-path guard ("chunk header changed after open").
- */
-ChunkHeaderV2
-checkChunkHeaderV2(const char *raw, uint64_t remaining,
-                   const std::string &path, const std::string &what)
-{
-    uint32_t magic = 0;
-    ChunkHeaderV2 ch;
-    std::memcpy(&magic, raw, sizeof(magic));
-    std::memcpy(&ch.count, raw + 4, sizeof(ch.count));
-    std::memcpy(ch.colBytes, raw + 8, sizeof(ch.colBytes));
-    for (uint32_t b : ch.colBytes)
-        ch.payloadBytes += b;
-    if (magic != kTraceChunkMagicV2 || ch.count == 0 ||
-        ch.count > kMaxChunkRecordsV2 ||
-        ch.payloadBytes > kMaxChunkPayloadV2 ||
-        ch.payloadBytes > remaining)
-        throw TraceFileError(path, what);
-    return ch;
-}
+/** Source-register lanes of an InstRecord. */
+constexpr unsigned kMaxSrcRegs =
+    std::tuple_size<decltype(InstRecord::srcRegs)>::value;
 
 static_assert(std::is_trivially_copyable<InstRecord>::value,
               "v1 trace files store raw InstRecord bytes");
@@ -154,16 +125,30 @@ checkReadFailpoint(const char *site, const std::string &path,
 }
 
 /**
- * Parse and check everything a 48-byte header buffer alone can prove;
- * chunk-chain checks need the file size and are done by
- * probeTraceFile.
+ * Read and check the 48-byte header at the start of @p in, and the
+ * file size it implies. The payload is checked by FileTraceSource as
+ * it decodes.
  */
-void
-checkHeaderBytes(const char *buf, const std::string &path,
-                 TraceHeader &h)
+TraceFileInfo
+readHeader(util::CheckedFile &in, const std::string &path)
 {
-    if (std::memcmp(buf, kTraceMagic, sizeof(kTraceMagic)) != 0)
-        throw TraceFileError(path, "not a mica trace file (bad magic)");
+    uint64_t fileBytes = 0;
+    char buf[kTraceHeaderBytes] = {};
+    try {
+        fileBytes = in.size();
+        const size_t got = in.readUpTo(buf, sizeof(buf));
+        // Check the magic before the length so any non-trace file —
+        // however short — reports "not a trace", not "truncated".
+        if (got < sizeof(kTraceMagic) ||
+            std::memcmp(buf, kTraceMagic, sizeof(kTraceMagic)) != 0)
+            throw TraceFileError(path,
+                                 "not a mica trace file (bad magic)");
+        if (got < kTraceHeaderBytes)
+            throw TraceFileError(path, "truncated header");
+    } catch (const util::IoError &e) {
+        rethrowTraceIo(e);
+    }
+    TraceHeader h;
     std::memcpy(&h.version, buf + 8, sizeof(h.version));
     std::memcpy(&h.recordBytes, buf + 12, sizeof(h.recordBytes));
     std::memcpy(&h.layoutHash, buf + 16, sizeof(h.layoutHash));
@@ -185,14 +170,22 @@ checkHeaderBytes(const char *buf, const std::string &path,
     if (h.recordCount == kTraceUnfinished)
         throw TraceFileError(path,
                              "unfinished recording (writer never closed)");
+    if (fileBytes != kTraceHeaderBytes + h.payloadBytes)
+        throw TraceFileError(path, "truncated or oversized payload (" +
+                                       std::to_string(fileBytes) +
+                                       " bytes on disk, header claims " +
+                                       std::to_string(kTraceHeaderBytes +
+                                                      h.payloadBytes) +
+                                       ")");
+    return {h.version, h.recordCount, h.payloadBytes, h.payloadHash};
 }
 
 } // namespace
 
 /**
  * Incremental FNV-1a folding 8 bytes per step (then byte-at-a-time
- * for the tail). Word-wise keeps the open-time validation pass at a
- * small fraction of replay cost instead of dominating it; detection
+ * for the tail). Word-wise keeps the checksum fold at a small
+ * fraction of replay cost instead of dominating it; detection
  * strength is equivalent for the flipped-bits/truncation corruption
  * this guards against.
  */
@@ -219,142 +212,11 @@ fnv1a(const void *data, size_t n, uint64_t h)
 TraceFileInfo
 probeTraceFile(const std::string &path)
 {
-    static obs::Histogram validateUs("trace.probe.validate_us");
     obs::ObsSpan sp("trace.probe");
-    const uint64_t t0 = obs::nowNs();
-    util::CheckedFile in;
-    uint64_t fileBytes = 0;
-    TraceHeader h;
-    try {
-        in = util::CheckedFile::openRead(path, "trace.probe");
-        fileBytes = in.size();
-        char hb[kTraceHeaderBytes] = {};
-        const size_t got = in.readUpTo(hb, sizeof(hb));
-        // Check the magic before the length so any non-trace file —
-        // however short — reports "not a trace", not "truncated".
-        if (got < sizeof(kTraceMagic) ||
-            std::memcmp(hb, kTraceMagic, sizeof(kTraceMagic)) != 0)
-            throw TraceFileError(path,
-                                 "not a mica trace file (bad magic)");
-        if (got < kTraceHeaderBytes)
-            throw TraceFileError(path, "truncated header");
-        checkHeaderBytes(hb, path, h);
-    } catch (const util::IoError &e) {
-        rethrowTraceIo(e);
-    }
-    if (fileBytes != kTraceHeaderBytes + h.payloadBytes)
-        throw TraceFileError(path, "truncated or oversized payload (" +
-                                       std::to_string(fileBytes) +
-                                       " bytes on disk, header claims " +
-                                       std::to_string(kTraceHeaderBytes +
-                                                      h.payloadBytes) +
-                                       ")");
-
-    // Walk the chunk chain in one sequential read: every chunk
-    // magic/count must check out, the counts must add up to exactly
-    // the header's record count, and every payload byte feeds the
-    // checksum — a flipped bit anywhere rejects the file instead of
-    // silently replaying altered records. v2 chunks are additionally
-    // decoded in full, so corruption that survives as a structurally
-    // valid column stream still rejects — and names the column.
-    TraceFileInfo info;
-    info.version = h.version;
-    info.recordCount = h.recordCount;
-    info.payloadBytes = h.payloadBytes;
-    uint64_t offset = 0;
-    uint64_t records = 0;
-    uint64_t hash = kFnvOffset;
-    if (h.version == kTraceFormatV1) {
-        std::vector<char> io(1 << 20);
-        while (offset < h.payloadBytes) {
-            if (h.payloadBytes - offset < kChunkHeaderBytes)
-                throw TraceFileError(path, "truncated chunk header");
-            uint32_t magic = 0, count = 0;
-            char ch[kChunkHeaderBytes];
-            try {
-                in.readExact(ch, sizeof(ch));
-            } catch (const util::IoError &e) {
-                if (e.code() == 0)
-                    throw TraceFileError(path, "truncated chunk header");
-                rethrowTraceIo(e);
-            }
-            std::memcpy(&magic, ch, sizeof(magic));
-            std::memcpy(&count, ch + 4, sizeof(count));
-            if (magic != kTraceChunkMagic || count == 0)
-                throw TraceFileError(path,
-                                     "corrupt chunk header at payload "
-                                     "offset " + std::to_string(offset));
-            hash = fnv1a(&magic, sizeof(magic), hash);
-            hash = fnv1a(&count, sizeof(count), hash);
-            uint64_t bytes = uint64_t(count) * sizeof(InstRecord);
-            if (h.payloadBytes - offset - kChunkHeaderBytes < bytes)
-                throw TraceFileError(path, "truncated chunk payload");
-            offset += kChunkHeaderBytes + bytes;
-            while (bytes > 0) {
-                const size_t take = static_cast<size_t>(
-                    std::min<uint64_t>(bytes, io.size()));
-                try {
-                    in.readExact(io.data(), take);
-                } catch (const util::IoError &e) {
-                    if (e.code() == 0)
-                        throw TraceFileError(path,
-                                             "truncated chunk payload");
-                    rethrowTraceIo(e);
-                }
-                hash = fnv1a(io.data(), take, hash);
-                bytes -= take;
-            }
-            records += count;
-            ++info.chunkCount;
-        }
-    } else {
-        std::vector<char> enc;
-        std::vector<InstRecord> scratch;
-        while (offset < h.payloadBytes) {
-            if (h.payloadBytes - offset < kChunkHeaderBytesV2)
-                throw TraceFileError(path, "truncated chunk header");
-            char ch[kChunkHeaderBytesV2];
-            try {
-                in.readExact(ch, sizeof(ch));
-            } catch (const util::IoError &e) {
-                if (e.code() == 0)
-                    throw TraceFileError(path, "truncated chunk header");
-                rethrowTraceIo(e);
-            }
-            const ChunkHeaderV2 hdr = checkChunkHeaderV2(
-                ch, h.payloadBytes - offset - kChunkHeaderBytesV2, path,
-                "corrupt chunk header at payload offset " +
-                    std::to_string(offset));
-            hash = fnv1a(ch, sizeof(ch), hash);
-            enc.resize(hdr.payloadBytes);
-            try {
-                in.readExact(enc.data(), enc.size());
-            } catch (const util::IoError &e) {
-                if (e.code() == 0)
-                    throw TraceFileError(path, "truncated chunk payload");
-                rethrowTraceIo(e);
-            }
-            hash = fnv1a(enc.data(), enc.size(), hash);
-            scratch.resize(hdr.count);
-            columnar::decodeChunk(enc.data(), hdr.colBytes, hdr.count,
-                                  scratch.data(), path);
-            offset += kChunkHeaderBytesV2 + hdr.payloadBytes;
-            records += hdr.count;
-            ++info.chunkCount;
-        }
-    }
-    if (records != h.recordCount)
-        throw TraceFileError(path, "record count mismatch (header says " +
-                                       std::to_string(h.recordCount) +
-                                       ", chunks hold " +
-                                       std::to_string(records) + ")");
-    if (hash != h.payloadHash)
-        throw TraceFileError(path, "payload checksum mismatch");
-    info.payloadHash = hash;
-    validateUs.record((obs::nowNs() - t0) / 1000);
-    sp.arg("records", info.recordCount);
-    sp.arg("chunks", info.chunkCount);
-    return info;
+    FileTraceSource src(path);
+    src.finish();
+    sp.arg("records", src.recordCount());
+    return src.info();
 }
 
 // ----------------------------------------------------------------------
@@ -472,31 +334,23 @@ TraceFileWriter::abort()
 // FileTraceSource
 // ----------------------------------------------------------------------
 
-FileTraceSource::FileTraceSource(const std::string &path,
-                                 const TraceFileInfo *known)
-    : path_(path), info_(known ? *known : probeTraceFile(path))
+FileTraceSource::FileTraceSource(const std::string &path) : path_(path)
 {
     static obs::Counter opens("trace.open");
     opens.add(1);
     try {
         in_ = util::CheckedFile::openRead(path_, "trace.replay");
-        if (known) {
-            // The caller already validated the payload; re-check only
-            // the header so a file swapped since that scan still
-            // rejects.
-            char hb[kTraceHeaderBytes];
-            in_.readExact(hb, sizeof(hb));
-            TraceHeader h;
-            checkHeaderBytes(hb, path_, h);
-            if (h.version != info_.version ||
-                h.recordCount != info_.recordCount ||
-                h.payloadBytes != info_.payloadBytes ||
-                h.payloadHash != info_.payloadHash)
-                throw TraceFileError(path_, "file changed since it was "
-                                            "scanned");
-        } else {
-            in_.seekTo(kTraceHeaderBytes);
-        }
+    } catch (const util::IoError &e) {
+        rethrowTraceIo(e);
+    }
+    info_ = readHeader(in_, path_);
+}
+
+void
+FileTraceSource::readPayload(void *buf, size_t n)
+{
+    try {
+        in_.readExact(buf, n);
     } catch (const util::IoError &e) {
         rethrowTraceIo(e);
     }
@@ -505,74 +359,90 @@ FileTraceSource::FileTraceSource(const std::string &path,
 bool
 FileTraceSource::refill()
 {
-    if (chunksRead_ == info_.chunkCount)
+    const uint64_t left = info_.payloadBytes - offset_;
+    if (left == 0) {
+        // End of payload: the chunks must hold exactly the header's
+        // records and hash to its checksum, or the consumer's result
+        // rests on altered records.
+        if (records_ != info_.recordCount)
+            throw TraceFileError(
+                path_, "record count mismatch (header says " +
+                           std::to_string(info_.recordCount) +
+                           ", chunks hold " + std::to_string(records_) +
+                           ")");
+        if (hash_ != info_.payloadHash)
+            throw TraceFileError(path_, "payload checksum mismatch");
+        buf_.clear();
+        pos_ = 0;
         return false;
+    }
     checkReadFailpoint("trace.chunk.read", path_, "chunk read");
     static obs::Counter chunks("trace.chunk.decoded");
     static obs::Counter bytes("trace.bytes.read");
-    // probeTraceFile validated the whole chain; a mismatch here means
-    // the file changed underneath us, which must not degrade into a
-    // silently short trace.
-    if (info_.version == kTraceFormatV1) {
-        uint32_t magic = 0, count = 0;
-        char ch[kChunkHeaderBytes];
-        try {
-            in_.readExact(ch, sizeof(ch));
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk header changed after open");
-            rethrowTraceIo(e);
+
+    const bool v1 = info_.version == kTraceFormatV1;
+    const size_t headBytes = v1 ? kChunkHeaderBytes : kChunkHeaderBytesV2;
+    if (left < headBytes)
+        throw TraceFileError(path_, "truncated chunk header");
+    char head[kChunkHeaderBytesV2];
+    readPayload(head, headBytes);
+    uint32_t magic = 0, count = 0;
+    uint32_t colBytes[columnar::kNumColumns] = {};
+    std::memcpy(&magic, head, sizeof(magic));
+    std::memcpy(&count, head + 4, sizeof(count));
+    uint64_t bodyBytes = uint64_t(count) * sizeof(InstRecord);
+    if (!v1) {
+        std::memcpy(colBytes, head + 8, sizeof(colBytes));
+        bodyBytes = 0;
+        for (uint32_t b : colBytes)
+            bodyBytes += b;
+    }
+    // Bound the chunk by the payload still left (and a v2 chunk by
+    // the writer's caps) before it sizes a buffer.
+    if (magic != (v1 ? kTraceChunkMagic : kTraceChunkMagicV2) ||
+        count == 0 || bodyBytes > left - headBytes ||
+        (!v1 && (count > kMaxChunkRecordsV2 ||
+                 bodyBytes > kMaxChunkPayloadV2)))
+        throw TraceFileError(path_, "corrupt chunk header at payload "
+                                    "offset " + std::to_string(offset_));
+
+    buf_.resize(count);
+    if (v1) {
+        hash_ = fnv1a(&magic, sizeof(magic), hash_);
+        hash_ = fnv1a(&count, sizeof(count), hash_);
+        readPayload(buf_.data(), bodyBytes);
+        hash_ = fnv1a(buf_.data(), bodyBytes, hash_);
+        // v1 records are raw bytes; the v2 decoder enforces these
+        // ranges by construction. Check them before any analyzer
+        // indexes a table with a class or a source count.
+        const auto *raw = reinterpret_cast<const unsigned char *>(
+            buf_.data());
+        for (uint32_t i = 0; i < count; ++i, raw += sizeof(InstRecord)) {
+            const unsigned cls = raw[offsetof(InstRecord, cls)];
+            const unsigned srcs = raw[offsetof(InstRecord, numSrcRegs)];
+            const unsigned taken = raw[offsetof(InstRecord, taken)];
+            if (cls >= kNumInstClasses || srcs > kMaxSrcRegs || taken > 1)
+                throw TraceFileError(
+                    path_, "corrupt record " +
+                               std::to_string(records_ + i) +
+                               " (class " + std::to_string(cls) + ", " +
+                               std::to_string(srcs) +
+                               " source registers, taken byte " +
+                               std::to_string(taken) + ")");
         }
-        std::memcpy(&magic, ch, sizeof(magic));
-        std::memcpy(&count, ch + 4, sizeof(count));
-        // Bound the count before allocating: a rewritten header must
-        // not size the buffer past what the validated payload holds.
-        if (magic != kTraceChunkMagic || count == 0 ||
-            uint64_t(count) * sizeof(InstRecord) > info_.payloadBytes)
-            throw TraceFileError(path_,
-                                 "chunk header changed after open");
-        buf_.resize(count);
-        try {
-            in_.readExact(buf_.data(), count * sizeof(InstRecord));
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk payload changed after open");
-            rethrowTraceIo(e);
-        }
-        bytes.add(kChunkHeaderBytes +
-                  uint64_t(count) * sizeof(InstRecord));
     } else {
-        char ch[kChunkHeaderBytesV2];
-        try {
-            in_.readExact(ch, sizeof(ch));
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk header changed after open");
-            rethrowTraceIo(e);
-        }
-        const ChunkHeaderV2 hdr =
-            checkChunkHeaderV2(ch, info_.payloadBytes, path_,
-                               "chunk header changed after open");
-        enc_.resize(hdr.payloadBytes);
-        try {
-            in_.readExact(enc_.data(), enc_.size());
-        } catch (const util::IoError &e) {
-            if (e.code() == 0)
-                throw TraceFileError(path_,
-                                     "chunk payload changed after open");
-            rethrowTraceIo(e);
-        }
-        buf_.resize(hdr.count);
-        columnar::decodeChunk(enc_.data(), hdr.colBytes, hdr.count,
-                              buf_.data(), path_);
-        bytes.add(kChunkHeaderBytesV2 + hdr.payloadBytes);
+        hash_ = fnv1a(head, headBytes, hash_);
+        enc_.resize(bodyBytes);
+        readPayload(enc_.data(), enc_.size());
+        hash_ = fnv1a(enc_.data(), enc_.size(), hash_);
+        columnar::decodeChunk(enc_.data(), colBytes, count, buf_.data(),
+                              path_);
     }
     chunks.add(1);
+    bytes.add(headBytes + bodyBytes);
+    offset_ += headBytes + bodyBytes;
+    records_ += count;
     pos_ = 0;
-    ++chunksRead_;
     return true;
 }
 
@@ -621,7 +491,9 @@ FileTraceSource::reset()
     }
     buf_.clear();
     pos_ = 0;
-    chunksRead_ = 0;
+    offset_ = 0;
+    records_ = 0;
+    hash_ = kFnvOffset;
     return true;
 }
 
@@ -801,26 +673,26 @@ readTextTrace(const std::string &path)
 }
 
 std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, const TraceFileInfo *known)
+openTraceFile(const std::string &path)
 {
     const std::string ext =
         std::filesystem::path(path).extension().string();
     if (ext == ".csv" || ext == ".txt")
         return std::make_unique<VectorTraceSource>(readTextTrace(path));
-    return std::make_unique<FileTraceSource>(path, known);
+    return std::make_unique<FileTraceSource>(path);
 }
 
 TraceConvertStats
 convertTraceFile(const std::string &src, const std::string &dst)
 {
     obs::ObsSpan sp("trace.convert");
-    const TraceFileInfo srcInfo = probeTraceFile(src);
     TraceConvertStats stats;
-    stats.srcVersion = srcInfo.version;
-    stats.srcBytes = kTraceHeaderBytes + srcInfo.payloadBytes;
-
     {
-        FileTraceSource in(src, &srcInfo);
+        FileTraceSource in(src);
+        stats.srcVersion = in.info().version;
+        stats.srcBytes = kTraceHeaderBytes + in.info().payloadBytes;
+        // A source that fails its end-of-payload check throws before
+        // close(), so the writer discards the copy.
         TraceFileWriter out(dst);
         const InstRecord *span = nullptr;
         size_t got = 0;
@@ -839,8 +711,7 @@ convertTraceFile(const std::string &src, const std::string &dst)
         throw TraceFileError(dst, "conversion verification failed: " +
                                       why);
     }
-    stats.dstBytes =
-        kTraceHeaderBytes + probeTraceFile(dst).payloadBytes;
+    stats.dstBytes = std::filesystem::file_size(dst);
     sp.arg("records", stats.records);
     sp.arg("dst_bytes", stats.dstBytes);
     return stats;
@@ -876,6 +747,8 @@ traceRecordsIdentical(const std::string &a, const std::string &b,
         }
         ++i;
     }
+    // Both files are read to the end, so both pass their checks.
+    rb.finish();
     why.clear();
     return true;
 }

@@ -38,13 +38,17 @@
  * of 48). v1 files, written by older builds, stay readable forever:
  * FileTraceSource dispatches on the header version and reads both.
  *
- * Opening a binary trace validates the whole chunk structure AND the
- * payload checksum up front (one sequential read at open; for v2 the
- * probe fully decodes every chunk so corruption is reported per
- * column) and rejects corrupt, truncated, or version/layout-mismatched
- * files with a TraceFileError naming the file and the reason — a bad
- * trace file can never silently degrade into re-interpreting, partial
- * replay, or replaying flipped bits.
+ * FileTraceSource is the only reader of a file's chunks. Opening one
+ * checks the header and the exact file size. Reading checks every
+ * chunk as it is decoded (its header against the payload left, a v1
+ * record's ranges, a v2 column stream's encoding), folds it into the
+ * running checksum and counts its records; at the end of the payload
+ * both must equal the header's. A consumer that stops early calls
+ * TraceSource::finish(), which reads the rest through the same path.
+ * Every failure is a TraceFileError naming the file and the reason,
+ * thrown before the consumer can return a result — a bad trace file
+ * never silently degrades into re-interpreting, partial replay, or
+ * replaying flipped bits.
  */
 
 #pragma once
@@ -129,14 +133,17 @@ class TraceFileError : public std::runtime_error
     int err_;
 };
 
-/** Header facts of one validated binary trace file. */
+/**
+ * Header facts of one binary trace file, checked against the file
+ * size when a FileTraceSource opens it and against the payload when
+ * the source reaches its end.
+ */
 struct TraceFileInfo
 {
     uint32_t version = 0;       ///< trace format version (1 or 2)
     uint64_t recordCount = 0;   ///< total records across all chunks
     uint64_t payloadBytes = 0;  ///< bytes after the 48-byte header
-    uint64_t chunkCount = 0;    ///< number of payload chunks
-    uint64_t payloadHash = 0;   ///< verified FNV-1a of the payload
+    uint64_t payloadHash = 0;   ///< FNV-1a of the payload
 };
 
 /** Word-folding FNV-1a, the hash the trace format uses throughout. */
@@ -144,10 +151,12 @@ uint64_t fnv1a(const void *data, size_t n,
                uint64_t h = 14695981039346656037ull);
 
 /**
- * Validate @p path as a binary trace file: header fields, exact file
- * size, and the full chunk chain (magics, counts, and their sum).
+ * Check every byte of the binary trace at @p path: open a
+ * FileTraceSource and read it to the end. For callers whose job is
+ * checking files (`mica trace ls`, the crash matrix); replay checks
+ * as it goes.
  *
- * @return the validated header facts.
+ * @return the checked header facts.
  * @throws TraceFileError naming the file and the failed check.
  */
 TraceFileInfo probeTraceFile(const std::string &path);
@@ -221,24 +230,25 @@ class TraceFileWriter
 };
 
 /**
- * The binary trace reader, for both formats: one buffered chunk in
- * memory at a time, so replay cost is O(chunk) memory regardless of
- * trace length. Supports reset(); spans point into the internal chunk
+ * The binary trace reader, for both formats, and the only code that
+ * walks a file's chunks: one buffered chunk in memory at a time, so
+ * replay cost is O(chunk) memory regardless of trace length. Each
+ * chunk is checked as it is decoded, and the end of the payload
+ * checks the record count and checksum against the header (see the
+ * file comment); any failure throws TraceFileError from the call that
+ * reached it. Supports reset(); spans point into the internal chunk
  * buffer.
  */
 class FileTraceSource : public TraceSource
 {
   public:
     /**
-     * @param known facts from an earlier probeTraceFile of this file:
-     *        when given, the constructor re-validates only the header
-     *        (cheap) instead of re-reading the whole payload — the
-     *        chunk-level guards still reject a file that changed
-     *        underneath. When omitted, the file is fully probed.
-     * @throws TraceFileError when the file fails validation.
+     * Open @p path and check its header and exact size; the payload
+     * is checked as it is read.
+     * @throws TraceFileError when the file cannot be opened or its
+     *         header fails a check.
      */
-    explicit FileTraceSource(const std::string &path,
-                             const TraceFileInfo *known = nullptr);
+    explicit FileTraceSource(const std::string &path);
 
     bool next(InstRecord &rec) override;
     size_t nextBatch(InstRecord *buf, size_t n) override;
@@ -246,12 +256,24 @@ class FileTraceSource : public TraceSource
                     size_t n) override;
     bool reset() override;
 
-    /** @return total records in the file. */
+    /** Read and check the rest of the payload. @throws TraceFileError */
+    void finish() override { while (refill()) {} }
+
+    /** @return the header facts. */
+    const TraceFileInfo &info() const { return info_; }
+
+    /** @return total records in the file, per its header. */
     uint64_t recordCount() const { return info_.recordCount; }
 
   private:
-    /** Load the next chunk into buf_; @return false at end of trace. */
+    /**
+     * Load and check the next chunk into buf_; at the end of the
+     * payload, check the totals. @return false at end of trace.
+     */
     bool refill();
+
+    /** Read @p n payload bytes. @throws TraceFileError */
+    void readPayload(void *buf, size_t n);
 
     std::string path_;
     TraceFileInfo info_;
@@ -259,7 +281,9 @@ class FileTraceSource : public TraceSource
     std::vector<InstRecord> buf_;
     std::vector<char> enc_;     ///< reused v2 column payload buffer
     size_t pos_ = 0;            ///< consumed records within buf_
-    uint64_t chunksRead_ = 0;
+    uint64_t offset_ = 0;       ///< payload bytes read so far
+    uint64_t records_ = 0;      ///< records decoded so far
+    uint64_t hash_ = 14695981039346656037ull;   ///< FNV-1a so far
 };
 
 /**
@@ -338,13 +362,10 @@ std::vector<InstRecord> readTextTrace(const std::string &path);
  * Open a trace file: binary ".trace" files replay through
  * FileTraceSource (either format), ".csv"/".txt" text traces from a
  * parsed buffer.
- * @param known optional earlier probe result for binary files (see
- *        the FileTraceSource constructor). Ignored for text traces.
- * @throws TraceFileError when the file fails validation.
+ * @throws TraceFileError when the file cannot be opened, a binary
+ *         file's header fails a check, or a text trace fails to parse.
  */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           const TraceFileInfo *known =
-                                               nullptr);
+std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 
 /** Facts reported by convertTraceFile. */
 struct TraceConvertStats

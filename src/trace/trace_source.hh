@@ -89,6 +89,18 @@ class TraceSource
      * @retval false the source is single-pass.
      */
     virtual bool reset() { return false; }
+
+    /**
+     * Called once by a consumer that has stopped pulling, at the end
+     * of the trace or at its budget. A source whose records carry an
+     * end-of-stream check (FileTraceSource: the record count and the
+     * payload checksum) reads the rest and runs that check here, so
+     * the consumer cannot return a result computed from a stream that
+     * fails it.
+     *
+     * @throws whatever the source's own check throws.
+     */
+    virtual void finish() {}
 };
 
 /**

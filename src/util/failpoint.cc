@@ -57,8 +57,6 @@ constexpr SiteDef kSites[] = {
     {"trace.record.write", true},
     {"trace.record.fsync", true},
     {"trace.record.rename", true},
-    {"trace.probe.open", false},
-    {"trace.probe.read", false},
     {"trace.chunk.read", false},
     {"trace.replay.open", false},
     // Analyzer-stage hook (sweep quarantine of a throwing job).

@@ -649,6 +649,16 @@ isTraceFile(const std::filesystem::path &p)
     return ext == ".trace" || ext == ".csv" || ext == ".txt";
 }
 
+/** Two files mapping to one benchmark name: neither may win. */
+TraceFileError
+duplicateTrace(const std::string &path, const std::string &name,
+               const std::string &other)
+{
+    return TraceFileError(path, "duplicate trace benchmark '" + name +
+                                    "' (" + other +
+                                    " maps to the same name)");
+}
+
 } // namespace
 
 std::string
@@ -684,26 +694,23 @@ traceTreeFiles(const std::string &dir)
 std::string
 findTraceFile(const std::string &dir, const std::string &fullName)
 {
-    namespace fs = std::filesystem;
     std::error_code ec;
-    if (!fs::is_directory(dir, ec))
+    if (!std::filesystem::is_directory(dir, ec))
         return "";
-    // A stem without "__" lands in the placeholder suite, so such a
-    // name's file may carry the bare stem.
-    std::vector<std::string> stems = {traceStem(fullName)};
-    const std::string placeholder = std::string(kStemOnlySuite) + "/";
-    if (fullName.compare(0, placeholder.size(), placeholder) == 0)
-        stems.push_back(fullName.substr(placeholder.size()));
-    const std::vector<std::string> files = traceTreeFiles(dir);
-    for (const auto &stem : stems) {
-        for (const char *ext : {".trace", ".csv", ".txt"}) {
-            for (const auto &rel : files) {
-                if (fs::path(rel).filename() == stem + ext)
-                    return dir + "/" + rel;
-            }
-        }
+    // The sweep's own name mapping: a name finds the file the sweep
+    // would replay for it, and a duplicate rejects as it does there.
+    std::string found;
+    for (const auto &rel : traceTreeFiles(dir)) {
+        const std::string stem =
+            std::filesystem::path(rel).stem().string();
+        if (traceInfoFromStem(stem).fullName() != fullName)
+            continue;
+        const std::string path = dir + "/" + rel;
+        if (!found.empty())
+            throw duplicateTrace(path, fullName, found);
+        found = path;
     }
-    return "";
+    return found;
 }
 
 std::vector<BenchmarkEntry>
@@ -740,11 +747,9 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
         e.info = traceInfoFromStem(p.stem().string());
         try {
             if (binary) {
-                // Eager validation: a bad file must reject at scan
-                // time, not degrade the sweep later. The factories
-                // reuse this probe (header-only re-check per open)
-                // instead of re-reading the payload on every job.
-                const TraceFileInfo fi = probeTraceFile(p.string());
+                // The header only: each job's FileTraceSource checks
+                // the payload as it decodes it.
+                const TraceFileInfo fi = FileTraceSource(p.string()).info();
                 e.info.paperICountM = fi.recordCount / 1000000;
                 if (maxInsts != 0 && maxInsts > fi.recordCount) {
                     throw TraceFileError(
@@ -760,8 +765,19 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                     fnv1a(&fi.recordCount, sizeof(fi.recordCount),
                           fnv1a(&fi.payloadHash,
                                 sizeof(fi.payloadHash)));
-                e.source = [path = p.string(), fi] {
-                    return openTraceFile(path, &fi);
+                // The store keys this entry on the scanned header, so
+                // a file re-recorded since must not be profiled.
+                e.source = [path = p.string(),
+                            fi]() -> std::unique_ptr<TraceSource> {
+                    auto src = std::make_unique<FileTraceSource>(path);
+                    const TraceFileInfo &now = src->info();
+                    if (now.version != fi.version ||
+                        now.recordCount != fi.recordCount ||
+                        now.payloadBytes != fi.payloadBytes ||
+                        now.payloadHash != fi.payloadHash)
+                        throw TraceFileError(path, "file changed since it "
+                                                   "was scanned");
+                    return src;
                 };
             } else {
                 std::ifstream in(p.string(), std::ios::binary);
@@ -829,11 +845,8 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
         // Two files mapping to one benchmark name would profile
         // whichever happened to win — reject instead of guessing.
         if (k > 0 && names[order[k - 1]] == names[idx])
-            throw TraceFileError(paths[idx],
-                                 "duplicate trace benchmark '" +
-                                     names[idx] + "' (" +
-                                     paths[order[k - 1]] +
-                                     " maps to the same name)");
+            throw duplicateTrace(paths[idx], names[idx],
+                                 paths[order[k - 1]]);
         sorted.push_back(std::move(out[idx]));
     }
     return sorted;

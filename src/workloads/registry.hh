@@ -73,12 +73,12 @@ std::string traceStem(const std::string &fullName);
 std::vector<std::string> traceTreeFiles(const std::string &dir);
 
 /**
- * The file under @p dir that holds benchmark @p fullName: the first
- * of <stem>.trace, <stem>.csv and <stem>.txt found anywhere in the
- * tree (the first in sorted path order when several directories hold
- * one), or "" when none does. A name in the placeholder "traces"
- * suite also tries the stem without the suite ("traces/zcustom" ->
- * zcustom.txt), so every name traceBenchmarks reports finds its file.
+ * The file under @p dir that holds benchmark @p fullName: the one
+ * trace file anywhere in the tree whose stem traceBenchmarks maps to
+ * that name ("traces/zcustom" finds zcustom.txt), or "" when none
+ * does (or @p dir is no directory).
+ * @throws TraceFileError naming both files when two map to the name,
+ *         as the sweep rejects them.
  */
 std::string findTraceFile(const std::string &dir,
                           const std::string &fullName);
@@ -98,14 +98,15 @@ std::string findTraceFile(const std::string &dir,
  * sweep reproduces the interpreter sweep's report ordering byte for
  * byte.
  *
- * Binary files are validated eagerly (header + chunk chain +
- * payload checksum), so a corrupt or version-mismatched trace
- * rejects at scan time with a TraceFileError instead of failing
- * mid-sweep — and never silently falls back to interpreting the
- * registry kernel. The source factories reuse that validation
- * (header-only re-check per open, no second payload pass). Two
- * files anywhere in the tree mapping to the same benchmark name
- * reject too.
+ * The scan reads each binary file's 48-byte header only: a file
+ * whose header or size fails a check, or that the budget guard
+ * rejects, rejects at scan time. Its payload is checked by the
+ * FileTraceSource each entry's factory opens, as the job decodes it
+ * (see trace/trace_file.hh), so payload damage fails that job and
+ * never silently falls back to interpreting the registry kernel. A
+ * factory whose file no longer has the scanned header throws "file
+ * changed since it was scanned". Two files anywhere in the tree
+ * mapping to the same benchmark name reject too.
  *
  * Each entry's contentId identifies the file's contents, not its
  * path: a binary trace's record count and payload hash, or the
@@ -118,13 +119,13 @@ std::string findTraceFile(const std::string &dir,
  *        rejects, because replay would silently produce a shorter
  *        stream than interpreting the program directly (0 = replay
  *        whatever was recorded)
- * @param quarantined when non-null, a file that fails validation (or
- *        the budget guard) is recorded here as {path, error}, in
- *        sorted path order, and skipped instead of throwing;
- *        tree-level problems (not a directory, duplicate benchmark
- *        names) still throw.
+ * @param quarantined when non-null, a file that fails the scan's
+ *        checks (or the budget guard) is recorded here as {path,
+ *        error}, in sorted path order, and skipped instead of
+ *        throwing; tree-level problems (not a directory, duplicate
+ *        benchmark names) still throw.
  * @throws TraceFileError when @p dir is not a directory or (with
- *         @p quarantined null) a trace file in it fails validation
+ *         @p quarantined null) a trace file in it fails the scan
  */
 std::vector<BenchmarkEntry>
 traceBenchmarks(const std::string &dir, uint64_t maxInsts = 0,
@@ -134,7 +135,7 @@ traceBenchmarks(const std::string &dir, uint64_t maxInsts = 0,
 /**
  * As traceBenchmarks, but over an explicit file list instead of a
  * tree walk; the single-benchmark path hands the one file it found
- * through here. Semantics (validation, budget guard, quarantine,
+ * through here. Semantics (header checks, budget guard, quarantine,
  * content ids, registry-order sort, duplicate-name rejection) are
  * identical. Files with unknown extensions are skipped.
  */

@@ -11,6 +11,7 @@
  * directly.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -140,6 +141,16 @@ patchBytes(const std::string &path, uint64_t offset, const void *data,
             static_cast<std::streamsize>(n));
 }
 
+/** XOR the byte at @p offset of @p path with @p mask. */
+void
+flipByte(const std::string &path, uint64_t offset, uint8_t mask)
+{
+    const std::string b = fileBytes(path);
+    ASSERT_LT(offset, b.size());
+    const uint8_t v = static_cast<uint8_t>(b[offset]) ^ mask;
+    patchBytes(path, offset, &v, 1);
+}
+
 // ----------------------------------------------------------------------
 // Round trip
 // ----------------------------------------------------------------------
@@ -250,9 +261,9 @@ TEST(TraceFileTest, ChunkCountPatchedAfterOpenRejects)
 {
     TmpDir tmp;
     const auto recs = sampleRecords(5000);
-    // A count rewritten after the open-time probe must be bounded
-    // before it sizes the chunk buffer (~206 GB for 0xFFFFFFFF v1
-    // records), in either format.
+    // A count rewritten after the open must be bounded by the payload
+    // left before it sizes the chunk buffer (~206 GB for 0xFFFFFFFF
+    // v1 records), in either format.
     for (const std::string &path :
          {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
         FileTraceSource src(path);
@@ -260,7 +271,7 @@ TEST(TraceFileTest, ChunkCountPatchedAfterOpenRejects)
         patchBytes(path, 48 + 4, &huge, sizeof(huge));
         InstRecord r;
         expectReject([&] { src.next(r); },
-                     "chunk header changed after open");
+                     "corrupt chunk header at payload offset 0");
     }
 }
 
@@ -279,7 +290,6 @@ TEST(TraceV2Test, RoundTripsThroughTheStreamedReader)
     const TraceFileInfo info = probeTraceFile(path);
     EXPECT_EQ(info.version, kTraceFormatV2);
     EXPECT_EQ(info.recordCount, recs.size());
-    EXPECT_EQ(info.chunkCount, 3u);
 
     FileTraceSource streamed(path);
     InstRecord r;
@@ -353,6 +363,31 @@ TEST(TraceV2Test, ConvertUpgradesV1AndReencodesV2)
         back.push_back(r);
     EXPECT_EQ(fileBytes(writeTraceV1(tmp, back, "back.trace")),
               fileBytes(v1));
+}
+
+TEST(TraceV2Test, ConvertReadsTheSourceToItsEndBeforeKeepingACopy)
+{
+    TmpDir tmp;
+    // A padding byte of the last record, in the last of five v1
+    // chunks: no field changes, so only the checksum at the end of
+    // the payload can catch it.
+    const auto recs = sampleRecords(5 * 4096);
+    const std::string v1 = writeTraceV1(tmp, recs, "orig.trace");
+    flipByte(v1,
+             fs::file_size(v1) - sizeof(InstRecord) +
+                 offsetof(InstRecord, dstReg) + sizeof(uint16_t),
+             0x01);
+    const std::string dst = tmp.file("conv.trace");
+    expectReject([&] { convertTraceFile(v1, dst); },
+                 "payload checksum mismatch");
+    EXPECT_FALSE(fs::exists(dst));
+    EXPECT_FALSE(fs::exists(dst + ".tmp"));
+
+    // The comparison reads both files to the end, too.
+    const std::string copy = writeTraceV1(tmp, recs, "copy.trace");
+    std::string why;
+    expectReject([&] { traceRecordsIdentical(copy, v1, why); },
+                 "payload checksum mismatch");
 }
 
 TEST(TraceV2Test, FlippedColumnByteRejectsNamingTheColumn)
@@ -808,9 +843,7 @@ TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
               "CommBench__tcp.tcp");
     EXPECT_EQ(workloads::traceStem("zcustom"), "zcustom");
 
-    // .trace wins over .csv for the same stem.
     writeTrace(tmp, sampleRecords(500), "CommBench__tcp.tcp.trace");
-    std::ofstream(tmp.file("CommBench__tcp.tcp.csv")) << "alu dst=1\n";
     const std::string found =
         workloads::findTraceFile(tmp.dir, "CommBench/tcp.tcp");
     EXPECT_EQ(found, tmp.file("CommBench__tcp.tcp.trace"));
@@ -831,10 +864,13 @@ TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
         [&] { workloads::traceBenchmarksFromFiles({found}, 501); },
         "silently diverge");
 
-    // A stem with no suite lands in the "traces" suite.
+    // A stem with no suite lands in the "traces" suite, and only the
+    // name the sweep gives it finds it.
     std::ofstream(tmp.file("zcustom.txt")) << "alu dst=1\nld addr=8\n";
-    const std::string text = workloads::findTraceFile(tmp.dir, "zcustom");
+    const std::string text =
+        workloads::findTraceFile(tmp.dir, "traces/zcustom");
     EXPECT_EQ(text, tmp.file("zcustom.txt"));
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "zcustom"), "");
     entries = workloads::traceBenchmarksFromFiles({text}, 2);
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].info.suite, "traces");
@@ -849,7 +885,6 @@ TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
     // in the placeholder suite finds a bare stem as well as a
     // "traces__" one.
     std::ofstream(tmp.file("traces__y.txt")) << "alu dst=1\n";
-    std::filesystem::remove(tmp.file("CommBench__tcp.tcp.csv"));
     const auto swept = workloads::traceBenchmarks(tmp.dir);
     std::vector<std::string> names;
     for (const auto &e : swept)
@@ -881,6 +916,32 @@ TEST(TraceBenchmarksTest, RejectsDuplicateBenchmarkNames)
     std::ofstream(tmp.file("CommBench__tcp.tcp.csv")) << "alu dst=1\n";
     expectReject([&] { workloads::traceBenchmarks(tmp.dir); },
                  "duplicate trace benchmark 'CommBench/tcp.tcp'");
+    // The single-benchmark lookup obeys the sweep's rule: no format
+    // wins, and the error names both files.
+    expectReject(
+        [&] { workloads::findTraceFile(tmp.dir, "CommBench/tcp.tcp"); },
+        "duplicate trace benchmark 'CommBench/tcp.tcp' (" +
+            tmp.file("CommBench__tcp.tcp.csv"));
+    fs::remove(tmp.file("CommBench__tcp.tcp.csv"));
+    EXPECT_EQ(workloads::findTraceFile(tmp.dir, "CommBench/tcp.tcp"),
+              tmp.file("CommBench__tcp.tcp.trace"));
+
+    // One stem at the root and in a subdirectory.
+    fs::create_directories(tmp.file("sub"));
+    writeTrace(tmp, sampleRecords(10), "sub/CommBench__tcp.tcp.trace");
+    expectReject([&] { workloads::traceBenchmarks(tmp.dir); },
+                 "duplicate trace benchmark 'CommBench/tcp.tcp'");
+    expectReject(
+        [&] { workloads::findTraceFile(tmp.dir, "CommBench/tcp.tcp"); },
+        tmp.file("sub/CommBench__tcp.tcp.trace") +
+            ": duplicate trace benchmark 'CommBench/tcp.tcp' (" +
+            tmp.file("CommBench__tcp.tcp.trace"));
+
+    // Two stems the sweep maps to one placeholder-suite name.
+    std::ofstream(tmp.file("y.txt")) << "alu dst=1\n";
+    std::ofstream(tmp.file("traces__y.txt")) << "alu dst=2\n";
+    expectReject([&] { workloads::findTraceFile(tmp.dir, "traces/y"); },
+                 "duplicate trace benchmark 'traces/y'");
 }
 
 TEST(TraceBenchmarksTest, WalksSubdirectoriesOfTheTree)
@@ -1308,15 +1369,15 @@ TEST(TraceReplayTest, QuarantinedTraceAloneIsProfiledOnceMended)
     damaged.replace(100, 2, "XX");
     std::ofstream(path, std::ios::binary | std::ios::trunc) << damaged;
 
-    // The damaged trace is quarantined at scan; the rest of the tree
-    // is profiled and stored.
+    // The damaged trace's job rejects it as it decodes; the rest of
+    // the tree is profiled and stored.
     size_t profiled = 0;
     const auto cfg =
         treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled);
     const auto first = experiments::collectSuiteDataset(cfg);
     ASSERT_EQ(first.failures.size(), 1u);
-    EXPECT_EQ(first.failures[0].bench, path);
-    EXPECT_EQ(first.failures[0].phase, "scan");
+    EXPECT_EQ(first.failures[0].bench, "CommBench/drr.drr");
+    EXPECT_EQ(first.failures[0].phase, "profile");
     EXPECT_EQ(first.benchmarks.size(), 2u);
     EXPECT_EQ(profiled, 2u);
 
@@ -1357,6 +1418,268 @@ TEST(TraceReplayTest, TraceAndRegistryEntriesNeverServeEachOther)
     profiled = 0;
     experiments::collectSuiteDataset(registry);
     EXPECT_EQ(profiled, 3u);
+}
+
+// ----------------------------------------------------------------------
+// One pass over a trace: the scan reads headers, and each job checks
+// every byte it decodes — also past its budget — before it returns.
+// ----------------------------------------------------------------------
+
+/**
+ * @return the file offset of the pc column of the v2 chunk at file
+ * offset @p chunk; @p next receives the offset of the chunk after it.
+ * XOR-ing 0x02 into a pc column's first byte leaves a stream that
+ * still decodes, so only the payload checksum can catch it.
+ */
+uint64_t
+pcColumnAt(const std::string &path, uint64_t chunk, uint64_t *next = nullptr)
+{
+    uint32_t colBytes[6] = {};
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(chunk + 8));
+    f.read(reinterpret_cast<char *>(colBytes), sizeof(colBytes));
+    EXPECT_TRUE(f.good());
+    uint64_t body = 0;
+    for (uint32_t b : colBytes)
+        body += b;
+    if (next)
+        *next = chunk + 32 + body;
+    return chunk + 32 + colBytes[0];
+}
+
+TEST(TraceReplayTest, DamagedPayloadsPassTheScanAndFailTheirJobs)
+{
+    TmpDir tmp;
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    // Headers intact: a pc byte that still decodes, and a class byte
+    // ('X') the decoder rejects.
+    const std::string tcp = tmp.file("tree/CommBench__tcp.tcp.trace");
+    flipByte(tcp, pcColumnAt(tcp, 48), 0x02);
+    const uint8_t badCls = 'X';
+    patchBytes(tmp.file("tree/sub/CommBench__drr.drr.trace"), 80, &badCls,
+               1);
+
+    std::vector<std::pair<std::string, std::string>> bad;
+    EXPECT_EQ(
+        workloads::traceBenchmarks(tmp.file("tree"), 5000, &bad).size(),
+        3u);
+    EXPECT_TRUE(bad.empty());
+
+    std::vector<experiments::SuiteDataset> runs;
+    for (const unsigned jobs : {1u, 4u}) {
+        experiments::DatasetConfig cfg;
+        cfg.maxInsts = 5000;
+        cfg.traceDir = tmp.file("tree");
+        cfg.jobs = jobs;
+        runs.push_back(experiments::collectSuiteDataset(cfg));
+    }
+    for (const auto &ds : runs) {
+        ASSERT_EQ(ds.failures.size(), 2u);
+        EXPECT_EQ(ds.failures[0].bench, "CommBench/drr.drr");
+        EXPECT_EQ(ds.failures[1].bench, "CommBench/tcp.tcp");
+        for (const auto &f : ds.failures)
+            EXPECT_EQ(f.phase, "profile") << f.bench;
+        EXPECT_NE(ds.failures[0].error.find("corrupt column 'cls'"),
+                  std::string::npos)
+            << ds.failures[0].error;
+        EXPECT_NE(ds.failures[1].error.find("payload checksum mismatch"),
+                  std::string::npos)
+            << ds.failures[1].error;
+        ASSERT_EQ(ds.benchmarks.size(), 1u);
+        EXPECT_EQ(ds.benchmarks[0].fullName(), "CommBench/frag.frag");
+    }
+    const auto &a = runs[0], &b = runs[1];
+    for (size_t i = 0; i < a.failures.size(); ++i)
+        EXPECT_EQ(a.failures[i].error, b.failures[i].error);
+    ASSERT_EQ(a.micaProfiles.size(), b.micaProfiles.size());
+    for (size_t i = 0; i < a.micaProfiles.size(); ++i) {
+        expectProfilesIdentical(a.micaProfiles[i], b.micaProfiles[i]);
+        EXPECT_EQ(a.hpcProfiles[i].toVector(), b.hpcProfiles[i].toVector());
+    }
+}
+
+TEST(TraceReplayTest, BudgetBelowTheRecordingStillChecksEveryByte)
+{
+    TmpDir tmp;
+    const std::string name = "CommBench/tcp.tcp";
+    const std::string dir = tmp.file("d");
+    const std::string path = dir + "/CommBench__tcp.tcp.trace";
+    recordBenchmark(name, path, 40000);
+    const std::string good = fileBytes(path);
+    // Chunks of 16384, 16384 and 7232 records: the first pc column is
+    // inside the budget's 20000 records, the last chunk's beyond it.
+    uint64_t second = 0, third = 0;
+    const uint64_t first = pcColumnAt(path, 48, &second);
+    pcColumnAt(path, second, &third);
+    ASSERT_LT(third, good.size());
+    const uint64_t last = pcColumnAt(path, third);
+
+    MicaRunnerConfig rc;
+    rc.maxInsts = 20000;
+    // What `mica profile NAME --traces=DIR` opens.
+    const auto single = [&] {
+        return workloads::traceBenchmarksFromFiles(
+                   {workloads::findTraceFile(dir, name)}, rc.maxInsts)
+            .front()
+            .source();
+    };
+    for (const uint64_t at : {first, last}) {
+        SCOPED_TRACE(at);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << good;
+        flipByte(path, at, 0x02);
+
+        experiments::DatasetConfig cfg;
+        cfg.maxInsts = rc.maxInsts;
+        cfg.traceDir = dir;
+        const auto ds = experiments::collectSuiteDataset(cfg);
+        ASSERT_EQ(ds.failures.size(), 1u);
+        EXPECT_EQ(ds.failures[0].bench, name);
+        EXPECT_EQ(ds.failures[0].phase, "profile");
+        EXPECT_NE(ds.failures[0].error.find("payload checksum mismatch"),
+                  std::string::npos)
+            << ds.failures[0].error;
+        EXPECT_TRUE(ds.benchmarks.empty());
+
+        expectReject([&] { collectMicaProfile(*single(), name, rc); },
+                     "payload checksum mismatch");
+        expectReject(
+            [&] { uarch::collectHwProfile(*single(), name, rc.maxInsts); },
+            "payload checksum mismatch");
+    }
+}
+
+TEST(TraceReplayTest, WarmStoreServesPayloadsDamagedAfterProfiling)
+{
+    TmpDir tmp;
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    size_t profiled = 0;
+    const auto cfg =
+        treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled);
+    const auto cold = experiments::collectSuiteDataset(cfg);
+    ASSERT_EQ(profiled, 3u);
+
+    // A hit is served from the header's content id; its payload is
+    // not read, so damage behind an intact header goes unseen here
+    // (`mica trace ls` is the tool that checks a tree).
+    for (const auto &f : kTreeFiles)
+        flipByte(tmp.file("tree/") + f[1], 100, 0xff);
+    profiled = 0;
+    const auto warm = experiments::collectSuiteDataset(cfg);
+    EXPECT_EQ(profiled, 0u);
+    EXPECT_TRUE(warm.failures.empty());
+    ASSERT_EQ(warm.benchmarks.size(), 3u);
+    for (size_t i = 0; i < 3; ++i)
+        expectProfilesIdentical(warm.micaProfiles[i], cold.micaProfiles[i]);
+}
+
+TEST(TraceReplayTest, FileReRecordedAfterTheScanRejects)
+{
+    TmpDir tmp;
+    const std::string one = tmp.file("d/CommBench__tcp.tcp.trace");
+    recordBenchmark("CommBench/tcp.tcp", one, 6000);
+    const auto entries = workloads::traceBenchmarks(tmp.file("d"), 5000);
+    ASSERT_EQ(entries.size(), 1u);
+    recordBenchmark("CommBench/tcp.tcp", one, 7000);
+    expectReject([&] { entries[0].source(); },
+                 "file changed since it was scanned");
+
+    // In a sweep, files re-recorded while the first job ran fail their
+    // own jobs, and no store entry holds their new records under the
+    // old ids: the rerun profiles every new recording in full.
+    for (const auto &f : kTreeFiles)
+        recordBenchmark(f[0], tmp.file("tree/") + f[1], 6000);
+    size_t profiled = 0;
+    auto cfg = treeConfig(tmp.file("tree"), tmp.file("cache"), &profiled);
+    cfg.maxInsts = 0;
+    cfg.progress = [&](size_t done, size_t, const std::string &) {
+        if (done == 1) {
+            for (const auto &f : kTreeFiles)
+                recordBenchmark(f[0], tmp.file("tree/") + f[1], 7000);
+        }
+    };
+    const auto first = experiments::collectSuiteDataset(cfg);
+    ASSERT_EQ(first.failures.size(), 2u);
+    for (const auto &f : first.failures) {
+        EXPECT_EQ(f.phase, "profile");
+        EXPECT_NE(f.error.find("file changed since it was scanned"),
+                  std::string::npos)
+            << f.error;
+    }
+    ASSERT_EQ(first.micaProfiles.size(), 1u);
+    EXPECT_EQ(first.micaProfiles[0].instCount, 6000u);
+
+    cfg.progress = [&](size_t, size_t, const std::string &) { ++profiled; };
+    const auto second = experiments::collectSuiteDataset(cfg);
+    EXPECT_TRUE(second.failures.empty());
+    EXPECT_EQ(profiled, 3u);
+    ASSERT_EQ(second.micaProfiles.size(), 3u);
+    for (const auto &p : second.micaProfiles)
+        EXPECT_EQ(p.instCount, 7000u) << p.name;
+}
+
+/** Recompute a one-chunk v1 file's payload checksum after a patch. */
+void
+resealV1(const std::string &path)
+{
+    const std::string b = fileBytes(path);
+    uint64_t h = fnv1a(b.data() + 48, 4);
+    h = fnv1a(b.data() + 52, 4, h);
+    h = fnv1a(b.data() + 56, b.size() - 56, h);
+    patchBytes(path, 40, &h, sizeof(h));
+}
+
+TEST(TraceFileTest, V1RecordOutOfRangeRejectsBeforeAnyAnalyzer)
+{
+    TmpDir tmp;
+    // Record 50 of a 100-record v1 file whose checksum is correct:
+    // each field alone, then all three. The analyzers index tables
+    // with the class and the source count, so the reader must reject
+    // the chunk before handing out any of its records.
+    struct Case
+    {
+        int cls, srcs, taken;
+        const char *what;
+    };
+    const Case cases[] = {
+        {200, -1, -1, "class 200"},
+        {-1, 4, -1, "4 source registers"},
+        {-1, -1, 2, "taken byte 2"},
+        {200, 250, 7, "(class 200, 250 source registers, taken byte 7)"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        auto recs = sampleRecords(100);
+        if (c.cls >= 0)
+            recs[50].cls = static_cast<InstClass>(c.cls);
+        if (c.srcs >= 0)
+            recs[50].numSrcRegs = static_cast<uint8_t>(c.srcs);
+        const std::string path = writeTraceV1(tmp, recs, "evil.trace");
+        if (c.taken >= 0) {
+            const uint8_t taken = static_cast<uint8_t>(c.taken);
+            patchBytes(path,
+                       48 + 8 + 50 * sizeof(InstRecord) +
+                           offsetof(InstRecord, taken),
+                       &taken, 1);
+            resealV1(path);
+        }
+        expectReject([&] { probeTraceFile(path); }, "corrupt record 50 (");
+        expectReject([&] { probeTraceFile(path); }, c.what);
+        FileTraceSource src(path);
+        MicaRunnerConfig rc;
+        uarch::HwCounterAnalyzer hw;
+        expectReject(
+            [&] { collectMicaProfile(src, "traces/evil", rc, {&hw}); },
+            "corrupt record 50 (");
+
+        experiments::DatasetConfig cfg;
+        cfg.traceDir = tmp.dir;
+        const auto ds = experiments::collectSuiteDataset(cfg);
+        ASSERT_EQ(ds.failures.size(), 1u);
+        EXPECT_EQ(ds.failures[0].bench, "traces/evil");
+        EXPECT_EQ(ds.failures[0].phase, "profile");
+    }
 }
 
 } // namespace

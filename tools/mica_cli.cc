@@ -260,7 +260,8 @@ cmdProfile(const util::CliArgs &args,
                          cfg.traceDir.c_str());
             return kExitNoEnt;
         }
-        // The sweep's validation and budget guard, for one file.
+        // The sweep's header checks and budget guard, for one file;
+        // the payload is checked as it replays.
         src = workloads::traceBenchmarksFromFiles({found}, cfg.maxInsts)
                   .front()
                   .source();
