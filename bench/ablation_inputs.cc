@@ -24,7 +24,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Ablation: input-set sensitivity",
                   "Table I structure; Eeckhout et al. [7]");
 

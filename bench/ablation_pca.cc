@@ -24,7 +24,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Ablation: PCA vs characteristic-subset selection",
                   "Section V-C (comparison against PCA methods)");
 

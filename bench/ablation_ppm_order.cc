@@ -21,7 +21,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Ablation: PPM predictor context depth",
                   "Table II nos. 44-47 (PPM predictability)");
 

@@ -20,7 +20,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Application: benchmark-suite subsetting",
                   "Section I motivation; Eeckhout et al. [16], "
                   "Phansalkar et al. [9]");

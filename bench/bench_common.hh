@@ -2,10 +2,12 @@
  * @file
  * Shared scaffolding for the experiment harnesses in bench/.
  *
- * Every harness regenerates one table or figure of the paper. They all
- * accept --budget=N (per-benchmark instruction cap), --cache=DIR (CSV
- * profile cache), and --quick (reduced budget), via
- * experiments::configFromArgs.
+ * Every harness regenerates one table or figure of the paper. Each
+ * one that profiles the benchmarks takes exactly the dataset flags
+ * (--budget=N, --cache=DIR for the profile store, --jobs=N,
+ * --suites=A,B, --traces=DIR, --max-failures=N) through
+ * experiments::datasetConfigOrExit; an unknown flag or a bad value
+ * exits 2 naming it.
  */
 
 #pragma once

@@ -17,7 +17,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Fig. 1: HPC-space vs MICA-space distances",
                   "Fig. 1 and Section IV");
 

@@ -47,7 +47,7 @@ printPair(const experiments::SuiteDataset &ds, size_t a, size_t b)
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Fig. 2: HPC characteristics of a look-alike pair",
                   "Fig. 2 (bzip2 vs blast, hardware counters)");
 

@@ -18,7 +18,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Fig. 3: MICA characteristics of the same pair",
                   "Fig. 3 (bzip2 vs blast, 47 characteristics)");
 

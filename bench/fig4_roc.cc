@@ -21,7 +21,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Fig. 4: ROC curves of reduced characteristic sets",
                   "Fig. 4 and Section V-D");
 

@@ -20,7 +20,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Fig. 5: distance correlation vs retained count",
                   "Fig. 5 and Section V-D");
 

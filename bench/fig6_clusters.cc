@@ -22,7 +22,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Fig. 6: clustering in the key-characteristic space",
                   "Fig. 6 and Section VI");
 

@@ -16,8 +16,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    (void)argc;
-    (void)argv;
+    experiments::datasetConfigOrExit(argc, argv, {});    // no flags
     bench::banner("Table I: benchmark population",
                   "Table I (benchmarks, inputs, instruction counts)");
 

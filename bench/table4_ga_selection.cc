@@ -20,7 +20,7 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
     bench::banner("Table IV: GA-selected key characteristics",
                   "Table IV and Section V-B");
 

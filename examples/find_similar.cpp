@@ -10,7 +10,7 @@
  * the registry benchmarks by similarity, exactly as Section VI compares
  * suites.
  *
- *   ./build/examples/find_similar [--budget=N]
+ *   ./build/example_find_similar [--budget=N]
  */
 
 #include <algorithm>
@@ -98,7 +98,7 @@ buildHashJoin()
 int
 main(int argc, char **argv)
 {
-    const auto cfg = experiments::configFromArgs(argc, argv);
+    const auto cfg = experiments::datasetConfigOrExit(argc, argv);
 
     std::printf("characterizing the 122-benchmark population...\n");
     const auto ds = experiments::collectSuiteDataset(cfg);

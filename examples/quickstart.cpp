@@ -7,7 +7,7 @@
  *
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart
+ *   ./build/example_quickstart
  */
 
 #include <cstdio>

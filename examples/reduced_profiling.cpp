@@ -6,13 +6,14 @@
  * Table IV set through collectMicaProfileSubset — times both, and
  * verifies the subset values match the full run.
  *
- *   ./build/examples/reduced_profiling [--budget=N]
+ *   ./build/example_reduced_profiling [--budget=N]
  */
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 
+#include "experiments/experiments.hh"
 #include "isa/interpreter.hh"
 #include "mica/profile.hh"
 #include "mica/runner.hh"
@@ -53,11 +54,8 @@ seconds(std::chrono::steady_clock::time_point a,
 int
 main(int argc, char **argv)
 {
-    uint64_t budget = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--budget=", 9) == 0)
-            budget = std::strtoull(argv[i] + 9, nullptr, 10);
-    }
+    const uint64_t budget =
+        experiments::datasetConfigOrExit(argc, argv, {"budget="}).maxInsts;
 
     const auto &reg = workloads::BenchmarkRegistry::instance();
     const auto *entry = reg.find("BioInfoMark/clustalw.clustalw");

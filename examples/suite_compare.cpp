@@ -5,14 +5,13 @@
  * the normalized characteristic space, cross-suite nearest neighbors,
  * and the pairs that hardware counters would wrongly call "similar".
  *
- *   ./build/examples/suite_compare [suiteA suiteB] [--budget=N]
+ *   ./build/example_suite_compare [suiteA suiteB] [--budget=N]
  * Defaults to BioInfoMark vs SPEC2000.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "experiments/experiments.hh"
 #include "methodology/classifier.hh"
@@ -24,18 +23,15 @@ using namespace mica;
 int
 main(int argc, char **argv)
 {
+    util::CliArgs args;
+    const auto cfg = experiments::datasetConfigOrExit(
+        argc, argv, experiments::datasetFlags(), &args);
     std::string suiteA = "BioInfoMark", suiteB = "SPEC2000";
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) != 0)
-            positional.push_back(argv[i]);
-    }
-    if (positional.size() >= 2) {
-        suiteA = positional[0];
-        suiteB = positional[1];
+    if (args.positionals.size() >= 2) {
+        suiteA = args.positionals[0];
+        suiteB = args.positionals[1];
     }
 
-    auto cfg = experiments::configFromArgs(argc, argv);
     const auto ds = experiments::collectSuiteDataset(cfg);
     const WorkloadSpace mica(ds.micaMatrix());
     const WorkloadSpace hpc(ds.hpcMatrix());

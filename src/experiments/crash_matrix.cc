@@ -19,12 +19,6 @@
 namespace mica::experiments
 {
 
-bool
-crashMatrixSupported()
-{
-    return MICA_FAILPOINTS != 0;
-}
-
 namespace
 {
 

@@ -40,12 +40,9 @@ struct CrashMatrixRow
     bool ok() const { return crashed && (oldValid || newValid) && recovered; }
 };
 
-/** @return false when fault injection is compiled out (MICA_FAILPOINTS=0). */
-bool crashMatrixSupported();
-
 /**
  * Run the full matrix under @p workDir (created if needed; each site
- * gets its own scratch subdirectory). Requires crashMatrixSupported().
+ * gets its own scratch subdirectory).
  */
 std::vector<CrashMatrixRow> runCrashMatrix(const std::string &workDir);
 

@@ -6,11 +6,12 @@
 
 #include "experiments/experiments.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -30,24 +31,6 @@ namespace mica::experiments
 
 namespace
 {
-
-/**
- * Strict worker-count parser. strtoul would wrap "-1" to ULONG_MAX
- * and spawn billions of threads; garbage would silently mean "auto".
- * Anything that is not a plain decimal number falls back to serial,
- * and absurd counts are clamped.
- */
-unsigned
-parseJobs(const char *s)
-{
-    if (!s || !*s || *s < '0' || *s > '9')
-        return 1;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (*end != '\0')
-        return 1;
-    return static_cast<unsigned>(v > 256 ? 256 : v);
-}
 
 bool
 suiteSelected(const DatasetConfig &cfg, const std::string &suite)
@@ -288,55 +271,78 @@ namespace
 
 /** Split "A,B,C" into its non-empty parts. */
 std::vector<std::string>
-splitCommas(const char *s)
+splitCommas(const std::string &s)
 {
     std::vector<std::string> out;
-    std::string cur;
-    for (; ; ++s) {
-        if (*s == ',' || *s == '\0') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-            if (*s == '\0')
-                break;
-        } else {
-            cur.push_back(*s);
-        }
+    std::istringstream in(s);
+    std::string part;
+    while (std::getline(in, part, ',')) {
+        if (!part.empty())
+            out.push_back(part);
     }
     return out;
 }
 
 } // namespace
 
-DatasetConfig
-configFromArgs(int argc, char **argv)
+const std::vector<std::string> &
+datasetFlags()
 {
-    DatasetConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--budget=", 9) == 0)
-            cfg.maxInsts = std::strtoull(arg + 9, nullptr, 10);
-        else if (std::strncmp(arg, "--cache=", 8) == 0)
-            cfg.cacheDir = arg + 8;
-        else if (std::strncmp(arg, "--jobs=", 7) == 0)
-            cfg.jobs = parseJobs(arg + 7);
-        else if (std::strncmp(arg, "--suites=", 9) == 0)
-            cfg.suites = splitCommas(arg + 9);
-        else if (std::strncmp(arg, "--traces=", 9) == 0)
-            cfg.traceDir = arg + 9;
-        else if (std::strncmp(arg, "--max-failures=", 15) == 0)
-            cfg.maxFailures = std::strtoull(arg + 15, nullptr, 10);
-        else if (std::strcmp(arg, "--quick") == 0)
-            cfg.maxInsts = 50000;
+    static const std::vector<std::string> flags = {
+        "budget=", "cache=", "jobs=", "suites=", "traces=",
+        "max-failures=",
+    };
+    return flags;
+}
+
+bool
+datasetConfigFromFlags(const util::CliArgs &args, DatasetConfig *cfg,
+                       std::string *err)
+{
+    if (!args.ok()) {
+        *err = args.error;
+        return false;
     }
-    if (const char *env = std::getenv("MICA_BUDGET"))
-        cfg.maxInsts = std::strtoull(env, nullptr, 10);
-    if (const char *env = std::getenv("MICA_CACHE"))
-        cfg.cacheDir = env;
-    if (const char *env = std::getenv("MICA_JOBS"))
-        cfg.jobs = parseJobs(env);
-    if (const char *env = std::getenv("MICA_TRACES"))
-        cfg.traceDir = env;
+    // A typo'd number must not silently mean something else:
+    // --budget=20k is not 20 instructions, --jobs=banana not serial.
+    for (const char *flag : {"budget", "jobs", "max-failures"}) {
+        if (!args.intOk(flag)) {
+            *err = std::string("--") + flag +
+                   " needs a non-negative integer (got '" +
+                   args.value(flag) + "')";
+            return false;
+        }
+    }
+    DatasetConfig out;
+    out.maxInsts = static_cast<uint64_t>(args.intValue("budget", 0));
+    out.cacheDir = args.value("cache");
+    out.jobs = static_cast<unsigned>(
+        std::min<long long>(args.intValue("jobs", 1), 256));
+    out.suites = splitCommas(args.value("suites"));
+    out.traceDir = args.value("traces");
+    if (args.has("max-failures"))
+        out.maxFailures =
+            static_cast<size_t>(args.intValue("max-failures", 0));
+    *cfg = std::move(out);
+    return true;
+}
+
+DatasetConfig
+datasetConfigOrExit(int argc, char **argv,
+                    const std::vector<std::string> &known,
+                    util::CliArgs *args)
+{
+    const util::CliArgs parsed = util::parseCliArgs(argc, argv, known);
+    DatasetConfig cfg;
+    std::string err;
+    if (!datasetConfigFromFlags(parsed, &cfg, &err)) {
+        std::fprintf(stderr, "%s: %s\n",
+                     std::filesystem::path(argv[0]).filename().c_str(),
+                     err.c_str());
+        std::exit(2);
+    }
+    if (args)
+        *args = parsed;
     return cfg;
 }
 

@@ -19,6 +19,7 @@
 #include "pipeline/progress.hh"
 #include "stats/matrix.hh"
 #include "uarch/hw_counter.hh"
+#include "util/arg_parse.hh"
 #include "workloads/benchmark.hh"
 
 namespace mica::experiments
@@ -68,15 +69,18 @@ struct DatasetConfig
      * Each trace's store entry carries the file's content id, so a
      * re-recorded file re-profiles (alone) instead of hitting a stale
      * entry. Throws TraceFileError when the directory is missing or
-     * two files map to one benchmark name. A file whose header is
-     * corrupt or version-mismatched, or that is shorter than a
-     * nonzero maxInsts (the replay would silently come up short), is
-     * quarantined at scan under its path; one whose payload is
-     * damaged fails its own profiling job, under its benchmark name.
+     * two files map to one benchmark name. A binary file whose
+     * header is corrupt or version-mismatched, or that is shorter
+     * than a nonzero maxInsts (the replay would silently come up
+     * short), is quarantined at scan under its path; one whose
+     * payload is damaged, and a text trace that fails to parse or is
+     * too short, fails its own profiling job, under its benchmark
+     * name.
      * Either way it is reported in SuiteDataset::failures, subject to
      * maxFailures, and replay never silently falls back to
      * interpretation. A benchmark not profiled (a store hit, a suite
-     * filtered out) has only its file's header read.
+     * filtered out) has only its file's header read (a text trace's
+     * bytes are hashed, not parsed).
      */
     std::string traceDir;
 
@@ -142,15 +146,35 @@ struct SuiteDataset
 SuiteDataset collectSuiteDataset(const DatasetConfig &cfg = {});
 
 /**
- * Parse harness flags shared by the bench executables:
- * --budget=N (maxInsts), --cache=DIR, --jobs=N (0 = auto),
- * --quick (reduced budget), --suites=A,B (suite filter),
- * --traces=DIR (replay recorded traces), --max-failures=N
- * (fault-isolation cap, see DatasetConfig::maxFailures). Environment
- * overrides: MICA_BUDGET, MICA_CACHE, MICA_JOBS, MICA_TRACES.
- * Unrecognized arguments are ignored.
+ * The dataset flags as util::parseCliArgs allow-list entries:
+ * --budget --cache --jobs --suites --traces --max-failures.
  */
-DatasetConfig configFromArgs(int argc, char **argv);
+const std::vector<std::string> &datasetFlags();
+
+/**
+ * Build the collection config from @p args, parsed against an
+ * allow-list that holds (some of) datasetFlags(): --budget=N
+ * (maxInsts), --cache=DIR, --jobs=N (0 = one per hardware thread;
+ * larger counts clamp to 256), --suites=A,B, --traces=DIR and
+ * --max-failures=N (see DatasetConfig). A flag not given keeps its
+ * default; nothing is read from the environment.
+ * @return false with *err naming the flag when parsing failed
+ *         (args.error) or --budget, --jobs or --max-failures is not a
+ *         plain decimal number.
+ */
+bool datasetConfigFromFlags(const util::CliArgs &args, DatasetConfig *cfg,
+                            std::string *err);
+
+/**
+ * The flag handling of a program whose flags are @p known (the
+ * harnesses and examples): parse argv, build the config, and on an
+ * unknown flag or a bad value print "PROGRAM: why" on stderr and
+ * exit 2. @p args, when given, receives the parse (positionals).
+ */
+DatasetConfig datasetConfigOrExit(
+    int argc, char **argv,
+    const std::vector<std::string> &known = datasetFlags(),
+    util::CliArgs *args = nullptr);
 
 /** @return the per-suite prefixes ("BioInfoMark", ...) in table order. */
 const std::vector<std::string> &suiteNames();

@@ -57,8 +57,6 @@ histQuantile(const HistogramValue &h, double q)
     return static_cast<double>(histBucketHi(lastNonEmpty));
 }
 
-#if MICA_OBS
-
 namespace
 {
 
@@ -682,21 +680,5 @@ resetForTest()
         s->ringCount = 0;
     }
 }
-
-#else // !MICA_OBS
-
-bool
-writeMetricsJson(const std::string &path)
-{
-    return writeFile(path, metricsJson());
-}
-
-bool
-writeTraceJson(const std::string &path)
-{
-    return writeFile(path, traceJson());
-}
-
-#endif // MICA_OBS
 
 } // namespace mica::obs

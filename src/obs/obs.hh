@@ -4,20 +4,16 @@
  *
  * Every subsystem reports what it did (counters, gauges, log2
  * histograms) and where the time went (RAII spans) through this one
- * header. Two properties shape the design:
- *
- *  - **Hot paths pay almost nothing.** Each thread owns a private slab
- *    of atomic cells; an increment is one relaxed load + store on the
- *    calling thread's own cache line region — no lock, no CAS, no heap
- *    allocation per event. Readers fold the slabs (plus the folded
- *    totals of exited threads) at snapshot time. Spans record into a
- *    bounded per-thread ring only while a sink (--trace-out /
- *    --obs-summary) armed the tracer; with the tracer idle an ObsSpan
- *    is one relaxed bool load.
- *
- *  - **Compiles out completely.** Building with -DMICA_OBS=0 replaces
- *    the whole API with empty inlines, so the disabled overhead is
- *    provably ~0 and the bench obs family can measure the difference.
+ * header, and hot paths pay almost nothing for it. Each thread owns a
+ * private slab of atomic cells; an increment is one relaxed load +
+ * store on the calling thread's own cache line region — no lock, no
+ * CAS, no heap allocation per event. Readers fold the slabs (plus the
+ * folded totals of exited threads) at snapshot time. Spans record
+ * into a bounded per-thread ring only while a sink (--trace-out /
+ * --obs-summary) armed the tracer; with the tracer idle an ObsSpan is
+ * one relaxed bool load. The bench obs family measures that cost in
+ * the one build: the full-profile rate with the tracer armed against
+ * the same binary idle.
  *
  * Metric names follow `subsystem.noun.verb` (store.bytes.written,
  * pool.task.run_us, index.snapshot.reject). Handles are cheap to
@@ -37,10 +33,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#ifndef MICA_OBS
-#define MICA_OBS 1
-#endif
 
 namespace mica::obs
 {
@@ -91,8 +83,7 @@ struct HistogramValue
  * buckets: walk to the bucket holding the nearest-rank target and
  * interpolate linearly across its [histBucketLo, histBucketHi] span.
  * Exact for the single-valued buckets (0 and 1); otherwise off by at
- * most one bucket width. Available in both MICA_OBS legs — a stub
- * build just never sees a non-empty histogram. @return 0.0 when empty.
+ * most one bucket width. @return 0.0 when empty.
  */
 double histQuantile(const HistogramValue &h, double q);
 
@@ -135,8 +126,6 @@ struct TraceEventCopy
     uint64_t durNs = 0;
     uint32_t tid = 0;
 };
-
-#if MICA_OBS
 
 /** Per-thread span ring capacity; overflow overwrites the oldest. */
 constexpr size_t kTraceRingCap = 2048;
@@ -267,115 +256,5 @@ std::string summaryText(size_t topCounters = 8, size_t topSpans = 6);
  * callers must ensure no other thread is concurrently recording.
  */
 void resetForTest();
-
-#else // !MICA_OBS — the whole API becomes empty inlines.
-
-constexpr size_t kTraceRingCap = 0;
-
-inline uint64_t
-nowNs()
-{
-    return 0;
-}
-
-class Counter
-{
-  public:
-    explicit Counter(const std::string &) {}
-
-    void add(uint64_t = 1) noexcept {}
-};
-
-class Gauge
-{
-  public:
-    explicit Gauge(const std::string &) {}
-
-    void add(int64_t) noexcept {}
-};
-
-class Histogram
-{
-  public:
-    explicit Histogram(const std::string &) {}
-
-    void record(uint64_t) noexcept {}
-};
-
-inline void
-setTraceEnabled(bool)
-{
-}
-
-inline bool
-traceEnabled()
-{
-    return false;
-}
-
-class ObsSpan
-{
-  public:
-    explicit ObsSpan(const char *) {}
-
-    ObsSpan(const ObsSpan &) = delete;
-    ObsSpan &operator=(const ObsSpan &) = delete;
-
-    void arg(const char *, uint64_t) {}
-    void arg(const char *, const char *) {}
-    void arg(const char *, const std::string &) {}
-    void argF(const char *, double) {}
-};
-
-inline MetricsSnapshot
-snapshotMetrics()
-{
-    return {};
-}
-
-inline std::string
-metricsJson()
-{
-    return "{\n  \"schema\": \"mica-obs-metrics/1\",\n"
-           "  \"compiled\": false,\n"
-           "  \"counters\": {},\n  \"gauges\": {},\n"
-           "  \"histograms\": {}\n}\n";
-}
-
-inline std::vector<TraceEventCopy>
-traceEvents()
-{
-    return {};
-}
-
-inline std::string
-traceJson()
-{
-    return "{\"traceEvents\":[]}\n";
-}
-
-inline std::vector<SpanStat>
-spanStats()
-{
-    return {};
-}
-
-inline std::string
-summaryText(size_t = 8, size_t = 6)
-{
-    return "obs: telemetry compiled out (MICA_OBS=0)\n";
-}
-
-inline void
-resetForTest()
-{
-}
-
-// Sink writers still produce valid (empty) JSON so --metrics /
-// --trace-out keep working in a MICA_OBS=0 build.
-bool writeMetricsJson(const std::string &path);
-bool writeTraceJson(const std::string &path);
-
-#endif // MICA_OBS
 
 } // namespace mica::obs

@@ -657,11 +657,11 @@ parseTextTrace(std::istream &in, const std::string &what)
     return out;
 }
 
-std::vector<InstRecord>
-readTextTrace(const std::string &path)
+std::string
+readTextTraceBytes(const std::string &path)
 {
     checkReadFailpoint("trace.replay.open", path, "open");
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in) {
         const int err = errno;
         throw TraceFileError(path,
@@ -669,17 +669,16 @@ readTextTrace(const std::string &path)
                                  std::strerror(err),
                              err);
     }
-    return parseTextTrace(in, path);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
 }
 
-std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path)
+std::vector<InstRecord>
+readTextTrace(const std::string &path)
 {
-    const std::string ext =
-        std::filesystem::path(path).extension().string();
-    if (ext == ".csv" || ext == ".txt")
-        return std::make_unique<VectorTraceSource>(readTextTrace(path));
-    return std::make_unique<FileTraceSource>(path);
+    std::istringstream in(readTextTraceBytes(path));
+    return parseTextTrace(in, path);
 }
 
 TraceConvertStats

@@ -355,17 +355,14 @@ class RecordingSource : public TraceSource
 std::vector<InstRecord> parseTextTrace(std::istream &in,
                                        const std::string &what);
 
+/**
+ * Read a text trace file's bytes, unparsed (what its content id
+ * hashes). @throws TraceFileError when the file cannot be opened.
+ */
+std::string readTextTraceBytes(const std::string &path);
+
 /** Read a text trace file. @throws TraceFileError (open or parse). */
 std::vector<InstRecord> readTextTrace(const std::string &path);
-
-/**
- * Open a trace file: binary ".trace" files replay through
- * FileTraceSource (either format), ".csv"/".txt" text traces from a
- * parsed buffer.
- * @throws TraceFileError when the file cannot be opened, a binary
- *         file's header fails a check, or a text trace fails to parse.
- */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 
 /** Facts reported by convertTraceFile. */
 struct TraceConvertStats

@@ -1,15 +1,15 @@
 /**
  * @file
- * Strict command-line flag parsing for the mica CLI and
- * bench/perf_analyzers.
+ * Strict command-line flag parsing: the one parser of the mica CLI,
+ * the bench harnesses and the examples.
  *
  * The CLI's original loop scanned for the flags it knew and silently
  * ignored everything else, so `mica cluster --mask=40` (a typo for
  * --maxk) ran the full default sweep without a word. This helper
  * splits argv into positionals and --flag[=value] options against an
  * explicit allow-list and reports the first unknown flag *by name*.
- * The paper harnesses still read their shared flags through the
- * lenient experiments::configFromArgs.
+ * experiments::datasetConfigFromFlags builds the shared dataset flags
+ * (--budget, --cache, ...) of every front end from the result.
  */
 
 #pragma once
@@ -61,11 +61,11 @@ struct CliArgs
 /**
  * Parse argv[1..] against an allow-list of flag names (no "--"
  * prefix). An entry ending in '=' declares a value-taking flag
- * ("budget="); a plain entry declares a bare flag ("quick"). Passing
- * a value to a bare flag ("--quick=50000") is an error — silently
- * swallowing "=false" would invert the user's intent — and so is
- * writing a value-taking flag bare ("--cache /tmp/x" with a space
- * would silently run uncached).
+ * ("budget="); a plain entry declares a bare flag ("obs-summary").
+ * Passing a value to a bare flag ("--obs-summary=0") is an error —
+ * silently swallowing "=false" would invert the user's intent — and
+ * so is writing a value-taking flag bare ("--cache /tmp/x" with a
+ * space would silently run uncached).
  * Arguments starting with "--" must match a known name — anything
  * else sets CliArgs::error naming the flag and listing the accepted
  * ones. A lone "-" and arguments not starting with "-" are

@@ -24,9 +24,7 @@ namespace
  * for that is not write-specific: fail with an errno, throw, sleep,
  * or simulate a crash. @return the decision so write paths can act on
  * ShortWrite/Abort byte caps. The disarmed path does no string
- * concatenation — failpointsArmed() is one atomic load (and a
- * compile-time false under MICA_FAILPOINTS=0, folding the whole call
- * away).
+ * concatenation — failpointsArmed() is one atomic load.
  */
 FailDecision
 checkSite(const std::string &prefix, const char *op,

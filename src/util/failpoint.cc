@@ -1,7 +1,5 @@
 #include "failpoint.hh"
 
-#if MICA_FAILPOINTS
-
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -408,5 +406,3 @@ evalFailpoint(const std::string &name) noexcept
 }
 
 } // namespace mica::util
-
-#endif // MICA_FAILPOINTS

@@ -5,9 +5,8 @@
  * Every durable write/read site in the persistence stack (profile
  * store, index snapshots, trace files) evaluates a named failpoint
  * before touching the file. Disarmed — the default — an evaluation is
- * one relaxed atomic load; armed via `--failpoints=SPEC` or the
- * MICA_FAILPOINTS environment variable, the named sites fire
- * deterministic faults so tests, CI, and the `mica faults
+ * one relaxed atomic load; armed via `--failpoints=SPEC`, the named
+ * sites fire deterministic faults so tests, CI, and the `mica faults
  * crash-matrix` harness can prove every failure either recovers
  * cleanly or rejects loudly — never silently corrupts data.
  *
@@ -48,10 +47,6 @@
  * deterministic for serial runs, documented-racy across worker
  * threads (the count still totals exactly, only the attribution of
  * "the Nth hit" to a particular job varies).
- *
- * Mirrors the MICA_OBS pattern: building with -DMICA_FAILPOINTS=0
- * compiles the whole API to empty inlines, so release builds can
- * prove the hooks cost nothing.
  */
 
 #pragma once
@@ -59,10 +54,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef MICA_FAILPOINTS
-#define MICA_FAILPOINTS 1
-#endif
 
 namespace mica::util
 {
@@ -97,8 +88,6 @@ struct FailpointInfo
     std::string name;
     bool writeSite = false;    ///< on a durable-write path (crash matrix)
 };
-
-#if MICA_FAILPOINTS
 
 /**
  * Handle to one named site. Construction resolves the name against
@@ -152,55 +141,5 @@ uint64_t failpointFireCount(const std::string &name);
 
 /** @return the fixed site registry, in stable order. */
 const std::vector<FailpointInfo> &knownFailpoints();
-
-#else // !MICA_FAILPOINTS — the whole API becomes empty inlines.
-
-class Failpoint
-{
-  public:
-    explicit Failpoint(const std::string &) {}
-
-    FailDecision eval() noexcept { return {}; }
-};
-
-inline FailDecision
-evalFailpoint(const std::string &) noexcept
-{
-    return {};
-}
-
-inline bool
-armFailpoints(const std::string &, std::string *err = nullptr)
-{
-    if (err)
-        *err = "fault injection compiled out (MICA_FAILPOINTS=0)";
-    return false;
-}
-
-inline void
-disarmFailpoints()
-{
-}
-
-inline bool
-failpointsArmed()
-{
-    return false;
-}
-
-inline uint64_t
-failpointFireCount(const std::string &)
-{
-    return 0;
-}
-
-inline const std::vector<FailpointInfo> &
-knownFailpoints()
-{
-    static const std::vector<FailpointInfo> none;
-    return none;
-}
-
-#endif // MICA_FAILPOINTS
 
 } // namespace mica::util

@@ -15,9 +15,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
 #include "workloads/kernel_lib.hh"
 
@@ -649,6 +649,25 @@ isTraceFile(const std::filesystem::path &p)
     return ext == ".trace" || ext == ".csv" || ext == ".txt";
 }
 
+/**
+ * Reject a trace shorter than a nonzero budget: its replay would
+ * silently come up short of interpreting the program directly.
+ */
+void
+checkTraceBudget(const std::string &path, uint64_t records,
+                 uint64_t maxInsts)
+{
+    if (maxInsts == 0 || maxInsts <= records)
+        return;
+    throw TraceFileError(path,
+                         "holds " + std::to_string(records) +
+                             " records but the profiling budget is " +
+                             std::to_string(maxInsts) +
+                             " — replay would silently diverge from "
+                             "direct interpretation (lower --budget, "
+                             "use 0, or re-record)");
+}
+
 /** Two files mapping to one benchmark name: neither may win. */
 TraceFileError
 duplicateTrace(const std::string &path, const std::string &name,
@@ -751,16 +770,7 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                 // the payload as it decodes it.
                 const TraceFileInfo fi = FileTraceSource(p.string()).info();
                 e.info.paperICountM = fi.recordCount / 1000000;
-                if (maxInsts != 0 && maxInsts > fi.recordCount) {
-                    throw TraceFileError(
-                        p.string(),
-                        "holds " + std::to_string(fi.recordCount) +
-                            " records but the profiling budget is " +
-                            std::to_string(maxInsts) +
-                            " — replay would silently diverge from "
-                            "direct interpretation (lower --budget, "
-                            "use 0, or re-record)");
-                }
+                checkTraceBudget(p.string(), fi.recordCount, maxInsts);
                 e.contentId =
                     fnv1a(&fi.recordCount, sizeof(fi.recordCount),
                           fnv1a(&fi.payloadHash,
@@ -780,31 +790,23 @@ traceBenchmarksFromFiles(const std::vector<std::string> &files,
                     return src;
                 };
             } else {
-                std::ifstream in(p.string(), std::ios::binary);
-                std::ostringstream bytes;
-                bytes << in.rdbuf();
-                const std::string s = bytes.str();
-                e.contentId = fnv1a(s.data(), s.size());
-                if (maxInsts != 0) {
-                    // Text traces get the same budget guard as binary
-                    // ones: coming up short must reject, not silently
-                    // profile a shorter stream.
-                    std::istringstream text(s);
-                    const size_t n =
-                        parseTextTrace(text, p.string()).size();
-                    if (maxInsts > n) {
-                        throw TraceFileError(
-                            p.string(),
-                            "holds " + std::to_string(n) +
-                                " records but the profiling budget "
-                                "is " +
-                                std::to_string(maxInsts) +
-                                " — replay would silently diverge "
-                                "(lower --budget or use 0)");
-                    }
-                }
-                e.source = [path = p.string()] {
-                    return openTraceFile(path);
+                // The bytes only, for the content id: a text trace has
+                // no header, so its job parses them and applies the
+                // budget guard, and a store hit never parses them.
+                const std::string bytes = readTextTraceBytes(p.string());
+                e.contentId = fnv1a(bytes.data(), bytes.size());
+                e.source = [path = p.string(), id = e.contentId,
+                            maxInsts]() -> std::unique_ptr<TraceSource> {
+                    const std::string now = readTextTraceBytes(path);
+                    if (fnv1a(now.data(), now.size()) != id)
+                        throw TraceFileError(path, "file changed since it "
+                                                   "was scanned");
+                    std::istringstream text(now);
+                    std::vector<InstRecord> recs =
+                        parseTextTrace(text, path);
+                    checkTraceBudget(path, recs.size(), maxInsts);
+                    return std::make_unique<VectorTraceSource>(
+                        std::move(recs));
                 };
             }
         } catch (const TraceFileError &ex) {

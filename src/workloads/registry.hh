@@ -104,9 +104,13 @@ std::string findTraceFile(const std::string &dir,
  * FileTraceSource each entry's factory opens, as the job decodes it
  * (see trace/trace_file.hh), so payload damage fails that job and
  * never silently falls back to interpreting the registry kernel. A
- * factory whose file no longer has the scanned header throws "file
- * changed since it was scanned". Two files anywhere in the tree
- * mapping to the same benchmark name reject too.
+ * text trace has no header: the scan reads its bytes for the content
+ * id only, and its factory reads them once more, parses them and
+ * applies the budget guard, so a bad line or a short text trace
+ * fails its job. A factory whose file no longer has the scanned
+ * header (binary) or bytes (text) throws "file changed since it was
+ * scanned". Two files anywhere in the tree mapping to the same
+ * benchmark name reject too.
  *
  * Each entry's contentId identifies the file's contents, not its
  * path: a binary trace's record count and payload hash, or the
@@ -116,13 +120,14 @@ std::string findTraceFile(const std::string &dir,
  * @param dir root of the trace tree
  * @param maxInsts the profiling budget the entries will run under:
  *        a trace holding fewer records than a nonzero budget
- *        rejects, because replay would silently produce a shorter
- *        stream than interpreting the program directly (0 = replay
- *        whatever was recorded)
+ *        rejects (a binary one at scan, a text one in its job),
+ *        because replay would silently produce a shorter stream than
+ *        interpreting the program directly (0 = replay whatever was
+ *        recorded)
  * @param quarantined when non-null, a file that fails the scan's
- *        checks (or the budget guard) is recorded here as {path,
- *        error}, in sorted path order, and skipped instead of
- *        throwing; tree-level problems (not a directory, duplicate
+ *        checks (or a binary one the budget guard) is recorded here
+ *        as {path, error}, in sorted path order, and skipped instead
+ *        of throwing; tree-level problems (not a directory, duplicate
  *        benchmark names) still throw.
  * @throws TraceFileError when @p dir is not a directory or (with
  *         @p quarantined null) a trace file in it fails the scan

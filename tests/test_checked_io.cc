@@ -120,8 +120,6 @@ TEST_F(CheckedIoTest, AtomicWriteRoundTripsAndLeavesNoTmp)
     EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
-#if MICA_FAILPOINTS
-
 TEST_F(CheckedIoTest, FailedCommitLeavesDestinationUntouched)
 {
     const std::string path = tmp.file("out.bin");
@@ -169,8 +167,6 @@ TEST_F(CheckedIoTest, ShortWriteReportsEnospcAndTruncates)
     EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
-#endif // MICA_FAILPOINTS
-
 TEST_F(CheckedIoTest, StaleTmpDebrisNeverBlocksTheNextCommit)
 {
     const std::string path = tmp.file("out.bin");
@@ -182,8 +178,6 @@ TEST_F(CheckedIoTest, StaleTmpDebrisNeverBlocksTheNextCommit)
     EXPECT_EQ(readAll(path), "fresh");
     EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
-
-#if MICA_FAILPOINTS
 
 pipeline::StoredProfile
 namedProfile(const std::string &name)
@@ -307,7 +301,6 @@ TEST_F(CheckedIoTest, TraceWriterShortWriteKeepsOldTraceReplayable)
 
 TEST_F(CheckedIoTest, CrashMatrixAllCellsHoldTheContract)
 {
-    ASSERT_TRUE(experiments::crashMatrixSupported());
     const std::vector<experiments::CrashMatrixRow> rows =
         experiments::runCrashMatrix(tmp.file("matrix"));
     // Every write-path failpoint in the registry gets a cell.
@@ -322,15 +315,6 @@ TEST_F(CheckedIoTest, CrashMatrixAllCellsHoldTheContract)
         EXPECT_TRUE(row.recovered) << row.detail;
     }
 }
-
-#else // !MICA_FAILPOINTS
-
-TEST_F(CheckedIoTest, CrashMatrixReportsCompiledOut)
-{
-    EXPECT_FALSE(experiments::crashMatrixSupported());
-}
-
-#endif // MICA_FAILPOINTS
 
 } // namespace
 } // namespace mica

@@ -5,7 +5,10 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,14 +113,92 @@ TEST(ExperimentsTest, PpmOrderAboveCapFailsBeforeStoreOrSweep)
     EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
+/** Run the dataset-flag parser over "prog ARGS...". */
+bool
+parseDatasetFlags(std::vector<std::string> args, DatasetConfig *cfg,
+                  std::string *err)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    return datasetConfigFromFlags(
+        util::parseCliArgs(static_cast<int>(argv.size()), argv.data(),
+                           datasetFlags()),
+        cfg, err);
+}
+
 TEST(ExperimentsTest, ConfigFromArgsParsesFlags)
 {
-    const char *argv[] = {"prog", "--budget=1234", "--cache=/tmp/x",
-                          "--benchmark_filter=all"};
-    const DatasetConfig cfg =
-        configFromArgs(4, const_cast<char **>(argv));
+    DatasetConfig cfg;
+    std::string err;
+    ASSERT_TRUE(parseDatasetFlags(
+        {"--budget=1234", "--cache=/tmp/x", "--jobs=3",
+         "--suites=CommBench,,MiBench", "--traces=/tmp/t",
+         "--max-failures=2"},
+        &cfg, &err))
+        << err;
     EXPECT_EQ(cfg.maxInsts, 1234u);
     EXPECT_EQ(cfg.cacheDir, "/tmp/x");
+    EXPECT_EQ(cfg.jobs, 3u);
+    EXPECT_EQ(cfg.suites,
+              (std::vector<std::string>{"CommBench", "MiBench"}));
+    EXPECT_EQ(cfg.traceDir, "/tmp/t");
+    EXPECT_EQ(cfg.maxFailures, 2u);
+
+    // A flag not given keeps its default.
+    ASSERT_TRUE(parseDatasetFlags({}, &cfg, &err)) << err;
+    const DatasetConfig def;
+    EXPECT_EQ(cfg.maxInsts, def.maxInsts);
+    EXPECT_EQ(cfg.cacheDir, def.cacheDir);
+    EXPECT_EQ(cfg.jobs, def.jobs);
+    EXPECT_TRUE(cfg.suites.empty());
+    EXPECT_EQ(cfg.traceDir, def.traceDir);
+    EXPECT_EQ(cfg.maxFailures, def.maxFailures);
+
+    // A number that is not a plain decimal rejects, naming its flag:
+    // --budget=20k must not profile 20 instructions.
+    for (const std::string flag : {"--budget", "--jobs", "--max-failures"}) {
+        for (const char *bad : {"20k", "-1", "", "0x10", " 5"}) {
+            const std::string arg = flag + "=" + bad;
+            EXPECT_FALSE(parseDatasetFlags({arg}, &cfg, &err)) << arg;
+            EXPECT_NE(err.find(flag), std::string::npos) << err;
+        }
+    }
+
+    // Every other flag is unknown, named: google-benchmark's
+    // pass-through and the old --quick included.
+    for (const std::string flag :
+         {"--benchmark_filter", "--quick", "--budgt"}) {
+        EXPECT_FALSE(parseDatasetFlags({flag + "=1"}, &cfg, &err)) << flag;
+        EXPECT_NE(err.find("unknown flag '" + flag + "'"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(ExperimentsTest, DatasetFlagsIgnoreTheEnvironment)
+{
+    // The flags are the only input: the MICA_* copies that once
+    // overrode them change nothing.
+    const char *vars[] = {"MICA_BUDGET", "MICA_CACHE", "MICA_JOBS",
+                          "MICA_TRACES"};
+    for (const char *v : vars)
+        ::setenv(v, "1000", 1);
+    DatasetConfig cfg;
+    std::string err;
+    const bool withFlag = parseDatasetFlags({"--budget=5000"}, &cfg, &err);
+    const DatasetConfig flagged = cfg;
+    const bool bare = parseDatasetFlags({}, &cfg, &err);
+    for (const char *v : vars)
+        ::unsetenv(v);
+    ASSERT_TRUE(withFlag && bare) << err;
+    EXPECT_EQ(flagged.maxInsts, 5000u);
+    const DatasetConfig def;
+    EXPECT_EQ(cfg.maxInsts, def.maxInsts);
+    EXPECT_EQ(cfg.cacheDir, def.cacheDir);
+    EXPECT_EQ(cfg.jobs, def.jobs);
+    EXPECT_EQ(cfg.traceDir, def.traceDir);
 }
 
 TEST(ExperimentsTest, SuiteNamesMatchRegistry)

@@ -26,25 +26,6 @@ namespace
 using util::FailDecision;
 using util::FailOp;
 
-#if !MICA_FAILPOINTS
-
-// Compiled-out builds keep the API as inert stubs: nothing arms,
-// nothing fires, and the registry is empty — so release binaries can
-// prove the hooks cost nothing.
-TEST(FailpointStubTest, CompiledOutApiIsInert)
-{
-    std::string err;
-    EXPECT_FALSE(util::armFailpoints("store.put.write=error", &err));
-    EXPECT_NE(err.find("compiled out"), std::string::npos) << err;
-    EXPECT_FALSE(util::failpointsArmed());
-    EXPECT_FALSE(util::evalFailpoint("store.put.write"));
-    EXPECT_EQ(util::failpointFireCount("store.put.write"), 0u);
-    EXPECT_TRUE(util::knownFailpoints().empty());
-    util::disarmFailpoints();    // harmless no-op
-}
-
-#else
-
 class FailpointTest : public ::testing::Test
 {
   protected:
@@ -233,8 +214,6 @@ TEST_F(FailpointTest, FailpointHandleResolvesOnce)
     ASSERT_TRUE(d);
     EXPECT_EQ(d.op, FailOp::Throw);
 }
-
-#endif // MICA_FAILPOINTS
 
 } // namespace
 } // namespace mica

@@ -891,18 +891,28 @@ TEST(PipelineDatasetTest, SuiteFilterReadsAWiderStoreAndKeepsIt)
 
 TEST(PipelineDatasetTest, ConfigFromArgsParsesJobs)
 {
-    auto parse = [](const char *flag) {
-        const char *argv[] = {"prog", flag};
-        return experiments::configFromArgs(2, const_cast<char **>(argv))
-            .jobs;
+    // @return the parsed worker count, or -1 when the value rejects.
+    auto parse = [](std::string flag) -> long long {
+        char prog[] = "prog";
+        char *argv[] = {prog, flag.data()};
+        experiments::DatasetConfig cfg;
+        std::string err;
+        if (!experiments::datasetConfigFromFlags(
+                util::parseCliArgs(2, argv, experiments::datasetFlags()),
+                &cfg, &err)) {
+            EXPECT_NE(err.find("--jobs"), std::string::npos) << err;
+            return -1;
+        }
+        return cfg.jobs;
     };
-    EXPECT_EQ(parse("--jobs=6"), 6u);
-    EXPECT_EQ(parse("--jobs=0"), 0u);          // 0 = auto
-    EXPECT_EQ(parse("--jobs=-1"), 1u);         // no thread bomb
-    EXPECT_EQ(parse("--jobs=banana"), 1u);     // garbage -> serial
-    EXPECT_EQ(parse("--jobs="), 1u);
-    EXPECT_EQ(parse("--jobs=12x"), 1u);
-    EXPECT_EQ(parse("--jobs=999999"), 256u);   // clamped
+    EXPECT_EQ(parse("--jobs=6"), 6);
+    EXPECT_EQ(parse("--jobs=0"), 0);           // 0 = auto
+    EXPECT_EQ(parse("--jobs=-1"), -1);         // no thread bomb
+    EXPECT_EQ(parse("--jobs=banana"), -1);     // not serial: rejects
+    EXPECT_EQ(parse("--jobs="), -1);
+    EXPECT_EQ(parse("--jobs=12x"), -1);
+    // Clamped; asserted on the config alone, no pool is started.
+    EXPECT_EQ(parse("--jobs=999999"), 256);
 }
 
 TEST(PipelineDatasetTest, CompletedResultsPersistWhenASweepFails)

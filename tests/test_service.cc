@@ -820,11 +820,9 @@ TEST(ServiceServerTest, DaemonStatsCarriesLiveIntrospection)
     ASSERT_NE(conns, nullptr);
     const JsonValue *open = conns->find("open");
     ASSERT_NE(open, nullptr);
-#if MICA_OBS
     // The block is fed by live telemetry: this reply answers its own
     // stats request and the querying client itself holds a connection
-    // right now. Compiled-out telemetry reads everything as zero, so
-    // only the structure is asserted on that leg.
+    // right now.
     EXPECT_GT(uptime->asDouble(), 0.0);
     EXPECT_GE(statsCount->asDouble(), 1.0);
     EXPECT_GE(open->asDouble(), 1.0);
@@ -850,7 +848,6 @@ TEST(ServiceServerTest, DaemonStatsCarriesLiveIntrospection)
         ASSERT_TRUE(client.request(line, &reply, &err)) << err;
     }
     EXPECT_EQ(errorCount(), before + 3);
-#endif
     // The local one-shot path stays unenriched: no introspection
     // block when the same request runs without a daemon.
     auto snap = testSnapshot();
@@ -1172,7 +1169,6 @@ TEST(ServiceServerTest, StopDuringReindexStillDeliversItsReply)
     reindexBesideQueriesTest(4, true);
 }
 
-#if MICA_OBS
 TEST(ServiceServerTest, EveryQueryOpRecordsItsThreePhases)
 {
     // 21 histograms: a registration past the slab's capacity would
@@ -1219,7 +1215,6 @@ TEST(ServiceServerTest, EveryQueryOpRecordsItsThreePhases)
     for (const auto &[name, n] : after)
         EXPECT_EQ(n - before.at(name), kEach) << name;
 }
-#endif
 
 // ----------------------------------------------------------------------
 // Wire-protocol fuzz: hostile bytes must produce error replies (or a

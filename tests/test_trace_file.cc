@@ -29,6 +29,7 @@
 #include "isa/interpreter.hh"
 #include "mica/dataset.hh"
 #include "mica/runner.hh"
+#include "pipeline/profile_store.hh"
 #include "test_util.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
@@ -226,7 +227,8 @@ TEST(TraceFileTest, SpansStopAtChunkBoundariesButNeverReturnZeroMidTrace)
         const size_t n =
             (v1 ? 4096 : TraceFileWriter::kChunkRecordsV2) + 17;
         const auto recs = sampleRecords(n);
-        auto src = openTraceFile(writeTraceAs(v1, tmp, recs, "s.trace"));
+        auto src = std::make_unique<FileTraceSource>(
+            writeTraceAs(v1, tmp, recs, "s.trace"));
         std::vector<InstRecord> buf(n + 100);
         const InstRecord *span = nullptr;
         size_t total = 0, calls = 0;
@@ -763,22 +765,29 @@ TEST(TextTraceTest, UnknownClassRejectsWithLineNumber)
                  "line 2: unknown instruction class 'wizardry'");
 }
 
-TEST(TextTraceTest, OpenTraceFileDispatchesOnExtension)
+TEST(TraceBenchmarksTest, EntrySourcesReadEveryFormat)
 {
     TmpDir tmp;
     std::ofstream(tmp.file("hand.csv")) << "alu dst=1\nload addr=8\n";
-    auto text = openTraceFile(tmp.file("hand.csv"));
-    InstRecord r;
-    ASSERT_TRUE(text->next(r));
-    EXPECT_EQ(r.cls, InstClass::IntAlu);
-
     const auto recs = sampleRecords(3);
-    for (const std::string &bin :
-         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
-        auto src = openTraceFile(bin);
+    // Registry order: CommBench, MiBench, then the "traces" suite.
+    const auto entries = workloads::traceBenchmarksFromFiles(
+        {tmp.file("hand.csv"),
+         writeTraceV1(tmp, recs, "CommBench__tcp.tcp.trace"),
+         writeTrace(tmp, recs, "MiBench__sha.large.trace")});
+    ASSERT_EQ(entries.size(), 3u);
+    InstRecord r;
+    for (size_t i = 0; i < 2; ++i) {
+        auto src = entries[i].source();
         ASSERT_TRUE(src->next(r));
         EXPECT_TRUE(sameRec(r, recs[0]));
     }
+    auto text = entries[2].source();
+    ASSERT_TRUE(text->next(r));
+    EXPECT_EQ(r.cls, InstClass::IntAlu);
+    ASSERT_TRUE(text->next(r));
+    EXPECT_EQ(r.cls, InstClass::Load);
+    EXPECT_FALSE(text->next(r));
 }
 
 // ----------------------------------------------------------------------
@@ -876,8 +885,11 @@ TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
     EXPECT_EQ(entries[0].info.suite, "traces");
     EXPECT_EQ(entries[0].info.program, "zcustom");
     EXPECT_EQ(entries[0].info.input, "");
+    // A text trace's budget guard runs where it is parsed: in its job.
     expectReject(
-        [&] { workloads::traceBenchmarksFromFiles({text}, 3); },
+        [&] {
+            workloads::traceBenchmarksFromFiles({text}, 3).front().source();
+        },
         "silently diverge");
 
     // Every name a sweep of the directory reports finds its own file:
@@ -1617,6 +1629,86 @@ TEST(TraceReplayTest, FileReRecordedAfterTheScanRejects)
     ASSERT_EQ(second.micaProfiles.size(), 3u);
     for (const auto &p : second.micaProfiles)
         EXPECT_EQ(p.instCount, 7000u) << p.name;
+}
+
+TEST(TraceReplayTest, TextTraceRewrittenAfterTheScanRejects)
+{
+    TmpDir tmp;
+    const std::string two = "alu dst=1\nld addr=8\n";
+    const std::string four = two + "alu dst=2\nst addr=16\n";
+    fs::create_directories(tmp.file("d"));
+    std::ofstream(tmp.file("d/zcustom.txt")) << two;
+    const auto entries = workloads::traceBenchmarks(tmp.file("d"));
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].contentId, fnv1a(two.data(), two.size()));
+    std::ofstream(tmp.file("d/zcustom.txt")) << four;
+    expectReject([&] { entries[0].source(); },
+                 "file changed since it was scanned");
+
+    // In a sweep, a text trace rewritten after the scan fails its own
+    // job, and the store files no records under the old id.
+    std::ofstream(tmp.file("d/a.txt")) << two;
+    std::ofstream(tmp.file("d/zcustom.txt")) << two;
+    size_t profiled = 0;
+    auto cfg = treeConfig(tmp.file("d"), tmp.file("cache"), &profiled);
+    cfg.maxInsts = 0;
+    cfg.progress = [&](size_t done, size_t, const std::string &) {
+        if (done == 1)
+            std::ofstream(tmp.file("d/zcustom.txt")) << four;
+    };
+    const auto first = experiments::collectSuiteDataset(cfg);
+    ASSERT_EQ(first.failures.size(), 1u);
+    EXPECT_EQ(first.failures[0].phase, "profile");
+    EXPECT_EQ(first.failures[0].bench, "traces/zcustom");
+    EXPECT_NE(first.failures[0].error.find("file changed since it was "
+                                           "scanned"),
+              std::string::npos)
+        << first.failures[0].error;
+
+    cfg.progress = [&](size_t, size_t, const std::string &) { ++profiled; };
+    const auto second = experiments::collectSuiteDataset(cfg);
+    EXPECT_TRUE(second.failures.empty());
+    EXPECT_EQ(profiled, 1u);
+    ASSERT_EQ(second.micaProfiles.size(), 2u);
+    EXPECT_EQ(second.micaProfiles[1].instCount, 4u);
+}
+
+TEST(TraceReplayTest, TextTraceBudgetGuardRunsInItsJob)
+{
+    TmpDir tmp;
+    const std::string two = "alu dst=1\nld addr=8\n";
+    fs::create_directories(tmp.file("d"));
+    std::ofstream(tmp.file("d/zcustom.txt")) << two;
+    size_t profiled = 0;
+    auto cfg = treeConfig(tmp.file("d"), tmp.file("cache"), &profiled);
+    cfg.maxInsts = 1000;
+
+    // Cold: the scan only hashes the bytes; the job parses two records
+    // and rejects them under the budget.
+    const auto cold = experiments::collectSuiteDataset(cfg);
+    ASSERT_EQ(cold.failures.size(), 1u);
+    EXPECT_EQ(cold.failures[0].phase, "profile");
+    EXPECT_EQ(cold.failures[0].bench, "traces/zcustom");
+    EXPECT_NE(cold.failures[0].error.find("silently diverge"),
+              std::string::npos)
+        << cold.failures[0].error;
+
+    // Warm: an entry stored under this budget and the file's id is a
+    // hit, so the file is never parsed and nothing is quarantined.
+    pipeline::StoreKey key;
+    key.maxInsts = cfg.maxInsts;
+    pipeline::ProfileStore store(tmp.file("cache"), key);
+    store.open();
+    pipeline::StoredProfile stored;
+    stored.mica.name = stored.hpc.name = "traces/zcustom";
+    stored.id = fnv1a(two.data(), two.size());
+    store.put(stored);
+    profiled = 0;
+    const auto warm = experiments::collectSuiteDataset(cfg);
+    EXPECT_EQ(profiled, 0u);
+    EXPECT_TRUE(warm.failures.empty());
+    ASSERT_EQ(warm.benchmarks.size(), 1u);
+    EXPECT_EQ(warm.benchmarks[0].fullName(), "traces/zcustom");
 }
 
 /** Recompute a one-chunk v1 file's payload checksum after a patch. */

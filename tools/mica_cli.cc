@@ -44,13 +44,16 @@
  * Failure semantics: dataset verbs quarantine failing benchmarks
  * (bad trace files at scan time, throwing profiling jobs) instead of
  * aborting, report them on stderr, and exit with the partial-failure
- * code 3; --max-failures=N caps the tolerance. --failpoints=SPEC (or
- * the MICA_FAILPOINTS environment variable) arms deterministic fault
- * injection at the named I/O sites — see util/failpoint.hh for the
- * grammar and `mica faults ls` for the site registry.
+ * code 3; --max-failures=N caps the tolerance. --failpoints=SPEC arms
+ * deterministic fault injection at the named I/O sites — see
+ * util/failpoint.hh for the grammar and `mica faults ls` for the site
+ * registry.
  *
+ * Flags are the only input: nothing is read from the environment.
  * Unknown --flags are rejected with an error naming the flag (each
- * verb validates against its accepted set via util::parseCliArgs).
+ * verb validates against its accepted set via util::parseCliArgs),
+ * and so is a number flag whose value is not a plain decimal or, for
+ * a count that must be positive (--maxk, --max-conns, ...), is 0.
  */
 
 #include <unistd.h>
@@ -363,26 +366,22 @@ cmdSelect(const experiments::DatasetConfig &cfg)
 
 /**
  * Print an error and return true when --flag carries a value that is
- * not a plain decimal — a typo must not silently mean "the default".
+ * not a plain decimal — a typo must not silently mean "the default" —
+ * or, when @p positive, is 0 (a count of nothing must not silently
+ * mean the default either).
  */
 bool
 rejectBadInt(const util::CliArgs &args, const char *verb,
-             const char *flag)
+             const char *flag, bool positive = false)
 {
-    if (args.intOk(flag))
+    const bool zero =
+        positive && args.has(flag) && args.intValue(flag, 1) == 0;
+    if (args.intOk(flag) && !zero)
         return false;
-    std::fprintf(stderr, "mica %s: --%s needs a non-negative integer "
-                         "(got '%s')\n",
-                 verb, flag, args.value(flag).c_str());
+    std::fprintf(stderr, "mica %s: --%s needs a %s integer (got '%s')\n",
+                 verb, flag, positive ? "positive" : "non-negative",
+                 args.value(flag).c_str());
     return true;
-}
-
-/** @return --maxk=N (default 70, the paper's sweep ceiling). */
-size_t
-maxKFlag(const util::CliArgs &args)
-{
-    const long long n = args.intValue("maxk", 70);
-    return n > 0 ? static_cast<size_t>(n) : 70;
 }
 
 /** GA-select the key characteristics and project the space onto them. */
@@ -403,15 +402,16 @@ int
 cmdCluster(const util::CliArgs &args,
            const experiments::DatasetConfig &cfg)
 {
-    if (rejectBadInt(args, "cluster", "maxk"))
+    if (rejectBadInt(args, "cluster", "maxk", true))
         return 2;
     const auto ds = collectReported(cfg);
     auto pool = methodologyPool(cfg);
     pipeline::ThreadPool *p = pool.get();
     const Matrix reduced = reducedKeySpace(ds, p);
     const ClusterReport rep =
-        clusterBenchmarks(reduced, maxKFlag(args), 20061027, 0.9,
-                          0.25, p);
+        clusterBenchmarks(reduced,
+                          static_cast<size_t>(args.intValue("maxk", 70)),
+                          20061027, 0.9, 0.25, p);
 
     const auto &suites = experiments::suiteNames();
     std::vector<std::string> headers = {"cluster", "size"};
@@ -445,14 +445,15 @@ int
 cmdSubset(const util::CliArgs &args,
           const experiments::DatasetConfig &cfg)
 {
-    if (rejectBadInt(args, "subset", "maxk"))
+    if (rejectBadInt(args, "subset", "maxk", true))
         return 2;
     const auto ds = collectReported(cfg);
     auto pool = methodologyPool(cfg);
     pipeline::ThreadPool *p = pool.get();
     const Matrix reduced = reducedKeySpace(ds, p);
     const SubsetResult r = selectRepresentatives(
-        reduced, maxKFlag(args), 20061027, 0.9, 0.25, p);
+        reduced, static_cast<size_t>(args.intValue("maxk", 70)), 20061027,
+        0.9, 0.25, p);
     report::TextTable t({"representative", "covers"},
                         {report::Align::Left, report::Align::Right});
     for (const auto &rep : r.representatives)
@@ -692,24 +693,19 @@ serveSignalHandler(int)
 int
 cmdServe(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
 {
-    for (const char *flag :
-         {"pca", "max-conns", "drain-ms", "metrics-interval"}) {
+    for (const char *flag : {"pca", "drain-ms"}) {
         if (rejectBadInt(args, "serve", flag))
             return 2;
     }
+    for (const char *flag : {"max-conns", "metrics-interval"}) {
+        if (rejectBadInt(args, "serve", flag, true))
+            return 2;
+    }
     const int64_t metricsInterval = args.intValue("metrics-interval", 0);
-    if (args.has("metrics-interval")) {
-        if (metricsInterval <= 0) {
-            std::fprintf(stderr, "mica serve: --metrics-interval must "
-                                 "be a positive number of seconds\n");
-            return 2;
-        }
-        if (args.value("metrics").empty()) {
-            std::fprintf(stderr,
-                         "mica serve: --metrics-interval needs "
-                         "--metrics=FILE for the sink path\n");
-            return 2;
-        }
+    if (args.has("metrics-interval") && args.value("metrics").empty()) {
+        std::fprintf(stderr, "mica serve: --metrics-interval needs "
+                             "--metrics=FILE for the sink path\n");
+        return 2;
     }
     service::SpaceChoice sc = spaceChoiceFromArgs(args);
     experiments::DatasetConfig icfg = cfg;
@@ -834,7 +830,7 @@ cmdServeBench(const util::CliArgs &args,
               const experiments::DatasetConfig &)
 {
     for (const char *flag : {"conns", "requests"}) {
-        if (rejectBadInt(args, "serve-bench", flag))
+        if (rejectBadInt(args, "serve-bench", flag, true))
             return 2;
     }
     const std::string connect = args.value("connect");
@@ -848,11 +844,6 @@ cmdServeBench(const util::CliArgs &args,
     const size_t requests =
         static_cast<size_t>(args.intValue("requests", 100));
     const std::string bench = args.value("bench");
-    if (conns == 0 || requests == 0) {
-        std::fprintf(stderr, "mica serve-bench: --conns and --requests "
-                             "must be positive\n");
-        return 2;
-    }
 
     // Per-connection request mix, rotated deterministically: cheap ops
     // (ping/stats), a mid-weight scan (suites), and the heavy
@@ -1170,23 +1161,13 @@ cmdFaultsLs()
         t.addRow({fp.name, fp.writeSite ? "write" : "read",
                   std::to_string(util::failpointFireCount(fp.name))});
     }
-    std::printf("%s\n%zu failpoints", t.render().c_str(), known.size());
-#if !MICA_FAILPOINTS
-    std::printf(" (fault injection compiled out: MICA_FAILPOINTS=0)");
-#endif
-    std::printf("\n");
+    std::printf("%s\n%zu failpoints\n", t.render().c_str(), known.size());
     return 0;
 }
 
 int
 cmdFaultsCrashMatrix(const util::CliArgs &args)
 {
-    if (!experiments::crashMatrixSupported()) {
-        std::fprintf(stderr,
-                     "mica faults crash-matrix: fault injection "
-                     "compiled out (MICA_FAILPOINTS=0)\n");
-        return 1;
-    }
     namespace fs = std::filesystem;
     std::string dir = args.value("dir");
     const bool scratch = dir.empty();
@@ -1231,10 +1212,6 @@ cmdFaultsCrashMatrix(const util::CliArgs &args)
 int
 cmdObsDemo()
 {
-#if !MICA_OBS
-    std::printf("obs: telemetry compiled out (MICA_OBS=0)\n");
-    return 0;
-#else
     constexpr size_t kBlocks = 64;
     constexpr size_t kAdds = 10000;
     {
@@ -1288,7 +1265,6 @@ cmdObsDemo()
     std::fprintf(stderr, "%s", obs::summaryText().c_str());
     std::printf("obs self-test: %s\n", ok ? "OK" : "FAIL");
     return ok ? 0 : 1;
-#endif
 }
 
 // ----------------------------------------------------------------------
@@ -1613,8 +1589,8 @@ cmdHelp(const util::CliArgs &args, const experiments::DatasetConfig &)
 
 /**
  * One JSON object a harness can interrogate instead of parsing help
- * text: which verbs exist, which analyzers/spaces/bench families this
- * build knows, and which compile-time legs it was built with.
+ * text: which verbs exist and which analyzers, spaces, bench families
+ * and trace formats this build knows.
  */
 int
 cmdCapabilities(const util::CliArgs &, const experiments::DatasetConfig &)
@@ -1645,11 +1621,6 @@ cmdCapabilities(const util::CliArgs &, const experiments::DatasetConfig &)
     doc.set("trace_formats", std::move(formats));
     doc.set("perf_profile_schema",
             service::JsonValue::str(experiments::kPerfProfileSchema));
-    service::JsonValue compiled = service::JsonValue::object();
-    compiled.set("obs", service::JsonValue::boolean(MICA_OBS != 0));
-    compiled.set("failpoints",
-                 service::JsonValue::boolean(MICA_FAILPOINTS != 0));
-    doc.set("compiled", std::move(compiled));
     std::printf("%s\n", doc.dump().c_str());
     return 0;
 }
@@ -1691,17 +1662,18 @@ knownFlags(const std::string &cmd, const std::string &sub)
 {
     // The telemetry sinks and the fault-injection switch are global:
     // every verb can export metrics and run under armed failpoints.
-    std::vector<std::string> known = {"budget=",  "cache=",
-                                      "jobs=",    "quick",
-                                      "metrics=", "trace-out=",
+    std::vector<std::string> known = {"metrics=", "trace-out=",
                                       "obs-summary", "failpoints="};
-    // Verbs that collect a dataset can filter suites, swap the
-    // interpreter for recorded traces, and cap quarantines.
+    // Verbs that collect a dataset take every dataset flag; the rest
+    // keep the budget, store and worker-count ones.
     if (cmd == "profile" || cmd == "hpc" || cmd == "distance" ||
         cmd == "select" || cmd == "cluster" || cmd == "subset" ||
-        cmd == "index" || cmd == "serve" || cmd == "query")
-        known.insert(known.end(),
-                     {"suites=", "traces=", "max-failures="});
+        cmd == "index" || cmd == "serve" || cmd == "query") {
+        const auto &dataset = experiments::datasetFlags();
+        known.insert(known.end(), dataset.begin(), dataset.end());
+    } else {
+        known.insert(known.end(), {"budget=", "cache=", "jobs="});
+    }
     if (cmd == "serve")
         known.insert(known.end(),
                      {"listen=", "space=", "pca=", "max-conns=",
@@ -1763,33 +1735,20 @@ main(int argc, char **argv)
     }
     const util::CliArgs args =
         util::parseCliArgs(argc, argv, knownFlags(cmd, sub));
-    if (!args.ok()) {
-        std::fprintf(stderr, "mica %s: %s\n", cmd.c_str(),
-                     args.error.c_str());
+    experiments::DatasetConfig cfg;
+    std::string err;
+    if (!experiments::datasetConfigFromFlags(args, &cfg, &err)) {
+        std::fprintf(stderr, "mica %s: %s\n", cmd.c_str(), err.c_str());
         return 2;
     }
-    // The shared numeric flags get the same strictness as the verb
-    // ones: --budget=20k must not silently profile 20 instructions.
-    for (const char *flag : {"budget", "jobs", "max-failures"}) {
-        if (rejectBadInt(args, cmd.c_str(), flag))
-            return 2;
-    }
-    const auto cfg = experiments::configFromArgs(argc, argv);
 
-    // Arm fault injection: the flag beats the environment, and a spec
-    // that does not parse (or names an unknown site, or was given to
-    // a binary with the hooks compiled out) rejects loudly — a typo
-    // must not silently test nothing.
-    std::string fpSpec = args.value("failpoints");
-    if (fpSpec.empty()) {
-        if (const char *env = std::getenv("MICA_FAILPOINTS"))
-            fpSpec = env;
-    }
+    // Arm fault injection: a spec that does not parse (or names an
+    // unknown site) rejects loudly — a typo must not silently test
+    // nothing.
+    const std::string fpSpec = args.value("failpoints");
     if (!fpSpec.empty()) {
-        std::string fpErr;
-        if (!util::armFailpoints(fpSpec, &fpErr)) {
-            std::fprintf(stderr, "mica: --failpoints: %s\n",
-                         fpErr.c_str());
+        if (!util::armFailpoints(fpSpec, &err)) {
+            std::fprintf(stderr, "mica: --failpoints: %s\n", err.c_str());
             return 2;
         }
     }
