@@ -5,7 +5,7 @@
  * hardware-counter profile — the two datasets everything else in this
  * library is built from.
  *
- * Build and run:
+ * Build and run (it takes no flags):
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/example_quickstart
  */
@@ -18,6 +18,7 @@
 #include "mica/runner.hh"
 #include "report/table.hh"
 #include "uarch/hpc_runner.hh"
+#include "util/arg_parse.hh"
 
 using namespace mica;
 using namespace mica::isa;
@@ -67,8 +68,16 @@ buildDotProduct()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    // No flags: a typo'd one exits 2 naming it, as in every front end.
+    const util::CliArgs args = util::parseCliArgs(argc, argv, {});
+    if (!args.ok()) {
+        std::fprintf(stderr, "example_quickstart: %s\n",
+                     args.error.c_str());
+        return 2;
+    }
+
     // 1. Build a program (any TraceSource works: the interpreter, a
     //    replay buffer, or your own trace reader).
     const Program prog = buildDotProduct();

@@ -62,7 +62,7 @@ size_t
 SuiteDataset::indexOf(const std::string &fullName) const
 {
     for (size_t i = 0; i < benchmarks.size(); ++i) {
-        if (benchmarks[i].fullName() == fullName)
+        if (benchmarks[i].isNamed(fullName))
             return i;
     }
     return static_cast<size_t>(-1);

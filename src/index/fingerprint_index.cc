@@ -1,6 +1,8 @@
 #include "index/fingerprint_index.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include "obs/obs.hh"
 #include "pipeline/thread_pool.hh"
@@ -11,30 +13,69 @@ namespace mica::index
 namespace
 {
 
-/** FNV-1a over the name bytes, then avalanched for the flat map. */
-uint64_t
-nameHash(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return util::hashMix(h);
-}
+/** Rows per pass of the scan: eight sums in flight per column. */
+constexpr size_t kBlock = 8;
 
 /** Sentinel row id meaning "exclude nothing". */
 constexpr size_t kNoSkip = static_cast<size_t>(-1);
 
 /**
- * Exact k nearest of @p q among @p count dim-wide vectors stored flat
- * at @p data, ascending (distance, id), in one pass over the rows.
+ * Two adjacent rows' partial sums, one per lane. A GCC/Clang vector
+ * type: each lane is added and multiplied as a plain double (same
+ * IEEE operation, same bits), and the compiler keeps a block's four
+ * of them in SIMD registers. Written as a plain loop over eight sums,
+ * GCC's -O3 cost model vectorizes across columns instead and loses
+ * the gain to lane shuffles.
+ */
+typedef double Lanes __attribute__((vector_size(2 * sizeof(double))));
+
+/** The fingerprints in column-major panels (FingerprintIndex::panels_). */
+struct Panels
+{
+    const double *data;
+    size_t count;    ///< real rows; the last panel may be padded
+    size_t dim;
+};
+
+/**
+ * Call visit(id, dist) for every row but @p skip, ascending id, with
+ * dist bit-equal to l2Dist(q, row, dim): each row's squared terms are
+ * summed in column order, one panel of eight rows per pass.
+ */
+template <typename Visit>
+void
+forEachDist(const Panels &t, const double *q, size_t skip, Visit &&visit)
+{
+    for (size_t lo = 0; lo < t.count; lo += kBlock) {
+        Lanes sum[kBlock / 2] = {};
+        const double *panel = t.data + lo * t.dim;
+        for (size_t c = 0; c < t.dim; ++c) {
+            const double qc = q[c];
+            const double *col = panel + c * kBlock;
+#pragma GCC unroll 4
+            for (size_t p = 0; p < kBlock / 2; ++p) {
+                Lanes v;
+                std::memcpy(&v, col + 2 * p, sizeof(v));
+                const Lanes d = qc - v;
+                sum[p] += d * d;
+            }
+        }
+        const size_t hi = std::min(t.count, lo + kBlock);
+        for (size_t i = lo; i < hi; ++i) {
+            if (i != skip)
+                visit(i, std::sqrt(sum[(i - lo) / 2][(i - lo) % 2]));
+        }
+    }
+}
+
+/**
+ * Exact k nearest of @p q, ascending (distance, id), in one pass over
+ * the rows.
  * @param skip row id to exclude — queries by an indexed benchmark
  *        exclude the benchmark itself
  */
 std::vector<Neighbor>
-scanKnn(const double *data, size_t count, size_t dim, const double *q,
-        size_t k, size_t skip)
+scanKnn(const Panels &t, const double *q, size_t k, size_t skip)
 {
     // The k best so far as a max-heap on (distance, id): front() is
     // the worst keeper, so a row that cannot make the cut is rejected
@@ -43,39 +84,32 @@ scanKnn(const double *data, size_t count, size_t dim, const double *q,
     std::vector<Neighbor> best;
     if (k == 0)
         return best;
-    best.reserve(std::min(k, count));
-    for (size_t i = 0; i < count; ++i) {
-        if (i == skip)
-            continue;
-        const Neighbor n{l2Dist(q, data + i * dim, dim),
-                         static_cast<uint32_t>(i)};
+    best.reserve(std::min(k, t.count));
+    forEachDist(t, q, skip, [&](size_t i, double dist) {
+        const Neighbor n{dist, static_cast<uint32_t>(i)};
         if (best.size() < k) {
             best.push_back(n);
         } else if (n < best.front()) {
             std::pop_heap(best.begin(), best.end());
             best.back() = n;
         } else {
-            continue;
+            return;
         }
         std::push_heap(best.begin(), best.end());
-    }
+    });
     std::sort_heap(best.begin(), best.end());
     return best;
 }
 
 /** All rows with dist <= r (inclusive), same order and skip. */
 std::vector<Neighbor>
-scanRadius(const double *data, size_t count, size_t dim, const double *q,
-           double r, size_t skip)
+scanRadius(const Panels &t, const double *q, double r, size_t skip)
 {
     std::vector<Neighbor> out;
-    for (size_t i = 0; i < count; ++i) {
-        if (i == skip)
-            continue;
-        const double d = l2Dist(q, data + i * dim, dim);
-        if (d <= r)
-            out.push_back({d, static_cast<uint32_t>(i)});
-    }
+    forEachDist(t, q, skip, [&](size_t i, double dist) {
+        if (dist <= r)
+            out.push_back({dist, static_cast<uint32_t>(i)});
+    });
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -97,45 +131,29 @@ FingerprintIndex::fromParts(FingerprintSet fps)
 {
     FingerprintIndex idx;
     idx.fps_ = std::move(fps);
-    idx.buildNameMap();
-    return idx;
-}
-
-void
-FingerprintIndex::buildNameMap()
-{
-    nameMap_.clear();
-    collision_ = false;
-    nameMap_.reserve(fps_.size());
-    for (size_t i = 0; i < fps_.size(); ++i) {
-        auto [slot, inserted] = nameMap_.tryEmplace(
-            nameHash(fps_.names[i]), static_cast<uint32_t>(i));
-        if (!inserted && fps_.names[*slot] != fps_.names[i])
-            collision_ = true;
+    idx.ids_ = util::NameIndex(idx.fps_.names);
+    const size_t n = idx.fps_.size();
+    const size_t dim = idx.fps_.dim;
+    idx.panels_.assign((n + kBlock - 1) / kBlock * kBlock * dim, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+        double *panel = idx.panels_.data() + (i - i % kBlock) * dim;
+        for (size_t c = 0; c < dim; ++c)
+            panel[c * kBlock + i % kBlock] = idx.fps_.vec(i)[c];
     }
+    return idx;
 }
 
 int64_t
 FingerprintIndex::idOf(const std::string &name) const
 {
-    if (collision_) {
-        for (size_t i = 0; i < fps_.size(); ++i) {
-            if (fps_.names[i] == name)
-                return static_cast<int64_t>(i);
-        }
-        return -1;
-    }
-    const uint32_t *id = nameMap_.find(nameHash(name));
-    if (!id || fps_.names[*id] != name)
-        return -1;
-    return static_cast<int64_t>(*id);
+    return ids_.find(name);
 }
 
 std::vector<Neighbor>
 FingerprintIndex::knn(size_t id, size_t k) const
 {
-    return scanKnn(fps_.data.data(), fps_.size(), fps_.dim, fps_.vec(id),
-                   k, id);
+    return scanKnn({panels_.data(), size(), dim()}, fps_.vec(id), k,
+                   id);
 }
 
 std::vector<Neighbor>
@@ -143,14 +161,14 @@ FingerprintIndex::knnOfRaw(const std::vector<double> &rawRow,
                            size_t k) const
 {
     const std::vector<double> q = fps_.embed(rawRow);
-    return scanKnn(fps_.data.data(), fps_.size(), fps_.dim, q.data(), k,
+    return scanKnn({panels_.data(), size(), dim()}, q.data(), k,
                    kNoSkip);
 }
 
 std::vector<Neighbor>
 FingerprintIndex::radius(size_t id, double r) const
 {
-    return scanRadius(fps_.data.data(), fps_.size(), fps_.dim,
+    return scanRadius({panels_.data(), size(), dim()},
                       fps_.vec(id), r, id);
 }
 

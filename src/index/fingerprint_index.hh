@@ -12,13 +12,20 @@
  * service computes them once per snapshot, in one pass over all
  * pairs (service::fillAnswerTables), as RedundantPair rows.
  *
- * Every query is one exact linear scan over the rows. Results are
- * totally ordered by (distance, id), so ties on distance (duplicated
- * benchmarks exist!) have one canonical order, and every distance is
- * the same l2Dist() expression, so a value has one bit pattern no
- * matter which query produced it. Batch queries fanned across a
- * ThreadPool are byte-identical for any worker count (each query
- * writes its own result slot; no reduction order exists to vary).
+ * Every query is one exact linear scan over the rows. The index keeps
+ * a column-major copy of the fingerprints in panels of eight rows
+ * (built in fromParts; the snapshot file stores only the row-major
+ * set), and the scan sums one panel per pass: the inner loop reads
+ * eight adjacent values of one column and keeps eight independent
+ * sums, and the panels are read front to back. Each row's
+ * terms are still added in column order, as l2Dist() adds them, so
+ * every distance has l2Dist()'s bits: a value has one bit pattern no
+ * matter which query (or the snapshot's all-pairs pass) produced it.
+ * Results are totally ordered by (distance, id), so ties on distance
+ * (duplicated benchmarks exist!) have one canonical order. Batch
+ * queries fanned across a ThreadPool are byte-identical for any
+ * worker count (each query writes its own result slot; no reduction
+ * order exists to vary).
  */
 
 #pragma once
@@ -138,17 +145,18 @@ class FingerprintIndex
     batchKnn(size_t k, pipeline::ThreadPool *pool = nullptr) const;
 
   private:
-    void buildNameMap();
-
     FingerprintSet fps_;
 
+    /** name -> id over fps_.names. */
+    util::NameIndex ids_;
+
     /**
-     * name→id over 64-bit name hashes (flat_hash keys are integral).
-     * A full-hash collision flips collision_ and lookups fall back to
-     * a scan; either way idOf verifies the name before answering.
+     * fps_ again, column-major in panels of eight rows: panel p holds
+     * rows 8p..8p+7, column by column, so component c of fingerprint
+     * i sits at panels_[(i - i % 8) * dim() + c * 8 + i % 8]. A scan
+     * reads the panels front to back; padding rows are zero.
      */
-    util::FlatHashMap<uint64_t, uint32_t> nameMap_;
-    bool collision_ = false;
+    std::vector<double> panels_;
 };
 
 } // namespace mica::index

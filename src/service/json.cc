@@ -48,6 +48,15 @@ JsonValue::number(uint64_t i)
 }
 
 JsonValue
+JsonValue::raw(std::string text)
+{
+    JsonValue v;
+    v.kind_ = Kind::Raw;
+    v.str_ = std::move(text);
+    return v;
+}
+
+JsonValue
 JsonValue::str(std::string s)
 {
     JsonValue v;
@@ -97,6 +106,10 @@ JsonValue::find(const std::string &key) const
 JsonValue &
 JsonValue::set(std::string key, JsonValue v)
 {
+    // Requests and reply envelopes have a handful of members: one
+    // allocation holds them.
+    if (members_.empty())
+        members_.reserve(4);
     members_.emplace_back(std::move(key), std::move(v));
     return *this;
 }
@@ -109,9 +122,16 @@ JsonValue::push(JsonValue v)
 }
 
 void
-jsonEscape(const std::string &s, std::string &out)
+jsonEscape(std::string_view s, std::string &out)
 {
-    for (unsigned char c : s) {
+    // Bytes that need no escape are copied a run at a time.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"':
             out += "\\\"";
@@ -134,16 +154,55 @@ jsonEscape(const std::string &s, std::string &out)
         case '\t':
             out += "\\t";
             break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+        }
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+void
+jsonQuote(std::string_view s, std::string &out)
+{
+    out += '"';
+    jsonEscape(s, out);
+    out += '"';
+}
+
+void
+jsonNumber(double v, std::string &out)
+{
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    // Shortest round-trip form: the same double always serializes to
+    // the same bytes, which is what makes the CLI-vs-server
+    // byte-identity contract checkable.
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
+
+void
+jsonNumber(int64_t v, std::string &out)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
+
+void
+jsonNumber(uint64_t v, std::string &out)
+{
+    // The same cut JsonValue::number(uint64_t) makes.
+    if (v > static_cast<uint64_t>(INT64_MAX))
+        jsonNumber(static_cast<double>(v), out);
+    else
+        jsonNumber(static_cast<int64_t>(v), out);
 }
 
 void
@@ -156,28 +215,17 @@ JsonValue::dumpTo(std::string &out) const
     case Kind::Bool:
         out += bool_ ? "true" : "false";
         break;
-    case Kind::Number: {
-        char buf[32];
-        if (isInt_) {
-            const auto r =
-                std::to_chars(buf, buf + sizeof(buf), int_);
-            out.append(buf, r.ptr);
-        } else if (!std::isfinite(num_)) {
-            out += "null";
-        } else {
-            // Shortest round-trip form: the same double always
-            // serializes to the same bytes, which is what makes the
-            // CLI-vs-server byte-identity contract checkable.
-            const auto r =
-                std::to_chars(buf, buf + sizeof(buf), num_);
-            out.append(buf, r.ptr);
-        }
+    case Kind::Number:
+        if (isInt_)
+            jsonNumber(int_, out);
+        else
+            jsonNumber(num_, out);
         break;
-    }
     case Kind::String:
-        out += '"';
-        jsonEscape(str_, out);
-        out += '"';
+        jsonQuote(str_, out);
+        break;
+    case Kind::Raw:
+        out += str_;
         break;
     case Kind::Array: {
         out += '[';
@@ -198,9 +246,8 @@ JsonValue::dumpTo(std::string &out) const
             if (!first)
                 out += ',';
             first = false;
-            out += '"';
-            jsonEscape(m.first, out);
-            out += "\":";
+            jsonQuote(m.first, out);
+            out += ':';
             m.second.dumpTo(out);
         }
         out += '}';
@@ -356,6 +403,16 @@ class Parser
     {
         ++pos_; // opening quote
         for (;;) {
+            // Bytes that need no decoding are copied a run at a time.
+            const size_t run = pos_;
+            while (pos_ < text_.size()) {
+                const unsigned char c =
+                    static_cast<unsigned char>(text_[pos_]);
+                if (c == '"' || c == '\\' || c < 0x20)
+                    break;
+                ++pos_;
+            }
+            s->append(text_, run, pos_ - run);
             if (pos_ >= text_.size())
                 return fail("unterminated string");
             const unsigned char c =
@@ -366,11 +423,6 @@ class Parser
             }
             if (c < 0x20)
                 return fail("raw control character in string");
-            if (c != '\\') {
-                *s += static_cast<char>(c);
-                ++pos_;
-                continue;
-            }
             ++pos_;
             if (pos_ >= text_.size())
                 return fail("truncated escape");

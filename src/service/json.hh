@@ -12,9 +12,13 @@
  * lenient reader on a network socket is how protocol drift starts.
  *
  * This is deliberately a small DOM, not a streaming parser: protocol
- * lines are bounded (service::kMaxLineBytes), so documents are tiny
- * and clarity beats throughput here. The hot path of a query is the
- * index lookup, not the envelope.
+ * lines are bounded (service::kMaxLineBytes), so documents are tiny.
+ * Requests are parsed into it and reply envelopes are built with it,
+ * but a query's `result` is written as text: the engine appends its
+ * canonical form with jsonQuote()/jsonNumber() (the writers dump()
+ * itself uses, so text and tree render one value to the same bytes)
+ * or copies fragments rendered once per snapshot, and wraps it in a
+ * Raw value that dump() copies verbatim.
  */
 
 #pragma once
@@ -22,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,6 +49,7 @@ class JsonValue
         String,
         Array,
         Object,
+        Raw,    ///< canonical JSON text, already rendered
     };
 
     JsonValue() = default;
@@ -56,6 +62,13 @@ class JsonValue
     static JsonValue str(std::string s);
     static JsonValue array();
     static JsonValue object();
+
+    /**
+     * A value already rendered as canonical JSON text, which dump()
+     * appends verbatim. It has no members or items to walk: parse the
+     * serialized line to inspect it.
+     */
+    static JsonValue raw(std::string text);
 
     Kind kind() const { return kind_; }
 
@@ -79,6 +92,7 @@ class JsonValue
      */
     int64_t asCount(int64_t fallback = -1) const;
 
+    /** @return a string's value, or a Raw value's text. */
     const std::string &asString() const { return str_; }
 
     const std::vector<JsonValue> &items() const { return items_; }
@@ -126,6 +140,21 @@ bool parseJson(const std::string &text, JsonValue *out,
                std::string *err = nullptr);
 
 /** Append @p s to @p out with JSON string escaping (no quotes). */
-void jsonEscape(const std::string &s, std::string &out);
+void jsonEscape(std::string_view s, std::string &out);
+
+/** Append @p s as a quoted, escaped JSON string. */
+void jsonQuote(std::string_view s, std::string &out);
+
+/**
+ * Append @p v as JsonValue::number(v).dump() renders it: shortest
+ * round-trip text, and null for NaN/Inf.
+ */
+void jsonNumber(double v, std::string &out);
+
+/** Append @p v as JsonValue::number(v).dump() renders it. */
+void jsonNumber(int64_t v, std::string &out);
+
+/** Append @p v as JsonValue::number(v).dump() renders it. */
+void jsonNumber(uint64_t v, std::string &out);
 
 } // namespace mica::service

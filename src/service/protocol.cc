@@ -215,7 +215,13 @@ makeError(const Request &req, ErrorCode code, const std::string &message)
 std::string
 serializeResponse(const JsonValue &response)
 {
-    return response.dump();
+    // One allocation: the envelope's few members around a result
+    // that is usually text already, plus the newline a daemon adds.
+    const JsonValue *result = response.find("result");
+    std::string line;
+    line.reserve(128 + (result ? result->asString().size() : 0));
+    response.dumpTo(line);
+    return line;
 }
 
 } // namespace mica::service

@@ -79,6 +79,60 @@ indexFromDataset(const experiments::SuiteDataset &ds,
     return index::FingerprintIndex::build(m, opt);
 }
 
+namespace
+{
+
+/** One `suites` row as the reply renders it. */
+std::string
+suiteRowJson(const SuiteRow &row)
+{
+    std::string out = "{\"suite\":";
+    jsonQuote(row.suite, out);
+    out += ",\"count\":";
+    jsonNumber(static_cast<uint64_t>(row.count), out);
+    out += ",\"mean_dist\":";
+    jsonNumber(row.meanDist, out);
+    out += ",\"min_dist\":";
+    jsonNumber(row.minDist, out);
+    out += ",\"max_dist\":";
+    jsonNumber(row.maxDist, out);
+    // The paper's 20%-of-max similarity threshold: how many
+    // within-suite pairs are redundant by that cut.
+    out += ",\"pairs_within_20pct_max\":";
+    jsonNumber(static_cast<uint64_t>(row.within20), out);
+    out += '}';
+    return out;
+}
+
+/**
+ * One `profile` result: the benchmark, its space and instruction
+ * count, and each value under nameOf(its index).
+ */
+template <typename NameOf, typename Values>
+std::string
+profileJson(const std::string &bench, const char *space,
+            uint64_t instCount, NameOf nameOf, const Values &values)
+{
+    std::string out = "{\"bench\":";
+    jsonQuote(bench, out);
+    out += ",\"space\":";
+    jsonQuote(space, out);
+    out += ",\"inst_count\":";
+    jsonNumber(instCount, out);
+    out += ",\"values\":{";
+    for (size_t i = 0; i < values.size(); ++i) {
+        if (i)
+            out += ',';
+        jsonQuote(nameOf(i), out);
+        out += ':';
+        jsonNumber(values[i], out);
+    }
+    out += "}}";
+    return out;
+}
+
+} // namespace
+
 void
 fillAnswerTables(ServerSnapshot *snap, size_t maxPairs)
 {
@@ -153,8 +207,34 @@ fillAnswerTables(ServerSnapshot *snap, size_t maxPairs)
         }
         if (pairs)
             row.meanDist = sum / static_cast<double>(pairs);
+        row.json = suiteRowJson(row);
         snap->suiteRows.push_back(std::move(row));
     }
+
+    // Every dataset row's profile results, as `profile` replies print
+    // them; only rows carrying both profiles answer (a snapshot built
+    // by hand may list benchmarks alone).
+    const experiments::SuiteDataset &ds = snap->ds;
+    const size_t rows = std::min({ds.benchmarks.size(),
+                                  ds.micaProfiles.size(),
+                                  ds.hpcProfiles.size()});
+    std::vector<std::string> names;
+    snap->profiles.clear();
+    for (size_t i = 0; i < rows; ++i) {
+        names.push_back(ds.benchmarks[i].fullName());
+        const MicaProfile &m = ds.micaProfiles[i];
+        const uarch::HwCounterProfile &h = ds.hpcProfiles[i];
+        snap->profiles.push_back(
+            {profileJson(names.back(), "mica", m.instCount,
+                         [](size_t c) { return micaCharInfo(c).name; },
+                         m.values),
+             profileJson(names.back(), "hpc", h.instCount,
+                         [](size_t c) {
+                             return uarch::HwCounterProfile::metricNames()[c];
+                         },
+                         h.toVector())});
+    }
+    snap->profileRows = util::NameIndex(std::move(names));
 }
 
 std::shared_ptr<const ServerSnapshot>
@@ -230,142 +310,170 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
 namespace
 {
 
-JsonValue
-neighborsJson(const ServerSnapshot &snap,
-              const std::vector<index::Neighbor> &neighbors)
-{
-    JsonValue arr = JsonValue::array();
-    for (const auto &nb : neighbors) {
-        JsonValue one = JsonValue::object();
-        one.set("bench", JsonValue::str(snap.idx.nameOf(nb.id)));
-        one.set("dist", JsonValue::number(nb.dist));
-        arr.push(std::move(one));
-    }
-    return arr;
-}
-
-JsonValue
+bool
 execProfile(const ServerSnapshot &snap, const Request &req,
-            ErrorCode *code, std::string *message)
+            std::string &out, std::string *message)
 {
-    const size_t row = snap.ds.indexOf(req.bench);
-    if (row == static_cast<size_t>(-1)) {
-        *code = ErrorCode::UnknownBench;
+    const int64_t row = snap.profileRows.find(req.bench);
+    if (row < 0) {
         *message = "'" + req.bench + "' is not in the served dataset";
-        return JsonValue();
+        return false;
     }
-    JsonValue result = JsonValue::object();
-    result.set("bench", JsonValue::str(req.bench));
-    result.set("space", JsonValue::str(req.space));
-    JsonValue values = JsonValue::object();
-    if (req.space == "hpc") {
-        const auto &p = snap.ds.hpcProfiles[row];
-        result.set("inst_count", JsonValue::number(p.instCount));
-        const auto v = p.toVector();
-        for (size_t i = 0; i < v.size(); ++i) {
-            values.set(uarch::HwCounterProfile::metricNames()[i],
-                       JsonValue::number(v[i]));
-        }
+    const ProfileResults &p = snap.profiles[static_cast<size_t>(row)];
+    out += req.space == "hpc" ? p.hpc : p.mica;
+    return true;
+}
+
+/** `knn` and `radius`: the query, its parameter, its neighbours. */
+bool
+execNeighbors(const ServerSnapshot &snap, const Request &req,
+              std::string &out, std::string *message)
+{
+    const int64_t id = snap.idx.idOf(req.bench);
+    if (id < 0) {
+        *message = "'" + req.bench + "' is not in the index";
+        return false;
+    }
+    out += "{\"bench\":";
+    jsonQuote(req.bench, out);
+    std::vector<index::Neighbor> neighbors;
+    if (req.op == Op::Knn) {
+        out += ",\"k\":";
+        jsonNumber(static_cast<uint64_t>(req.k), out);
+        neighbors = snap.idx.knn(static_cast<size_t>(id), req.k);
     } else {
-        const auto &p = snap.ds.micaProfiles[row];
-        result.set("inst_count", JsonValue::number(p.instCount));
-        for (size_t c = 0; c < kNumMicaChars; ++c) {
-            values.set(micaCharInfo(c).name, JsonValue::number(p[c]));
-        }
+        out += ",\"r\":";
+        jsonNumber(req.radius, out);
+        neighbors = snap.idx.radius(static_cast<size_t>(id), req.radius);
     }
-    result.set("values", std::move(values));
-    return result;
+    out.reserve(out.size() + 64 * (neighbors.size() + 1));
+    out += ",\"neighbors\":[";
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+        out += i ? ",{\"bench\":" : "{\"bench\":";
+        jsonQuote(snap.idx.nameOf(neighbors[i].id), out);
+        out += ",\"dist\":";
+        jsonNumber(neighbors[i].dist, out);
+        out += '}';
+    }
+    out += "]}";
+    return true;
 }
 
-JsonValue
-execKnn(const ServerSnapshot &snap, const Request &req, ErrorCode *code,
-        std::string *message)
+void
+execRedundant(const ServerSnapshot &snap, const Request &req,
+              std::string &out)
 {
-    const int64_t id = snap.idx.idOf(req.bench);
-    if (id < 0) {
-        *code = ErrorCode::UnknownBench;
-        *message = "'" + req.bench + "' is not in the index";
-        return JsonValue();
-    }
-    JsonValue result = JsonValue::object();
-    result.set("bench", JsonValue::str(req.bench));
-    result.set("k", JsonValue::number(static_cast<uint64_t>(req.k)));
-    result.set("neighbors",
-               neighborsJson(snap, snap.idx.knn(static_cast<size_t>(id),
-                                                req.k)));
-    return result;
-}
-
-JsonValue
-execRadius(const ServerSnapshot &snap, const Request &req,
-           ErrorCode *code, std::string *message)
-{
-    const int64_t id = snap.idx.idOf(req.bench);
-    if (id < 0) {
-        *code = ErrorCode::UnknownBench;
-        *message = "'" + req.bench + "' is not in the index";
-        return JsonValue();
-    }
-    JsonValue result = JsonValue::object();
-    result.set("bench", JsonValue::str(req.bench));
-    result.set("r", JsonValue::number(req.radius));
-    result.set("neighbors",
-               neighborsJson(snap,
-                             snap.idx.radius(static_cast<size_t>(id),
-                                             req.radius)));
-    return result;
-}
-
-JsonValue
-execRedundant(const ServerSnapshot &snap, const Request &req)
-{
-    JsonValue result = JsonValue::object();
-    result.set("top", JsonValue::number(static_cast<uint64_t>(req.top)));
-    JsonValue arr = JsonValue::array();
+    out += "{\"top\":";
+    jsonNumber(static_cast<uint64_t>(req.top), out);
+    out += ",\"pairs\":[";
     const size_t shown = std::min(req.top, snap.closestPairs.size());
+    out.reserve(out.size() + 96 * (shown + 1));
     for (size_t i = 0; i < shown; ++i) {
         const index::RedundantPair &p = snap.closestPairs[i];
-        JsonValue one = JsonValue::object();
-        one.set("a", JsonValue::str(snap.idx.nameOf(p.a)));
-        one.set("b", JsonValue::str(snap.idx.nameOf(p.b)));
-        one.set("dist", JsonValue::number(p.dist));
-        arr.push(std::move(one));
+        out += i ? ",{\"a\":" : "{\"a\":";
+        jsonQuote(snap.idx.nameOf(p.a), out);
+        out += ",\"b\":";
+        jsonQuote(snap.idx.nameOf(p.b), out);
+        out += ",\"dist\":";
+        jsonNumber(p.dist, out);
+        out += '}';
     }
-    result.set("pairs", std::move(arr));
-    return result;
+    out += "]}";
 }
 
-JsonValue
+bool
 execSuites(const ServerSnapshot &snap, const Request &req,
-           ErrorCode *code, std::string *message)
+           std::string &out, std::string *message)
 {
-    JsonValue arr = JsonValue::array();
+    out += "{\"population_max_dist\":";
+    jsonNumber(snap.maxPairDist, out);
+    out += ",\"suites\":[";
+    bool any = false;
     for (const SuiteRow &row : snap.suiteRows) {
         if (!req.suite.empty() && row.suite != req.suite)
             continue;
-        JsonValue one = JsonValue::object();
-        one.set("suite", JsonValue::str(row.suite));
-        one.set("count",
-                JsonValue::number(static_cast<uint64_t>(row.count)));
-        one.set("mean_dist", JsonValue::number(row.meanDist));
-        one.set("min_dist", JsonValue::number(row.minDist));
-        one.set("max_dist", JsonValue::number(row.maxDist));
-        // The paper's 20%-of-max similarity threshold: how many
-        // within-suite pairs are redundant by that cut.
-        one.set("pairs_within_20pct_max",
-                JsonValue::number(static_cast<uint64_t>(row.within20)));
-        arr.push(std::move(one));
+        if (any)
+            out += ',';
+        out += row.json;
+        any = true;
     }
-    if (!req.suite.empty() && arr.items().empty()) {
-        *code = ErrorCode::UnknownBench;
+    if (!req.suite.empty() && !any) {
         *message = "suite '" + req.suite + "' is not in the served dataset";
-        return JsonValue();
+        return false;
     }
-    JsonValue result = JsonValue::object();
-    result.set("population_max_dist",
-               JsonValue::number(snap.maxPairDist));
-    result.set("suites", std::move(arr));
-    return result;
+    out += "]}";
+    return true;
+}
+
+void
+execStats(const ServerSnapshot &snap, bool serverMode, std::string &out)
+{
+    out += "{\"generation\":";
+    jsonNumber(snap.generation, out);
+    out += ",\"benchmarks\":";
+    jsonNumber(static_cast<uint64_t>(snap.ds.benchmarks.size()), out);
+    out += ",\"indexed\":";
+    jsonNumber(static_cast<uint64_t>(snap.idx.size()), out);
+    out += ",\"dim\":";
+    jsonNumber(static_cast<uint64_t>(snap.idx.dim()), out);
+    out += ",\"space\":";
+    jsonQuote(snap.space, out);
+    out += ",\"pca\":";
+    jsonNumber(static_cast<uint64_t>(snap.pca), out);
+    out += ",\"population_max_dist\":";
+    jsonNumber(snap.maxPairDist, out);
+    // Server-only introspection: live request counters and latency
+    // quantiles folded from the telemetry registry. Gated on
+    // serverMode so a local `mica query` answer stays byte-identical
+    // to... itself — the local path has no daemon to describe (and CI
+    // diffs the other ops).
+    if (serverMode) {
+        const obs::MetricsSnapshot ms = obs::snapshotMetrics();
+        const auto count = [&](const std::string &name) -> int64_t {
+            const auto it = ms.metrics.find(name);
+            return it == ms.metrics.end() ? 0 : it->second.value;
+        };
+        out += ",\"uptime_s\":";
+        jsonNumber(static_cast<double>(obs::nowNs()) / 1e9, out);
+        out += ",\"requests\":{\"total\":";
+        jsonNumber(count("serve.request.count"), out);
+        out += ",\"errors\":";
+        jsonNumber(count("serve.request.error"), out);
+        out += ",\"by_op\":{";
+        const char *sep = "";
+        for (const char *op :
+             {"ping", "stats", "profile", "knn", "radius", "redundant",
+              "suites", "reindex"}) {
+            out += sep;
+            jsonQuote(op, out);
+            out += ':';
+            jsonNumber(count("serve.request.op." + std::string(op)), out);
+            sep = ",";
+        }
+        obs::HistogramValue hist;
+        const auto it = ms.metrics.find("serve.request.us");
+        if (it != ms.metrics.end() &&
+            it->second.kind == obs::MetricKind::Histogram)
+            hist = it->second.hist;
+        out += "},\"latency_us\":{\"count\":";
+        jsonNumber(hist.count, out);
+        out += ",\"p50\":";
+        jsonNumber(obs::histQuantile(hist, 0.50), out);
+        out += ",\"p90\":";
+        jsonNumber(obs::histQuantile(hist, 0.90), out);
+        out += ",\"p99\":";
+        jsonNumber(obs::histQuantile(hist, 0.99), out);
+        out += "}},\"connections\":{\"open\":";
+        jsonNumber(count("serve.conn.open"), out);
+        out += ",\"accepted\":";
+        jsonNumber(count("serve.conn.accepted"), out);
+        out += ",\"rejected\":";
+        jsonNumber(count("serve.conn.rejected"), out);
+        out += ",\"quarantined\":";
+        jsonNumber(count("serve.conn.quarantined"), out);
+        out += '}';
+    }
+    out += '}';
 }
 
 } // namespace
@@ -375,100 +483,29 @@ executeRequest(const ServerSnapshot &snap, const Request &req,
                bool serverMode)
 {
     try {
-        ErrorCode code = ErrorCode::Internal;
-        std::string message;
-        JsonValue result;
+        std::string result, message;
+        bool found = true;
         switch (req.op) {
         case Op::Ping:
-            result = JsonValue::object();
-            result.set("pong", JsonValue::boolean(true));
-            result.set("generation", JsonValue::number(snap.generation));
-            return makeResponse(req, std::move(result));
+            result = "{\"pong\":true,\"generation\":";
+            jsonNumber(snap.generation, result);
+            result += '}';
+            break;
         case Op::Stats:
-            result = JsonValue::object();
-            result.set("generation", JsonValue::number(snap.generation));
-            result.set("benchmarks",
-                       JsonValue::number(static_cast<uint64_t>(
-                           snap.ds.benchmarks.size())));
-            result.set("indexed",
-                       JsonValue::number(
-                           static_cast<uint64_t>(snap.idx.size())));
-            result.set("dim", JsonValue::number(
-                                  static_cast<uint64_t>(snap.idx.dim())));
-            result.set("space", JsonValue::str(snap.space));
-            result.set("pca", JsonValue::number(
-                                  static_cast<uint64_t>(snap.pca)));
-            result.set("population_max_dist",
-                       JsonValue::number(snap.maxPairDist));
-            // Server-only introspection: live request counters and
-            // latency quantiles folded from the telemetry registry.
-            // Gated on serverMode so a local `mica query` answer stays
-            // byte-identical to... itself — the local path has no
-            // daemon to describe (and CI diffs the other ops).
-            if (serverMode) {
-                const obs::MetricsSnapshot ms = obs::snapshotMetrics();
-                const auto count = [&](const char *name) -> int64_t {
-                    const auto it = ms.metrics.find(name);
-                    return it == ms.metrics.end() ? 0 : it->second.value;
-                };
-                result.set("uptime_s",
-                           JsonValue::number(
-                               static_cast<double>(obs::nowNs()) / 1e9));
-                JsonValue reqs = JsonValue::object();
-                reqs.set("total",
-                         JsonValue::number(count("serve.request.count")));
-                reqs.set("errors",
-                         JsonValue::number(count("serve.request.error")));
-                JsonValue byOp = JsonValue::object();
-                for (const char *op :
-                     {"ping", "stats", "profile", "knn", "radius",
-                      "redundant", "suites", "reindex"})
-                    byOp.set(op,
-                             JsonValue::number(count(
-                                 ("serve.request.op." + std::string(op))
-                                     .c_str())));
-                reqs.set("by_op", std::move(byOp));
-                obs::HistogramValue hist;
-                const auto it = ms.metrics.find("serve.request.us");
-                if (it != ms.metrics.end() &&
-                    it->second.kind == obs::MetricKind::Histogram)
-                    hist = it->second.hist;
-                JsonValue lat = JsonValue::object();
-                lat.set("count", JsonValue::number(hist.count));
-                lat.set("p50",
-                        JsonValue::number(obs::histQuantile(hist, 0.50)));
-                lat.set("p90",
-                        JsonValue::number(obs::histQuantile(hist, 0.90)));
-                lat.set("p99",
-                        JsonValue::number(obs::histQuantile(hist, 0.99)));
-                reqs.set("latency_us", std::move(lat));
-                result.set("requests", std::move(reqs));
-                JsonValue conns = JsonValue::object();
-                conns.set("open",
-                          JsonValue::number(count("serve.conn.open")));
-                conns.set("accepted",
-                          JsonValue::number(count("serve.conn.accepted")));
-                conns.set("rejected",
-                          JsonValue::number(count("serve.conn.rejected")));
-                conns.set(
-                    "quarantined",
-                    JsonValue::number(count("serve.conn.quarantined")));
-                result.set("connections", std::move(conns));
-            }
-            return makeResponse(req, std::move(result));
+            execStats(snap, serverMode, result);
+            break;
         case Op::Profile:
-            result = execProfile(snap, req, &code, &message);
+            found = execProfile(snap, req, result, &message);
             break;
         case Op::Knn:
-            result = execKnn(snap, req, &code, &message);
-            break;
         case Op::Radius:
-            result = execRadius(snap, req, &code, &message);
+            found = execNeighbors(snap, req, result, &message);
             break;
         case Op::Redundant:
-            return makeResponse(req, execRedundant(snap, req));
+            execRedundant(snap, req, result);
+            break;
         case Op::Suites:
-            result = execSuites(snap, req, &code, &message);
+            found = execSuites(snap, req, result, &message);
             break;
         case Op::Reindex:
             // The daemon intercepts reindex before dispatching here;
@@ -479,9 +516,9 @@ executeRequest(const ServerSnapshot &snap, const Request &req,
                                  : "reindex needs a running server "
                                    "(mica serve)");
         }
-        if (result.isNull())
-            return makeError(req, code, message);
-        return makeResponse(req, std::move(result));
+        if (!found)
+            return makeError(req, ErrorCode::UnknownBench, message);
+        return makeResponse(req, JsonValue::raw(std::move(result)));
     } catch (const std::exception &e) {
         return makeError(req, ErrorCode::Internal, e.what());
     } catch (...) {

@@ -10,8 +10,10 @@
  *  - **ServerSnapshot** — everything a query needs (the collected
  *    dataset, the fingerprint index, the frozen space parameters)
  *    plus the answer tables computed from them once, at build: the
- *    population's closest pairs and one distance summary per suite,
- *    so `redundant` and `suites` render instead of recompute.
+ *    population's closest pairs, one distance summary per suite, and
+ *    the reply fragments that never change for the snapshot (each
+ *    benchmark's `profile` result in both spaces, each `suites` row),
+ *    already rendered as canonical JSON text.
  *    Immutable once built. Concurrent readers share it by
  *    shared_ptr; a re-index builds a *new* snapshot and swaps the
  *    pointer (see SnapshotHolder in server.hh), so readers never
@@ -19,9 +21,15 @@
  *
  *  - **executeRequest** — the one dispatch point for every protocol
  *    op. The daemon calls it per request line; `mica query` calls it
- *    once and exits. Same snapshot + same request = same response
- *    bytes, which is the CLI↔server byte-identity contract CI
- *    enforces.
+ *    once and exits. Every op writes its `result` as text: `profile`
+ *    and `suites` copy their fragments, and `knn`, `radius` and
+ *    `redundant` append each entry (quoted name, to_chars distance)
+ *    straight into the line, so no op builds a JSON tree per request.
+ *    Only the envelope (id, ok, op) is a JsonValue, holding the
+ *    result as a Raw value. Same snapshot + same request = same
+ *    response bytes, which is the CLI↔server byte-identity contract
+ *    CI enforces; tests/service_replies.golden and CI's
+ *    tests/service_stream.golden pin those bytes across commits.
  *
  * buildServerSnapshot is the one way to open or build a snapshot:
  * the daemon, `mica query`, and the `mica index query`/`redundant`
@@ -42,6 +50,7 @@
 #include "experiments/experiments.hh"
 #include "index/fingerprint_index.hh"
 #include "service/protocol.hh"
+#include "util/flat_hash.hh"
 
 namespace mica::pipeline
 {
@@ -99,6 +108,14 @@ struct SuiteRow
     double minDist = 0.0;
     double maxDist = 0.0;
     size_t within20 = 0;       ///< pairs <= 20% of maxPairDist apart
+    std::string json;          ///< this row as the reply renders it
+};
+
+/** One dataset row's `profile` results, rendered once per snapshot. */
+struct ProfileResults
+{
+    std::string mica;
+    std::string hpc;
 };
 
 /**
@@ -106,10 +123,10 @@ struct SuiteRow
  * published: queries take a shared_ptr<const ServerSnapshot> and the
  * swap path never mutates a published snapshot.
  *
- * The last three fields are the answer tables: the paper computes
- * the matrix of all pairwise distances once and cuts it at 20% of
- * its maximum, and a snapshot does the same when it is built
- * (fillAnswerTables).
+ * The fields from maxPairDist on are the answer tables: the paper
+ * computes the matrix of all pairwise distances once and cuts it at
+ * 20% of its maximum, and a snapshot does the same when it is built
+ * (fillAnswerTables), along with the reply text of every profile.
  */
 struct ServerSnapshot
 {
@@ -136,15 +153,23 @@ struct ServerSnapshot
 
     /** One row per suite, in first-appearance order of ds.benchmarks. */
     std::vector<SuiteRow> suiteRows;
+
+    /** Dataset rows by benchmark full name: `profile` looks up here. */
+    util::NameIndex profileRows;
+
+    /** The `profile` results of ds row i, at profiles[i]. */
+    std::vector<ProfileResults> profiles;
 };
 
 /**
  * Fill @p snap's answer tables from its index and dataset in one
  * pass over all pairs (the same l2Dist as every query, so values are
- * bit-equal to a per-request walk). buildServerSnapshot calls it;
- * snapshots assembled by hand call it when they answer `redundant`
- * or `suites`. Never holds much more than 2 * @p maxPairs candidate
- * pairs; @p maxPairs below kMaxCount only serves tests of that cut.
+ * bit-equal to a per-request walk), and render the suite rows and
+ * every dataset row's profile results. buildServerSnapshot calls it;
+ * snapshots assembled by hand call it when they answer `profile`,
+ * `redundant` or `suites`. Never holds much more than 2 * @p maxPairs
+ * candidate pairs; @p maxPairs below kMaxCount only serves tests of
+ * that cut.
  */
 void fillAnswerTables(ServerSnapshot *snap, size_t maxPairs = kMaxCount);
 
@@ -177,9 +202,11 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg,
 
 /**
  * Execute one parsed request against a snapshot and return the full
- * response envelope. Never throws: execution failures become
- * `internal` error envelopes. @p serverMode gates the daemon-only
- * ops (reindex) — the one-shot path answers them with `unavailable`.
+ * response envelope; a success's `result` is a Raw value (walk the
+ * serialized line, not the tree). Never throws: execution failures
+ * become `internal` error envelopes. @p serverMode gates the
+ * daemon-only ops (reindex) — the one-shot path answers them with
+ * `unavailable` — and the live introspection `stats` adds.
  */
 JsonValue executeRequest(const ServerSnapshot &snap, const Request &req,
                          bool serverMode = false);

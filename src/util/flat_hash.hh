@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -330,6 +331,65 @@ class FlatHashSet
     std::vector<Slot> slots_;
     size_t size_ = 0;
     size_t mask_ = 0;
+};
+
+/**
+ * Exact name -> position lookup over a fixed list of names: one probe
+ * of a FlatHashMap keyed by the name's 64-bit hash, verified against
+ * the stored name. Two names with one full hash make every lookup
+ * fall back to a scan, so an answer is never wrong; a repeated name
+ * finds its first position.
+ */
+class NameIndex
+{
+  public:
+    NameIndex() = default;
+
+    explicit NameIndex(std::vector<std::string> names)
+        : names_(std::move(names))
+    {
+        map_.reserve(names_.size());
+        for (size_t i = 0; i < names_.size(); ++i) {
+            auto [slot, inserted] = map_.tryEmplace(
+                hashOf(names_[i]), static_cast<uint32_t>(i));
+            if (!inserted && names_[*slot] != names_[i])
+                collision_ = true;
+        }
+    }
+
+    /** @return the position of @p name, or -1. */
+    int64_t
+    find(const std::string &name) const
+    {
+        if (collision_) {
+            for (size_t i = 0; i < names_.size(); ++i) {
+                if (names_[i] == name)
+                    return static_cast<int64_t>(i);
+            }
+            return -1;
+        }
+        const uint32_t *at = map_.find(hashOf(name));
+        if (!at || names_[*at] != name)
+            return -1;
+        return static_cast<int64_t>(*at);
+    }
+
+  private:
+    /** FNV-1a over the name bytes. */
+    static uint64_t
+    hashOf(const std::string &s)
+    {
+        uint64_t h = 0xcbf29ce484222325ull;
+        for (unsigned char c : s) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+        return h;
+    }
+
+    std::vector<std::string> names_;
+    FlatHashMap<uint64_t, uint32_t> map_;
+    bool collision_ = false;
 };
 
 } // namespace mica::util

@@ -47,6 +47,26 @@ struct BenchmarkInfo
     {
         return input.empty() ? program : program + "." + input;
     }
+
+    /**
+     * @return whether fullName() == @p name, compared piece by piece
+     * so a lookup over many rows builds no string.
+     */
+    bool
+    isNamed(const std::string &name) const
+    {
+        const size_t at = suite.size() + 1;   // program starts here
+        const size_t len = at + program.size() +
+            (input.empty() ? 0 : 1 + input.size());
+        return name.size() == len &&
+            name.compare(0, suite.size(), suite) == 0 &&
+            name[suite.size()] == '/' &&
+            name.compare(at, program.size(), program) == 0 &&
+            (input.empty() ||
+             (name[at + program.size()] == '.' &&
+              name.compare(at + program.size() + 1, input.size(),
+                           input) == 0));
+    }
 };
 
 /**

@@ -578,7 +578,7 @@ const BenchmarkEntry *
 BenchmarkRegistry::find(const std::string &fullName) const
 {
     for (const auto &e : entries_) {
-        if (e.info.fullName() == fullName)
+        if (e.info.isNamed(fullName))
             return &e;
     }
     return nullptr;
@@ -588,7 +588,7 @@ size_t
 BenchmarkRegistry::indexOf(const std::string &fullName) const
 {
     for (size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].info.fullName() == fullName)
+        if (entries_[i].info.isNamed(fullName))
             return i;
     }
     return static_cast<size_t>(-1);

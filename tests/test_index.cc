@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -381,6 +382,69 @@ TEST(FingerprintIndexTest, ClusteredDuplicatesMatchOracle)
     for (const size_t k : {size_t{3}, n, n + 1}) {
         expectSameNeighbors(idx.knnOfRaw(centers[2], k),
                             fullSortKnn(fps, e.data(), k));
+    }
+}
+
+TEST(FingerprintIndexTest, ColumnScanKeepsL2DistBits)
+{
+    // n around the eight-row block (a partial block, one whole, one
+    // past) and the real population; dims below, at and past 47.
+    // Every third row repeats the one before it, so ties are exact.
+    const auto bits = [](double d) {
+        uint64_t u = 0;
+        std::memcpy(&u, &d, sizeof(u));
+        return u;
+    };
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                           size_t{122}}) {
+        for (const size_t dim : {size_t{1}, size_t{7}, size_t{47},
+                                 size_t{64}}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " dim " +
+                         std::to_string(dim));
+            const Matrix rnd = randomDataset(n, dim, 1000 * n + dim);
+            Matrix raw;
+            for (size_t r = 0; r < n; ++r) {
+                raw.appendRow(rnd.rowVec(r % 3 == 2 ? r - 1 : r));
+                raw.rowNames.push_back(rnd.rowNames[r]);
+            }
+            const FingerprintIndex idx = FingerprintIndex::build(raw);
+            const FingerprintSet &fps = idx.fingerprints();
+            for (size_t q = 0; q < n; ++q) {
+                // k >= n: every other row, each distance l2Dist's bits.
+                const auto all = idx.knn(q, n + 1);
+                ASSERT_EQ(all.size(), n - 1);
+                for (const Neighbor &nb : all) {
+                    ASSERT_EQ(bits(nb.dist),
+                              bits(l2Dist(fps.vec(q), fps.vec(nb.id),
+                                          dim)))
+                        << "query " << q << " row " << nb.id;
+                }
+                const auto want = fullSortKnn(fps, fps.vec(q), n, q);
+                expectSameNeighbors(all, want);
+                for (const size_t k : {size_t{0}, size_t{1}, size_t{3},
+                                       n - 1, n}) {
+                    expectSameNeighbors(idx.knn(q, k),
+                                        fullSortKnn(fps, fps.vec(q), k, q));
+                }
+                // Radius at 0 (the exact copies), at a realized
+                // distance (inclusive) and past everything.
+                for (const double r :
+                     {0.0, want.empty() ? 0.0 : want[want.size() / 2].dist,
+                      1e300}) {
+                    std::vector<Neighbor> in;
+                    for (const Neighbor &nb : want) {
+                        if (nb.dist <= r)
+                            in.push_back(nb);
+                    }
+                    expectSameNeighbors(idx.radius(q, r), in);
+                }
+                // An external query excludes nothing: its own row ties
+                // at 0 with its copies.
+                const auto e = fps.embed(raw.rowVec(q));
+                expectSameNeighbors(idx.knnOfRaw(raw.rowVec(q), n + 1),
+                                    fullSortKnn(fps, e.data(), n + 1));
+            }
+        }
     }
 }
 

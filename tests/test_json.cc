@@ -97,6 +97,71 @@ TEST(JsonTest, EscapesExactlyWhatJsonRequires)
     EXPECT_EQ(JsonValue::str("\xc3\xa9").dump(), "\"\xc3\xa9\"");
 }
 
+TEST(JsonTest, EscapesEveryByteLikeAPerByteReference)
+{
+    // Every byte value, alone and between plain runs, against the
+    // one-byte-at-a-time rule.
+    const auto reference = [](const std::string &s) {
+        std::string out;
+        for (unsigned char c : s) {
+            if (c == '"' || c == '\\')
+                out += {'\\', static_cast<char>(c)};
+            else if (c == '\b')
+                out += "\\b";
+            else if (c == '\f')
+                out += "\\f";
+            else if (c == '\n')
+                out += "\\n";
+            else if (c == '\r')
+                out += "\\r";
+            else if (c == '\t')
+                out += "\\t";
+            else if (c < 0x20) {
+                const char *hex = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[c >> 4];
+                out += hex[c & 15];
+            } else
+                out += static_cast<char>(c);
+        }
+        return out;
+    };
+    for (int b = 0; b < 256; ++b) {
+        const char c = static_cast<char>(b);
+        for (const std::string &s :
+             {std::string(1, c), "ab" + std::string(1, c) + "cd",
+              std::string(2, c) + "x" + std::string(1, c)}) {
+            std::string got;
+            jsonEscape(s, got);
+            EXPECT_EQ(got, reference(s)) << "byte " << b;
+            std::string quoted;
+            jsonQuote(s, quoted);
+            EXPECT_EQ(quoted, JsonValue::str(s).dump()) << "byte " << b;
+        }
+    }
+}
+
+TEST(JsonTest, RawTextIsSplicedVerbatim)
+{
+    JsonValue o = JsonValue::object();
+    o.set("ok", JsonValue::boolean(true));
+    o.set("result", JsonValue::raw("{\"a\":[1,2.5,\"x\"]}"));
+    EXPECT_EQ(o.dump(), "{\"ok\":true,\"result\":{\"a\":[1,2.5,\"x\"]}}");
+    EXPECT_EQ(o.find("result")->kind(), JsonValue::Kind::Raw);
+    EXPECT_EQ(o.find("result")->find("a"), nullptr);
+}
+
+TEST(JsonTest, CountWriterCutsOverToDoubleLikeTheTree)
+{
+    for (const uint64_t u :
+         {uint64_t{0}, uint64_t{1048576}, uint64_t{INT64_MAX},
+          uint64_t{INT64_MAX} + 1, ~uint64_t{0}}) {
+        std::string got;
+        jsonNumber(u, got);
+        EXPECT_EQ(got, JsonValue::number(u).dump()) << u;
+    }
+}
+
 TEST(JsonTest, LargeIntegersSurviveRoundTrip)
 {
     // 2^53 + 1 is not representable as a double; the integer text

@@ -241,10 +241,14 @@ TEST(ServiceEngineTest, KnnMatchesDirectIndexCall)
     req.op = Op::Knn;
     req.bench = bench;
     req.k = 5;
-    const JsonValue resp = executeRequest(*snap, req);
+    // The result is text (a Raw value): walk the serialized line.
+    const std::string line = serializeResponse(executeRequest(*snap, req));
+    JsonValue resp;
+    std::string err;
+    ASSERT_TRUE(parseJson(line, &resp, &err)) << err;
     const JsonValue *ok = resp.find("ok");
     ASSERT_NE(ok, nullptr);
-    ASSERT_TRUE(ok->asBool()) << serializeResponse(resp);
+    ASSERT_TRUE(ok->asBool()) << line;
     const JsonValue *neighbors = resp.find("result")->find("neighbors");
     ASSERT_NE(neighbors, nullptr);
 
@@ -294,6 +298,35 @@ TEST(ServiceEngineTest, UnknownBenchAndBadLinesGetErrorEnvelopes)
     EXPECT_NE(reindex.find("\"unavailable\""), std::string::npos);
 }
 
+/**
+ * tests/service_replies.golden pins the reply bytes of every op over
+ * the shared CommBench snapshot: each request line is followed by the
+ * reply line `mica query -` printed for it (knn at k 0, 1, 5 and past
+ * n; radius at 0, at an exact neighbour distance, one ulp below it and
+ * huge; profile in both spaces and unknown; suites all, one and
+ * unknown; redundant at top 0, 1, 5 and 2^20; ping; local stats; every
+ * JSON id kind; the error envelopes). To regenerate after an intended
+ * change, take the request lines (`sed -n 'p;n'`), pipe them through
+ * `mica query - --budget=30000 --suites=CommBench --cache=DIR`, and
+ * `paste -d'\n'` requests and replies back together.
+ */
+TEST(ServiceEngineTest, RepliesMatchTheGoldenBytes)
+{
+    auto snap = testSnapshot();
+    ASSERT_NE(snap, nullptr);
+    std::ifstream in(std::string(MICA_TESTS_DIR) +
+                     "/service_replies.golden");
+    ASSERT_TRUE(in) << "cannot open tests/service_replies.golden";
+    std::string request, reply;
+    size_t pairs = 0;
+    while (std::getline(in, request)) {
+        ASSERT_TRUE(std::getline(in, reply)) << "no reply for " << request;
+        EXPECT_EQ(executeLine(*snap, request), reply) << request;
+        ++pairs;
+    }
+    EXPECT_GE(pairs, 50u);
+}
+
 TEST(ServiceEngineTest, StatsReflectsTheSnapshot)
 {
     auto snap = testSnapshot();
@@ -301,7 +334,12 @@ TEST(ServiceEngineTest, StatsReflectsTheSnapshot)
     const JsonValue resp = [&] {
         Request req;
         req.op = Op::Stats;
-        return executeRequest(*snap, req);
+        JsonValue doc;
+        std::string err;
+        EXPECT_TRUE(parseJson(serializeResponse(executeRequest(*snap, req)),
+                              &doc, &err))
+            << err;
+        return doc;
     }();
     const JsonValue *result = resp.find("result");
     ASSERT_NE(result, nullptr);

@@ -84,6 +84,31 @@ TEST(RegistryTest, FindLocatesKnownBenchmarks)
               157003u);
 }
 
+TEST(RegistryTest, IsNamedAgreesWithFullName)
+{
+    // Every registry name and every near miss of it (a piece dropped,
+    // one byte more or less, a separator moved), plus a trace name
+    // with no input, against the built string.
+    std::vector<BenchmarkInfo> infos;
+    for (const auto &e : BenchmarkRegistry::instance().all())
+        infos.push_back(e.info);
+    infos.push_back({"traces", "zcustom", "", 0});
+    infos.push_back({"a", "b.c", "d", 0});
+    for (const BenchmarkInfo &info : infos) {
+        const std::string name = info.fullName();
+        for (const std::string &probe :
+             {name, name + ".", name + "x", name.substr(1),
+              name.substr(0, name.size() - 1), info.shortName(),
+              info.suite + "." + info.shortName(),
+              info.suite + "/" + info.program + "/" + info.input,
+              std::string("a/b.c.d"), std::string("traces/zcustom"),
+              std::string("traces/zcustom.")}) {
+            EXPECT_EQ(info.isNamed(probe), name == probe)
+                << name << " vs " << probe;
+        }
+    }
+}
+
 TEST(RegistryTest, PaperInstructionCountsArePositive)
 {
     for (const auto &e : BenchmarkRegistry::instance().all())

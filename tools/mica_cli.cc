@@ -1410,6 +1410,15 @@ cmdPerf(const util::CliArgs &args, const experiments::DatasetConfig &)
     return usage();
 }
 
+/** @return whether @p verb collects a dataset (and so takes its flags). */
+bool
+collectsDataset(const std::string &verb)
+{
+    return verb == "profile" || verb == "hpc" || verb == "distance" ||
+        verb == "select" || verb == "cluster" || verb == "subset" ||
+        verb == "index" || verb == "serve" || verb == "query";
+}
+
 int cmdCapabilities(const util::CliArgs &,
                     const experiments::DatasetConfig &);
 
@@ -1506,6 +1515,8 @@ constexpr VerbDef kVerbs[] = {
      "  trace ls [DIR]            list the trace files in a tree\n",
      "  --out=DIR      destination directory (record; default "
      "traces)\n"
+     "  --budget=N     records per trace, 0 = the whole run (record)\n"
+     "  --jobs=N       benchmarks recorded at once (record)\n"
      "  traces are written in format v2; convert verifies the copy\n"
      "  record-identical; ls walks subdirectories and prints paths\n"
      "  relative to DIR, as `--traces=DIR` sweeps them\n",
@@ -1546,13 +1557,15 @@ findVerb(const std::string &name)
 int
 usage()
 {
-    std::printf("usage: mica <command> [args] [--budget=N] "
-                "[--cache=DIR] [--jobs=N]\n");
+    std::printf("usage: mica <command> [args] [flags]\n");
     for (const auto &v : kVerbs)
         std::printf("%s", v.usageLines);
     std::printf(
-        "dataset verbs also take --suites=A,B --traces=DIR "
-        "--max-failures=N\n"
+        "dataset verbs (profile hpc distance select cluster subset index "
+        "serve\n"
+        "query) take --budget=N --cache=DIR --jobs=N --suites=A,B "
+        "--traces=DIR\n"
+        "--max-failures=N; trace record takes --budget=N --jobs=N\n"
         "every verb takes --metrics=FILE --trace-out=FILE "
         "--obs-summary --failpoints=SPEC\n"
         "`mica <verb> --help` lists one verb's flags\n"
@@ -1572,9 +1585,11 @@ verbHelp(const std::string &verb)
     std::printf("usage:\n%s", v->usageLines);
     if (v->flagHelp[0] != '\0')
         std::printf("flags:\n%s", v->flagHelp);
-    std::printf("global flags: --budget=N --cache=DIR --jobs=N "
-                "--metrics=FILE --trace-out=FILE --obs-summary "
-                "--failpoints=SPEC\n");
+    if (collectsDataset(verb))
+        std::printf("dataset flags: --budget=N --cache=DIR --jobs=N "
+                    "--suites=A,B --traces=DIR --max-failures=N\n");
+    std::printf("global flags: --metrics=FILE --trace-out=FILE "
+                "--obs-summary --failpoints=SPEC\n");
     return 0;
 }
 
@@ -1664,15 +1679,12 @@ knownFlags(const std::string &cmd, const std::string &sub)
     // every verb can export metrics and run under armed failpoints.
     std::vector<std::string> known = {"metrics=", "trace-out=",
                                       "obs-summary", "failpoints="};
-    // Verbs that collect a dataset take every dataset flag; the rest
-    // keep the budget, store and worker-count ones.
-    if (cmd == "profile" || cmd == "hpc" || cmd == "distance" ||
-        cmd == "select" || cmd == "cluster" || cmd == "subset" ||
-        cmd == "index" || cmd == "serve" || cmd == "query") {
+    // Verbs that collect a dataset take every dataset flag. `trace
+    // record` reads the budget and its worker count; no other verb
+    // reads any of them, so none accepts one.
+    if (collectsDataset(cmd)) {
         const auto &dataset = experiments::datasetFlags();
         known.insert(known.end(), dataset.begin(), dataset.end());
-    } else {
-        known.insert(known.end(), {"budget=", "cache=", "jobs="});
     }
     if (cmd == "serve")
         known.insert(known.end(),
@@ -1692,7 +1704,7 @@ knownFlags(const std::string &cmd, const std::string &sub)
     if (cmd == "cluster" || cmd == "subset")
         known.push_back("maxk=");
     if (cmd == "trace" && sub == "record")
-        known.push_back("out=");
+        known.insert(known.end(), {"out=", "budget=", "jobs="});
     if (cmd == "index") {
         known.insert(known.end(), {"space=", "pca="});
         if (sub == "query")
