@@ -44,7 +44,6 @@
 
 #include "experiments/perf_compare.hh"
 #include "index/fingerprint_index.hh"
-#include "index/snapshot.hh"
 #include "isa/interpreter.hh"
 #include "methodology/genetic_selector.hh"
 #include "methodology/workload_space.hh"
@@ -433,15 +432,14 @@ clusterSweepRate(mica::pipeline::ThreadPool *pool)
 
 /**
  * trace_replay family: one registry program, one record stream —
- * profile it from the interpreter vs from a recorded trace file, so
- * the ratio isolates what the trace source itself costs (record =
- * interpret + write; replay = read instead of interpret; the open and
- * the checks the reader runs as it decodes are in the loop).
+ * profile it from the interpreter, and record it (interpret + write).
+ * Replaying the recording is trace_v2's v2_stream_replay, over the
+ * same records.
  */
 struct TraceReplayRates
 {
     uint64_t records = 0;
-    Summary interp, record, stream;
+    Summary interp, record;
 };
 
 TraceReplayRates
@@ -457,32 +455,10 @@ traceReplayRates()
          "mica_perf_replay_vs_interp.trace")
             .string();
 
-    TraceReplayRates r;
-    {
-        // Record once (also learns the record count) ...
+    // One recording: also learns the record count.
+    const auto recordOnce = [&] {
         isa::Interpreter interp(prog);
         TraceFileWriter w(path);
-        RecordingSource tee(interp, w);
-        std::vector<InstRecord> buf(4096);
-        const InstRecord *span = nullptr;
-        size_t got;
-        while (r.records < cfg.maxInsts &&
-               (got = tee.nextSpan(
-                    span, buf.data(),
-                    std::min<uint64_t>(buf.size(),
-                                       cfg.maxInsts - r.records))) != 0)
-            r.records += got;
-        w.close();
-    }
-
-    r.interp = rateSummary(r.records, [&] {
-        isa::Interpreter interp(prog);
-        const MicaProfile p = collectMicaProfile(interp, "x", cfg);
-        keep(p.values[0]);
-    });
-    r.record = rateSummary(r.records, [&] {
-        isa::Interpreter interp(prog);
-        TraceFileWriter w(path + ".rec");
         RecordingSource tee(interp, w);
         std::vector<InstRecord> buf(4096);
         const InstRecord *span = nullptr;
@@ -495,15 +471,18 @@ traceReplayRates()
                                        cfg.maxInsts - n))) != 0)
             n += got;
         w.close();
-        keep(n);
-    });
-    r.stream = rateSummary(r.records, [&] {
-        FileTraceSource src(path);
-        const MicaProfile p = collectMicaProfile(src, "x", cfg);
+        return n;
+    };
+
+    TraceReplayRates r;
+    r.records = recordOnce();
+    r.interp = rateSummary(r.records, [&] {
+        isa::Interpreter interp(prog);
+        const MicaProfile p = collectMicaProfile(interp, "x", cfg);
         keep(p.values[0]);
     });
+    r.record = rateSummary(r.records, [&] { keep(recordOnce()); });
     std::filesystem::remove(path);
-    std::filesystem::remove(path + ".rec");
     return r;
 }
 
@@ -617,30 +596,6 @@ indexBatchRate(mica::pipeline::ThreadPool *pool)
         const auto r = idx.batchKnn(kIndexK, pool);
         keep(r);
     });
-}
-
-/**
- * Warm daemon starts/sec: reopen the persisted index snapshot instead
- * of rebuilding (the cold counterpart is indexBuildRate).
- */
-Summary
-serveSnapshotLoadRate()
-{
-    const auto path = (std::filesystem::temp_directory_path() /
-                       "mica_perf_serve.idx")
-                          .string();
-    std::string why;
-    if (!index::saveIndexSnapshot(indexCorpus(), path, "bench-serve",
-                                  &why))
-        throw std::runtime_error("save snapshot: " + why);
-    const Summary rate = rateSummary(1, [&] {
-        index::FingerprintIndex loaded;
-        if (!index::loadIndexSnapshot(path, "bench-serve", &loaded, &why))
-            throw std::runtime_error("load snapshot: " + why);
-        keep(loaded);
-    });
-    std::filesystem::remove(path);
-    return rate;
 }
 
 /** In-process requests/sec: the one-shot CLI path, no socket. */
@@ -918,8 +873,6 @@ writeJsonProfile(const std::string &path,
         emitSummary(os, trr.interp);
         os << ",\n        \"recording\": ";
         emitSummary(os, trr.record);
-        os << ",\n        \"stream_replay\": ";
-        emitSummary(os, trr.stream);
         os << "\n      }\n    }";
         return os.str();
     };
@@ -972,10 +925,9 @@ writeJsonProfile(const std::string &path,
         // Daemon saturation (aggregate requests/sec at 1, 2, 4, 8
         // concurrent connections against a daemon with 4 event loops;
         // the "workers" key below keeps its name), the
-        // in-process one-shot rate for contrast, warm daemon start
-        // (snapshot reopen), and the per-request round-trip latency
-        // tail on one connection.
-        const Summary serveWarmLoad = serveSnapshotLoadRate();
+        // in-process one-shot rate for contrast, and the per-request
+        // round-trip latency tail on one connection. Opening an index
+        // is index.builds_per_sec.
         const Summary serveLocal = serveLocalRate();
         Summary serveConns[4];
         Summary lat;
@@ -990,9 +942,7 @@ writeJsonProfile(const std::string &path,
         std::ostringstream os;
         os.precision(17);
         os << "{\n      \"workers\": 4,\n"
-           << "      \"snapshot_warm_loads_per_sec\": ";
-        emitSummary(os, serveWarmLoad);
-        os << ",\n      \"local_requests_per_sec\": ";
+           << "      \"local_requests_per_sec\": ";
         emitSummary(os, serveLocal);
         os << ",\n      \"daemon_requests_per_sec\": {\n"
            << "        \"conns1\": ";

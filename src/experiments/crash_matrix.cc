@@ -9,7 +9,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "pipeline/profile_store.hh"
 #include "trace/trace_file.hh"
@@ -92,18 +91,21 @@ slurp(const std::string &path)
     return util::readFileBytes(path, "store.load");
 }
 
-/** @return a deterministic tiny index; @p salt varies the contents. */
-index::FingerprintIndex
-smallIndex(double salt)
+/** @return a small index record; @p salt varies its columns. */
+index::IndexRecord
+smallRecord(size_t salt)
 {
-    Matrix raw(4, 3);
-    raw.rowNames = {"a", "b", "c", "d"};
-    raw.colNames = {"x", "y", "z"};
-    for (size_t r = 0; r < raw.rows(); ++r) {
-        for (size_t c = 0; c < raw.cols(); ++c)
-            raw(r, c) = salt + double(r * 3 + c) * (1.0 + salt);
-    }
-    return index::FingerprintIndex::build(raw);
+    return {"crash-key", 8, {salt, 7, 3}};
+}
+
+/** Write smallRecord(@p salt) to @p dir's index.bin. */
+void
+putRecord(const std::string &dir, size_t salt)
+{
+    std::string why;
+    if (!index::saveIndexRecord(smallRecord(salt), dir + "/index.bin",
+                                &why))
+        throw std::runtime_error("index record save: " + why);
 }
 
 void
@@ -167,25 +169,13 @@ scenarios()
                  holdsExactly(s, profileNamed(alpha));
          }},
         {"index.snapshot", "index.bin",
+         [](const std::string &dir) { putRecord(dir, 0); },
+         [](const std::string &dir) { putRecord(dir, 1); },
          [](const std::string &dir) {
-             std::string why;
-             if (!index::saveIndexSnapshot(smallIndex(0.0),
-                                           dir + "/index.bin",
-                                           "crash-key", &why))
-                 throw std::runtime_error("baseline snapshot: " + why);
-         },
-         [](const std::string &dir) {
-             std::string why;
-             if (!index::saveIndexSnapshot(smallIndex(1.0),
-                                           dir + "/index.bin",
-                                           "crash-key", &why))
-                 throw std::runtime_error("snapshot save: " + why);
-         },
-         [](const std::string &dir) {
-             index::FingerprintIndex idx;
-             std::string why;
-             return index::loadIndexSnapshot(dir + "/index.bin",
-                                             "crash-key", &idx, &why);
+             index::IndexRecord rec;
+             return index::loadIndexRecord(dir + "/index.bin", &rec) &&
+                 rec.key == smallRecord(1).key &&
+                 rec.columns == smallRecord(1).columns;
          },
          nullptr},
         {"trace.record", "crash__t.a.trace",

@@ -192,11 +192,10 @@ collectSuiteDataset(const DatasetConfig &cfg)
         };
     }
 
-    // Profiling failures are isolated: the sweep finishes everyone
+    // Profiling failures are quarantined: the sweep finishes everyone
     // else, and the budget left over from scan-time quarantine caps
     // how many more benchmarks may fail.
     pipeline::FaultPolicy policy;
-    policy.isolate = true;
     policy.maxFailures = cfg.maxFailures - ds.failures.size();
     std::vector<pipeline::SweepFailure> sweepFailures;
     std::vector<pipeline::StoredProfile> fresh;

@@ -120,17 +120,8 @@ FingerprintIndex
 FingerprintIndex::build(const Matrix &raw, const FingerprintOptions &opt)
 {
     obs::ObsSpan sp("index.build");
-    FingerprintIndex idx = fromParts(buildFingerprints(raw, opt));
-    sp.arg("points", static_cast<uint64_t>(idx.fps_.size()));
-    sp.arg("dim", static_cast<uint64_t>(idx.fps_.dim));
-    return idx;
-}
-
-FingerprintIndex
-FingerprintIndex::fromParts(FingerprintSet fps)
-{
     FingerprintIndex idx;
-    idx.fps_ = std::move(fps);
+    idx.fps_ = buildFingerprints(raw, opt);
     idx.ids_ = util::NameIndex(idx.fps_.names);
     const size_t n = idx.fps_.size();
     const size_t dim = idx.fps_.dim;
@@ -140,6 +131,8 @@ FingerprintIndex::fromParts(FingerprintSet fps)
         for (size_t c = 0; c < dim; ++c)
             panel[c * kBlock + i % kBlock] = idx.fps_.vec(i)[c];
     }
+    sp.arg("points", static_cast<uint64_t>(n));
+    sp.arg("dim", static_cast<uint64_t>(dim));
     return idx;
 }
 

@@ -14,11 +14,10 @@
  *
  * Every query is one exact linear scan over the rows. The index keeps
  * a column-major copy of the fingerprints in panels of eight rows
- * (built in fromParts; the snapshot file stores only the row-major
- * set), and the scan sums one panel per pass: the inner loop reads
- * eight adjacent values of one column and keeps eight independent
- * sums, and the panels are read front to back. Each row's
- * terms are still added in column order, as l2Dist() adds them, so
+ * (built with the index), and the scan sums one panel per pass: the
+ * inner loop reads eight adjacent values of one column and keeps
+ * eight independent sums, and the panels are read front to back. Each
+ * row's terms are still added in column order, as l2Dist() adds them, so
  * every distance has l2Dist()'s bits: a value has one bit pattern no
  * matter which query (or the snapshot's all-pairs pass) produced it.
  * Results are totally ordered by (distance, id), so ties on distance
@@ -108,9 +107,6 @@ class FingerprintIndex
     /** Fingerprint a raw dataset and index it. */
     static FingerprintIndex build(const Matrix &raw,
                                   const FingerprintOptions &opt = {});
-
-    /** Index a fingerprint set as-is (how a snapshot reopens). */
-    static FingerprintIndex fromParts(FingerprintSet fps);
 
     size_t size() const { return fps_.size(); }
 

@@ -1,93 +1,90 @@
 /**
  * @file
- * Versioned binary snapshot of a FingerprintIndex.
+ * The index record: what `<cache>/index.bin` keeps of a similarity
+ * index.
  *
- * Follows the ProfileStore's durability rules: the header carries a
- * format version and the caller's canonical key (a digest of the
- * indexed dataset + the fingerprint space, see service::indexKey),
- * compared *exactly* on load — a snapshot of other profiles, another
- * characteristic subset or another PCA setting is rejected wholesale
- * rather than answering queries in a stale space. The payload is a
- * flat, offset-free dump (names, frozen normalization parameters,
- * vectors), so a reopen is a sequential read plus a name-map rebuild
- * — no re-profiling, no re-normalization — and queries against the
- * reloaded index are byte-identical to queries against the freshly
- * built one.
+ * An index is a pure function of the collected dataset and its space:
+ * z-score the selected characteristics, optionally project them onto
+ * K principal components (the paper's Section IV). Rebuilding one
+ * from the dataset takes tens of microseconds at 122 benchmarks, so
+ * nothing of it is stored. What a build cannot cheaply redo is the
+ * GA's choice of key characteristics (Section V, ~200 ms), and an
+ * open without --space needs to know which space the cache was built
+ * in. The record holds exactly that:
  *
- * Layout (format 3): an 8-byte magic, u32 format version, u32
- * fingerprint version, the key (u32 length + bytes), the u64 FNV-1a
- * of the payload, then the payload to the end of the file. A load
- * checks the payload against that checksum, so a damaged byte among
- * the vectors rejects (reason "checksum") instead of moving answers.
+ *  - the canonical key (service::indexKey: dataset digest, space,
+ *    PCA dims), which an open without --space adopts;
+ *  - the selected source columns, in order (the GA's for the key
+ *    space, all of them for mica/hpc), and the source width they
+ *    index.
+ *
+ * Layout (format 4): an 8-byte magic, u32 format version, u32
+ * fingerprint version, the key (u32 length + bytes), u32 source
+ * width, u32 column count, that many u32 column indices, then the
+ * u64 FNV-1a of every byte before it. One checksum covers the whole
+ * record, key included, so a damaged byte anywhere rejects the record
+ * (the open rebuilds it) instead of changing a space or an answer.
+ *
+ * Formats 1–3 stored the whole index (names, normalization, PCA basis
+ * and vectors) after the same header prefix: magic, version,
+ * fingerprint version, key. Reading one yields its key and no
+ * columns, so its space is adopted once and the file is rewritten as
+ * format 4.
  */
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
-
-#include "index/fingerprint_index.hh"
+#include <vector>
 
 namespace mica::index
 {
 
 /**
- * Bump when the snapshot layout or fingerprint semantics change.
- * Version 2 dropped version 1's trailing VP-tree node array, and
- * version 3 added the payload checksum after the key; the header
- * layout up to the key (magic, version, fingerprint version, key) is
- * shared, so older snapshots still probe and then rebuild.
+ * Bump when the record layout or fingerprint semantics change. The
+ * header prefix up to the key is shared by every version.
  */
-constexpr uint32_t kSnapshotVersion = 3;
+constexpr uint32_t kSnapshotVersion = 4;
 
-/** Conventional snapshot file name inside a cache directory. */
+/** Conventional record file name inside a cache directory. */
 inline std::string
 snapshotPath(const std::string &dir)
 {
     return dir + "/index.bin";
 }
 
+/** The choices an index build cannot cheaply redo. */
+struct IndexRecord
+{
+    std::string key;               ///< canonical key it was built under
+    size_t sourceCols = 0;         ///< width of the raw matrix indexed
+    std::vector<size_t> columns;   ///< selected source columns, in order
+};
+
 /**
- * Write the index to @p path (parent directories are created),
- * stamped with @p configKey. The commit is atomic (.tmp + rename); a
- * failure removes the .tmp and leaves any previous snapshot intact.
+ * Write @p rec to @p path (parent directories are created). The
+ * commit is atomic (.tmp + rename); a failure removes the .tmp and
+ * leaves any previous file intact.
  * @param why on failure, a one-line reason naming the failed
  *        operation, the path, and strerror(errno)
  * @return false on I/O failure
  */
-bool saveIndexSnapshot(const FingerprintIndex &idx,
-                       const std::string &path,
-                       const std::string &configKey,
-                       std::string *why = nullptr);
-
-/** Result of a header-only snapshot probe. */
-struct SnapshotKeyProbe
-{
-    bool valid = false;   ///< header parsed (current or version 1)
-    std::string key;      ///< config key the snapshot was recorded under
-};
+bool saveIndexRecord(const IndexRecord &rec, const std::string &path,
+                     std::string *why = nullptr);
 
 /**
- * Probe a snapshot's header — a few hundred bytes, never the payload.
- * One probe answers both questions a caller has before committing to
- * a load: which space/pca the snapshot holds (key adoption) and
- * whether its key matches the wanted config (load vs. rebuild). Call
- * once and branch on the result; only a matching key justifies the
- * full-payload loadIndexSnapshot read. A version 1 or 2 header
- * probes valid too, so a cache written before a format bump keeps
- * its recorded space: the load then rejects it and the caller
- * rebuilds in that space.
+ * Read the record at @p path. Every count is checked against the
+ * bytes present and the source width before anything is allocated.
+ * @param out on success, the record; on failure its columns are
+ *        empty and its key is set only for a format 1–3 file (the
+ *        space an open adopts once before rewriting it)
+ * @param why on failure, a one-line reason (missing file, not a
+ *        record, version mismatch, truncation, "checksum")
+ * @return whether @p path holds a complete format-4 record
  */
-SnapshotKeyProbe probeSnapshotKey(const std::string &path);
-
-/**
- * Load a snapshot recorded under exactly @p configKey.
- * @param why on failure, a one-line reason (missing file, version or
- *        key mismatch, truncation/corruption, "checksum" for a payload
- *        that does not match its recorded FNV-1a)
- * @return the reloaded index, or no value
- */
-bool loadIndexSnapshot(const std::string &path,
-                       const std::string &configKey,
-                       FingerprintIndex *out, std::string *why = nullptr);
+bool loadIndexRecord(const std::string &path, IndexRecord *out,
+                     std::string *why = nullptr);
 
 } // namespace mica::index

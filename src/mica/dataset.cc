@@ -1,52 +1,9 @@
 #include "mica/dataset.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 namespace mica
 {
-
-namespace
-{
-
-/**
- * Strict cell parsers: the whole cell must be one finite number.
- * std::stoull/std::stod would throw on garbage (or accept trailing
- * junk), turning a corrupt cache file into a crash or a silently wrong
- * profile.
- */
-bool
-parseU64(const std::string &cell, uint64_t &out)
-{
-    // strtoull silently wraps "-1" to 2^64-1 and skips leading
-    // whitespace; require the cell to start with a digit.
-    if (cell.empty() || cell[0] < '0' || cell[0] > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(cell.c_str(), &end, 10);
-    return errno == 0 && end == cell.c_str() + cell.size();
-}
-
-bool
-parseDouble(const std::string &cell, double &out)
-{
-    // strtod skips leading whitespace and happily parses "nan"/"inf";
-    // neither is a valid profile value.
-    if (cell.empty() || std::isspace(static_cast<unsigned char>(cell[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtod(cell.c_str(), &end);
-    return errno == 0 && end == cell.c_str() + cell.size() &&
-           std::isfinite(out);
-}
-
-} // namespace
 
 Matrix
 profilesToMatrix(const std::vector<MicaProfile> &profiles)
@@ -80,53 +37,6 @@ saveProfilesCsv(const std::string &path,
     }
 }
 
-std::vector<MicaProfile>
-loadProfilesCsv(const std::string &path)
-{
-    std::ifstream in(path);
-    std::vector<MicaProfile> profiles;
-    if (!in)
-        return profiles;
-    // A full sweep is the paper's 122-benchmark Table I; reserving
-    // that up front makes the common reload allocation-free.
-    profiles.reserve(128);
-
-    std::string line;
-    if (!std::getline(in, line))
-        return profiles;
-    // Validate the header has the expected column count.
-    {
-        size_t commas = 0;
-        for (char c : line)
-            commas += c == ',';
-        if (commas != kNumMicaChars + 1)
-            return {};
-    }
-
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::stringstream ss(line);
-        std::string field;
-        MicaProfile p;
-        if (!std::getline(ss, field, ',') || field.empty())
-            return {};
-        p.name = field;
-        if (!std::getline(ss, field, ',') ||
-            !parseU64(field, p.instCount))
-            return {};
-        for (size_t i = 0; i < kNumMicaChars; ++i) {
-            if (!std::getline(ss, field, ',') ||
-                !parseDouble(field, p.values[i]))
-                return {};
-        }
-        if (std::getline(ss, field, ','))
-            return {};    // extra trailing cells: not our file
-        profiles.push_back(std::move(p));
-    }
-    return profiles;
-}
-
 void
 saveHpcCsv(const std::string &path,
            const std::vector<uarch::HwCounterProfile> &profiles)
@@ -145,46 +55,6 @@ saveHpcCsv(const std::string &path,
             out << ',' << v;
         out << '\n';
     }
-}
-
-std::vector<uarch::HwCounterProfile>
-loadHpcCsv(const std::string &path)
-{
-    std::ifstream in(path);
-    std::vector<uarch::HwCounterProfile> out;
-    if (!in)
-        return out;
-    out.reserve(128);
-    std::string line;
-    if (!std::getline(in, line))
-        return out;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::stringstream ss(line);
-        std::string cell;
-        uarch::HwCounterProfile p;
-        if (!std::getline(ss, p.name, ',') || p.name.empty())
-            return {};
-        if (!std::getline(ss, cell, ',') || !parseU64(cell, p.instCount))
-            return {};
-        std::array<double, uarch::HwCounterProfile::kNumMetrics> vals{};
-        for (double &v : vals) {
-            if (!std::getline(ss, cell, ',') || !parseDouble(cell, v))
-                return {};
-        }
-        if (std::getline(ss, cell, ','))
-            return {};
-        p.ipcEv56 = vals[0];
-        p.ipcEv67 = vals[1];
-        p.branchMissRate = vals[2];
-        p.l1dMissRate = vals[3];
-        p.l1iMissRate = vals[4];
-        p.l2MissRate = vals[5];
-        p.dtlbMissRate = vals[6];
-        out.push_back(std::move(p));
-    }
-    return out;
 }
 
 void

@@ -1,7 +1,8 @@
 /**
  * @file
- * Conversion between profile collections and dataset matrices, plus CSV
- * serialization used for on-disk caching of expensive profiling runs.
+ * Conversion between profile collections and dataset matrices, plus
+ * the CSV exports (`--csv=FILE`). The exports are write-only: the
+ * profile store (pipeline/profile_store.hh) is what a rerun reads.
  */
 
 #pragma once
@@ -27,25 +28,11 @@ void saveProfilesCsv(const std::string &path,
                      const std::vector<MicaProfile> &profiles);
 
 /**
- * Read profiles back from CSV written by saveProfilesCsv.
- * @return empty vector if the file does not exist or is malformed —
- * including truncated rows and non-numeric cells; a partial parse is
- * never returned.
- */
-std::vector<MicaProfile> loadProfilesCsv(const std::string &path);
-
-/**
  * Write HPC profiles as CSV: header row of metric names, then one row
  * per benchmark (name, instCount, 7 values).
  */
 void saveHpcCsv(const std::string &path,
                 const std::vector<uarch::HwCounterProfile> &profiles);
-
-/**
- * Read HPC profiles back from CSV written by saveHpcCsv. Same
- * all-or-nothing contract as loadProfilesCsv.
- */
-std::vector<uarch::HwCounterProfile> loadHpcCsv(const std::string &path);
 
 /**
  * Generic labeled-matrix CSV writer (used for the HPC dataset and the

@@ -129,21 +129,16 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
     std::vector<std::string> errors(entries.size());
     Progress prog(progress, entries.size());
 
-    // Without isolation an exception propagates as it always has;
-    // with isolation it becomes the benchmark's error and the sweep
+    // A job's exception becomes its benchmark's error and the sweep
     // moves on.
     auto runOne = [&](size_t i) {
         const auto &e = *entries[i];
         try {
             results[i] = profileOne(e, rc);
         } catch (const std::exception &ex) {
-            if (!policy.isolate)
-                throw;
             errors[i] = *ex.what() ? ex.what() : "unknown error";
             return;
         } catch (...) {
-            if (!policy.isolate)
-                throw;
             errors[i] = "unknown error";
             return;
         }
@@ -163,8 +158,8 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
             futures.push_back(pool.submit([&runOne, i] { runOne(i); }));
 
         // Wait for every job before rethrowing so no worker still
-        // touches `results` when an exception unwinds this frame.
-        // Under isolation no future carries an exception.
+        // touches `results` when an exception unwinds this frame. Only
+        // the progress and result hooks can throw here.
         std::exception_ptr firstError;
         for (auto &f : futures) {
             try {

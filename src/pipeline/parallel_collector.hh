@@ -41,17 +41,14 @@ struct SweepFailure
 };
 
 /**
- * How a sweep treats a failing benchmark. The default (isolate =
- * false) preserves the historical contract: the first job exception
- * rethrows after all workers drain. With isolate = true the failing
- * benchmark is quarantined — recorded in the failures list, skipped
- * in the results — and the sweep completes everything else, unless
- * more than maxFailures benchmarks fail, which aborts the sweep with
- * SweepAborted (a runaway fault should stop burning cycles).
+ * How a sweep treats a failing benchmark: it is quarantined —
+ * recorded in the failures list, skipped in the results — and the
+ * sweep completes everything else, unless more than maxFailures
+ * benchmarks fail, which aborts the sweep with SweepAborted (a
+ * runaway fault should stop burning cycles).
  */
 struct FaultPolicy
 {
-    bool isolate = false;
     size_t maxFailures = static_cast<size_t>(-1);
 };
 
@@ -93,13 +90,10 @@ using ResultFn = std::function<void(const StoredProfile &)>;
  * bit-identical for any worker count: each job is a pure function of
  * its benchmark and @p rc.
  *
- * Failure handling depends on @p policy. Without isolation, the first
- * exception thrown by a job is rethrown on the calling thread after
- * all workers drain; results completed before the failure are still
- * delivered through @p onResult. With isolation, failing benchmarks
- * are appended to @p failures (in input order, phase "profile") and
- * their result slots are left default-constructed; @p onResult is
- * never called for a quarantined benchmark. Each quarantined
+ * A job that throws quarantines its benchmark: it is appended to
+ * @p failures (in input order, phase "profile") and its result slot
+ * is left default-constructed; @p onResult is never called for it,
+ * and every other benchmark still completes. Each quarantined
  * benchmark bumps the "pipeline.quarantined" counter. If more than
  * policy.maxFailures benchmarks fail, SweepAborted is thrown after
  * the pool drains.

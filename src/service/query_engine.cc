@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <numeric>
 #include <utility>
 
 #include "index/snapshot.hh"
@@ -17,6 +18,50 @@
 
 namespace mica::service
 {
+
+namespace
+{
+
+bool
+isSpace(const std::string &space)
+{
+    return space == "mica" || space == "hpc" || space == "key";
+}
+
+/** The raw matrix a space fingerprints. */
+Matrix
+sourceMatrix(const experiments::SuiteDataset &ds, const std::string &space)
+{
+    return space == "hpc" ? ds.hpcMatrix() : ds.micaMatrix();
+}
+
+/**
+ * The source columns a space fingerprints: every column of mica and
+ * hpc; for key, the GA-selected key characteristics (normalization is
+ * then frozen over the subset, as the paper's reduced space does).
+ */
+std::vector<size_t>
+spaceColumns(const Matrix &m, const std::string &space,
+             pipeline::ThreadPool *pool)
+{
+    if (space == "key")
+        return geneticSelect(WorkloadSpace(m, pool), GaConfig{}, pool)
+            .selected;
+    std::vector<size_t> all(m.cols());
+    std::iota(all.begin(), all.end(), size_t{0});
+    return all;
+}
+
+index::FingerprintIndex
+indexOver(const Matrix &m, std::vector<size_t> columns, size_t pca)
+{
+    index::FingerprintOptions opt;
+    opt.columns = std::move(columns);
+    opt.pcaDims = pca;
+    return index::FingerprintIndex::build(m, opt);
+}
+
+} // namespace
 
 std::string
 indexKey(const experiments::SuiteDataset &ds, const std::string &space,
@@ -49,7 +94,10 @@ adoptSpaceFromKey(const std::string &storedKey, SpaceChoice *sc)
     if (sPos == std::string::npos || pPos == std::string::npos ||
         pPos <= sPos)
         return false;
-    sc->space = storedKey.substr(sPos + 7, pPos - (sPos + 7));
+    const std::string space = storedKey.substr(sPos + 7, pPos - (sPos + 7));
+    if (!isSpace(space))
+        return false;
+    sc->space = space;
     sc->pca = static_cast<size_t>(
         std::strtoull(storedKey.c_str() + pPos + 5, nullptr, 10));
     return true;
@@ -60,23 +108,8 @@ indexFromDataset(const experiments::SuiteDataset &ds,
                  const std::string &space, size_t pca,
                  pipeline::ThreadPool *pool)
 {
-    index::FingerprintOptions opt;
-    opt.pcaDims = pca;
-    Matrix m;
-    if (space == "hpc") {
-        m = ds.hpcMatrix();
-    } else {
-        m = ds.micaMatrix();
-        if (space == "key") {
-            // Fingerprint the raw matrix restricted to the GA-selected
-            // key characteristics; normalization is re-frozen over the
-            // subset, as the paper's reduced space does.
-            const WorkloadSpace ws(m, pool);
-            GaConfig gcfg;
-            opt.columns = geneticSelect(ws, gcfg, pool).selected;
-        }
-    }
-    return index::FingerprintIndex::build(m, opt);
+    const Matrix m = sourceMatrix(ds, space);
+    return indexOver(m, spaceColumns(m, space, pool), pca);
 }
 
 namespace
@@ -247,14 +280,14 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
     if (icfg.cacheDir.empty())
         icfg.cacheDir = ".mica-index";
 
-    // One header probe serves both the space adoption and the
-    // load-vs-rebuild decision; the payload is only read below when
-    // the key already matches.
+    // The record names the space the cache was built in (adopted
+    // unless one is given) and, once the collected dataset's key
+    // matches it, the columns that space selected.
     const std::string path = index::snapshotPath(icfg.cacheDir);
-    const index::SnapshotKeyProbe probe = index::probeSnapshotKey(path);
-    if (probe.valid)
-        adoptSpaceFromKey(probe.key, &sc);
-    if (sc.space != "mica" && sc.space != "hpc" && sc.space != "key") {
+    index::IndexRecord rec;
+    const bool current = index::loadIndexRecord(path, &rec);
+    adoptSpaceFromKey(rec.key, &sc);
+    if (!isSpace(sc.space)) {
         if (err)
             *err = "space must be mica, hpc, or key (got '" + sc.space +
                 "')";
@@ -280,27 +313,21 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
         return nullptr;
     }
 
+    // The index is always built from the dataset, so it holds exactly
+    // the benchmarks the dataset does; only the column choice (the
+    // GA's, in the key space) comes from a matching record.
     snap->key = indexKey(snap->ds, sc.space, sc.pca);
-    bool loaded = false;
-    if (probe.valid && probe.key == snap->key) {
-        std::string why;
-        loaded = index::loadIndexSnapshot(path, snap->key, &snap->idx,
-                                          &why);
-    }
-    if (!loaded) {
-        snap->idx =
-            indexFromDataset(snap->ds, sc.space, sc.pca, pool);
-        // Persisting is best-effort: an unwritable cache degrades the
-        // next start to a rebuild, it does not fail this one.
-        std::string why;
-        index::saveIndexSnapshot(snap->idx, path, snap->key, &why);
-    }
+    const Matrix m = sourceMatrix(snap->ds, sc.space);
+    const bool reuse =
+        current && rec.key == snap->key && rec.sourceCols == m.cols();
+    if (!reuse)
+        rec = {snap->key, m.cols(), spaceColumns(m, sc.space, pool)};
+    snap->idx = indexOver(m, rec.columns, sc.pca);
+    // Persisting is best-effort: an unwritable cache degrades the next
+    // open to a fresh column choice, it does not fail this one.
+    if (!reuse)
+        index::saveIndexRecord(rec, path);
 
-    // A quarantined benchmark is absent from both the dataset and a
-    // freshly built index, but a *reloaded* snapshot may predate the
-    // quarantine. The index stands alone (similarity queries answer
-    // from fingerprints), but profile queries answer only from the
-    // dataset, so the two can legitimately differ in membership.
     fillAnswerTables(snap.get());
     span.arg("benchmarks", static_cast<uint64_t>(snap->ds.benchmarks.size()));
     span.arg("generation", generation);

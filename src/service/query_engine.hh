@@ -31,12 +31,12 @@
  *    CI enforces; tests/service_replies.golden and CI's
  *    tests/service_stream.golden pin those bytes across commits.
  *
- * buildServerSnapshot is the one way to open or build a snapshot:
- * the daemon, `mica query`, and the `mica index query`/`redundant`
- * table renderers all start from it. It reuses the persistent index
- * snapshot when its header key matches (probed once — the payload is
- * only read when the key already matches, never to *discover* a
- * mismatch) and rebuilds + persists it otherwise.
+ * buildServerSnapshot is the one way to open a snapshot: the daemon,
+ * `mica query` and every `mica index` verb start from it. It always
+ * builds the index from the collected dataset. The cache's index
+ * record (index/snapshot.hh) supplies only what a build cannot
+ * cheaply redo: the space an open without --space adopts, and the
+ * GA's key columns, so a warm key-space open runs no GA.
  */
 
 #pragma once
@@ -68,7 +68,7 @@ struct SpaceChoice
 
     /**
      * Whether either knob was given explicitly. When false, snapshot
-     * opening adopts whatever space the on-disk index was built with,
+     * opening adopts whatever space the cache's index record names,
      * so a key-space index is never silently answered — or
      * overwritten — in the default space.
      */
@@ -76,10 +76,10 @@ struct SpaceChoice
 };
 
 /**
- * Canonical index-snapshot key: "data=<digest>|space=S|pca=K", where
- * the digest covers the dataset's benchmark names and the bits of
- * both profile matrices. It names what the index was built from, not
- * how that was configured, so a snapshot is reused exactly when the
+ * Canonical index key: "data=<digest>|space=S|pca=K", where the
+ * digest covers the dataset's benchmark names and the bits of both
+ * profile matrices. It names what the index was built from, not how
+ * that was configured, so an index record is reused exactly when the
  * collected dataset is the same — whichever budget, suite filter or
  * trace tree produced it.
  */
@@ -88,8 +88,9 @@ std::string indexKey(const experiments::SuiteDataset &ds,
 
 /**
  * Adopt the space/pca a stored index key carries into @p sc, unless
- * the caller already chose explicitly (sc->given). @return whether
- * the key parsed and was adopted.
+ * the caller already chose explicitly (sc->given). A space other than
+ * mica, hpc or key is not adopted. @return whether the key parsed and
+ * was adopted.
  */
 bool adoptSpaceFromKey(const std::string &storedKey, SpaceChoice *sc);
 
@@ -136,7 +137,7 @@ struct ServerSnapshot
     size_t pca = 0;
     std::string key;            ///< full index key this was built under
 
-    /** Monotonic swap counter; 0 = the snapshot loaded at startup. */
+    /** Monotonic swap counter; 0 = the snapshot opened at startup. */
     uint64_t generation = 0;
 
     /**
@@ -182,13 +183,14 @@ using CollectFn =
         const experiments::DatasetConfig &)>;
 
 /**
- * Load-or-build a complete snapshot: collect the dataset (profile
- * store hits make a warm start cheap), reuse the persistent index
- * snapshot when its key matches the collected dataset's indexKey,
- * rebuild + persist otherwise.
+ * Open a complete snapshot: collect the dataset (profile store hits
+ * make a warm start cheap) and build its index. The columns come from
+ * the cache's index record when its key matches the collected
+ * dataset's indexKey; otherwise they are chosen afresh (the GA, in
+ * the key space) and the record is rewritten.
  * @param cfg collection config; an empty cacheDir defaults to
- *        ".mica-index" (the index needs a durable home)
- * @param sc space knobs; adopted from the stored snapshot when not
+ *        ".mica-index" (the record needs a durable home)
+ * @param sc space knobs; adopted from the stored record when not
  *        explicitly given
  * @param err on failure, a one-line reason
  * @return the immutable snapshot, or nullptr (err set)

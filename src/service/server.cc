@@ -146,7 +146,10 @@ opCounter(Op op)
     return counters[static_cast<size_t>(op)];
 }
 
-/** Where one query op's time goes, named like micabench's layers. */
+/**
+ * Where one query op's time goes, named like micabench's layers, in
+ * nanoseconds: most phases take well under a microsecond.
+ */
 struct PhaseHistograms
 {
     obs::Histogram parse;
@@ -154,9 +157,9 @@ struct PhaseHistograms
     obs::Histogram serialize;
 
     explicit PhaseHistograms(const std::string &op)
-        : parse("serve." + op + ".parse_us"),
-          execute("serve." + op + ".execute_us"),
-          serialize("serve." + op + ".serialize_us")
+        : parse("serve." + op + ".parse_ns"),
+          execute("serve." + op + ".execute_ns"),
+          serialize("serve." + op + ".serialize_ns")
     {
     }
 };
@@ -615,9 +618,9 @@ Server::Impl::respond(Loop &lp, Connection &c, const std::string &line)
     const uint64_t t2 = obs::nowNs();
     c.out = replyLine(resp, t0);
     PhaseHistograms &phases = opPhases(req.op);
-    phases.parse.record((t1 - t0) / 1000);
-    phases.execute.record((t2 - t1) / 1000);
-    phases.serialize.record((obs::nowNs() - t2) / 1000);
+    phases.parse.record(t1 - t0);
+    phases.execute.record(t2 - t1);
+    phases.serialize.record(obs::nowNs() - t2);
 }
 
 bool

@@ -3,7 +3,7 @@
  * Checked POSIX file I/O: every failure carries op + path + errno,
  * and every call hosts a fault-injection hook.
  *
- * The persistence stack (profile store, index snapshots, trace files)
+ * The persistence stack (profile store, index record, trace files)
  * funnels its opens/reads/writes/fsyncs/renames through this one
  * layer, which buys two things at once:
  *

@@ -43,7 +43,7 @@ constexpr SiteDef kSites[] = {
     // Profile store load.
     {"store.load.open", false},
     {"store.load.read", false},
-    // Index snapshot save (.tmp + rename) and load.
+    // Index record save (.tmp + rename) and load.
     {"index.snapshot.open", true},
     {"index.snapshot.write", true},
     {"index.snapshot.fsync", true},

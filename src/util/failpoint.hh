@@ -3,7 +3,7 @@
  * Deterministic fault injection: named failpoints at I/O call sites.
  *
  * Every durable write/read site in the persistence stack (profile
- * store, index snapshots, trace files) evaluates a named failpoint
+ * store, index record, trace files) evaluates a named failpoint
  * before touching the file. Disarmed — the default — an evaluation is
  * one relaxed atomic load; armed via `--failpoints=SPEC`, the named
  * sites fire deterministic faults so tests, CI, and the `mica faults
@@ -38,7 +38,7 @@
  *
  *   store.append.write=error:ENOSPC@2   second store append hits ENOSPC
  *   trace.chunk.read=error,every=3      every 3rd chunk read fails EIO
- *   index.snapshot.rename=abort@1       crash at the snapshot rename
+ *   index.snapshot.rename=abort@1       crash at the index record rename
  *   store.put.write=shortwrite:100      torn 100-byte writes, always
  *
  * Site names are a fixed registry (knownFailpoints()); arming an

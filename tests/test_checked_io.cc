@@ -6,7 +6,7 @@
  * injected failure (ENOSPC, short write, at every step), stale .tmp
  * debris never blocking the next attempt, and the same
  * destination-untouched contract driven end to end through all three
- * on-disk formats (profile store, index snapshot, trace file). Ends
+ * on-disk formats (profile store, index record, trace file). Ends
  * with the in-process crash-consistency matrix.
  */
 
@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "experiments/crash_matrix.hh"
-#include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "pipeline/profile_store.hh"
 #include "trace/trace_file.hh"
@@ -222,38 +221,25 @@ TEST_F(CheckedIoTest, StorePutEnospcLeavesPreviousStoreReadable)
     EXPECT_EQ(reread.find("suite/beta.b"), nullptr);
 }
 
-index::FingerprintIndex
-tinyIndex(double salt)
-{
-    Matrix raw(3, 2);
-    raw.rowNames = {"a", "b", "c"};
-    raw.colNames = {"x", "y"};
-    for (size_t r = 0; r < raw.rows(); ++r) {
-        for (size_t c = 0; c < raw.cols(); ++c)
-            raw(r, c) = salt + double(r * 2 + c);
-    }
-    return index::FingerprintIndex::build(raw);
-}
-
 TEST_F(CheckedIoTest, SnapshotSaveFailureNamesTheSinkAndKeepsOld)
 {
     const std::string bin = tmp.file("index.bin");
     std::string why;
-    ASSERT_TRUE(index::saveIndexSnapshot(tinyIndex(0.0), bin, "k", &why))
+    ASSERT_TRUE(index::saveIndexRecord({"k", 2, {0, 1}}, bin, &why))
         << why;
     const std::string before = readAll(bin);
 
     arm("index.snapshot.write=error:ENOSPC");
-    EXPECT_FALSE(
-        index::saveIndexSnapshot(tinyIndex(1.0), bin, "k", &why));
+    EXPECT_FALSE(index::saveIndexRecord({"k", 2, {1}}, bin, &why));
     EXPECT_NE(why.find("index.bin"), std::string::npos) << why;
     EXPECT_NE(why.find(std::strerror(ENOSPC)), std::string::npos) << why;
     util::disarmFailpoints();
 
     EXPECT_EQ(readAll(bin), before);
     EXPECT_FALSE(fs::exists(bin + ".tmp"));
-    index::FingerprintIndex idx;
-    EXPECT_TRUE(index::loadIndexSnapshot(bin, "k", &idx, &why)) << why;
+    index::IndexRecord rec;
+    ASSERT_TRUE(index::loadIndexRecord(bin, &rec, &why)) << why;
+    EXPECT_EQ(rec.columns, (std::vector<size_t>{0, 1}));
 }
 
 void

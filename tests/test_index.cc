@@ -4,8 +4,8 @@
  * canonicalization, the exact kNN/radius scans against a full-sort
  * oracle (bit equality is the property the whole subsystem rests
  * on), pooled batch-query determinism, the query snapshot's
- * closest-pair table against a per-row kNN merge oracle, and
- * snapshot durability.
+ * closest-pair table against a per-row kNN merge oracle, and the
+ * index record's durability and checks.
  */
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "service/json.hh"
 #include "service/query_engine.hh"
 #include "stats/rng.hh"
+#include "trace/trace_file.hh"
 #include "util/flat_hash.hh"
 
 namespace mica::index
@@ -566,27 +568,74 @@ TEST(FingerprintIndexTest, NameLookup)
 }
 
 // ----------------------------------------------------------------------
-// Snapshot durability.
+// The index record (index.bin).
 // ----------------------------------------------------------------------
+
+/** @return the bytes of @p path. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Overwrite @p path with @p bytes. */
+void
+putBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/** Overwrite the u32 at @p at in @p bytes with @p v. */
+void
+patchU32(std::string &bytes, size_t at, uint32_t v)
+{
+    std::memcpy(&bytes[at], &v, sizeof(v));
+}
+
+/** Recompute the trailing FNV-1a of a record's bytes. */
+void
+resealRecord(std::string &bytes)
+{
+    const uint64_t sum = fnv1a(bytes.data(), bytes.size() - 8);
+    std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof(sum));
+}
+
+/** Byte offset of the source width: magic, versions, key. */
+size_t
+sourceColsOffset(const std::string &key)
+{
+    return 8 + 4 + 4 + 4 + key.size();
+}
 
 TEST(SnapshotTest, RoundTripPreservesEveryQueryBitwise)
 {
     SnapDir tmp;
     const Matrix raw = randomDataset(33, 7, 29);
     FingerprintOptions opt;
-    opt.pcaDims = 4;
+    opt.columns = {5, 0, 3, 6};
+    opt.pcaDims = 2;
     const FingerprintIndex built = FingerprintIndex::build(raw, opt);
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-v1"));
+    ASSERT_TRUE(
+        saveIndexRecord({"key-v1", raw.cols(), opt.columns}, tmp.path()));
+    EXPECT_LT(std::filesystem::file_size(tmp.path()), 100u);
 
-    FingerprintIndex loaded;
+    IndexRecord rec;
     std::string why;
-    ASSERT_TRUE(loadIndexSnapshot(tmp.path(), "key-v1", &loaded, &why))
-        << why;
+    ASSERT_TRUE(loadIndexRecord(tmp.path(), &rec, &why)) << why;
+    EXPECT_EQ(rec.key, "key-v1");
+    EXPECT_EQ(rec.sourceCols, raw.cols());
+    EXPECT_EQ(rec.columns, opt.columns);    // order kept
+
+    // An index built over the recorded columns is the same index.
+    FingerprintOptions again = opt;
+    again.columns = rec.columns;
+    const FingerprintIndex loaded = FingerprintIndex::build(raw, again);
     EXPECT_EQ(loaded.size(), built.size());
     EXPECT_EQ(loaded.dim(), built.dim());
     EXPECT_EQ(loaded.fingerprints().data, built.fingerprints().data);
     EXPECT_EQ(loaded.fingerprints().names, built.fingerprints().names);
-
     for (size_t q = 0; q < built.size(); ++q) {
         const auto a = built.knn(q, 6);
         const auto b = loaded.knn(q, 6);
@@ -594,7 +643,6 @@ TEST(SnapshotTest, RoundTripPreservesEveryQueryBitwise)
         for (size_t i = 0; i < a.size(); ++i)
             EXPECT_TRUE(a[i] == b[i]);
     }
-    // The frozen embedding survives too: external queries agree.
     const auto ea = built.knnOfRaw(raw.rowVec(0), 3);
     const auto eb = loaded.knnOfRaw(raw.rowVec(0), 3);
     ASSERT_EQ(ea.size(), eb.size());
@@ -605,212 +653,222 @@ TEST(SnapshotTest, RoundTripPreservesEveryQueryBitwise)
 TEST(SnapshotTest, SaveIsAtomicTornWriteRejectsAndRebuilds)
 {
     SnapDir tmp;
-    const FingerprintIndex built =
-        FingerprintIndex::build(randomDataset(12, 4, 5));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-A"));
+    const IndexRecord want{"key-A", 4, {0, 1, 2, 3}};
+    ASSERT_TRUE(saveIndexRecord(want, tmp.path()));
     // The staging file was renamed into place, never left behind.
     EXPECT_FALSE(std::filesystem::exists(tmp.path() + ".tmp"));
 
-    // Tear the snapshot mid-file (what a crash used to leave when the
+    // Tear the record mid-file (what a crash used to leave when the
     // writer targeted the final path directly): load rejects cleanly.
     const auto full = std::filesystem::file_size(tmp.path());
     std::filesystem::resize_file(tmp.path(), full / 2);
-    FingerprintIndex out;
+    IndexRecord out;
     std::string why;
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &out, &why));
     EXPECT_FALSE(why.empty());
+    EXPECT_TRUE(out.key.empty());
 
-    // Re-saving over the torn file rebuilds a loadable snapshot, and
-    // a stale .tmp from a crashed writer never blocks it.
+    // Re-saving over the torn file gives a loadable record, and a
+    // stale .tmp from a crashed writer never blocks it.
     std::ofstream(tmp.path() + ".tmp") << "crash debris";
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-A"));
+    ASSERT_TRUE(saveIndexRecord(want, tmp.path()));
     EXPECT_FALSE(std::filesystem::exists(tmp.path() + ".tmp"));
-    ASSERT_TRUE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why))
-        << why;
-    EXPECT_EQ(out.size(), built.size());
+    ASSERT_TRUE(loadIndexRecord(tmp.path(), &out, &why)) << why;
+    EXPECT_EQ(out.key, want.key);
+    EXPECT_EQ(out.columns, want.columns);
 }
 
 TEST(SnapshotTest, ReadSnapshotKeyPeeksWithoutLoading)
 {
     SnapDir tmp;
     const std::string key = "budget=1|space=key|pca=2";
-    const FingerprintIndex built =
-        FingerprintIndex::build(randomDataset(6, 2, 9));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), key));
-    const auto probe = probeSnapshotKey(tmp.path());
-    ASSERT_TRUE(probe.valid);
-    EXPECT_EQ(probe.key, key);
-    EXPECT_FALSE(probeSnapshotKey(tmp.dir + "/absent.bin").valid);
-
-    // A version-1 header (same layout, older payload) still yields
-    // its key, so the space it recorded can be adopted, but the load
-    // rejects it and the caller rebuilds.
-    {
-        std::fstream f(tmp.path(),
-                       std::ios::binary | std::ios::in | std::ios::out);
-        const uint32_t v1 = 1;
-        f.seekp(8);
-        f.write(reinterpret_cast<const char *>(&v1), sizeof(v1));
-    }
-    const auto old = probeSnapshotKey(tmp.path());
-    EXPECT_TRUE(old.valid);
-    EXPECT_EQ(old.key, key);
-    FingerprintIndex out;
+    ASSERT_TRUE(saveIndexRecord({key, 4, {1, 3}}, tmp.path()));
+    IndexRecord rec;
     std::string why;
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), key, &out, &why));
-    EXPECT_NE(why.find("version mismatch"), std::string::npos) << why;
+    ASSERT_TRUE(loadIndexRecord(tmp.path(), &rec, &why)) << why;
+    EXPECT_EQ(rec.key, key);
+    EXPECT_FALSE(loadIndexRecord(tmp.dir + "/absent.bin", &rec, &why));
+    EXPECT_TRUE(rec.key.empty());
+    EXPECT_NE(why.find("no index record"), std::string::npos) << why;
 
-    // Any other version is foreign to the probe as well.
-    {
-        std::fstream f(tmp.path(),
-                       std::ios::binary | std::ios::in | std::ios::out);
-        const uint32_t v3 = kSnapshotVersion + 1;
-        f.seekp(8);
-        f.write(reinterpret_cast<const char *>(&v3), sizeof(v3));
+    // Formats 1-3 share the header up to the key and held the whole
+    // index after it: they yield their key, so the space it names
+    // can be adopted, but no columns, so the open rebuilds.
+    const std::string bytes = fileBytes(tmp.path());
+    for (uint32_t v : {1u, 2u, 3u}) {
+        std::string old = bytes;
+        patchU32(old, 8, v);
+        putBytes(tmp.path(), old);
+        EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+        EXPECT_EQ(rec.key, key) << "format " << v;
+        EXPECT_TRUE(rec.columns.empty());
+        EXPECT_NE(why.find("predates"), std::string::npos) << why;
     }
-    EXPECT_FALSE(probeSnapshotKey(tmp.path()).valid);
+
+    // Any other version is foreign.
+    for (uint32_t v : {0u, kSnapshotVersion + 1}) {
+        std::string other = bytes;
+        patchU32(other, 8, v);
+        putBytes(tmp.path(), other);
+        EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+        EXPECT_TRUE(rec.key.empty());
+        EXPECT_NE(why.find("version mismatch"), std::string::npos) << why;
+    }
 }
 
 TEST(SnapshotTest, ProbeReadsHeaderOnlyAndFailsClosed)
 {
     SnapDir tmp;
-    const FingerprintIndex built =
-        FingerprintIndex::build(randomDataset(6, 2, 9));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-v1"));
+    const std::string key = "data=0|space=hpc|pca=0";
 
-    const auto hit = probeSnapshotKey(tmp.path());
-    EXPECT_TRUE(hit.valid);
-    EXPECT_EQ(hit.key, "key-v1");
+    // An older format is read up to its key only: whatever follows
+    // (the index it used to hold) is never parsed.
+    std::string old = "MICAIDX\n";
+    old.append("\x03\0\0\0\x01\0\0\0", 8);
+    const uint32_t len = static_cast<uint32_t>(key.size());
+    old.append(reinterpret_cast<const char *>(&len), sizeof(len));
+    old += key;
+    old += "an old payload that no longer parses";
+    putBytes(tmp.path(), old);
+    IndexRecord rec;
+    std::string why;
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_EQ(rec.key, key);
 
-    // A missing file probes invalid with an empty key, not stale
-    // state from an earlier probe.
-    const auto gone = probeSnapshotKey(tmp.dir + "/absent.bin");
-    EXPECT_FALSE(gone.valid);
-    EXPECT_TRUE(gone.key.empty());
-
-    // A header torn mid-key fails the probe rather than yielding a
-    // truncated key that would spuriously mismatch (and rebuild).
-    std::filesystem::resize_file(tmp.path(), 8);
-    const auto torn = probeSnapshotKey(tmp.path());
-    EXPECT_FALSE(torn.valid);
-    EXPECT_TRUE(torn.key.empty());
-
-    // Wrong magic is not a snapshot at all.
-    {
-        std::ofstream bad(tmp.path(), std::ios::binary | std::ios::trunc);
-        bad << "NOTANIDX with a plausible-looking tail";
+    // A header torn mid-key fails closed: no key at all rather than a
+    // truncated one, in the old format and the current one.
+    for (size_t cut : {size_t{8}, size_t{18}, 20 + key.size() - 3}) {
+        putBytes(tmp.path(), old.substr(0, cut));
+        EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+        EXPECT_TRUE(rec.key.empty()) << "cut at " << cut;
     }
-    EXPECT_FALSE(probeSnapshotKey(tmp.path()).valid);
+    ASSERT_TRUE(saveIndexRecord({key, 7, {0, 1, 2, 3, 4, 5, 6}},
+                                tmp.path()));
+    const std::string current = fileBytes(tmp.path());
+    for (size_t cut = 0; cut < current.size(); ++cut) {
+        putBytes(tmp.path(), current.substr(0, cut));
+        EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+        EXPECT_TRUE(rec.key.empty()) << "cut at " << cut;
+    }
+
+    // Wrong magic is not a record at all.
+    putBytes(tmp.path(), "NOTANIDX with a plausible-looking tail");
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_TRUE(rec.key.empty());
+    EXPECT_NE(why.find("not an index record"), std::string::npos) << why;
 }
 
 TEST(SnapshotTest, RejectsKeyMismatchMissingAndCorruptFiles)
 {
     SnapDir tmp;
-    const FingerprintIndex built =
-        FingerprintIndex::build(randomDataset(8, 3, 2));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-A"));
-
-    FingerprintIndex out;
+    ASSERT_TRUE(saveIndexRecord({"key-A", 3, {2, 0}}, tmp.path()));
+    const std::string bytes = fileBytes(tmp.path());
+    IndexRecord rec;
     std::string why;
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-B", &out, &why));
-    EXPECT_NE(why.find("mismatch"), std::string::npos);
-    EXPECT_FALSE(
-        loadIndexSnapshot(tmp.dir + "/absent.bin", "key-A", &out, &why));
 
-    std::ifstream in(tmp.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    // A record names its key exactly, for the open to compare; a key
+    // edited in place does not survive the checksum.
+    ASSERT_TRUE(loadIndexRecord(tmp.path(), &rec, &why)) << why;
+    EXPECT_EQ(rec.key, "key-A");
+    std::string edited = bytes;
+    edited[20 + 4] = 'B';
+    putBytes(tmp.path(), edited);
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_TRUE(rec.key.empty());
+    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
 
-    // The vectors end the file: anything after them is corruption.
-    {
-        std::ofstream tail(tmp.path(), std::ios::binary | std::ios::app);
-        tail << 'x';
-    }
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
-    EXPECT_NE(why.find("trailing bytes"), std::string::npos) << why;
+    // The checksum ends the file: anything after it is corruption.
+    putBytes(tmp.path(), bytes + "x");
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_NE(why.find("size"), std::string::npos) << why;
 
-    // Truncation anywhere in the payload rejects the file.
-    {
-        std::ofstream cut(tmp.path(), std::ios::binary | std::ios::trunc);
-        cut.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() / 2));
-    }
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
+    // Truncation rejects the file.
+    putBytes(tmp.path(), bytes.substr(0, bytes.size() - 1));
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
 
-    // A scribbled magic is not an index snapshot.
-    {
-        std::ofstream bad(tmp.path(), std::ios::binary | std::ios::trunc);
-        bad << "NOTANIDX and then some garbage bytes";
-    }
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why));
-    EXPECT_NE(why.find("not an index snapshot"), std::string::npos);
+    // A scribbled magic is not an index record.
+    putBytes(tmp.path(), "NOTANIDX and then some garbage bytes");
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_NE(why.find("not an index record"), std::string::npos);
 }
 
 TEST(SnapshotTest, RejectsHugeHeaderCountsWithoutAllocating)
 {
     SnapDir tmp;
     const std::string key = "key-A";
-    const FingerprintIndex built =
-        FingerprintIndex::build(randomDataset(8, 3, 2));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), key));
-
-    // Patch count and dim to values that pass the per-field caps but
-    // whose product would ask for tens of gigabytes: the loader must
-    // reject the header, not attempt the allocation. The count follows
-    // the magic, both versions, the key and the payload checksum.
-    std::fstream f(tmp.path(),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.good());
-    const std::streamoff countOff = 8 + 4 + 4 + 4 +
-        static_cast<std::streamoff>(key.size()) + 8;
-    const uint64_t hugeCount = 1u << 20, hugeDim = 1u << 16;
-    f.seekp(countOff);
-    f.write(reinterpret_cast<const char *>(&hugeCount),
-            sizeof(hugeCount));
-    f.write(reinterpret_cast<const char *>(&hugeDim), sizeof(hugeDim));
-    f.close();
-
-    FingerprintIndex out;
+    ASSERT_TRUE(saveIndexRecord({key, 3, {2, 0}}, tmp.path()));
+    const std::string bytes = fileBytes(tmp.path());
+    const size_t at = sourceColsOffset(key);
+    IndexRecord rec;
     std::string why;
-    EXPECT_FALSE(loadIndexSnapshot(tmp.path(), key, &out, &why));
-    EXPECT_NE(why.find("corrupt"), std::string::npos);
+
+    // A column count past the source width rejects before the column
+    // table is allocated, even with a valid checksum.
+    std::string count = bytes;
+    patchU32(count, at + 4, 0xffffffffu);
+    resealRecord(count);
+    putBytes(tmp.path(), count);
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_NE(why.find("column count past the source width"),
+              std::string::npos) << why;
+
+    // A width that admits the count still has to match the bytes
+    // present: 2^32 - 1 columns would be 32 GiB.
+    patchU32(count, at, 0xffffffffu);
+    resealRecord(count);
+    putBytes(tmp.path(), count);
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_NE(why.find("does not match its column count"),
+              std::string::npos) << why;
+
+    // A column index past the source width rejects.
+    std::string column = bytes;
+    patchU32(column, at + 8, 3);
+    resealRecord(column);
+    putBytes(tmp.path(), column);
+    EXPECT_FALSE(loadIndexRecord(tmp.path(), &rec, &why));
+    EXPECT_NE(why.find("column index past the source width"),
+              std::string::npos) << why;
+    EXPECT_TRUE(rec.columns.empty());
+    EXPECT_TRUE(rec.key.empty());
 }
 
 TEST(SnapshotTest, EveryFlippedVectorByteRejectsAsChecksum)
 {
     SnapDir tmp;
-    const FingerprintIndex built =
-        FingerprintIndex::build(randomDataset(6, 3, 11));
-    ASSERT_TRUE(saveIndexSnapshot(built, tmp.path(), "key-A"));
-    std::string whole;
-    {
-        std::ifstream in(tmp.path(), std::ios::binary);
-        whole.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    // The vectors end the file. A flipped bit there leaves every
-    // length and count valid, so only the checksum can see it.
-    const size_t vectors =
-        built.fingerprints().data.size() * sizeof(double);
-    ASSERT_GT(whole.size(), vectors);
-    FingerprintIndex out;
+    const std::string key = "data=00ff|space=key|pca=0";
+    const IndexRecord want{key, 47, {46, 3, 17, 0, 29}};
+    ASSERT_TRUE(saveIndexRecord(want, tmp.path()));
+    const std::string whole = fileBytes(tmp.path());
+    ASSERT_EQ(whole.size(), sourceColsOffset(key) + 8 +
+                                4 * want.columns.size() + 8);
+
+    // Every bit of every byte matters. The key, the column vector and
+    // the checksum keep every length and count valid when flipped,
+    // so only the checksum can see those; the rest may also fail a
+    // header or size check first.
+    IndexRecord out;
     std::string why;
-    for (size_t at = whole.size() - vectors; at < whole.size(); ++at) {
-        for (const unsigned char mask : {0x01, 0x10, 0x80}) {
+    const size_t keyStart = 20, columnsStart = sourceColsOffset(key) + 8;
+    for (size_t at = 0; at < whole.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
             std::string flipped = whole;
-            flipped[at] = static_cast<char>(flipped[at] ^ mask);
-            std::ofstream(tmp.path(), std::ios::binary | std::ios::trunc)
-                << flipped;
-            EXPECT_FALSE(
-                loadIndexSnapshot(tmp.path(), "key-A", &out, &why))
-                << "byte " << at << " mask " << int(mask);
-            EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+            flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+            putBytes(tmp.path(), flipped);
+            EXPECT_FALSE(loadIndexRecord(tmp.path(), &out, &why))
+                << "byte " << at << " bit " << bit;
+            EXPECT_TRUE(out.key.empty());
+            const bool sealedOnly =
+                (at >= keyStart && at < keyStart + key.size()) ||
+                at >= columnsStart;
+            if (sealedOnly)
+                EXPECT_NE(why.find("checksum"), std::string::npos)
+                    << "byte " << at << ": " << why;
         }
     }
-    std::ofstream(tmp.path(), std::ios::binary | std::ios::trunc) << whole;
-    ASSERT_TRUE(loadIndexSnapshot(tmp.path(), "key-A", &out, &why)) << why;
-    EXPECT_EQ(out.fingerprints().data, built.fingerprints().data);
+    putBytes(tmp.path(), whole);
+    ASSERT_TRUE(loadIndexRecord(tmp.path(), &out, &why)) << why;
+    EXPECT_EQ(out.columns, want.columns);
 }
 
 } // namespace

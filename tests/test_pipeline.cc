@@ -24,6 +24,7 @@
 #include "pipeline/parallel_collector.hh"
 #include "pipeline/profile_store.hh"
 #include "pipeline/thread_pool.hh"
+#include "test_util.hh"
 #include "trace/trace_file.hh"
 #include "uarch/hpc_runner.hh"
 #include "workloads/registry.hh"
@@ -743,8 +744,19 @@ TEST(ParallelCollectorTest, JobExceptionsReachTheCaller)
     };
     std::vector<const workloads::BenchmarkEntry *> entries = {&broken};
     MicaRunnerConfig rc;
-    EXPECT_THROW(collectProfiles(entries, rc, 4), std::runtime_error);
-    EXPECT_THROW(collectProfiles(entries, rc, 1), std::runtime_error);
+    for (unsigned jobs : {4u, 1u}) {
+        std::vector<SweepFailure> failures;
+        size_t delivered = 0;
+        const auto got = collectProfiles(
+            entries, rc, jobs, {},
+            [&](const StoredProfile &) { ++delivered; }, {}, &failures);
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(delivered, 0u);
+        ASSERT_EQ(failures.size(), 1u) << "jobs " << jobs;
+        EXPECT_EQ(failures[0].bench, "Fake/broken.x");
+        EXPECT_EQ(failures[0].phase, "profile");
+        EXPECT_EQ(failures[0].error, "kernel build exploded");
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -935,11 +947,18 @@ TEST(PipelineDatasetTest, CompletedResultsPersistWhenASweepFails)
 
     MicaRunnerConfig rc;
     rc.maxInsts = 5000;
-    ResultFn persist = [&store](const StoredProfile &p) { store.put(p); };
-    EXPECT_THROW(collectProfiles(entries, rc, 4, {}, persist),
-                 std::runtime_error);
+    std::atomic<size_t> persisted{0};
+    ResultFn persist = [&](const StoredProfile &p) {
+        store.put(p);
+        ++persisted;
+    };
+    std::vector<SweepFailure> failures;
+    collectProfiles(entries, rc, 4, {}, persist, {}, &failures);
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].bench, "Fake/broken.x");
+    EXPECT_EQ(persisted.load(), good.size());
 
-    // Everything that completed before the failure survives on disk.
+    // Everything that completed survives on disk; the failure does not.
     ProfileStore reopened(tmp.dir, key);
     ASSERT_TRUE(reopened.open());
     EXPECT_EQ(reopened.size(), good.size());
@@ -949,87 +968,55 @@ TEST(PipelineDatasetTest, CompletedResultsPersistWhenASweepFails)
 }
 
 // ----------------------------------------------------------------------
-// Hardened CSV loaders
+// CSV exports
 // ----------------------------------------------------------------------
-
-TEST(CsvHardeningTest, TruncatedAndGarbageRowsRejected)
-{
-    const std::string path = "/tmp/mica_test_bad.csv";
-
-    {
-        std::ofstream out(path);
-        out << "name,inst_count";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << ",c" << i;
-        out << "\nbench/a.x,123,0.5\n";    // truncated row
-    }
-    EXPECT_TRUE(loadProfilesCsv(path).empty());
-
-    {
-        std::ofstream out(path);
-        out << "name,inst_count";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << ",c" << i;
-        out << "\nbench/a.x,NOTANUMBER";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << ",0.5";
-        out << '\n';
-    }
-    EXPECT_TRUE(loadProfilesCsv(path).empty());    // non-numeric count
-
-    {
-        std::ofstream out(path);
-        out << "name,inst_count";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << ",c" << i;
-        out << "\nbench/a.x,123";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << (i == 5 ? ",bogus" : ",0.5");
-        out << '\n';
-    }
-    EXPECT_TRUE(loadProfilesCsv(path).empty());    // non-numeric cell
-
-    {
-        std::ofstream out(path);
-        out << "name,inst_count";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << ",c" << i;
-        out << "\nbench/a.x,-1";    // strtoull would wrap to 2^64-1
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << ",0.5";
-        out << "\nbench/b.y,123";
-        for (size_t i = 0; i < kNumMicaChars; ++i)
-            out << (i == 2 ? ",nan" : ",0.5");    // non-finite cell
-        out << '\n';
-    }
-    EXPECT_TRUE(loadProfilesCsv(path).empty());
-
-    {
-        std::ofstream out(path);
-        out << "name,inst_count,ipc_ev56,ipc_ev67,branch_miss,l1d_miss,"
-               "l1i_miss,l2_miss,dtlb_miss\n";
-        out << "bench/a.x,100,0.9,1.4\n";    // truncated HPC row
-    }
-    EXPECT_TRUE(loadHpcCsv(path).empty());
-
-    std::filesystem::remove(path);
-}
 
 TEST(CsvHardeningTest, WellFormedCsvStillRoundTrips)
 {
+    // The exports are write-only; the test parses the written cells
+    // and compares each value bit for bit.
     const std::string path = "/tmp/mica_test_good.csv";
     MicaProfile p;
     p.name = "bench/a.x";
     p.instCount = 4242;
     for (size_t i = 0; i < kNumMicaChars; ++i)
-        p.values[i] = 0.25 * static_cast<double>(i);
+        p.values[i] = 0.25 * static_cast<double>(i) + 1.0 / 3.0;
     saveProfilesCsv(path, {p});
-    const auto loaded = loadProfilesCsv(path);
-    ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded[0].name, p.name);
-    EXPECT_EQ(loaded[0].instCount, p.instCount);
+    auto rows = test::csvCells(path);
+    ASSERT_EQ(rows.size(), 2u);
+    ASSERT_EQ(rows[1].size(), kNumMicaChars + 2);
+    EXPECT_EQ(rows[1][0], p.name);
+    EXPECT_EQ(rows[1][1], "4242");
     for (size_t i = 0; i < kNumMicaChars; ++i)
-        EXPECT_DOUBLE_EQ(loaded[0].values[i], p.values[i]);
+        EXPECT_EQ(test::cellBits(rows[1][i + 2]),
+                  test::doubleBits(p.values[i]))
+            << "column " << i;
+
+    uarch::HwCounterProfile h;
+    h.name = p.name;
+    h.instCount = p.instCount;
+    h.ipcEv56 = 0.1;
+    h.ipcEv67 = 2.0 / 3.0;
+    h.branchMissRate = 1e-17;
+    h.l1dMissRate = 0.5;
+    h.l1iMissRate = 0.0;
+    h.l2MissRate = 1.0 / 7.0;
+    h.dtlbMissRate = 123456.789;
+    saveHpcCsv(path, {h});
+    rows = test::csvCells(path);
+    const std::vector<double> want = h.toVector();
+    ASSERT_EQ(rows.size(), 2u);
+    ASSERT_EQ(rows[0].size(), want.size() + 2);
+    ASSERT_EQ(rows[1].size(), want.size() + 2);
+    EXPECT_EQ(rows[1][0], h.name);
+    EXPECT_EQ(rows[1][1], "4242");
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(rows[0][i + 2],
+                  uarch::HwCounterProfile::metricNames()[i]);
+        EXPECT_EQ(test::cellBits(rows[1][i + 2]),
+                  test::doubleBits(want[i]))
+            << "metric " << i;
+    }
     std::filesystem::remove(path);
 }
 

@@ -528,6 +528,28 @@ givenSpace(const std::string &space)
     return sc;
 }
 
+/** @return every benchmark's kNN reply, as the daemon renders them. */
+std::string
+allKnnReplies(const ServerSnapshot &snap)
+{
+    std::string out;
+    for (size_t i = 0; i < snap.idx.size(); ++i) {
+        out += executeLine(snap, "{\"op\":\"knn\",\"bench\":\"" +
+                                     snap.idx.nameOf(i) + "\",\"k\":2}") +
+            "\n";
+    }
+    return out;
+}
+
+/** @return the bytes of @p path. */
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 TEST(ServiceSnapshotTest, ReopensInTheStoredSpaceUnlessOneIsGiven)
 {
     TempDir dir;
@@ -586,10 +608,128 @@ TEST(ServiceSnapshotTest, VersionOneCacheKeepsItsSpaceAndIsRewritten)
     ASSERT_NE(snap, nullptr) << err;
     EXPECT_EQ(snap->space, "key");
     EXPECT_EQ(readVersion(), index::kSnapshotVersion);
-    index::FingerprintIndex reloaded;
-    ASSERT_TRUE(index::loadIndexSnapshot(path, snap->key, &reloaded, &err))
-        << err;
-    EXPECT_EQ(reloaded.fingerprints().data, snap->idx.fingerprints().data);
+    index::IndexRecord rec;
+    ASSERT_TRUE(index::loadIndexRecord(path, &rec, &err)) << err;
+    EXPECT_EQ(rec.key, snap->key);
+    EXPECT_EQ(rec.columns, snap->idx.fingerprints().columns);
+}
+
+/** Append the bytes of @p v to @p out. */
+template <typename T>
+void
+appendPod(std::string &out, T v)
+{
+    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+}
+
+/** Append a u32 length and the bytes of @p s to @p out. */
+void
+appendString(std::string &out, const std::string &s)
+{
+    appendPod(out, static_cast<uint32_t>(s.size()));
+    out += s;
+}
+
+/**
+ * Write @p idx to @p path as format 3 stored it: magic, version,
+ * fingerprint version, @p key, the payload's FNV-1a, then the whole
+ * index (shape, column table, names, normalization, PCA basis and
+ * vectors).
+ */
+void
+writeFormatThree(const std::string &path, const index::FingerprintIndex &idx,
+                 const std::string &key)
+{
+    const index::FingerprintSet &fps = idx.fingerprints();
+    std::string payload;
+    for (uint64_t v : {uint64_t{fps.size()}, uint64_t{fps.dim},
+                       uint64_t{fps.sourceCols}, uint64_t{fps.pcaDims},
+                       uint64_t{fps.columns.size()}})
+        appendPod(payload, v);
+    for (size_t c : fps.columns)
+        appendPod(payload, uint64_t{c});
+    for (const std::string &name : fps.names)
+        appendString(payload, name);
+    for (const auto *v : {&fps.colMean, &fps.colStddev, &fps.pcaMean,
+                          &fps.pcaBasis, &fps.data}) {
+        appendPod(payload, uint64_t{v->size()});
+        payload.append(reinterpret_cast<const char *>(v->data()),
+                       v->size() * sizeof(double));
+    }
+    std::string file = "MICAIDX\n";
+    appendPod(file, uint32_t{3});
+    appendPod(file, index::FingerprintSet::kVersion);
+    appendString(file, key);
+    appendPod(file, fnv1a(payload.data(), payload.size()));
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << file << payload;
+}
+
+TEST(ServiceSnapshotTest, FormatThreeFileHandsOverItsSpaceAndIsRewritten)
+{
+    TempDir dir;
+    const auto cfg = privateConfig(dir);
+    const experiments::SuiteDataset &ds = testSnapshot()->ds;
+    const std::string path = index::snapshotPath(dir.dir);
+    writeFormatThree(path, indexFromDataset(ds, "hpc", 0, nullptr),
+                     indexKey(ds, "hpc", 0));
+    ASSERT_GT(std::filesystem::file_size(path), 1024u);
+
+    std::string err;
+    const auto snap =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(snap, nullptr) << err;
+    EXPECT_EQ(snap->space, "hpc");
+    EXPECT_EQ(snap->key, indexKey(ds, "hpc", 0));
+    index::IndexRecord rec;
+    ASSERT_TRUE(index::loadIndexRecord(path, &rec, &err)) << err;
+    EXPECT_EQ(rec.key, snap->key);
+    EXPECT_LT(std::filesystem::file_size(path), 1024u);
+
+    // A space this build does not have is not adopted: the open
+    // answers in the default space instead of failing.
+    writeFormatThree(path, indexFromDataset(ds, "hpc", 0, nullptr),
+                     indexKey(ds, "hqc", 0));
+    const auto fallback =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(fallback, nullptr) << err;
+    EXPECT_EQ(fallback->space, "mica");
+    EXPECT_EQ(allKnnReplies(*fallback), allKnnReplies(*testSnapshot()));
+}
+
+/** obs counter @p name's current value. */
+int64_t
+counterValue(const std::string &name)
+{
+    const obs::MetricsSnapshot ms = obs::snapshotMetrics();
+    const auto it = ms.metrics.find(name);
+    return it == ms.metrics.end() ? 0 : it->second.value;
+}
+
+TEST(ServiceSnapshotTest, WarmKeySpaceOpenRunsNoGa)
+{
+    TempDir dir;
+    const auto cfg = privateConfig(dir);
+    std::string err;
+    const int64_t cold = counterValue("ga.generation.count");
+    const auto built =
+        buildServerSnapshot(cfg, givenSpace("key"), nullptr, 0, {}, &err);
+    ASSERT_NE(built, nullptr) << err;
+    const int64_t warm = counterValue("ga.generation.count");
+    EXPECT_GT(warm, cold);
+
+    // Adopted or given, the key space reopens from the recorded
+    // columns: the GA does not run again, and every answer is the same.
+    for (const SpaceChoice &sc : {SpaceChoice{}, givenSpace("key")}) {
+        const auto reopened =
+            buildServerSnapshot(cfg, sc, nullptr, 0, {}, &err);
+        ASSERT_NE(reopened, nullptr) << err;
+        EXPECT_EQ(reopened->space, "key");
+        EXPECT_EQ(counterValue("ga.generation.count"), warm);
+        EXPECT_EQ(reopened->idx.fingerprints().columns,
+                  built->idx.fingerprints().columns);
+        EXPECT_EQ(allKnnReplies(*reopened), allKnnReplies(*built));
+    }
 }
 
 /** Write four random traces under @p dir; @p seed varies the records. */
@@ -609,19 +749,6 @@ writeRandomTraces(const std::string &dir, uint64_t seed)
             w.append(r);
         w.close();
     }
-}
-
-/** @return every benchmark's kNN reply, as the daemon renders them. */
-std::string
-allKnnReplies(const ServerSnapshot &snap)
-{
-    std::string out;
-    for (size_t i = 0; i < snap.idx.size(); ++i) {
-        out += executeLine(snap, "{\"op\":\"knn\",\"bench\":\"" +
-                                     snap.idx.nameOf(i) + "\",\"k\":2}") +
-            "\n";
-    }
-    return out;
 }
 
 TEST(ServiceSnapshotTest, KeyFollowsTheDatasetNotTheConfig)
@@ -656,14 +783,17 @@ TEST(ServiceSnapshotTest, KeyFollowsTheDatasetNotTheConfig)
     EXPECT_EQ(allKnnReplies(*second), allKnnReplies(*fresh));
     EXPECT_NE(allKnnReplies(*second), allKnnReplies(*first));
 
-    // The same dataset reloads its snapshot instead of rebuilding it:
-    // an index planted under its key is what comes back.
+    // The same dataset reuses its record instead of choosing columns
+    // afresh: the columns of a record planted under its key are the
+    // ones the open indexes.
     index::FingerprintOptions three;
     three.columns = {0, 1, 2};
+    const Matrix mica = second->ds.micaMatrix();
     const index::FingerprintIndex planted =
-        index::FingerprintIndex::build(second->ds.micaMatrix(), three);
-    ASSERT_TRUE(index::saveIndexSnapshot(
-        planted, index::snapshotPath(cfg.cacheDir), second->key));
+        index::FingerprintIndex::build(mica, three);
+    ASSERT_TRUE(index::saveIndexRecord(
+        {second->key, mica.cols(), three.columns},
+        index::snapshotPath(cfg.cacheDir)));
     const auto again =
         buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
     ASSERT_NE(again, nullptr) << err;
@@ -681,19 +811,14 @@ TEST(ServiceSnapshotTest, DamagedSnapshotRebuildsToFreshAnswers)
         buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
     ASSERT_NE(built, nullptr) << err;
 
-    // Flip one bit among the vectors at the end of the file.
+    // Flip one bit in the column table near the end of the record.
     const std::string path = index::snapshotPath(dir.dir);
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    ASSERT_GT(bytes.size(), 300u);
-    bytes[bytes.size() - 300] ^= 0x10;
+    std::string bytes = readBytes(path);
+    ASSERT_GT(bytes.size(), 100u);
+    bytes[bytes.size() - 40] ^= 0x10;
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-    index::FingerprintIndex out;
-    EXPECT_FALSE(index::loadIndexSnapshot(path, built->key, &out, &err));
+    index::IndexRecord rec;
+    EXPECT_FALSE(index::loadIndexRecord(path, &rec, &err));
     EXPECT_NE(err.find("checksum"), std::string::npos) << err;
 
     const auto rebuilt =
@@ -702,8 +827,92 @@ TEST(ServiceSnapshotTest, DamagedSnapshotRebuildsToFreshAnswers)
     EXPECT_EQ(rebuilt->idx.fingerprints().data,
               built->idx.fingerprints().data);
     EXPECT_EQ(allKnnReplies(*rebuilt), allKnnReplies(*built));
-    ASSERT_TRUE(index::loadIndexSnapshot(path, built->key, &out, &err))
+    ASSERT_TRUE(index::loadIndexRecord(path, &rec, &err)) << err;
+    EXPECT_EQ(rec.key, built->key);
+}
+
+/** Replace the first @p from in @p path's bytes with @p to. */
+void
+editRecord(const std::string &path, const std::string &from,
+           const std::string &to)
+{
+    std::string bytes = readBytes(path);
+    const size_t at = bytes.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bytes.replace(at, from.size(), to);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(ServiceSnapshotTest, EditedKeyRejectsTheRecord)
+{
+    TempDir dir, fresh;
+    const auto cfg = privateConfig(dir);
+    const std::string path = index::snapshotPath(dir.dir);
+    std::string err;
+
+    // pca=0 edited to pca=1: an open asking for one component must
+    // not take the record's all-column choice as its own, and answers
+    // as a fresh pca=1 index does.
+    ASSERT_NE(buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err),
+              nullptr)
         << err;
+    editRecord(path, "|pca=0", "|pca=1");
+    SpaceChoice pca1;
+    pca1.pca = 1;
+    pca1.given = true;
+    const auto edited = buildServerSnapshot(cfg, pca1, nullptr, 0, {}, &err);
+    ASSERT_NE(edited, nullptr) << err;
+    const auto want = buildServerSnapshot(privateConfig(fresh), pca1,
+                                          nullptr, 0, {}, &err);
+    ASSERT_NE(want, nullptr) << err;
+    EXPECT_EQ(edited->idx.dim(), 1u);
+    EXPECT_EQ(allKnnReplies(*edited), allKnnReplies(*want));
+    index::IndexRecord rec;
+    ASSERT_TRUE(index::loadIndexRecord(path, &rec, &err)) << err;
+    EXPECT_EQ(rec.key, want->key);
+
+    // hpc edited to hqc: the record rejects, so the open neither
+    // adopts a space that does not exist nor fails; it answers in the
+    // default space.
+    ASSERT_NE(buildServerSnapshot(cfg, givenSpace("hpc"), nullptr, 0, {},
+                                  &err),
+              nullptr)
+        << err;
+    editRecord(path, "|space=hpc", "|space=hqc");
+    const auto reopened =
+        buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
+    ASSERT_NE(reopened, nullptr) << err;
+    EXPECT_EQ(reopened->space, "mica");
+    EXPECT_EQ(allKnnReplies(*reopened), allKnnReplies(*testSnapshot()));
+}
+
+TEST(ServiceSnapshotTest, EveryFlippedRecordByteRebuildsOrHasNoEffect)
+{
+    TempDir dir;
+    const auto cfg = privateConfig(dir);
+    std::string err;
+    const auto built =
+        buildServerSnapshot(cfg, givenSpace("key"), nullptr, 0, {}, &err);
+    ASSERT_NE(built, nullptr) << err;
+    const std::string path = index::snapshotPath(dir.dir);
+    const std::string record = readBytes(path);
+    const std::string want = allKnnReplies(*built);
+
+    // Each flip either rejects (the open chooses the columns afresh
+    // and rewrites the record) or changes nothing the open reads; no
+    // flip fails the open or moves an answer.
+    for (size_t at = 0; at < record.size(); ++at) {
+        std::string flipped = record;
+        flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << flipped;
+        const auto snap =
+            buildServerSnapshot(cfg, givenSpace("key"), nullptr, 0, {},
+                                &err);
+        ASSERT_NE(snap, nullptr) << "byte " << at << ": " << err;
+        EXPECT_EQ(allKnnReplies(*snap), want) << "byte " << at;
+        const std::string after = readBytes(path);
+        EXPECT_TRUE(after == record || after == flipped) << "byte " << at;
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1228,7 +1437,7 @@ TEST(ServiceServerTest, EveryQueryOpRecordsItsThreePhases)
         for (const auto &op : ops) {
             for (const char *phase : {"parse", "execute", "serialize"}) {
                 const std::string name =
-                    "serve." + op.first + "." + phase + "_us";
+                    "serve." + op.first + "." + phase + "_ns";
                 const auto it = ms.metrics.find(name);
                 out[name] =
                     it == ms.metrics.end() ? 0 : it->second.hist.count;
@@ -1252,6 +1461,22 @@ TEST(ServiceServerTest, EveryQueryOpRecordsItsThreePhases)
     ASSERT_EQ(after.size(), 21u);
     for (const auto &[name, n] : after)
         EXPECT_EQ(n - before.at(name), kEach) << name;
+
+    // Phases are recorded in nanoseconds, so even a ping's serialize,
+    // well under a microsecond, adds to the sum.
+    const auto serialize = [] {
+        const obs::MetricsSnapshot ms = obs::snapshotMetrics();
+        const auto it = ms.metrics.find("serve.ping.serialize_ns");
+        return it == ms.metrics.end() ? obs::HistogramValue{}
+                                      : it->second.hist;
+    };
+    const obs::HistogramValue pingBefore = serialize();
+    for (int i = 0; i < 100; ++i)
+        ASSERT_TRUE(client.request("{\"op\":\"ping\"}", &reply, &err))
+            << err;
+    const obs::HistogramValue pingAfter = serialize();
+    EXPECT_EQ(pingAfter.count - pingBefore.count, 100);
+    EXPECT_GT(pingAfter.sum - pingBefore.sum, 0);
 }
 
 // ----------------------------------------------------------------------

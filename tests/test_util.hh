@@ -1,11 +1,17 @@
 /**
  * @file
- * Shared helpers for building InstRecord streams in tests.
+ * Shared helpers for building InstRecord streams in tests, and for
+ * reading back the CSV exports cell by cell.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "trace/inst_record.hh"
@@ -87,6 +93,38 @@ feed(Analyzer &a, const std::vector<InstRecord> &recs)
     for (const auto &r : recs)
         a.accept(r);
     a.finish();
+}
+
+/** The comma-separated cells of every line of @p path, header first. */
+inline std::vector<std::vector<std::string>>
+csvCells(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::vector<std::string>> rows;
+    std::string line, cell;
+    while (std::getline(in, line)) {
+        std::istringstream ss(line);
+        rows.emplace_back();
+        while (std::getline(ss, cell, ','))
+            rows.back().push_back(cell);
+    }
+    return rows;
+}
+
+/** The bits of @p v, so a test can compare doubles exactly. */
+inline uint64_t
+doubleBits(double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** The bits of the double a CSV cell spells. */
+inline uint64_t
+cellBits(const std::string &cell)
+{
+    return doubleBits(std::strtod(cell.c_str(), nullptr));
 }
 
 } // namespace mica::test

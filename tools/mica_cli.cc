@@ -31,9 +31,9 @@
  * --jobs worker threads with bit-identical output for any job count;
  * --cache names a config-keyed profile store that is reused across
  * runs, so methodology verbs re-profile nothing when a store exists.
- * The index verbs persist a fingerprint-index snapshot next to that
- * store (<cache>/index.bin) and answer kNN/radius/most-redundant
- * queries from it without re-profiling anything.
+ * The index verbs build the fingerprint index from that store and
+ * answer kNN/radius/most-redundant queries without re-profiling
+ * anything; <cache>/index.bin records the space and its key columns.
  *
  * Every dataset verb also takes --suites=A,B (suite filter) and
  * --traces=DIR (profile the recorded trace files anywhere under DIR
@@ -524,40 +524,25 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
         if (rejectBadInt(args, "index", flag))
             return 2;
     }
-    const service::SpaceChoice sc = spaceChoiceFromArgs(args);
+    service::SpaceChoice sc = spaceChoiceFromArgs(args);
     if (sc.space != "mica" && sc.space != "hpc" && sc.space != "key") {
         std::fprintf(stderr,
                      "mica index: --space must be mica, hpc, or key "
                      "(got '%s')\n", sc.space.c_str());
         return 2;
     }
+    // `build` opens in the space asked for (mica by default); the
+    // queries adopt the space the index record names unless given.
+    sc.given = sc.given || sub == "build";
 
-    // The snapshot lives next to the profile store; without --cache it
-    // still needs a durable home, so a default directory steps in.
+    // The index record lives next to the profile store; without
+    // --cache it still needs a durable home, so a default directory
+    // steps in.
     experiments::DatasetConfig icfg = cfg;
     if (icfg.cacheDir.empty())
         icfg.cacheDir = ".mica-index";
     auto pool = methodologyPool(icfg);
     pipeline::ThreadPool *p = pool.get();
-
-    if (sub == "build") {
-        const experiments::SuiteDataset ds = collectReported(icfg);
-        const index::FingerprintIndex idx =
-            service::indexFromDataset(ds, sc.space, sc.pca, p);
-        const std::string path = index::snapshotPath(icfg.cacheDir);
-        std::string why;
-        if (!index::saveIndexSnapshot(
-                idx, path, service::indexKey(ds, sc.space, sc.pca),
-                &why)) {
-            std::fprintf(stderr, "mica index build: %s\n", why.c_str());
-            return 1;
-        }
-        std::printf("indexed %zu fingerprints (dim %zu, space %s, "
-                    "pca %zu)\nsnapshot: %s\n",
-                    idx.size(), idx.dim(), sc.space.c_str(), sc.pca,
-                    path.c_str());
-        return 0;
-    }
 
     // Query verbs validate everything before opening the snapshot.
     std::string target;
@@ -604,9 +589,8 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
         }
     }
 
-    // The same snapshot path the daemon and `mica query` open: the
-    // space is adopted from the stored snapshot unless given, and a
-    // missing or mismatched snapshot is rebuilt and persisted.
+    // The same open the daemon and `mica query` make: a missing or
+    // mismatched index record is rewritten.
     std::string err;
     const auto snap = buildSnapshotReported(icfg, sc, p, &err);
     if (!snap) {
@@ -614,6 +598,22 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
         return 1;
     }
     const index::FingerprintIndex &idx = snap->idx;
+
+    if (sub == "build") {
+        const std::string path = index::snapshotPath(icfg.cacheDir);
+        index::IndexRecord rec;
+        if (!index::loadIndexRecord(path, &rec, &err) ||
+            rec.key != snap->key) {
+            std::fprintf(stderr, "mica index build: no index record for "
+                                 "this dataset at %s\n", path.c_str());
+            return 1;
+        }
+        std::printf("indexed %zu fingerprints (dim %zu, space %s, "
+                    "pca %zu)\nrecord: %s\n",
+                    idx.size(), idx.dim(), snap->space.c_str(), snap->pca,
+                    path.c_str());
+        return 0;
+    }
 
     if (sub == "redundant") {
         const auto &pairs = snap->closestPairs;
@@ -1468,11 +1468,12 @@ constexpr VerbDef kVerbs[] = {
      "  subset                    cluster-medoid representatives\n",
      "  --maxk=N       K sweep ceiling (default 70)\n", cmdSubset},
     {"index",
-     "  index build               build + persist the similarity index\n"
+     "  index build               build the similarity index, record\n"
+     "                            its space and key columns\n"
      "  index query <bench>|all   kNN / radius queries from the index\n"
      "  index redundant           most redundant benchmark pairs\n",
      "  --space=mica|hpc|key  fingerprint space (build; queries adopt\n"
-     "                 the snapshot's space unless told otherwise)\n"
+     "                 the recorded space unless told otherwise)\n"
      "  --pca=K        project onto K principal components\n"
      "  --k=N          neighbors per query (query)\n"
      "  --radius=R     radius query instead of kNN (query)\n"
