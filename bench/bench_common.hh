@@ -33,16 +33,20 @@ banner(const std::string &what, const std::string &paperRef)
                 "=====================\n\n");
 }
 
-/** Collect the full 122-benchmark dataset, reporting live progress. */
+/**
+ * Collect the dataset, reporting live progress. The banner goes to
+ * stderr with the progress lines, so stdout is the same for any
+ * --jobs.
+ */
 inline experiments::SuiteDataset
 collectWithBanner(const experiments::DatasetConfig &cfg)
 {
-    std::printf("[collecting %s profiles for 122 benchmarks, "
-                "budget=%llu%s, jobs=%u]\n\n",
-                cfg.cacheDir.empty() ? "fresh" : "cached-or-fresh",
-                static_cast<unsigned long long>(cfg.maxInsts),
-                cfg.maxInsts == 0 ? " (run to completion)" : "",
-                cfg.jobs);
+    std::fprintf(stderr, "[collecting %s profiles, budget=%llu%s, "
+                         "jobs=%u]\n",
+                 cfg.cacheDir.empty() ? "fresh" : "cached-or-fresh",
+                 static_cast<unsigned long long>(cfg.maxInsts),
+                 cfg.maxInsts == 0 ? " (run to completion)" : "",
+                 cfg.jobs);
     experiments::DatasetConfig runCfg = cfg;
     if (!runCfg.progress)
         runCfg.progress = pipeline::stderrProgress();

@@ -1,18 +1,16 @@
 /**
  * @file
- * Workload fingerprints: canonicalized vectors for the similarity index.
+ * Workload fingerprints: the vectors the similarity index compares.
  *
  * The paper compares benchmarks by Euclidean distance in a z-score
- * normalized characteristic space; a *fingerprint* is one benchmark's
- * position in that space, made durable. The catch with persisting such
- * vectors is that the normalization parameters (per-column mean and
- * standard deviation, and any PCA basis) are population statistics: a
- * query workload must be projected with the *same* parameters the
- * population was, or its distances are meaningless. A FingerprintSet
- * therefore freezes those parameters at build time and routes every
- * vector — population rows and later external queries alike — through
- * one embed() path, so a stored fingerprint and a fresh embedding of
- * the same raw profile are bit-identical.
+ * normalized characteristic space (Section IV); a *fingerprint* is one
+ * benchmark's position in that space. FingerprintIndex::build makes
+ * them with the code the methodology runs: it selects the source
+ * columns, applies zscoreNormalize and, when asked, projects onto
+ * principal components with pcaFit(...).project, so a fingerprint is
+ * bit-identical to the row a WorkloadSpace over the same columns
+ * holds. The normalization is a property of the population, so only
+ * benchmarks in it are fingerprinted; nothing is embedded later.
  */
 
 #pragma once
@@ -21,8 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "stats/matrix.hh"
 
 namespace mica::index
 {
@@ -43,54 +39,22 @@ struct FingerprintOptions
     size_t pcaDims = 0;
 };
 
-/**
- * A frozen set of fingerprints: the vectors plus every parameter
- * needed to embed new raw rows into the same space.
- */
+/** The fingerprints of one population, in row order. */
 struct FingerprintSet
 {
-    /** Bump when the embedding semantics change. */
+    /** Bump when the fingerprint semantics change. */
     static constexpr uint32_t kVersion = 1;
 
     size_t dim = 0;                     ///< fingerprint dimensionality
-    size_t sourceCols = 0;              ///< raw-matrix width expected by embed()
     std::vector<std::string> names;     ///< one per fingerprint, row order
     std::vector<double> data;           ///< flat row-major, size() x dim
-
     std::vector<size_t> columns;        ///< resolved raw columns used
-    std::vector<double> colMean;        ///< per selected column, frozen
-    std::vector<double> colStddev;      ///< per selected column, frozen
-
-    size_t pcaDims = 0;                 ///< 0 = no projection
-    std::vector<double> pcaMean;        ///< per selected column
-    std::vector<double> pcaBasis;       ///< pcaDims x columns.size(), row-major
 
     /** @return number of fingerprints. */
     size_t size() const { return names.size(); }
 
     /** @return fingerprint vector i (dim doubles). */
     const double *vec(size_t i) const { return data.data() + i * dim; }
-
-    /**
-     * Canonicalize a raw characteristic row into this space with the
-     * frozen parameters: select columns, z-score, optionally PCA
-     * project. Embedding a population row reproduces its stored
-     * fingerprint bit for bit.
-     *
-     * @param rawRow one raw row, sourceCols wide
-     * @throw std::invalid_argument on a width mismatch
-     */
-    std::vector<double> embed(const std::vector<double> &rawRow) const;
 };
-
-/**
- * Build a fingerprint set over the rows of a raw dataset: freeze the
- * per-column mean/stddev (population stddev, exactly as
- * zscoreNormalize computes it, so fingerprints match a WorkloadSpace
- * built from the same matrix bit for bit), fit the optional PCA basis
- * on the normalized data, and embed every row.
- */
-FingerprintSet buildFingerprints(const Matrix &raw,
-                                 const FingerprintOptions &opt = {});
 
 } // namespace mica::index

@@ -1,11 +1,13 @@
 #include "index/fingerprint_index.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <numeric>
+#include <stdexcept>
 
 #include "obs/obs.hh"
 #include "pipeline/thread_pool.hh"
+#include "stats/descriptive.hh"
+#include "stats/pca.hh"
 
 namespace mica::index
 {
@@ -13,79 +15,80 @@ namespace mica::index
 namespace
 {
 
-/** Rows per pass of the scan: eight sums in flight per column. */
-constexpr size_t kBlock = 8;
-
-/** Sentinel row id meaning "exclude nothing". */
-constexpr size_t kNoSkip = static_cast<size_t>(-1);
-
 /**
- * Two adjacent rows' partial sums, one per lane. A GCC/Clang vector
- * type: each lane is added and multiplied as a plain double (same
- * IEEE operation, same bits), and the compiler keeps a block's four
- * of them in SIMD registers. Written as a plain loop over eight sums,
- * GCC's -O3 cost model vectorizes across columns instead and loses
- * the gain to lane shuffles.
- */
-typedef double Lanes __attribute__((vector_size(2 * sizeof(double))));
-
-/** The fingerprints in column-major panels (FingerprintIndex::panels_). */
-struct Panels
-{
-    const double *data;
-    size_t count;    ///< real rows; the last panel may be padded
-    size_t dim;
-};
-
-/**
- * Call visit(id, dist) for every row but @p skip, ascending id, with
- * dist bit-equal to l2Dist(q, row, dim): each row's squared terms are
- * summed in column order, one panel of eight rows per pass.
+ * Call visit(i, dist) for every row i but @p id, ascending i, with its
+ * distance to @p id: down column id of the condensed triangle above
+ * the diagonal, then along row id's own run.
  */
 template <typename Visit>
 void
-forEachDist(const Panels &t, const double *q, size_t skip, Visit &&visit)
+forEachDist(const DistanceMatrix &d, size_t id, Visit &&visit)
 {
-    for (size_t lo = 0; lo < t.count; lo += kBlock) {
-        Lanes sum[kBlock / 2] = {};
-        const double *panel = t.data + lo * t.dim;
-        for (size_t c = 0; c < t.dim; ++c) {
-            const double qc = q[c];
-            const double *col = panel + c * kBlock;
-#pragma GCC unroll 4
-            for (size_t p = 0; p < kBlock / 2; ++p) {
-                Lanes v;
-                std::memcpy(&v, col + 2 * p, sizeof(v));
-                const Lanes d = qc - v;
-                sum[p] += d * d;
-            }
-        }
-        const size_t hi = std::min(t.count, lo + kBlock);
-        for (size_t i = lo; i < hi; ++i) {
-            if (i != skip)
-                visit(i, std::sqrt(sum[(i - lo) / 2][(i - lo) % 2]));
-        }
-    }
+    const double *all = d.condensed().data();
+    for (size_t i = 0; i < id; ++i)
+        visit(i, all[d.pairIndex(i, id)]);
+    for (size_t i = id + 1; i < d.numItems(); ++i)
+        visit(i, all[d.pairIndex(id, i)]);
 }
 
-/**
- * Exact k nearest of @p q, ascending (distance, id), in one pass over
- * the rows.
- * @param skip row id to exclude — queries by an indexed benchmark
- *        exclude the benchmark itself
- */
+} // namespace
+
+FingerprintIndex
+FingerprintIndex::build(const Matrix &raw, const FingerprintOptions &opt,
+                        pipeline::ThreadPool *pool)
+{
+    obs::ObsSpan sp("index.build");
+    FingerprintIndex idx;
+    FingerprintSet &fps = idx.fps_;
+    fps.columns = opt.columns;
+    if (fps.columns.empty()) {
+        fps.columns.resize(raw.cols());
+        std::iota(fps.columns.begin(), fps.columns.end(), size_t{0});
+    }
+    for (size_t c : fps.columns) {
+        if (c >= raw.cols())
+            throw std::invalid_argument(
+                "FingerprintIndex::build: column index out of range");
+    }
+
+    // The methodology's own normalization and projection (Section IV).
+    Matrix v = raw.selectCols(fps.columns);
+    zscoreNormalize(v);
+    if (opt.pcaDims > 0 && v.cols() > 0)
+        v = pcaFit(v).project(v, opt.pcaDims);
+
+    fps.dim = v.cols();
+    for (size_t r = 0; r < v.rows(); ++r) {
+        fps.names.push_back(r < raw.rowNames.size()
+                                ? raw.rowNames[r]
+                                : "row" + std::to_string(r));
+        fps.data.insert(fps.data.end(), v.row(r), v.row(r) + fps.dim);
+    }
+    idx.ids_ = util::NameIndex(fps.names);
+    idx.dist_ = DistanceMatrix(v, pool);
+    sp.arg("points", static_cast<uint64_t>(fps.size()));
+    sp.arg("dim", static_cast<uint64_t>(fps.dim));
+    return idx;
+}
+
+int64_t
+FingerprintIndex::idOf(const std::string &name) const
+{
+    return ids_.find(name);
+}
+
 std::vector<Neighbor>
-scanKnn(const Panels &t, const double *q, size_t k, size_t skip)
+FingerprintIndex::knn(size_t id, size_t k) const
 {
     // The k best so far as a max-heap on (distance, id): front() is
     // the worst keeper, so a row that cannot make the cut is rejected
     // with one comparison, and a row that can costs O(log k) for any
-    // k (a sorted buffer would go quadratic once k nears count).
+    // k (a sorted buffer would go quadratic once k nears size()).
     std::vector<Neighbor> best;
     if (k == 0)
         return best;
-    best.reserve(std::min(k, t.count));
-    forEachDist(t, q, skip, [&](size_t i, double dist) {
+    best.reserve(std::min(k, size()));
+    forEachDist(dist_, id, [&](size_t i, double dist) {
         const Neighbor n{dist, static_cast<uint32_t>(i)};
         if (best.size() < k) {
             best.push_back(n);
@@ -101,68 +104,16 @@ scanKnn(const Panels &t, const double *q, size_t k, size_t skip)
     return best;
 }
 
-/** All rows with dist <= r (inclusive), same order and skip. */
 std::vector<Neighbor>
-scanRadius(const Panels &t, const double *q, double r, size_t skip)
+FingerprintIndex::radius(size_t id, double r) const
 {
     std::vector<Neighbor> out;
-    forEachDist(t, q, skip, [&](size_t i, double dist) {
+    forEachDist(dist_, id, [&](size_t i, double dist) {
         if (dist <= r)
             out.push_back({dist, static_cast<uint32_t>(i)});
     });
     std::sort(out.begin(), out.end());
     return out;
-}
-
-} // namespace
-
-FingerprintIndex
-FingerprintIndex::build(const Matrix &raw, const FingerprintOptions &opt)
-{
-    obs::ObsSpan sp("index.build");
-    FingerprintIndex idx;
-    idx.fps_ = buildFingerprints(raw, opt);
-    idx.ids_ = util::NameIndex(idx.fps_.names);
-    const size_t n = idx.fps_.size();
-    const size_t dim = idx.fps_.dim;
-    idx.panels_.assign((n + kBlock - 1) / kBlock * kBlock * dim, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-        double *panel = idx.panels_.data() + (i - i % kBlock) * dim;
-        for (size_t c = 0; c < dim; ++c)
-            panel[c * kBlock + i % kBlock] = idx.fps_.vec(i)[c];
-    }
-    sp.arg("points", static_cast<uint64_t>(n));
-    sp.arg("dim", static_cast<uint64_t>(dim));
-    return idx;
-}
-
-int64_t
-FingerprintIndex::idOf(const std::string &name) const
-{
-    return ids_.find(name);
-}
-
-std::vector<Neighbor>
-FingerprintIndex::knn(size_t id, size_t k) const
-{
-    return scanKnn({panels_.data(), size(), dim()}, fps_.vec(id), k,
-                   id);
-}
-
-std::vector<Neighbor>
-FingerprintIndex::knnOfRaw(const std::vector<double> &rawRow,
-                           size_t k) const
-{
-    const std::vector<double> q = fps_.embed(rawRow);
-    return scanKnn({panels_.data(), size(), dim()}, q.data(), k,
-                   kNoSkip);
-}
-
-std::vector<Neighbor>
-FingerprintIndex::radius(size_t id, double r) const
-{
-    return scanRadius({panels_.data(), size(), dim()},
-                      fps_.vec(id), r, id);
 }
 
 std::vector<std::vector<Neighbor>>

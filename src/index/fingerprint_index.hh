@@ -2,24 +2,23 @@
  * @file
  * FingerprintIndex: the queryable workload-similarity index.
  *
- * Binds a FingerprintSet (the frozen vectors + embedding parameters)
- * to a flat-hash name→id map and answers the two queries the paper's
- * methodology keeps re-deriving from scratch: nearest neighbors of a
- * workload (is this application already covered?) and everything
- * within a similarity radius (the paper's 20%-of-max threshold). The
- * most redundant pairs in a population (which tuples waste
- * simulation time) are a constant of the population: the query
- * service computes them once per snapshot, in one pass over all
- * pairs (service::fillAnswerTables), as RedundantPair rows.
+ * Binds a FingerprintSet to a flat-hash name→id map and to the matrix
+ * of all pairwise distances among its fingerprints, and answers the
+ * two queries the paper's methodology keeps re-deriving from scratch:
+ * nearest neighbors of a workload (is this application already
+ * covered?) and everything within a similarity radius (the paper's
+ * 20%-of-max threshold). The most redundant pairs in a population
+ * (which tuples waste simulation time) are a constant of the
+ * population: the query service reads them off the same matrix once
+ * per snapshot (service::fillAnswerTables), as RedundantPair rows.
  *
- * Every query is one exact linear scan over the rows. The index keeps
- * a column-major copy of the fingerprints in panels of eight rows
- * (built with the index), and the scan sums one panel per pass: the
- * inner loop reads eight adjacent values of one column and keeps
- * eight independent sums, and the panels are read front to back. Each
- * row's terms are still added in column order, as l2Dist() adds them, so
- * every distance has l2Dist()'s bits: a value has one bit pattern no
- * matter which query (or the snapshot's all-pairs pass) produced it.
+ * The index is its distance matrix. build() computes every pair once,
+ * with the DistanceMatrix the methodology uses (bit-identical for any
+ * worker count), and a query selects from its benchmark's row of it:
+ * no query computes a distance, and a value has one bit pattern no
+ * matter which query or table shows it — l2Dist()'s, since both add
+ * each pair's squared terms in column order. The trade is memory:
+ * n(n-1)/2 doubles, 59 KB at the paper's 122 benchmarks.
  * Results are totally ordered by (distance, id), so ties on distance
  * (duplicated benchmarks exist!) have one canonical order. Batch
  * queries fanned across a ThreadPool are byte-identical for any
@@ -35,6 +34,7 @@
 #include <vector>
 
 #include "index/fingerprint.hh"
+#include "stats/distance.hh"
 #include "util/flat_hash.hh"
 
 namespace mica::pipeline
@@ -65,7 +65,10 @@ struct Neighbor
     }
 };
 
-/** Euclidean distance between two dim-wide vectors. */
+/**
+ * Euclidean distance between two dim-wide vectors: the tests' oracle
+ * for the distance matrix's bits.
+ */
 inline double
 l2Dist(const double *a, const double *b, size_t dim)
 {
@@ -104,15 +107,23 @@ class FingerprintIndex
   public:
     FingerprintIndex() = default;
 
-    /** Fingerprint a raw dataset and index it. */
+    /**
+     * Fingerprint a raw dataset and compute every pairwise distance,
+     * fanned across @p pool (nullptr = serial).
+     * @throw std::invalid_argument for a column past the raw width
+     */
     static FingerprintIndex build(const Matrix &raw,
-                                  const FingerprintOptions &opt = {});
+                                  const FingerprintOptions &opt = {},
+                                  pipeline::ThreadPool *pool = nullptr);
 
     size_t size() const { return fps_.size(); }
 
     size_t dim() const { return fps_.dim; }
 
     const FingerprintSet &fingerprints() const { return fps_; }
+
+    /** Every pairwise fingerprint distance. */
+    const DistanceMatrix &distances() const { return dist_; }
 
     /** @return fingerprint id for a benchmark name, or -1. */
     int64_t idOf(const std::string &name) const;
@@ -125,10 +136,6 @@ class FingerprintIndex
      * excluded, ascending (distance, id).
      */
     std::vector<Neighbor> knn(size_t id, size_t k) const;
-
-    /** k nearest neighbors of an external raw row (embedded first). */
-    std::vector<Neighbor> knnOfRaw(const std::vector<double> &rawRow,
-                                   size_t k) const;
 
     /** Indexed neighbors of @p id within r (inclusive), self excluded. */
     std::vector<Neighbor> radius(size_t id, double r) const;
@@ -146,13 +153,8 @@ class FingerprintIndex
     /** name -> id over fps_.names. */
     util::NameIndex ids_;
 
-    /**
-     * fps_ again, column-major in panels of eight rows: panel p holds
-     * rows 8p..8p+7, column by column, so component c of fingerprint
-     * i sits at panels_[(i - i % 8) * dim() + c * 8 + i % 8]. A scan
-     * reads the panels front to back; padding rows are zero.
-     */
-    std::vector<double> panels_;
+    /** Distance between fingerprints i and j at dist_.at(i, j). */
+    DistanceMatrix dist_;
 };
 
 } // namespace mica::index

@@ -5,12 +5,13 @@
  *
  * An index is a pure function of the collected dataset and its space:
  * z-score the selected characteristics, optionally project them onto
- * K principal components (the paper's Section IV). Rebuilding one
- * from the dataset takes tens of microseconds at 122 benchmarks, so
- * nothing of it is stored. What a build cannot cheaply redo is the
- * GA's choice of key characteristics (Section V, ~200 ms), and an
- * open without --space needs to know which space the cache was built
- * in. The record holds exactly that:
+ * K principal components, and compute every pairwise distance (the
+ * paper's Section IV). Rebuilding one from the dataset takes about
+ * half a millisecond at 122 benchmarks, so nothing of it is stored.
+ * What a build cannot cheaply redo is the GA's choice of key
+ * characteristics (Section V, ~200 ms), and an open without --space
+ * needs to know which space the cache was built in. The record holds
+ * exactly that:
  *
  *  - the canonical key (service::indexKey: dataset digest, space,
  *    PCA dims), which an open without --space adopts;

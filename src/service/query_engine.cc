@@ -37,8 +37,8 @@ sourceMatrix(const experiments::SuiteDataset &ds, const std::string &space)
 
 /**
  * The source columns a space fingerprints: every column of mica and
- * hpc; for key, the GA-selected key characteristics (normalization is
- * then frozen over the subset, as the paper's reduced space does).
+ * hpc; for key, the GA-selected key characteristics (the subset is
+ * then z-scored on its own, as the paper's reduced space is).
  */
 std::vector<size_t>
 spaceColumns(const Matrix &m, const std::string &space,
@@ -53,12 +53,13 @@ spaceColumns(const Matrix &m, const std::string &space,
 }
 
 index::FingerprintIndex
-indexOver(const Matrix &m, std::vector<size_t> columns, size_t pca)
+indexOver(const Matrix &m, std::vector<size_t> columns, size_t pca,
+          pipeline::ThreadPool *pool)
 {
     index::FingerprintOptions opt;
     opt.columns = std::move(columns);
     opt.pcaDims = pca;
-    return index::FingerprintIndex::build(m, opt);
+    return index::FingerprintIndex::build(m, opt, pool);
 }
 
 } // namespace
@@ -109,7 +110,7 @@ indexFromDataset(const experiments::SuiteDataset &ds,
                  pipeline::ThreadPool *pool)
 {
     const Matrix m = sourceMatrix(ds, space);
-    return indexOver(m, spaceColumns(m, space, pool), pca);
+    return indexOver(m, spaceColumns(m, space, pool), pca, pool);
 }
 
 namespace
@@ -169,11 +170,13 @@ profileJson(const std::string &bench, const char *space,
 void
 fillAnswerTables(ServerSnapshot *snap, size_t maxPairs)
 {
-    const index::FingerprintSet &fps = snap->idx.fingerprints();
-    const size_t n = fps.size();
+    const DistanceMatrix &dist = snap->idx.distances();
+    const size_t n = dist.numItems();
+    const double *all = dist.condensed().data();
 
-    // Every pair once. Only the maxPairs closest are kept: whenever
-    // the candidates reach twice that, nth_element cuts them back.
+    // Every pair once, in (a, b) order. Only the maxPairs closest are
+    // kept: whenever the candidates reach twice that, nth_element cuts
+    // them back.
     std::vector<index::RedundantPair> &closest = snap->closestPairs;
     closest.clear();
     const auto keepClosest = [&] {
@@ -183,28 +186,22 @@ fillAnswerTables(ServerSnapshot *snap, size_t maxPairs)
                          closest.end());
         closest.resize(maxPairs);
     };
-    double maxD = 0.0;
-    for (size_t a = 0; a + 1 < n; ++a) {
-        for (size_t b = a + 1; b < n; ++b) {
-            const double d =
-                index::l2Dist(fps.vec(a), fps.vec(b), fps.dim);
-            if (d > maxD)
-                maxD = d;
-            closest.push_back({d, static_cast<uint32_t>(a),
+    for (size_t a = 0, p = 0; a + 1 < n; ++a) {
+        for (size_t b = a + 1; b < n; ++b, ++p)
+            closest.push_back({all[p], static_cast<uint32_t>(a),
                                static_cast<uint32_t>(b)});
-        }
         if (closest.size() >= 2 * maxPairs)
             keepClosest();
     }
     keepClosest();
     std::sort(closest.begin(), closest.end());
-    snap->maxPairDist = maxD;
+    snap->maxPairDist = dist.maxDistance();
 
     // Suites in first-appearance order of the dataset; members in
     // dataset order and pairs in (i, j) order, so mean_dist sums in
     // the same order as the walk a request used to make.
     snap->suiteRows.clear();
-    const double simCut = 0.2 * maxD;
+    const double simCut = 0.2 * snap->maxPairDist;
     for (const auto &bench : snap->ds.benchmarks) {
         if (std::any_of(snap->suiteRows.begin(), snap->suiteRows.end(),
                         [&](const SuiteRow &r) {
@@ -226,8 +223,7 @@ fillAnswerTables(ServerSnapshot *snap, size_t maxPairs)
         size_t pairs = 0;
         for (size_t i = 0; i + 1 < ids.size(); ++i) {
             for (size_t j = i + 1; j < ids.size(); ++j) {
-                const double d = index::l2Dist(
-                    fps.vec(ids[i]), fps.vec(ids[j]), fps.dim);
+                const double d = dist.at(ids[i], ids[j]);
                 if (pairs == 0 || d < row.minDist)
                     row.minDist = d;
                 if (d > row.maxDist)
@@ -322,7 +318,7 @@ buildServerSnapshot(const experiments::DatasetConfig &cfg, SpaceChoice sc,
         current && rec.key == snap->key && rec.sourceCols == m.cols();
     if (!reuse)
         rec = {snap->key, m.cols(), spaceColumns(m, sc.space, pool)};
-    snap->idx = indexOver(m, rec.columns, sc.pca);
+    snap->idx = indexOver(m, rec.columns, sc.pca, pool);
     // Persisting is best-effort: an unwritable cache degrades the next
     // open to a fresh column choice, it does not fail this one.
     if (!reuse)

@@ -8,12 +8,14 @@
  * its verb handler. The engine splits that into:
  *
  *  - **ServerSnapshot** — everything a query needs (the collected
- *    dataset, the fingerprint index, the frozen space parameters)
- *    plus the answer tables computed from them once, at build: the
- *    population's closest pairs, one distance summary per suite, and
- *    the reply fragments that never change for the snapshot (each
- *    benchmark's `profile` result in both spaces, each `suites` row),
- *    already rendered as canonical JSON text.
+ *    dataset and the fingerprint index, which holds the matrix of
+ *    all pairwise distances) plus the answer tables read off that
+ *    matrix once, at build: the population's closest pairs, one
+ *    distance summary per suite, and the reply fragments that never
+ *    change for the snapshot (each benchmark's `profile` result in
+ *    both spaces, each `suites` row), already rendered as canonical
+ *    JSON text. `knn` and `radius` select from the same matrix, so
+ *    every distance a reply shows was computed once, by the build.
  *    Immutable once built. Concurrent readers share it by
  *    shared_ptr; a re-index builds a *new* snapshot and swaps the
  *    pointer (see SnapshotHolder in server.hh), so readers never
@@ -94,7 +96,10 @@ std::string indexKey(const experiments::SuiteDataset &ds,
  */
 bool adoptSpaceFromKey(const std::string &storedKey, SpaceChoice *sc);
 
-/** Build the fingerprint index for one space over a dataset. */
+/**
+ * Build the fingerprint index for one space over a dataset; the GA
+ * (key space) and the distance matrix fan out across @p pool.
+ */
 index::FingerprintIndex
 indexFromDataset(const experiments::SuiteDataset &ds,
                  const std::string &space, size_t pca,
@@ -126,8 +131,9 @@ struct ProfileResults
  *
  * The fields from maxPairDist on are the answer tables: the paper
  * computes the matrix of all pairwise distances once and cuts it at
- * 20% of its maximum, and a snapshot does the same when it is built
- * (fillAnswerTables), along with the reply text of every profile.
+ * 20% of its maximum, and a snapshot reads the same cuts off its
+ * index's matrix when it is built (fillAnswerTables), along with the
+ * reply text of every profile.
  */
 struct ServerSnapshot
 {
@@ -163,10 +169,10 @@ struct ServerSnapshot
 };
 
 /**
- * Fill @p snap's answer tables from its index and dataset in one
- * pass over all pairs (the same l2Dist as every query, so values are
- * bit-equal to a per-request walk), and render the suite rows and
- * every dataset row's profile results. buildServerSnapshot calls it;
+ * Fill @p snap's answer tables from its index's distance matrix (the
+ * one every query reads, so values are bit-equal to a per-request
+ * walk), and render the suite rows and every dataset row's profile
+ * results. buildServerSnapshot calls it;
  * snapshots assembled by hand call it when they answer `profile`,
  * `redundant` or `suites`. Never holds much more than 2 * @p maxPairs
  * candidate pairs; @p maxPairs below kMaxCount only serves tests of

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the workload-fingerprint similarity index: fingerprint
- * canonicalization, the exact kNN/radius scans against a full-sort
- * oracle (bit equality is the property the whole subsystem rests
- * on), pooled batch-query determinism, the query snapshot's
- * closest-pair table against a per-row kNN merge oracle, and the
- * index record's durability and checks.
+ * Tests for the workload-fingerprint similarity index: fingerprints
+ * against the methodology's own normalization, the kNN/radius answers
+ * read off the distance matrix against a full-sort l2Dist oracle (bit
+ * equality is the property the whole subsystem rests on), pooled
+ * build and batch-query determinism, the query snapshot's closest-pair
+ * table against a per-row kNN merge oracle, and the index record's
+ * durability and checks.
  */
 
 #include <algorithm>
@@ -19,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "index/fingerprint.hh"
 #include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "methodology/workload_space.hh"
@@ -51,9 +51,9 @@ randomDataset(size_t rows, size_t cols, uint64_t seed)
 }
 
 /**
- * The reference kNN: every distance, one full sort by (distance, id),
- * truncated to k. Slow and obviously right; the scan must match it
- * bit for bit, order included.
+ * The reference kNN: every distance by l2Dist, one full sort by
+ * (distance, id), truncated to k. Slow and obviously right; the index
+ * must match it bit for bit, order included.
  */
 std::vector<Neighbor>
 fullSortKnn(const FingerprintSet &fps, const double *q, size_t k,
@@ -187,7 +187,8 @@ struct SnapDir
 TEST(FingerprintTest, MatchesWorkloadSpaceNormalizationBitwise)
 {
     const Matrix raw = randomDataset(20, 5, 3);
-    const FingerprintSet fps = buildFingerprints(raw);
+    const FingerprintIndex idx = FingerprintIndex::build(raw);
+    const FingerprintSet &fps = idx.fingerprints();
     const WorkloadSpace space{raw};
     ASSERT_EQ(fps.size(), 20u);
     ASSERT_EQ(fps.dim, 5u);
@@ -195,23 +196,8 @@ TEST(FingerprintTest, MatchesWorkloadSpaceNormalizationBitwise)
         for (size_t c = 0; c < 5; ++c)
             EXPECT_EQ(fps.vec(r)[c], space.normalized().at(r, c))
                 << "row " << r << " col " << c;
-}
-
-TEST(FingerprintTest, EmbedReproducesStoredVectorsBitwise)
-{
-    const Matrix raw = randomDataset(17, 6, 11);
-    for (const size_t pca : {size_t{0}, size_t{3}}) {
-        FingerprintOptions opt;
-        opt.pcaDims = pca;
-        const FingerprintSet fps = buildFingerprints(raw, opt);
-        EXPECT_EQ(fps.dim, pca == 0 ? 6u : 3u);
-        for (size_t r = 0; r < raw.rows(); ++r) {
-            const auto v = fps.embed(raw.rowVec(r));
-            ASSERT_EQ(v.size(), fps.dim);
-            for (size_t c = 0; c < fps.dim; ++c)
-                EXPECT_EQ(v[c], fps.vec(r)[c]);
-        }
-    }
+    // One distance matrix: the methodology's is the index's.
+    EXPECT_EQ(idx.distances().condensed(), space.distances().condensed());
 }
 
 TEST(FingerprintTest, ColumnSubsetRefreezesNormalization)
@@ -219,14 +205,15 @@ TEST(FingerprintTest, ColumnSubsetRefreezesNormalization)
     const Matrix raw = randomDataset(12, 8, 7);
     FingerprintOptions opt;
     opt.columns = {1, 4, 6};
-    const FingerprintSet fps = buildFingerprints(raw, opt);
+    const FingerprintIndex idx = FingerprintIndex::build(raw, opt);
+    const FingerprintSet &fps = idx.fingerprints();
     EXPECT_EQ(fps.dim, 3u);
     // Same as a fingerprint set over the projected matrix.
-    const FingerprintSet direct =
-        buildFingerprints(raw.selectCols(opt.columns));
+    const FingerprintIndex direct =
+        FingerprintIndex::build(raw.selectCols(opt.columns));
     for (size_t r = 0; r < raw.rows(); ++r)
         for (size_t c = 0; c < 3; ++c)
-            EXPECT_EQ(fps.vec(r)[c], direct.vec(r)[c]);
+            EXPECT_EQ(fps.vec(r)[c], direct.fingerprints().vec(r)[c]);
 }
 
 TEST(FingerprintTest, ConstantColumnsAndWidthMismatchAreHandled)
@@ -235,16 +222,20 @@ TEST(FingerprintTest, ConstantColumnsAndWidthMismatchAreHandled)
     raw.appendRow({1.0, 2.0});
     raw.appendRow({1.0, 4.0});
     raw.rowNames = {"a", "b"};
-    const FingerprintSet fps = buildFingerprints(raw);
+    const FingerprintIndex idx = FingerprintIndex::build(raw);
+    const FingerprintSet &fps = idx.fingerprints();
     EXPECT_EQ(fps.vec(0)[0], 0.0);      // constant column -> zero
     EXPECT_EQ(fps.vec(1)[0], 0.0);
-    EXPECT_THROW(fps.embed({1.0, 2.0, 3.0}), std::invalid_argument);
+    // A column past the raw width is rejected, not read.
+    FingerprintOptions wide;
+    wide.columns = {0, 2};
+    EXPECT_THROW(FingerprintIndex::build(raw, wide), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------------
-// Exact scan vs the full-sort oracle: the bit-equality property. The
-// VpTreeTest cases first pinned the VP-tree the scan replaced; they
-// keep their seeds, sizes, k values, ties and boundary radii.
+// Answers read off the distance matrix vs the full-sort oracle: the
+// bit-equality property. The VpTreeTest cases keep the seeds, sizes,
+// k values, ties and boundary radii that first pinned a VP-tree.
 // ----------------------------------------------------------------------
 
 TEST(VpTreeTest, KnnMatchesBruteAcrossSeedsSizesAndK)
@@ -265,21 +256,6 @@ TEST(VpTreeTest, KnnMatchesBruteAcrossSeedsSizesAndK)
                 }
             }
         }
-    }
-}
-
-TEST(VpTreeTest, ExternalQueriesMatchBrute)
-{
-    const Matrix raw = randomDataset(40, 5, 13);
-    const FingerprintIndex idx = FingerprintIndex::build(raw);
-    Rng rng(99);
-    for (int t = 0; t < 20; ++t) {
-        std::vector<double> q(5);
-        for (auto &x : q)
-            x = 3.0 * rng.gauss();
-        const std::vector<double> e = idx.fingerprints().embed(q);
-        expectSameNeighbors(idx.knnOfRaw(q, 7),
-                            fullSortKnn(idx.fingerprints(), e.data(), 7));
     }
 }
 
@@ -310,7 +286,7 @@ TEST(VpTreeTest, RadiusMatchesBruteIncludingBoundary)
     const FingerprintIndex idx = FingerprintIndex::build(raw);
     const FingerprintSet &fps = idx.fingerprints();
     // Use realized distances as radii so the boundary case (dist ==
-    // r) is actually exercised: the scan must include it.
+    // r) is actually exercised: the answer must include it.
     for (size_t q = 0; q < 5; ++q) {
         const auto all = fullSortKnn(fps, fps.vec(q), fps.size(), q);
         for (const auto &nb : idx.knn(q, 10)) {
@@ -379,19 +355,14 @@ TEST(FingerprintIndexTest, ClusteredDuplicatesMatchOracle)
         const auto same = idx.radius(q, 0.0);
         expectSameNeighbors(same, fullSortKnn(fps, fps.vec(q), 6, q));
     }
-    // An external query on a center ties all seven copies at 0.
-    const auto e = fps.embed(centers[2]);
-    for (const size_t k : {size_t{3}, n, n + 1}) {
-        expectSameNeighbors(idx.knnOfRaw(centers[2], k),
-                            fullSortKnn(fps, e.data(), k));
-    }
 }
 
 TEST(FingerprintIndexTest, ColumnScanKeepsL2DistBits)
 {
-    // n around the eight-row block (a partial block, one whole, one
-    // past) and the real population; dims below, at and past 47.
-    // Every third row repeats the one before it, so ties are exact.
+    // Every knn and radius distance, read off the matrix, has l2Dist's
+    // bits (the name predates the matrix). n from one row (no pairs)
+    // to the real population; dims below, at and past 47. Every third
+    // row repeats the one before it, so ties are exact.
     const auto bits = [](double d) {
         uint64_t u = 0;
         std::memcpy(&u, &d, sizeof(u));
@@ -412,14 +383,19 @@ TEST(FingerprintIndexTest, ColumnScanKeepsL2DistBits)
             const FingerprintIndex idx = FingerprintIndex::build(raw);
             const FingerprintSet &fps = idx.fingerprints();
             for (size_t q = 0; q < n; ++q) {
-                // k >= n: every other row, each distance l2Dist's bits.
+                // k >= n and a radius past everything: every other row,
+                // each distance with l2Dist's bits.
                 const auto all = idx.knn(q, n + 1);
                 ASSERT_EQ(all.size(), n - 1);
-                for (const Neighbor &nb : all) {
-                    ASSERT_EQ(bits(nb.dist),
-                              bits(l2Dist(fps.vec(q), fps.vec(nb.id),
-                                          dim)))
-                        << "query " << q << " row " << nb.id;
+                const auto within = idx.radius(q, 1e300);
+                ASSERT_EQ(within.size(), n - 1);
+                for (const auto *got : {&all, &within}) {
+                    for (const Neighbor &nb : *got) {
+                        ASSERT_EQ(bits(nb.dist),
+                                  bits(l2Dist(fps.vec(q), fps.vec(nb.id),
+                                              dim)))
+                            << "query " << q << " row " << nb.id;
+                    }
                 }
                 const auto want = fullSortKnn(fps, fps.vec(q), n, q);
                 expectSameNeighbors(all, want);
@@ -440,11 +416,6 @@ TEST(FingerprintIndexTest, ColumnScanKeepsL2DistBits)
                     }
                     expectSameNeighbors(idx.radius(q, r), in);
                 }
-                // An external query excludes nothing: its own row ties
-                // at 0 with its copies.
-                const auto e = fps.embed(raw.rowVec(q));
-                expectSameNeighbors(idx.knnOfRaw(raw.rowVec(q), n + 1),
-                                    fullSortKnn(fps, e.data(), n + 1));
             }
         }
     }
@@ -459,6 +430,8 @@ TEST(FingerprintIndexTest, BatchKnnIsJobsInvariant)
     const Matrix raw = randomDataset(60, 6, 21);
     const FingerprintIndex idx = FingerprintIndex::build(raw);
     pipeline::ThreadPool pool(8);
+    EXPECT_EQ(FingerprintIndex::build(raw, {}, &pool).distances().condensed(),
+              idx.distances().condensed());
     const auto serial = idx.batchKnn(5, nullptr);
     const auto jobs8 = idx.batchKnn(5, &pool);
     ASSERT_EQ(serial.size(), jobs8.size());
@@ -643,11 +616,6 @@ TEST(SnapshotTest, RoundTripPreservesEveryQueryBitwise)
         for (size_t i = 0; i < a.size(); ++i)
             EXPECT_TRUE(a[i] == b[i]);
     }
-    const auto ea = built.knnOfRaw(raw.rowVec(0), 3);
-    const auto eb = loaded.knnOfRaw(raw.rowVec(0), 3);
-    ASSERT_EQ(ea.size(), eb.size());
-    for (size_t i = 0; i < ea.size(); ++i)
-        EXPECT_TRUE(ea[i] == eb[i]);
 }
 
 TEST(SnapshotTest, SaveIsAtomicTornWriteRejectsAndRebuilds)

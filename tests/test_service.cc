@@ -43,6 +43,7 @@
 #include "service/protocol.hh"
 #include "service/query_engine.hh"
 #include "service/server.hh"
+#include "stats/descriptive.hh"
 #include "stats/rng.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
@@ -299,6 +300,29 @@ TEST(ServiceEngineTest, UnknownBenchAndBadLinesGetErrorEnvelopes)
 }
 
 /**
+ * Compare executeLine over @p snap with tests/@p name, a file of
+ * request/reply line pairs. @return the number of pairs.
+ */
+size_t
+expectGoldenReplies(const ServerSnapshot &snap, const std::string &name)
+{
+    std::ifstream in(std::string(MICA_TESTS_DIR) + "/" + name);
+    EXPECT_TRUE(in) << "cannot open tests/" << name;
+    std::string request, reply;
+    size_t pairs = 0;
+    while (std::getline(in, request)) {
+        if (!std::getline(in, reply)) {
+            ADD_FAILURE() << name << ": no reply for " << request;
+            break;
+        }
+        EXPECT_EQ(executeLine(snap, request), reply) << name << ": "
+                                                     << request;
+        ++pairs;
+    }
+    return pairs;
+}
+
+/**
  * tests/service_replies.golden pins the reply bytes of every op over
  * the shared CommBench snapshot: each request line is followed by the
  * reply line `mica query -` printed for it (knn at k 0, 1, 5 and past
@@ -314,17 +338,7 @@ TEST(ServiceEngineTest, RepliesMatchTheGoldenBytes)
 {
     auto snap = testSnapshot();
     ASSERT_NE(snap, nullptr);
-    std::ifstream in(std::string(MICA_TESTS_DIR) +
-                     "/service_replies.golden");
-    ASSERT_TRUE(in) << "cannot open tests/service_replies.golden";
-    std::string request, reply;
-    size_t pairs = 0;
-    while (std::getline(in, request)) {
-        ASSERT_TRUE(std::getline(in, reply)) << "no reply for " << request;
-        EXPECT_EQ(executeLine(*snap, request), reply) << request;
-        ++pairs;
-    }
-    EXPECT_GE(pairs, 50u);
+    EXPECT_GE(expectGoldenReplies(*snap, "service_replies.golden"), 50u);
 }
 
 TEST(ServiceEngineTest, StatsReflectsTheSnapshot)
@@ -541,6 +555,39 @@ allKnnReplies(const ServerSnapshot &snap)
     return out;
 }
 
+/**
+ * The same request lines in the other spaces: hpc, key, and mica
+ * projected onto four principal components. Each golden holds the
+ * replies commit c360b97 printed, before knn, radius and the answer
+ * tables read one distance matrix: the request lines piped through
+ * `mica query - --budget=30000 --suites=CommBench --cache=DIR` with
+ * `--space=hpc`, `--space=key` or `--space=mica --pca=4` (regenerate
+ * as above). Each space opens on a cache directory of its own, so the
+ * shared test cache's record keeps the mica space.
+ */
+TEST(ServiceEngineTest, RepliesMatchTheGoldenBytesInEverySpace)
+{
+    struct Golden
+    {
+        const char *file;
+        const char *space;
+        size_t pca;
+    };
+    for (const Golden &g : {Golden{"service_replies_hpc.golden", "hpc", 0},
+                            Golden{"service_replies_key.golden", "key", 0},
+                            Golden{"service_replies_mica_pca4.golden",
+                                   "mica", 4}}) {
+        TempDir dir;
+        SpaceChoice sc = givenSpace(g.space);
+        sc.pca = g.pca;
+        std::string err;
+        const auto snap = buildServerSnapshot(privateConfig(dir), sc,
+                                              nullptr, 0, {}, &err);
+        ASSERT_NE(snap, nullptr) << err;
+        EXPECT_GE(expectGoldenReplies(*snap, g.file), 50u);
+    }
+}
+
 /** @return the bytes of @p path. */
 std::string
 readBytes(const std::string &path)
@@ -631,27 +678,39 @@ appendString(std::string &out, const std::string &s)
 }
 
 /**
- * Write @p idx to @p path as format 3 stored it: magic, version,
- * fingerprint version, @p key, the payload's FNV-1a, then the whole
- * index (shape, column table, names, normalization, PCA basis and
- * vectors).
+ * Write the all-column, unprojected index of @p raw to @p path as
+ * format 3 stored it: magic, version, fingerprint version, @p key, the
+ * payload's FNV-1a, then the whole index (shape, column table, names,
+ * normalization, PCA basis and vectors). Format 3 froze each column's
+ * mean and population stddev, and an index without PCA stored its
+ * PCA mean and basis empty.
  */
 void
-writeFormatThree(const std::string &path, const index::FingerprintIndex &idx,
+writeFormatThree(const std::string &path, const Matrix &raw,
                  const std::string &key)
 {
+    const index::FingerprintIndex idx = index::FingerprintIndex::build(raw);
     const index::FingerprintSet &fps = idx.fingerprints();
+    const auto perColumn = [&](double (*stat)(const std::vector<double> &)) {
+        std::vector<double> out;
+        for (size_t c : fps.columns)
+            out.push_back(stat(raw.colVec(c)));
+        return out;
+    };
+    const std::vector<double> colMean = perColumn(mean);
+    const std::vector<double> colStddev = perColumn(stddev);
+    const std::vector<double> noPca;
     std::string payload;
     for (uint64_t v : {uint64_t{fps.size()}, uint64_t{fps.dim},
-                       uint64_t{fps.sourceCols}, uint64_t{fps.pcaDims},
+                       uint64_t{raw.cols()}, uint64_t{0},
                        uint64_t{fps.columns.size()}})
         appendPod(payload, v);
     for (size_t c : fps.columns)
         appendPod(payload, uint64_t{c});
     for (const std::string &name : fps.names)
         appendString(payload, name);
-    for (const auto *v : {&fps.colMean, &fps.colStddev, &fps.pcaMean,
-                          &fps.pcaBasis, &fps.data}) {
+    for (const auto *v : {&colMean, &colStddev, &noPca, &noPca,
+                          &fps.data}) {
         appendPod(payload, uint64_t{v->size()});
         payload.append(reinterpret_cast<const char *>(v->data()),
                        v->size() * sizeof(double));
@@ -671,8 +730,7 @@ TEST(ServiceSnapshotTest, FormatThreeFileHandsOverItsSpaceAndIsRewritten)
     const auto cfg = privateConfig(dir);
     const experiments::SuiteDataset &ds = testSnapshot()->ds;
     const std::string path = index::snapshotPath(dir.dir);
-    writeFormatThree(path, indexFromDataset(ds, "hpc", 0, nullptr),
-                     indexKey(ds, "hpc", 0));
+    writeFormatThree(path, ds.hpcMatrix(), indexKey(ds, "hpc", 0));
     ASSERT_GT(std::filesystem::file_size(path), 1024u);
 
     std::string err;
@@ -688,8 +746,7 @@ TEST(ServiceSnapshotTest, FormatThreeFileHandsOverItsSpaceAndIsRewritten)
 
     // A space this build does not have is not adopted: the open
     // answers in the default space instead of failing.
-    writeFormatThree(path, indexFromDataset(ds, "hpc", 0, nullptr),
-                     indexKey(ds, "hqc", 0));
+    writeFormatThree(path, ds.hpcMatrix(), indexKey(ds, "hqc", 0));
     const auto fallback =
         buildServerSnapshot(cfg, SpaceChoice{}, nullptr, 0, {}, &err);
     ASSERT_NE(fallback, nullptr) << err;

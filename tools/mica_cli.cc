@@ -9,7 +9,7 @@
  *   mica select                    run GA feature selection
  *   mica cluster                   cluster benchmarks in the key space
  *   mica subset                    pick suite representatives
- *   mica index build|query|redundant   persistent similarity index
+ *   mica index build|query|redundant   similarity index over the dataset
  *   mica trace record <bench>|<suite>|all   record traces to disk
  *   mica trace convert <src> <dst> rewrite a trace (v1 or v2) as v2
  *   mica trace ls [DIR]            list the trace files in a tree
@@ -466,7 +466,8 @@ cmdSubset(const util::CliArgs &args,
 }
 
 // ----------------------------------------------------------------------
-// index verbs: persistent workload-fingerprint similarity index.
+// index verbs: the workload-fingerprint similarity index, built from
+// the collected dataset on every open.
 // ----------------------------------------------------------------------
 
 /** --space/--pca as a SpaceChoice (shared by index, serve and query). */
@@ -652,9 +653,10 @@ cmdIndex(const util::CliArgs &args, const experiments::DatasetConfig &cfg)
 
     const int64_t id = idx.idOf(target);
     if (id < 0) {
-        std::fprintf(stderr, "'%s' is not in the index (see 'mica "
-                             "list'; rebuild with 'mica index "
-                             "build' after config changes)\n",
+        std::fprintf(stderr, "'%s' is not in the collected dataset "
+                             "(see 'mica list'; a --suites filter, a "
+                             "--traces tree or a quarantine leaves "
+                             "it out)\n",
                      target.c_str());
         return 1;
     }
