@@ -253,15 +253,6 @@ collectSuiteDataset(const DatasetConfig &cfg)
         ds.benchmarks = std::move(kept);
     }
 
-    if (store && !fresh.empty()) {
-        // Human-readable exports next to the binary store. Never read
-        // back — the store is the single source of cached truth.
-        std::error_code ec;
-        std::filesystem::create_directories(cfg.cacheDir, ec);
-        saveProfilesCsv(cfg.cacheDir + "/mica_profiles.csv",
-                        ds.micaProfiles);
-        saveHpcCsv(cfg.cacheDir + "/hpc_profiles.csv", ds.hpcProfiles);
-    }
     return ds;
 }
 

@@ -47,14 +47,11 @@ struct DatasetConfig
      * appended, so a partial store only costs the gap. The suite
      * filter and the trace directory are not part of the key: a
      * filtered run reads its entries out of a wider store and leaves
-     * the others in place, and a moved trace tree still hits.
-     * Reference CSVs (mica_profiles.csv / hpc_profiles.csv) are also
-     * exported there for human inspection, but are never read back as a
-     * cache — the legacy CSV cache ignored the collection config and
-     * could silently serve stale profiles. A store file that exists
-     * but cannot be read (permissions, I/O errors) degrades the sweep
-     * to compute-without-cache with a loud stderr warning and the
-     * "store.degraded_open" counter, rather than failing it.
+     * the others in place, and a moved trace tree still hits. A store
+     * file that exists but cannot be read (permissions, I/O errors)
+     * degrades the sweep to compute-without-cache with a loud stderr
+     * warning and the "store.degraded_open" counter, rather than
+     * failing it.
      */
     std::string cacheDir;
 

@@ -1,9 +1,25 @@
 #include "mica/dataset.hh"
 
-#include <fstream>
+#include <sstream>
+
+#include "util/checked_io.hh"
 
 namespace mica
 {
+
+namespace
+{
+
+/** Write @p text to @p path. @throws util::IoError naming the path. */
+void
+writeCsv(const std::string &path, const std::string &text)
+{
+    util::CheckedFile f = util::CheckedFile::openWrite(path, "csv");
+    f.writeAll(text.data(), text.size());
+    f.close();
+}
+
+} // namespace
 
 Matrix
 profilesToMatrix(const std::vector<MicaProfile> &profiles)
@@ -23,7 +39,7 @@ void
 saveProfilesCsv(const std::string &path,
                 const std::vector<MicaProfile> &profiles)
 {
-    std::ofstream out(path);
+    std::ostringstream out;
     out << "name,inst_count";
     for (const auto &info : micaCharTable())
         out << ',' << info.name;
@@ -35,32 +51,13 @@ saveProfilesCsv(const std::string &path,
             out << ',' << v;
         out << '\n';
     }
-}
-
-void
-saveHpcCsv(const std::string &path,
-           const std::vector<uarch::HwCounterProfile> &profiles)
-{
-    std::ofstream out(path);
-    if (!out)
-        return;
-    out.precision(17);
-    out << "name,inst_count";
-    for (const char *m : uarch::HwCounterProfile::metricNames())
-        out << ',' << m;
-    out << '\n';
-    for (const auto &p : profiles) {
-        out << p.name << ',' << p.instCount;
-        for (double v : p.toVector())
-            out << ',' << v;
-        out << '\n';
-    }
+    writeCsv(path, out.str());
 }
 
 void
 saveMatrixCsv(const std::string &path, const Matrix &m)
 {
-    std::ofstream out(path);
+    std::ostringstream out;
     out << "name";
     for (const auto &c : m.colNames)
         out << ',' << c;
@@ -73,6 +70,7 @@ saveMatrixCsv(const std::string &path, const Matrix &m)
             out << ',' << m.at(r, c);
         out << '\n';
     }
+    writeCsv(path, out.str());
 }
 
 } // namespace mica

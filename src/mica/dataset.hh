@@ -12,7 +12,6 @@
 
 #include "mica/profile.hh"
 #include "stats/matrix.hh"
-#include "uarch/hw_counter.hh"
 
 namespace mica
 {
@@ -23,20 +22,15 @@ Matrix profilesToMatrix(const std::vector<MicaProfile> &profiles);
 /**
  * Write profiles as CSV: header row of characteristic names, then one
  * row per benchmark (name, instCount, 47 values).
+ * @throws util::IoError naming @p path when it cannot be written.
  */
 void saveProfilesCsv(const std::string &path,
                      const std::vector<MicaProfile> &profiles);
 
 /**
- * Write HPC profiles as CSV: header row of metric names, then one row
- * per benchmark (name, instCount, 7 values).
- */
-void saveHpcCsv(const std::string &path,
-                const std::vector<uarch::HwCounterProfile> &profiles);
-
-/**
  * Generic labeled-matrix CSV writer (used for the HPC dataset and the
  * experiment outputs): header "name,<colNames...>", one row per entry.
+ * @throws util::IoError naming @p path when it cannot be written.
  */
 void saveMatrixCsv(const std::string &path, const Matrix &m);
 

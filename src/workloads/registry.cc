@@ -697,8 +697,9 @@ traceTreeFiles(const std::string &dir)
     std::vector<std::string> out;
     for (auto it = fs::recursive_directory_iterator(dir);
          it != fs::recursive_directory_iterator(); ++it) {
-        // A profile store kept inside the tree (--cache=DIR/sub) exports
-        // CSVs next to its profiles.bin that are not traces.
+        // A profile store kept inside the tree (--cache=DIR/sub): older
+        // builds wrote CSV exports next to its profiles.bin, and those
+        // are not traces.
         std::error_code ec;
         if (it->is_directory() &&
             fs::exists(it->path() / "profiles.bin", ec))

@@ -63,8 +63,9 @@ std::string traceStem(const std::string &fullName);
  * The trace files anywhere under @p dir: every regular file named
  * *.trace (binary), *.csv or *.txt (text), as paths relative to
  * @p dir, sorted. Subdirectories are walked, except one holding a
- * profile store (profiles.bin), whose exported CSVs are not traces;
- * other files (.tmp staging files, notes) are skipped. The sweep
+ * profile store (profiles.bin): stores written by older builds also
+ * hold CSV exports of their profiles, which are not traces. Other
+ * files (.tmp staging files, notes) are skipped. The sweep
  * (traceBenchmarks), findTraceFile and `mica trace ls` all list a
  * tree with this walk.
  * @throws std::filesystem::filesystem_error when the tree cannot be

@@ -2,6 +2,12 @@
 # 2, with FLAG named on stderr. ctest runs it as
 #
 #   cmake -DFLAG=--maxk -P expect_usage_error.cmake -- PROGRAM ARGS...
+#
+# -DCODE=N expects exit code N instead of 2 (FLAG is then any text
+# stderr must contain, e.g. the path of a file that cannot be written).
+if(NOT DEFINED CODE)
+  set(CODE 2)
+endif()
 set(cmd "")
 set(past FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -15,7 +21,7 @@ endforeach()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
                 ERROR_VARIABLE err)
 string(FIND "${err}" "${FLAG}" at)
-if(NOT rc EQUAL 2 OR at EQUAL -1)
-  message(FATAL_ERROR "${cmd}: exit ${rc}, want exit 2 naming ${FLAG}; "
+if(NOT rc EQUAL CODE OR at EQUAL -1)
+  message(FATAL_ERROR "${cmd}: exit ${rc}, want exit ${CODE} naming ${FLAG}; "
                       "stderr: ${err}")
 endif()

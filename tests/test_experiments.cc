@@ -87,8 +87,6 @@ TEST(ExperimentsTest, CacheRoundTrip)
     DatasetConfig cfg = smallConfig();
     cfg.cacheDir = dir;
     const SuiteDataset fresh = collectSuiteDataset(cfg);
-    ASSERT_TRUE(std::filesystem::exists(dir + "/mica_profiles.csv"));
-    ASSERT_TRUE(std::filesystem::exists(dir + "/hpc_profiles.csv"));
     const SuiteDataset cached = collectSuiteDataset(cfg);
     ASSERT_EQ(cached.micaProfiles.size(), fresh.micaProfiles.size());
     for (size_t i = 0; i < fresh.micaProfiles.size(); ++i) {

@@ -1002,18 +1002,19 @@ TEST(CsvHardeningTest, WellFormedCsvStillRoundTrips)
     h.l1iMissRate = 0.0;
     h.l2MissRate = 1.0 / 7.0;
     h.dtlbMissRate = 123456.789;
-    saveHpcCsv(path, {h});
+    experiments::SuiteDataset ds;
+    ds.hpcProfiles = {h};
+    saveMatrixCsv(path, ds.hpcMatrix());
     rows = test::csvCells(path);
     const std::vector<double> want = h.toVector();
     ASSERT_EQ(rows.size(), 2u);
-    ASSERT_EQ(rows[0].size(), want.size() + 2);
-    ASSERT_EQ(rows[1].size(), want.size() + 2);
+    ASSERT_EQ(rows[0].size(), want.size() + 1);
+    ASSERT_EQ(rows[1].size(), want.size() + 1);
     EXPECT_EQ(rows[1][0], h.name);
-    EXPECT_EQ(rows[1][1], "4242");
     for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(rows[0][i + 2],
+        EXPECT_EQ(rows[0][i + 1],
                   uarch::HwCounterProfile::metricNames()[i]);
-        EXPECT_EQ(test::cellBits(rows[1][i + 2]),
+        EXPECT_EQ(test::cellBits(rows[1][i + 1]),
                   test::doubleBits(want[i]))
             << "metric " << i;
     }

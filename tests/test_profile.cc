@@ -4,6 +4,7 @@
  * collection, and CSV dataset serialization.
  */
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "mica/runner.hh"
 #include "test_util.hh"
 #include "trace/synthetic.hh"
+#include "util/checked_io.hh"
 #include "workloads/registry.hh"
 
 namespace mica
@@ -237,6 +239,27 @@ TEST(DatasetTest, CsvRoundTripPreservesEverything)
         }
     }
     std::remove(path.c_str());
+}
+
+TEST(DatasetTest, CsvWriteFailureNamesThePath)
+{
+    const std::string path = "/nonexistent/dir/p.csv";
+    Matrix m;
+    m.appendRow({1.0});
+    m.rowNames = {"r0"};
+    m.colNames = {"c0"};
+    for (int which = 0; which < 2; ++which) {
+        try {
+            if (which == 0)
+                saveProfilesCsv(path, {MicaProfile{}});
+            else
+                saveMatrixCsv(path, m);
+            ADD_FAILURE() << "writer " << which << " did not throw";
+        } catch (const util::IoError &e) {
+            EXPECT_EQ(e.path(), path);
+            EXPECT_EQ(e.code(), ENOENT);
+        }
+    }
 }
 
 TEST(DatasetTest, SaveMatrixCsvWritesHeaderAndRows)

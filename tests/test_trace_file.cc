@@ -965,7 +965,8 @@ TEST(TraceBenchmarksTest, WalksSubdirectoriesOfTheTree)
     std::ofstream(tmp.file("sub/deeper/zcustom.txt")) << "alu dst=1\n";
     std::ofstream(tmp.file("sub/deeper/notes.md")) << "ignored\n";
     std::ofstream(tmp.file("sub/x.trace.tmp")) << "staging debris\n";
-    // A profile store inside the tree: its CSV exports are no traces.
+    // A profile store inside the tree, with the CSV exports older
+    // builds wrote next to it: they are no traces.
     fs::create_directories(tmp.file("sub/cache"));
     std::ofstream(tmp.file("sub/cache/profiles.bin")) << "store\n";
     std::ofstream(tmp.file("sub/cache/mica_profiles.csv")) << "name\n";

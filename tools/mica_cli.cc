@@ -76,7 +76,6 @@
 
 #include "experiments/crash_matrix.hh"
 #include "experiments/experiments.hh"
-#include "experiments/perf_compare.hh"
 #include "index/fingerprint_index.hh"
 #include "index/snapshot.hh"
 #include "isa/interpreter.hh"
@@ -118,8 +117,7 @@ namespace
  * kExitPerm — the named file or directory is missing / unreadable
  * (corruption stays exit 1: the file is there, its *contents* are the
  * problem). util::kCrashExitCode (97) is reserved for simulated
- * crashes under --failpoints=...abort. `perf compare` exits 3, the
- * same partial code, for a degraded verdict.
+ * crashes under --failpoints=...abort.
  */
 constexpr int kExitPartial = 3;
 constexpr int kExitNoEnt = 4;
@@ -216,6 +214,11 @@ cmdProfile(const util::CliArgs &args,
         return usage();
     const std::string target = args.positionals[1];
     const std::string csv = args.value("csv");
+    if (args.has("csv") && csv.empty()) {
+        std::fprintf(stderr, "mica %s: --csv needs a file name\n",
+                     hpc ? "hpc" : "profile");
+        return 2;
+    }
 
     if (target == "all") {
         experiments::DatasetConfig runCfg = cfg;
@@ -1340,78 +1343,6 @@ cmdObs(const util::CliArgs &args, const experiments::DatasetConfig &)
     return usage();
 }
 
-// ----------------------------------------------------------------------
-// perf verbs: noise-aware regression gating over mica-perf-profile/2
-// documents (written by bench/perf_analyzers --json=...); the rules
-// live in experiments/perf_compare.
-// ----------------------------------------------------------------------
-
-int
-cmdPerfCompare(const util::CliArgs &args)
-{
-    if (args.positionals.size() < 4)
-        return usage();
-    const std::string basePath = args.positionals[2];
-    const std::string newPath = args.positionals[3];
-
-    experiments::PerfMetrics base, fresh;
-    std::string err;
-    if (!experiments::loadPerfProfile(basePath, &base, &err)) {
-        std::fprintf(stderr, "mica perf compare: %s: %s\n",
-                     basePath.c_str(), err.c_str());
-        return 2;
-    }
-    if (!experiments::loadPerfProfile(newPath, &fresh, &err)) {
-        std::fprintf(stderr, "mica perf compare: %s: %s\n",
-                     newPath.c_str(), err.c_str());
-        return 2;
-    }
-    const experiments::PerfComparison cmp = experiments::comparePerfProfiles(
-        base, fresh, args.has("allow-missing"));
-
-    std::printf("%-54s %13s %13s %8s  %s\n", "metric", "base", "new",
-                "delta", "status");
-    for (const auto &f : cmp.findings) {
-        const double deltaPct =
-            f.base > 0.0 ? (f.fresh - f.base) / f.base * 100.0 : 0.0;
-        std::printf("%-54s %13.6g %13.6g %+7.1f%%  %s\n", f.metric.c_str(),
-                    f.base, f.fresh, deltaPct,
-                    experiments::perfStatusName(f.status));
-    }
-    for (const auto &path : cmp.missing)
-        std::printf("%-54s %13s %13s %8s  %s\n", path.c_str(), "-", "-",
-                    "-", cmp.allowMissing ? "missing" : "MISSING");
-
-    std::printf("perf compare: %s (%zu ok, %zu degraded, "
-                "%zu regressed, %zu missing",
-                cmp.verdict(), cmp.ok, cmp.degraded, cmp.regressed,
-                cmp.missing.size());
-    if (const experiments::PerfFinding *w = cmp.worst())
-        std::printf("; worst %s -%.1f%%", w->metric.c_str(),
-                    w->drop * 100.0);
-    std::printf(")\n");
-
-    const std::string verdictPath = args.value("verdict");
-    if (!verdictPath.empty()) {
-        util::atomicWriteFile(
-            verdictPath,
-            experiments::perfVerdictJson(cmp, basePath, newPath).dump() +
-                "\n",
-            "perf.verdict");
-    }
-    return cmp.exitCode();
-}
-
-int
-cmdPerf(const util::CliArgs &args, const experiments::DatasetConfig &)
-{
-    const std::string sub =
-        args.positionals.size() >= 2 ? args.positionals[1] : "";
-    if (sub == "compare")
-        return cmdPerfCompare(args);
-    return usage();
-}
-
 /** @return whether @p verb collects a dataset (and so takes its flags). */
 bool
 collectsDataset(const std::string &verb)
@@ -1531,14 +1462,6 @@ constexpr VerbDef kVerbs[] = {
      "  --dir=DIR      scratch directory (crash-matrix)\n", cmdFaults},
     {"obs",
      "  obs demo                  telemetry self-test\n", "", cmdObs},
-    {"perf",
-     "  perf compare <base> <new> gate a perf profile against a "
-     "baseline\n",
-     "  --verdict=FILE write the machine-readable verdict JSON\n"
-     "  --allow-missing  metrics absent from <new> warn instead of "
-     "fail\n"
-     "  exit 0 within noise, 3 degraded, 1 regression/missing\n",
-     cmdPerf},
     {"capabilities",
      "  capabilities              machine-readable feature inventory\n",
      "", cmdCapabilities},
@@ -1607,8 +1530,8 @@ cmdHelp(const util::CliArgs &args, const experiments::DatasetConfig &)
 
 /**
  * One JSON object a harness can interrogate instead of parsing help
- * text: which verbs exist and which analyzers, spaces, bench families
- * and trace formats this build knows.
+ * text: which verbs exist and which analyzers, spaces and trace
+ * formats this build knows.
  */
 int
 cmdCapabilities(const util::CliArgs &, const experiments::DatasetConfig &)
@@ -1628,17 +1551,11 @@ cmdCapabilities(const util::CliArgs &, const experiments::DatasetConfig &)
     for (const char *s : {"mica", "hpc", "key"})
         spaces.push(service::JsonValue::str(s));
     doc.set("spaces", std::move(spaces));
-    service::JsonValue fams = service::JsonValue::array();
-    for (const auto &f : experiments::kPerfFamilies)
-        fams.push(service::JsonValue::str(f.name));
-    doc.set("perf_families", std::move(fams));
     service::JsonValue formats = service::JsonValue::array();
     for (uint32_t v = kTraceFormatV1; v <= kTraceFormatLatest; ++v)
         formats.push(
             service::JsonValue::number(static_cast<uint64_t>(v)));
     doc.set("trace_formats", std::move(formats));
-    doc.set("perf_profile_schema",
-            service::JsonValue::str(experiments::kPerfProfileSchema));
     std::printf("%s\n", doc.dump().c_str());
     return 0;
 }
@@ -1700,8 +1617,6 @@ knownFlags(const std::string &cmd, const std::string &sub)
                      {"connect=", "conns=", "requests=", "bench="});
     if (cmd == "faults" && sub == "crash-matrix")
         known.push_back("dir=");
-    if (cmd == "perf" && sub == "compare")
-        known.insert(known.end(), {"verdict=", "allow-missing"});
     if (cmd == "profile" || cmd == "hpc")
         known.push_back("csv=");
     if (cmd == "cluster" || cmd == "subset")
