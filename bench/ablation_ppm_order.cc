@@ -14,6 +14,7 @@
 #include "mica/ppm.hh"
 #include "report/table.hh"
 #include "stats/descriptive.hh"
+#include "trace/engine.hh"
 #include "workloads/registry.hh"
 
 using namespace mica;
@@ -52,13 +53,9 @@ main(int argc, char **argv)
         for (size_t oi = 0; oi < orders.size(); ++oi) {
             isa::Interpreter interp(prog);
             PpmBranchAnalyzer ppm(orders[oi]);
-            InstRecord r;
-            uint64_t n = 0;
-            while (n < budget && interp.next(r)) {
-                ppm.accept(r);
-                ++n;
-            }
-            ppm.finish();
+            AnalysisEngine engine;
+            engine.add(&ppm);
+            engine.run(interp, budget);
             gag[oi].push_back(ppm.missRateGAg());
             row.push_back(report::TextTable::num(ppm.missRateGAg(), 4));
         }

@@ -105,9 +105,9 @@ main(int argc, char **argv)
     // 3. The microarchitecture-DEPENDENT view of the same program: what
     //    hardware performance counters on an EV56/EV67-class machine
     //    would report.
-    interp.reset();
+    Interpreter again(prog);
     const uarch::HwCounterProfile h =
-        uarch::collectHwProfile(interp, prog.name);
+        uarch::collectHwProfile(again, prog.name);
     std::printf("hardware-counter view: IPC(in-order)=%.2f "
                 "IPC(out-of-order)=%.2f\n", h.ipcEv56, h.ipcEv67);
     std::printf("  branch miss %.4f | L1D miss %.4f | L1I miss %.4f | "

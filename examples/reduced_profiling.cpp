@@ -73,10 +73,10 @@ main(int argc, char **argv)
     // Key-subset collection: only the analyzers those eight
     // characteristics require are instantiated (no PPM predictors, in
     // particular — the most expensive family).
-    interp.reset();
+    isa::Interpreter again(prog);
     const auto t2 = std::chrono::steady_clock::now();
     const MicaProfile key = collectMicaProfileSubset(
-        interp, "key", paperKeyCharacteristics(), cfg);
+        again, "key", paperKeyCharacteristics(), cfg);
     const auto t3 = std::chrono::steady_clock::now();
 
     report::TextTable t({"characteristic", "full run", "key-subset run",

@@ -16,38 +16,41 @@ namespace mica::isa
 {
 
 /**
- * Executes a Program one instruction per next() call, emitting an
- * InstRecord for each architecturally executed instruction. This plays
- * the role ATOM plays in the paper: the functional execution engine that
- * the characterization analyzers observe.
+ * Executes a Program, emitting an InstRecord for each architecturally
+ * executed instruction. This plays the role ATOM plays in the paper:
+ * the functional execution engine that the characterization analyzers
+ * observe. As a TraceSource it fills the consumer's buffer one span at
+ * a time; next() runs one instruction and nextBatch() up to n.
  *
  * Execution terminates when (i) a Halt instruction is reached, (ii) a
  * return transfers to the halt sentinel address (top-level `ret`), or
  * (iii) the PC runs off the end of the code. The interpreter is fully
- * deterministic and supports reset() for multi-pass analysis.
+ * deterministic and single-pass: to run a program again, construct
+ * another Interpreter over it.
  */
 class Interpreter : public TraceSource
 {
   public:
     explicit Interpreter(const Program &prog) : prog_(&prog) { doReset(); }
 
-    bool next(InstRecord &rec) override;
+    /** Run one instruction into @p rec. @return false once halted. */
+    bool next(InstRecord &rec);
 
+    /** Run up to @p n instructions into @p buf. @return how many ran. */
     size_t
-    nextBatch(InstRecord *buf, size_t n) override
+    nextBatch(InstRecord *buf, size_t n)
     {
-        // Qualified call: no per-record virtual dispatch.
         size_t got = 0;
-        while (got < n && Interpreter::next(buf[got]))
+        while (got < n && next(buf[got]))
             ++got;
         return got;
     }
 
-    bool
-    reset() override
+    size_t
+    nextSpan(const InstRecord *&span, InstRecord *buf, size_t n) override
     {
-        doReset();
-        return true;
+        span = buf;
+        return nextBatch(buf, n);
     }
 
     /** @return value of integer register i. */

@@ -81,8 +81,6 @@ class IlpAnalyzer : public TraceAnalyzer
         mask_ = rows - 1;
     }
 
-    void accept(const InstRecord &rec) override { acceptBatch(&rec, 1); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

@@ -23,8 +23,6 @@ class InstMixAnalyzer : public TraceAnalyzer
   public:
     const char *name() const override { return "inst_mix"; }
 
-    void accept(const InstRecord &rec) override { step(rec); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

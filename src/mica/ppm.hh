@@ -75,8 +75,6 @@ class PpmBranchAnalyzer : public TraceAnalyzer
         pag_.assign(blockSize_, 0);
     }
 
-    void accept(const InstRecord &rec) override { step(rec); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

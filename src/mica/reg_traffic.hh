@@ -38,8 +38,6 @@ class RegTrafficAnalyzer : public TraceAnalyzer
     static constexpr std::array<uint64_t, 7> kDistCuts =
         {1, 2, 4, 8, 16, 32, 64};
 
-    void accept(const InstRecord &rec) override { step(rec); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

@@ -1,7 +1,5 @@
 #include "mica/runner.hh"
 
-#include <memory>
-
 #include "mica/ilp.hh"
 #include "mica/inst_mix.hh"
 #include "mica/ppm.hh"
@@ -76,23 +74,22 @@ fillPpm(MicaProfile &p, const PpmBranchAnalyzer &ppm)
     p[PpmPAs] = ppm.missRatePAs();
 }
 
-/** Drive the engine through the path the config selects. */
-uint64_t
-runEngine(AnalysisEngine &engine, TraceSource &src,
-          const MicaRunnerConfig &cfg)
+/** Which of the six analyzer families a collection runs. */
+struct Families
 {
-    if (cfg.engineBatch == 0)
-        return engine.runPerRecord(src, cfg.maxInsts);
-    engine.setBatchSize(cfg.engineBatch);
-    return engine.run(src, cfg.maxInsts);
-}
+    bool mix = true, ilp = true, rt = true, ws = true, st = true,
+         ppm = true;
+};
 
-} // namespace
-
+/**
+ * The one collection body: run the needed families, plus @p extra,
+ * over @p src in one engine pass and fill their entries; the others
+ * stay 0.
+ */
 MicaProfile
-collectMicaProfile(TraceSource &src, const std::string &name,
-                   const MicaRunnerConfig &cfg,
-                   const std::vector<TraceAnalyzer *> &extra)
+collect(TraceSource &src, const std::string &name, const Families &need,
+        const MicaRunnerConfig &cfg,
+        const std::vector<TraceAnalyzer *> &extra)
 {
     obs::ObsSpan sp("mica.collect");
     sp.arg("bench", name);
@@ -104,25 +101,47 @@ collectMicaProfile(TraceSource &src, const std::string &name,
     PpmBranchAnalyzer ppm(cfg.ppmMaxOrder);
 
     AnalysisEngine engine;
-    engine.add(&mix);
-    engine.add(&ilp);
-    engine.add(&rt);
-    engine.add(&ws);
-    engine.add(&st);
-    engine.add(&ppm);
+    if (need.mix)
+        engine.add(&mix);
+    if (need.ilp)
+        engine.add(&ilp);
+    if (need.rt)
+        engine.add(&rt);
+    if (need.ws)
+        engine.add(&ws);
+    if (need.st)
+        engine.add(&st);
+    if (need.ppm)
+        engine.add(&ppm);
     for (TraceAnalyzer *a : extra)
         engine.add(a);
 
     MicaProfile p;
     p.name = name;
-    p.instCount = runEngine(engine, src, cfg);
-    fillMix(p, mix);
-    fillIlp(p, ilp);
-    fillRegTraffic(p, rt);
-    fillWorkingSet(p, ws);
-    fillStrides(p, st);
-    fillPpm(p, ppm);
+    p.instCount = engine.run(src, cfg.maxInsts);
+    if (need.mix)
+        fillMix(p, mix);
+    if (need.ilp)
+        fillIlp(p, ilp);
+    if (need.rt)
+        fillRegTraffic(p, rt);
+    if (need.ws)
+        fillWorkingSet(p, ws);
+    if (need.st)
+        fillStrides(p, st);
+    if (need.ppm)
+        fillPpm(p, ppm);
     return p;
+}
+
+} // namespace
+
+MicaProfile
+collectMicaProfile(TraceSource &src, const std::string &name,
+                   const MicaRunnerConfig &cfg,
+                   const std::vector<TraceAnalyzer *> &extra)
+{
+    return collect(src, name, Families{}, cfg, extra);
 }
 
 MicaProfile
@@ -130,60 +149,22 @@ collectMicaProfileSubset(TraceSource &src, const std::string &name,
                          const std::vector<size_t> &selected,
                          const MicaRunnerConfig &cfg)
 {
-    bool needMix = false, needIlp = false, needRt = false;
-    bool needWs = false, needSt = false, needPpm = false;
+    Families need{false, false, false, false, false, false};
     for (size_t s : selected) {
         if (s <= PctFpOps)
-            needMix = true;
+            need.mix = true;
         else if (s <= Ilp256)
-            needIlp = true;
+            need.ilp = true;
         else if (s <= RegDepLe64)
-            needRt = true;
+            need.rt = true;
         else if (s <= IWorkSet4K)
-            needWs = true;
+            need.ws = true;
         else if (s <= GlobalStoreStrideLe4096)
-            needSt = true;
+            need.st = true;
         else
-            needPpm = true;
+            need.ppm = true;
     }
-
-    InstMixAnalyzer mix;
-    IlpAnalyzer ilp;
-    RegTrafficAnalyzer rt;
-    WorkingSetAnalyzer ws;
-    StrideAnalyzer st;
-    PpmBranchAnalyzer ppm(cfg.ppmMaxOrder);
-
-    AnalysisEngine engine;
-    if (needMix)
-        engine.add(&mix);
-    if (needIlp)
-        engine.add(&ilp);
-    if (needRt)
-        engine.add(&rt);
-    if (needWs)
-        engine.add(&ws);
-    if (needSt)
-        engine.add(&st);
-    if (needPpm)
-        engine.add(&ppm);
-
-    MicaProfile p;
-    p.name = name;
-    p.instCount = runEngine(engine, src, cfg);
-    if (needMix)
-        fillMix(p, mix);
-    if (needIlp)
-        fillIlp(p, ilp);
-    if (needRt)
-        fillRegTraffic(p, rt);
-    if (needWs)
-        fillWorkingSet(p, ws);
-    if (needSt)
-        fillStrides(p, st);
-    if (needPpm)
-        fillPpm(p, ppm);
-    return p;
+    return collect(src, name, need, cfg, {});
 }
 
 } // namespace mica

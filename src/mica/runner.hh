@@ -21,14 +21,6 @@ struct MicaRunnerConfig
 {
     uint64_t maxInsts = 0;      ///< instruction budget (0 = unlimited)
     unsigned ppmMaxOrder = 8;   ///< PPM context depth
-
-    /**
-     * Records per engine batch. 0 selects the per-record reference
-     * path (one virtual accept per instruction); anything else is the
-     * batched fast path. Profiles are byte-identical either way, so
-     * this knob is not part of the profile-store key.
-     */
-    size_t engineBatch = AnalysisEngine::kDefaultBatchSize;
 };
 
 /**

@@ -72,8 +72,6 @@ class StrideAnalyzer : public TraceAnalyzer
         }
     };
 
-    void accept(const InstRecord &rec) override { step(rec); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

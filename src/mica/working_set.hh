@@ -28,8 +28,6 @@ class WorkingSetAnalyzer : public TraceAnalyzer
     static constexpr unsigned kBlockBits = 5;   ///< 32-byte blocks
     static constexpr unsigned kPageBits = 12;   ///< 4 KB pages
 
-    void accept(const InstRecord &rec) override { step(rec); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

@@ -1,5 +1,6 @@
 #include "obs/obs.hh"
 
+#include "util/checked_io.hh"
 #include "util/quantile.hh"
 
 #include <algorithm>
@@ -7,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 
@@ -17,15 +17,19 @@ namespace mica::obs
 namespace
 {
 
+/**
+ * Replace @p path whole (.tmp + rename), so a reader holding the old
+ * file never sees it refilled. "obs" names no failpoint site.
+ */
 bool
-writeFile(const std::string &path, const std::string &body)
+replaceFile(const std::string &path, const std::string &body)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
+    try {
+        util::atomicWriteFile(path, body, "obs");
+    } catch (const util::IoError &) {
         return false;
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    return static_cast<bool>(out);
+    }
+    return true;
 }
 
 } // namespace
@@ -538,7 +542,7 @@ metricsJson()
 bool
 writeMetricsJson(const std::string &path)
 {
-    return writeFile(path, metricsJson());
+    return replaceFile(path, metricsJson());
 }
 
 std::vector<TraceEventCopy>
@@ -590,7 +594,7 @@ traceJson()
 bool
 writeTraceJson(const std::string &path)
 {
-    return writeFile(path, traceJson());
+    return replaceFile(path, traceJson());
 }
 
 std::vector<SpanStat>

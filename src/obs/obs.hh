@@ -232,6 +232,11 @@ MetricsSnapshot snapshotMetrics();
 /** Stable JSON rendering of snapshotMetrics() (sorted names). */
 std::string metricsJson();
 
+/**
+ * Replace @p path whole with metricsJson() (.tmp + rename): a reader
+ * sees the old file or the new one, never a torn mix.
+ * @return false when the write fails.
+ */
 bool writeMetricsJson(const std::string &path);
 
 /** Copy out every recorded span, sorted by (tsNs, longest first). */
@@ -240,6 +245,7 @@ std::vector<TraceEventCopy> traceEvents();
 /** Chrome-tracing JSON ({"traceEvents":[...]}) of traceEvents(). */
 std::string traceJson();
 
+/** Replace @p path whole with traceJson(), as writeMetricsJson. */
 bool writeTraceJson(const std::string &path);
 
 /** Per-name span aggregates, descending by total time. */

@@ -3,7 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -147,31 +147,12 @@ collectProfiles(const std::vector<const workloads::BenchmarkEntry *> &entries,
             onResult(results[i]);
     };
 
-    if (jobs == 1) {
-        for (size_t i = 0; i < entries.size(); ++i)
-            runOne(i);
-    } else {
-        ThreadPool pool(jobs);
-        std::vector<std::future<void>> futures;
-        futures.reserve(entries.size());
-        for (size_t i = 0; i < entries.size(); ++i)
-            futures.push_back(pool.submit([&runOne, i] { runOne(i); }));
-
-        // Wait for every job before rethrowing so no worker still
-        // touches `results` when an exception unwinds this frame. Only
-        // the progress and result hooks can throw here.
-        std::exception_ptr firstError;
-        for (auto &f : futures) {
-            try {
-                f.get();
-            } catch (...) {
-                if (!firstError)
-                    firstError = std::current_exception();
-            }
-        }
-        if (firstError)
-            std::rethrow_exception(firstError);
-    }
+    // Only the progress and result hooks can throw out of a job;
+    // parallelBlocks rethrows the first once every job has finished.
+    std::unique_ptr<ThreadPool> pool;
+    if (jobs != 1)
+        pool = std::make_unique<ThreadPool>(jobs);
+    parallelBlocks(pool.get(), entries.size(), runOne);
 
     // All workers have drained: report failures in input order and
     // enforce the cap.

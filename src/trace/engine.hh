@@ -32,10 +32,10 @@ namespace mica
  * the full seven-analyzer profile than fanning each record out to
  * every analyzer (one virtual call per analyzer per record).
  *
- * acceptBatch is observationally identical to per-record processing,
+ * How the trace is cut into spans never changes an analyzer's result,
  * and analyzers are independent of one another, so the batch order
- * produces bit-identical results; runPerRecord() keeps the original
- * record-at-a-time loop as the reference path for equivalence tests.
+ * produces bit-identical results; tests compare one-record spans with
+ * long ones.
  */
 class AnalysisEngine
 {
@@ -49,18 +49,6 @@ class AnalysisEngine
 
     /** Register an analyzer; must outlive the run() call. */
     void add(TraceAnalyzer *a) { analyzers_.push_back(a); }
-
-    /** Remove all registered analyzers. */
-    void clear() { analyzers_.clear(); }
-
-    /** @return number of registered analyzers. */
-    size_t numAnalyzers() const { return analyzers_.size(); }
-
-    /** Set records per batch; values below 1 clamp to 1. */
-    void setBatchSize(size_t n) { batchSize_ = n ? n : 1; }
-
-    /** @return records pulled per batch. */
-    size_t batchSize() const { return batchSize_; }
 
     /**
      * Pull record batches from the source until exhaustion or a budget
@@ -87,7 +75,7 @@ class AnalysisEngine
             lone ? "engine." + std::string(analyzers_.front()->name()) +
                     ".batch_ns"
                  : std::string("engine.batch_ns"));
-        std::vector<InstRecord> buf(batchSize_);
+        std::vector<InstRecord> buf(kDefaultBatchSize);
         uint64_t n = 0;
         for (;;) {
             size_t want = buf.size();
@@ -106,42 +94,15 @@ class AnalysisEngine
             n += got;
             records.add(got);
         }
-        finishAll(src);
+        src.finish();
+        for (auto *a : analyzers_)
+            a->finish();
         sp.arg("records", n);
         return n;
     }
 
-    /**
-     * Reference path: the original record-at-a-time loop (one virtual
-     * next() and one virtual accept() per instruction). Kept so tests
-     * can assert the batched path is bit-identical, and selectable via
-     * MicaRunnerConfig::engineBatch = 0.
-     */
-    uint64_t
-    runPerRecord(TraceSource &src, uint64_t maxInsts = 0)
-    {
-        InstRecord rec;
-        uint64_t n = 0;
-        while ((maxInsts == 0 || n < maxInsts) && src.next(rec)) {
-            for (auto *a : analyzers_)
-                a->accept(rec);
-            ++n;
-        }
-        finishAll(src);
-        return n;
-    }
-
   private:
-    void
-    finishAll(TraceSource &src)
-    {
-        src.finish();
-        for (auto *a : analyzers_)
-            a->finish();
-    }
-
     std::vector<TraceAnalyzer *> analyzers_;
-    size_t batchSize_ = kDefaultBatchSize;
 };
 
 } // namespace mica

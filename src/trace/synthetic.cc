@@ -4,8 +4,10 @@ namespace mica
 {
 
 size_t
-RandomTraceSource::nextBatch(InstRecord *buf, size_t n)
+RandomTraceSource::nextSpan(const InstRecord *&span, InstRecord *buf,
+                            size_t n)
 {
+    span = buf;
     size_t got = 0;
     while (got < n && genNext(buf[got]))
         ++got;

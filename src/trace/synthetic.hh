@@ -17,7 +17,7 @@ namespace mica
 {
 
 /**
- * Replays a pre-built vector of records. Supports reset().
+ * Replays a pre-built vector of records, lending spans of it.
  */
 class VectorTraceSource : public TraceSource
 {
@@ -37,24 +37,6 @@ class VectorTraceSource : public TraceSource
     /** @return number of records in the buffer. */
     size_t size() const { return recs_.size(); }
 
-    bool
-    next(InstRecord &rec) override
-    {
-        if (pos_ >= recs_.size())
-            return false;
-        rec = recs_[pos_++];
-        return true;
-    }
-
-    size_t
-    nextBatch(InstRecord *buf, size_t n) override
-    {
-        const size_t got = std::min(n, recs_.size() - pos_);
-        std::copy_n(recs_.data() + pos_, got, buf);
-        pos_ += got;
-        return got;
-    }
-
     size_t
     nextSpan(const InstRecord *&span, InstRecord *, size_t n) override
     {
@@ -64,13 +46,6 @@ class VectorTraceSource : public TraceSource
         span = recs_.data() + pos_;
         pos_ += got;
         return got;
-    }
-
-    bool
-    reset() override
-    {
-        pos_ = 0;
-        return true;
     }
 
   private:
@@ -111,25 +86,14 @@ class RandomTraceSource : public TraceSource
         : params_(p), state_(p.seed ? p.seed : 0x9e3779b97f4a7c15ull)
     {}
 
-    bool next(InstRecord &rec) override { return genNext(rec); }
-
-    size_t nextBatch(InstRecord *buf, size_t n) override;
-
-    bool
-    reset() override
-    {
-        emitted_ = 0;
-        state_ = params_.seed ? params_.seed : 0x9e3779b97f4a7c15ull;
-        pc_ = kCodeBase;
-        lastDst_ = 1;
-        return true;
-    }
+    size_t nextSpan(const InstRecord *&span, InstRecord *buf,
+                    size_t n) override;
 
     static constexpr uint64_t kCodeBase = 0x400000;
     static constexpr uint64_t kDataBase = 0x10000000;
 
   private:
-    /** Non-virtual record generation shared by next()/nextBatch(). */
+    /** Generate one record into @p rec; false at the end. */
     bool genNext(InstRecord &rec);
 
     /** xorshift64* step. */

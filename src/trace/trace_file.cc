@@ -446,30 +446,6 @@ FileTraceSource::refill()
     return true;
 }
 
-bool
-FileTraceSource::next(InstRecord &rec)
-{
-    if (pos_ == buf_.size() && !refill())
-        return false;
-    rec = buf_[pos_++];
-    return true;
-}
-
-size_t
-FileTraceSource::nextBatch(InstRecord *buf, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        if (pos_ == buf_.size() && !refill())
-            break;
-        const size_t take = std::min(n - got, buf_.size() - pos_);
-        std::copy_n(buf_.data() + pos_, take, buf + got);
-        pos_ += take;
-        got += take;
-    }
-    return got;
-}
-
 size_t
 FileTraceSource::nextSpan(const InstRecord *&span, InstRecord *, size_t n)
 {
@@ -479,22 +455,6 @@ FileTraceSource::nextSpan(const InstRecord *&span, InstRecord *, size_t n)
     span = buf_.data() + pos_;
     pos_ += got;
     return got;
-}
-
-bool
-FileTraceSource::reset()
-{
-    try {
-        in_.seekTo(kTraceHeaderBytes);
-    } catch (const util::IoError &e) {
-        rethrowTraceIo(e);
-    }
-    buf_.clear();
-    pos_ = 0;
-    offset_ = 0;
-    records_ = 0;
-    hash_ = kFnvOffset;
-    return true;
 }
 
 // ----------------------------------------------------------------------
@@ -728,23 +688,32 @@ traceRecordsIdentical(const std::string &a, const std::string &b,
               std::to_string(rb.recordCount());
         return false;
     }
-    InstRecord x, y;
-    uint64_t i = 0;
-    while (ra.next(x)) {
-        if (!rb.next(y)) {
+    // Two cursors over the two files' spans, which break at each
+    // file's own chunk boundaries.
+    const InstRecord *x = nullptr, *y = nullptr;
+    size_t nx = 0, ny = 0;
+    for (uint64_t i = 0;; ++i) {
+        if (nx == 0)
+            nx = ra.nextSpan(x, nullptr, size_t(-1));
+        if (ny == 0)
+            ny = rb.nextSpan(y, nullptr, size_t(-1));
+        if (nx == 0)
+            break;
+        if (ny == 0) {
             why = b + " ended early at record " + std::to_string(i);
             return false;
         }
         // Compare canonical forms: the validity rules in
         // inst_record.hh make anything beyond them unobservable, and
         // v2 encoding canonicalizes by construction.
-        const InstRecord ca = columnar::canonicalRecord(x);
-        const InstRecord cb = columnar::canonicalRecord(y);
+        const InstRecord ca = columnar::canonicalRecord(*x++);
+        const InstRecord cb = columnar::canonicalRecord(*y++);
         if (std::memcmp(&ca, &cb, sizeof(InstRecord)) != 0) {
             why = "record " + std::to_string(i) + " differs";
             return false;
         }
-        ++i;
+        --nx;
+        --ny;
     }
     // Both files are read to the end, so both pass their checks.
     rb.finish();

@@ -236,8 +236,7 @@ class TraceFileWriter
  * chunk is checked as it is decoded, and the end of the payload
  * checks the record count and checksum against the header (see the
  * file comment); any failure throws TraceFileError from the call that
- * reached it. Supports reset(); spans point into the internal chunk
- * buffer.
+ * reached it. Spans point into the internal chunk buffer.
  */
 class FileTraceSource : public TraceSource
 {
@@ -250,11 +249,8 @@ class FileTraceSource : public TraceSource
      */
     explicit FileTraceSource(const std::string &path);
 
-    bool next(InstRecord &rec) override;
-    size_t nextBatch(InstRecord *buf, size_t n) override;
     size_t nextSpan(const InstRecord *&span, InstRecord *buf,
                     size_t n) override;
-    bool reset() override;
 
     /** Read and check the rest of the payload. @throws TraceFileError */
     void finish() override { while (refill()) {} }
@@ -287,11 +283,8 @@ class FileTraceSource : public TraceSource
 };
 
 /**
- * Tees every record pulled through it to a TraceFileWriter, whatever
- * mix of next()/nextBatch()/nextSpan() the consumer uses — each
- * consumed record is written exactly once, in trace order. The
- * wrapper is single-pass: reset() refuses (a rewound replay would be
- * recorded twice), so record a fresh wrapper per pass instead.
+ * Tees every span pulled through it to a TraceFileWriter: each
+ * consumed record is written exactly once, in trace order.
  */
 class RecordingSource : public TraceSource
 {
@@ -300,23 +293,6 @@ class RecordingSource : public TraceSource
         : inner_(inner), writer_(writer)
     {}
 
-    bool
-    next(InstRecord &rec) override
-    {
-        if (!inner_.next(rec))
-            return false;
-        writer_.append(rec);
-        return true;
-    }
-
-    size_t
-    nextBatch(InstRecord *buf, size_t n) override
-    {
-        const size_t got = inner_.nextBatch(buf, n);
-        writer_.append(buf, got);
-        return got;
-    }
-
     size_t
     nextSpan(const InstRecord *&span, InstRecord *buf, size_t n) override
     {
@@ -324,8 +300,6 @@ class RecordingSource : public TraceSource
         writer_.append(span, got);
         return got;
     }
-
-    bool reset() override { return false; }
 
   private:
     TraceSource &inner_;

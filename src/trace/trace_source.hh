@@ -14,10 +14,8 @@ namespace mica
 {
 
 /**
- * A pull-based producer of dynamic instructions.
- *
- * Sources are single-pass by default; sources that can be re-run (e.g.,
- * the interpreter, replay buffers) override reset().
+ * A pull-based, single-pass producer of dynamic instructions: records
+ * move in spans. To read a trace again, open another source over it.
  */
 class TraceSource
 {
@@ -25,70 +23,26 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next dynamic instruction.
-     *
-     * @param rec Output record, valid only when the call returns true.
-     * @retval true a record was produced.
-     * @retval false the trace is exhausted.
-     */
-    virtual bool next(InstRecord &rec) = 0;
-
-    /**
-     * Produce up to n records into buf.
-     *
-     * The default implementation loops next(), so every source gets
-     * the bulk API for free; sources with cheap bulk access (replay
-     * buffers, generators, the interpreter) override it to amortize
-     * the per-record virtual call. A batch is a plain prefix of the
-     * record stream: mixing next() and nextBatch() calls observes the
-     * same trace in the same order.
-     *
-     * @param buf destination for up to n records
-     * @param n   batch capacity (may be 0)
-     * @return number of records produced; < n only at end of trace.
-     */
-    virtual size_t
-    nextBatch(InstRecord *buf, size_t n)
-    {
-        size_t got = 0;
-        while (got < n && next(buf[got]))
-            ++got;
-        return got;
-    }
-
-    /**
-     * Borrow the next span of up to n records with no copy when the
+     * Lend the next span of up to n records, with no copy when the
      * source already holds materialized records (replay buffers).
      *
      * On return, span points either into the source's own storage or
-     * at buf (the default implementation fills buf via nextBatch).
-     * The span stays valid until the next call that advances this
-     * source. Consumes the same records as nextBatch would.
+     * at buf, which the source fills. The span stays valid until the
+     * next call that advances this source.
      *
-     * Unlike nextBatch, a span may be shorter than n away from the
-     * end of the trace: sources with chunked storage (file-backed
-     * traces) lend one chunk's worth at a time, so only a return of 0
-     * signals exhaustion. Consumers must loop until 0.
+     * A span may be shorter than n away from the end of the trace:
+     * sources with chunked storage (file-backed traces) lend one
+     * chunk's worth at a time, so only a return of 0 signals
+     * exhaustion. Consumers must loop until 0. How a consumer cuts the
+     * trace into spans never changes the records it sees.
      *
      * @param span out-parameter: start of the produced records
      * @param buf  caller-provided backing store of capacity n
      * @param n    maximum records to produce
      * @return number of records in span; 0 only at end of trace.
      */
-    virtual size_t
-    nextSpan(const InstRecord *&span, InstRecord *buf, size_t n)
-    {
-        span = buf;
-        return nextBatch(buf, n);
-    }
-
-    /**
-     * Rewind the source to the beginning of the trace.
-     *
-     * @retval true the source supports re-running and has been rewound.
-     * @retval false the source is single-pass.
-     */
-    virtual bool reset() { return false; }
+    virtual size_t nextSpan(const InstRecord *&span, InstRecord *buf,
+                            size_t n) = 0;
 
     /**
      * Called once by a consumer that has stopped pulling, at the end
@@ -122,27 +76,15 @@ class TraceAnalyzer
      */
     virtual const char *name() const { return "analyzer"; }
 
-    /** Observe one dynamic instruction. */
-    virtual void accept(const InstRecord &rec) = 0;
-
     /**
      * Observe a contiguous span of n dynamic instructions in trace
-     * order.
-     *
-     * The contract: acceptBatch(recs, n) must be observationally
-     * identical to calling accept(recs[i]) for i in [0, n) — the
-     * default implementation does exactly that, so analyzers that
-     * only implement accept() are always correct. Analyzers on the
-     * profiling hot path override it so their whole batch loop is one
-     * tight, devirtualized kernel: one virtual call per batch instead
-     * of one per instruction.
+     * order. The result after the last span must not depend on how
+     * the trace was cut into spans: n records in one call or in n
+     * calls of one record give the same state. Each analyzer's
+     * override is its whole batch loop, one devirtualized kernel per
+     * span.
      */
-    virtual void
-    acceptBatch(const InstRecord *recs, size_t n)
-    {
-        for (size_t i = 0; i < n; ++i)
-            accept(recs[i]);
-    }
+    virtual void acceptBatch(const InstRecord *recs, size_t n) = 0;
 
     /** Called once after the last record of the trace. */
     virtual void finish() {}

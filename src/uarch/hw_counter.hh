@@ -92,8 +92,6 @@ class HwCounterAnalyzer final : public TraceAnalyzer
 
     explicit HwCounterAnalyzer(const MachineConfig &cfg = {});
 
-    void accept(const InstRecord &rec) override { step(rec); }
-
     void
     acceptBatch(const InstRecord *recs, size_t n) override
     {

@@ -217,120 +217,33 @@ class FlatHashMap
 };
 
 /**
- * Open-addressing hash set of integral keys. Same growth and probing
- * policy as FlatHashMap, without the mapped values.
+ * Open-addressing hash set of integral keys: a FlatHashMap whose
+ * values are empty (a 16-byte slot for a 64-bit key, as the map's).
  */
 template <typename K, typename Hash = MixHash>
 class FlatHashSet
 {
   public:
-    FlatHashSet() = default;
+    size_t size() const { return map_.size(); }
 
-    size_t size() const { return size_; }
+    bool empty() const { return map_.empty(); }
 
-    bool empty() const { return size_ == 0; }
+    void clear() { map_.clear(); }
 
-    void
-    clear()
-    {
-        slots_.clear();
-        slots_.shrink_to_fit();
-        size_ = 0;
-        mask_ = 0;
-    }
+    void reserve(size_t n) { map_.reserve(n); }
 
-    void
-    reserve(size_t n)
-    {
-        size_t cap = kMinCapacity;
-        while (cap * 7 < n * 10)
-            cap <<= 1;
-        if (cap > slots_.size())
-            rehash(cap);
-    }
-
-    bool
-    contains(K key) const
-    {
-        if (slots_.empty())
-            return false;
-        for (size_t i = probe(key);; i = (i + 1) & mask_) {
-            const Slot &s = slots_[i];
-            if (!s.used)
-                return false;
-            if (s.key == key)
-                return true;
-        }
-    }
+    bool contains(K key) const { return map_.contains(key); }
 
     /** @return true when the key was newly inserted. */
-    bool
-    insert(K key)
-    {
-        growIfNeeded();
-        for (size_t i = probe(key);; i = (i + 1) & mask_) {
-            Slot &s = slots_[i];
-            if (!s.used) {
-                s.used = true;
-                s.key = key;
-                ++size_;
-                return true;
-            }
-            if (s.key == key)
-                return false;
-        }
-    }
+    bool insert(K key) { return map_.tryEmplace(key, Empty{}).second; }
 
-    size_t capacity() const { return slots_.size(); }
+    size_t capacity() const { return map_.capacity(); }
 
   private:
-    static constexpr size_t kMinCapacity = 16;
+    struct Empty
+    {};
 
-    struct Slot
-    {
-        K key{};
-        bool used = false;
-    };
-
-    size_t
-    probe(K key) const
-    {
-        return static_cast<size_t>(
-            Hash::of(static_cast<uint64_t>(key))) & mask_;
-    }
-
-    void
-    growIfNeeded()
-    {
-        if (slots_.empty())
-            rehash(kMinCapacity);
-        else if ((size_ + 1) * 10 > slots_.size() * 7)
-            rehash(slots_.size() * 2);
-    }
-
-    void
-    rehash(size_t newCap)
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_ = std::vector<Slot>(newCap);
-        mask_ = newCap - 1;
-        for (const Slot &s : old) {
-            if (!s.used)
-                continue;
-            for (size_t i = probe(s.key);; i = (i + 1) & mask_) {
-                Slot &d = slots_[i];
-                if (!d.used) {
-                    d.used = true;
-                    d.key = s.key;
-                    break;
-                }
-            }
-        }
-    }
-
-    std::vector<Slot> slots_;
-    size_t size_ = 0;
-    size_t mask_ = 0;
+    FlatHashMap<K, Empty, Hash> map_;
 };
 
 /**

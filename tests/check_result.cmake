@@ -4,9 +4,10 @@
 #         -P check_result.cmake -- PROGRAM ARGS...
 #
 # The command must exit 0, and the sha256 of FILE must equal the digest
-# on ARTIFACT's row of MANIFEST (lines "ARTIFACT<TAB>SHA256"). Without
-# NAME the command is only run; -DCLEAN=DIR removes DIR before it runs
-# (the fixture that sweeps into a fresh store).
+# on ARTIFACT's row of MANIFEST (lines "ARTIFACT<TAB>SHA256"). With
+# -DSTDOUT=1 the artifact is the command's stdout, captured into FILE.
+# Without NAME the command is only run; -DCLEAN=DIR removes DIR before
+# it runs (the fixture that sweeps into a fresh store).
 set(cmd "")
 set(past FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -24,8 +25,13 @@ endif()
 if(DEFINED OUT)
   file(REMOVE "${OUT}")
 endif()
-execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
-                ERROR_VARIABLE err)
+if(STDOUT)
+  execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_FILE "${OUT}"
+                  ERROR_VARIABLE err)
+else()
+  execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${cmd}: exit ${rc}; stderr: ${err}")
 endif()

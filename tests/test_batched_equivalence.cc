@@ -1,8 +1,10 @@
 /**
  * @file
- * Golden A/B tests: the batched analysis engine must be bit-identical
- * to the per-record reference path — same MicaProfile bytes for every
- * batch size, trace source, seed, and instruction budget.
+ * Golden A/B tests: how a trace is cut into spans must not change a
+ * bit of any result. Each test lends the records in spans of at most
+ * b (test::CappedSpans; b = 1 is the per-record reference path) and
+ * compares with the engine's default spans — same MicaProfile bytes
+ * for every span cap, trace source, seed, and instruction budget.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "mica/strides.hh"
 #include "mica/working_set.hh"
 #include "trace/engine.hh"
+#include "test_util.hh"
 #include "trace/synthetic.hh"
 #include "workloads/registry.hh"
 
@@ -40,8 +43,22 @@ expectProfilesIdentical(const MicaProfile &a, const MicaProfile &b,
         << what;
 }
 
+/** Span caps compared with the default: one record, and non-divisors. */
+constexpr size_t kCaps[] = {1, 3, 97, 333};
+
+/** Profile @p src lent in spans of at most @p cap (0: uncapped). */
 MicaProfile
-profileRandom(uint64_t seed, size_t engineBatch, uint64_t budget)
+profileCapped(TraceSource &src, const std::string &name, size_t cap,
+              const MicaRunnerConfig &cfg = {})
+{
+    if (cap == 0)
+        return collectMicaProfile(src, name, cfg);
+    test::CappedSpans capped(src, cap);
+    return collectMicaProfile(capped, name, cfg);
+}
+
+MicaProfile
+profileRandom(uint64_t seed, size_t cap, uint64_t budget)
 {
     RandomTraceParams p;
     p.numInsts = 20000;
@@ -49,67 +66,59 @@ profileRandom(uint64_t seed, size_t engineBatch, uint64_t budget)
     RandomTraceSource src(p);
     MicaRunnerConfig cfg;
     cfg.maxInsts = budget;
-    cfg.engineBatch = engineBatch;
-    return collectMicaProfile(src, "rand", cfg);
+    return profileCapped(src, "rand", cap, cfg);
 }
 
 TEST(BatchedEquivalenceTest, RandomTracesAcrossSeedsAndBatchSizes)
 {
-    // Batch size 1, a non-divisor of the trace length, the default,
-    // and one larger than the whole trace.
-    const size_t batchSizes[] = {1, 3, 333,
-                                 AnalysisEngine::kDefaultBatchSize,
-                                 1 << 16};
     for (uint64_t seed : {1ull, 7ull, 42ull}) {
         const MicaProfile ref = profileRandom(seed, 0, 0);
-        for (size_t bs : batchSizes) {
-            const MicaProfile got = profileRandom(seed, bs, 0);
+        for (size_t cap : kCaps) {
+            const MicaProfile got = profileRandom(seed, cap, 0);
             expectProfilesIdentical(
                 ref, got,
                 "seed=" + std::to_string(seed) +
-                    " batch=" + std::to_string(bs));
+                    " cap=" + std::to_string(cap));
         }
     }
 }
 
 TEST(BatchedEquivalenceTest, BudgetNotAMultipleOfBatchSize)
 {
-    // 12345 records through 1024-record batches: the last batch is
-    // partial and the budget cuts mid-batch.
+    // 12345 records: the budget cuts mid-span for every cap and for
+    // the default 1024-record spans.
     const MicaProfile ref = profileRandom(11, 0, 12345);
-    const MicaProfile got =
-        profileRandom(11, AnalysisEngine::kDefaultBatchSize, 12345);
-    expectProfilesIdentical(ref, got, "budget=12345");
-    EXPECT_EQ(got.instCount, 12345u);
+    EXPECT_EQ(ref.instCount, 12345u);
+    for (size_t cap : kCaps)
+        expectProfilesIdentical(ref, profileRandom(11, cap, 12345),
+                                "budget=12345 cap=" +
+                                    std::to_string(cap));
 }
 
 TEST(BatchedEquivalenceTest, VectorReplayMatchesGenerator)
 {
     // The borrowed-span (zero-copy) VectorTraceSource path must agree
-    // with both the generator-backed batched path and the per-record
-    // reference.
+    // with the generator-backed path, in default and one-record spans.
     RandomTraceParams p;
     p.numInsts = 20000;
     p.seed = 42;
     RandomTraceSource gen(p);
-    std::vector<InstRecord> recs;
-    recs.reserve(p.numInsts);
-    InstRecord r;
-    while (gen.next(r))
-        recs.push_back(r);
-    VectorTraceSource replay(std::move(recs));
+    const std::vector<InstRecord> recs = test::drain(gen);
+    ASSERT_EQ(recs.size(), p.numInsts);
 
-    MicaRunnerConfig batched;
-    const MicaProfile viaReplay =
-        collectMicaProfile(replay, "rand", batched);
     const MicaProfile viaGenerator = profileRandom(42, 0, 0);
-    expectProfilesIdentical(viaReplay, viaGenerator, "replay vs gen");
+    for (size_t cap : {size_t(0), size_t(1)}) {
+        VectorTraceSource replay(recs);
+        expectProfilesIdentical(profileCapped(replay, "rand", cap),
+                                viaGenerator,
+                                "replay cap=" + std::to_string(cap));
+    }
 }
 
 TEST(BatchedEquivalenceTest, RealKernelsMatchBitForBit)
 {
-    // Two registry kernels through the interpreter: the engine path
-    // must not change a single profile byte.
+    // Two registry kernels through the interpreter: the span cut must
+    // not change a single profile byte.
     const char *names[] = {"SPEC2000/bzip2.source",
                            "MediaBench/epic.test2"};
     for (const char *name : names) {
@@ -118,32 +127,26 @@ TEST(BatchedEquivalenceTest, RealKernelsMatchBitForBit)
         ASSERT_NE(e, nullptr) << name;
         const isa::Program prog = e->build();
 
-        MicaRunnerConfig perRecord;
-        perRecord.maxInsts = 50000;
-        perRecord.engineBatch = 0;
+        MicaRunnerConfig cfg;
+        cfg.maxInsts = 50000;
         isa::Interpreter interpA(prog);
-        const MicaProfile ref =
-            collectMicaProfile(interpA, name, perRecord);
+        const MicaProfile ref = profileCapped(interpA, name, 0, cfg);
 
-        for (size_t bs : {size_t(1), size_t(100),
-                          AnalysisEngine::kDefaultBatchSize}) {
-            MicaRunnerConfig batched = perRecord;
-            batched.engineBatch = bs;
+        for (size_t cap : kCaps) {
             isa::Interpreter interpB(prog);
-            const MicaProfile got =
-                collectMicaProfile(interpB, name, batched);
+            const MicaProfile got = profileCapped(interpB, name, cap, cfg);
             expectProfilesIdentical(ref, got,
-                                    std::string(name) + " batch=" +
-                                        std::to_string(bs));
+                                    std::string(name) + " cap=" +
+                                        std::to_string(cap));
         }
     }
 }
 
 /**
  * A lone analyzer takes the engine's span-sized acceptBatch path —
- * the only place the analyzers' batch-kernel overrides (e.g.
- * StrideAnalyzer's two-pass load/store split) actually run in
- * production. Drive each analyzer alone, batched vs per-record.
+ * the only place the analyzers' batch kernels (e.g. StrideAnalyzer's
+ * two-pass load/store split) run over a whole span in production.
+ * Drive each analyzer alone, default spans vs capped ones.
  */
 template <typename Analyzer, typename Check>
 void
@@ -153,22 +156,21 @@ loneAnalyzerAB(Check &&check)
     p.numInsts = 20000;
     p.seed = 13;
 
-    Analyzer perRecord;
+    Analyzer ref;
     {
         RandomTraceSource src(p);
         AnalysisEngine eng;
-        eng.add(&perRecord);
-        eng.runPerRecord(src);
-    }
-    for (size_t bs : {size_t(1), size_t(97),
-                      AnalysisEngine::kDefaultBatchSize}) {
-        Analyzer batched;
-        RandomTraceSource src(p);
-        AnalysisEngine eng;
-        eng.add(&batched);
-        eng.setBatchSize(bs);
+        eng.add(&ref);
         eng.run(src);
-        check(perRecord, batched);
+    }
+    for (size_t cap : kCaps) {
+        Analyzer capped;
+        RandomTraceSource src(p);
+        test::CappedSpans spans(src, cap);
+        AnalysisEngine eng;
+        eng.add(&capped);
+        eng.run(spans);
+        check(ref, capped);
     }
 }
 
@@ -236,53 +238,42 @@ TEST(BatchedEquivalenceTest, LoneRegTrafficAnalyzerBatchKernel)
         });
 }
 
+/** A subset collection, default spans vs each capped cut. */
+void
+subsetAB(const std::vector<size_t> &selected, uint64_t seed,
+         const std::string &what)
+{
+    RandomTraceParams p;
+    p.numInsts = 20000;
+    p.seed = seed;
+
+    RandomTraceSource a(p);
+    const MicaProfile ref = collectMicaProfileSubset(a, "rand", selected);
+    for (size_t cap : kCaps) {
+        RandomTraceSource b(p);
+        test::CappedSpans spans(b, cap);
+        expectProfilesIdentical(
+            ref, collectMicaProfileSubset(spans, "rand", selected),
+            what + " cap=" + std::to_string(cap));
+    }
+}
+
 TEST(BatchedEquivalenceTest, StrideOnlySubsetUsesLoneAnalyzerPath)
 {
     // All requested characteristics come from one family, so the
     // engine registers exactly one analyzer and takes the
     // acceptBatch fast path end to end through the runner.
-    const std::vector<size_t> strideOnly = {LocalLoadStrideEq0,
-                                            GlobalLoadStrideLe512,
-                                            LocalStoreStrideLe4096};
-    RandomTraceParams p;
-    p.numInsts = 20000;
-    p.seed = 29;
-
-    RandomTraceSource a(p);
-    MicaRunnerConfig perRecord;
-    perRecord.engineBatch = 0;
-    const MicaProfile ref =
-        collectMicaProfileSubset(a, "rand", strideOnly, perRecord);
-
-    RandomTraceSource b(p);
-    MicaRunnerConfig batched;
-    const MicaProfile got =
-        collectMicaProfileSubset(b, "rand", strideOnly, batched);
-    expectProfilesIdentical(ref, got, "stride-only subset");
+    subsetAB({LocalLoadStrideEq0, GlobalLoadStrideLe512,
+              LocalStoreStrideLe4096},
+             29, "stride-only subset");
 }
 
 TEST(BatchedEquivalenceTest, SubsetCollectionMatches)
 {
-    const std::vector<size_t> key = {PctLoads, AvgInputOperands,
-                                     RegDepLe8, LocalLoadStrideLe64,
-                                     GlobalLoadStrideLe512,
-                                     LocalStoreStrideLe4096, DWorkSet4K,
-                                     Ilp256};
-    RandomTraceParams p;
-    p.numInsts = 20000;
-    p.seed = 5;
-
-    RandomTraceSource a(p);
-    MicaRunnerConfig perRecord;
-    perRecord.engineBatch = 0;
-    const MicaProfile ref =
-        collectMicaProfileSubset(a, "rand", key, perRecord);
-
-    RandomTraceSource b(p);
-    MicaRunnerConfig batched;
-    const MicaProfile got =
-        collectMicaProfileSubset(b, "rand", key, batched);
-    expectProfilesIdentical(ref, got, "subset");
+    subsetAB({PctLoads, AvgInputOperands, RegDepLe8, LocalLoadStrideLe64,
+              GlobalLoadStrideLe512, LocalStoreStrideLe4096, DWorkSet4K,
+              Ilp256},
+             5, "subset");
 }
 
 } // namespace

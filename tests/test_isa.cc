@@ -508,25 +508,6 @@ TEST(InterpreterTest, InstCountMatchesEmittedRecords)
     EXPECT_EQ(n, 1 + 10 * 2 + 1u);
 }
 
-TEST(InterpreterTest, ResetReproducesExecutionExactly)
-{
-    Assembler a;
-    const uint64_t buf = a.reserve(8);
-    a.li(S0, static_cast<int64_t>(buf));
-    a.ld(T0, S0, 0);
-    a.addi(T0, T0, 1);
-    a.sd(T0, S0, 0);        // memory side effect
-    a.halt();
-    const Program p = a.finish();
-    Interpreter in(p);
-    runAll(in);
-    EXPECT_EQ(in.reg(T0), 1);
-    EXPECT_TRUE(in.reset());
-    runAll(in);
-    // After reset the memory image is rebuilt, so the load sees 0 again.
-    EXPECT_EQ(in.reg(T0), 1);
-}
-
 TEST(InterpreterTest, DataSegmentsAreVisibleToLoads)
 {
     Assembler a;

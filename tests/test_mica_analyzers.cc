@@ -79,10 +79,7 @@ TEST(InstMixTest, PercentagesArePartitionOfAtMost100)
     p.numInsts = 20000;
     RandomTraceSource src(p);
     InstMixAnalyzer mix;
-    InstRecord r;
-    while (src.next(r))
-        mix.accept(r);
-    mix.finish();
+    feed(mix, test::drain(src));
     const double sum = mix.pctLoads() + mix.pctStores() +
         mix.pctControl() + mix.pctArith() + mix.pctIntMul() +
         mix.pctFpOps();
@@ -133,10 +130,7 @@ TEST(IlpTest, LargerWindowsNeverHurt)
     p.seed = 3;
     RandomTraceSource src(p);
     IlpAnalyzer ilp;        // paper windows 32/64/128/256
-    InstRecord r;
-    while (src.next(r))
-        ilp.accept(r);
-    ilp.finish();
+    feed(ilp, test::drain(src));
     EXPECT_LE(ilp.ipc(0), ilp.ipc(1) + 1e-9);
     EXPECT_LE(ilp.ipc(1), ilp.ipc(2) + 1e-9);
     EXPECT_LE(ilp.ipc(2), ilp.ipc(3) + 1e-9);
@@ -168,10 +162,7 @@ TEST(IlpTest, NonPowerOfTwoWindowMatchesPowerOfTwoSemantics)
     p.seed = 9;
     RandomTraceSource src(p);
     IlpAnalyzer ilp({32, 33, 64});
-    InstRecord r;
-    while (src.next(r))
-        ilp.accept(r);
-    ilp.finish();
+    feed(ilp, test::drain(src));
     EXPECT_LE(ilp.ipc(0), ilp.ipc(1) + 1e-9);   // 32 <= 33
     EXPECT_LE(ilp.ipc(1), ilp.ipc(2) + 1e-9);   // 33 <= 64
 }
@@ -217,8 +208,7 @@ TEST(IlpTest, LockstepWindowsMatchOneWindowAtATime)
         p.seed = seed;
         RandomTraceSource src(p);
         std::vector<InstRecord> recs;
-        InstRecord r;
-        while (src.next(r)) {
+        for (InstRecord r : test::drain(src)) {
             if (recs.size() % 7 == 0)
                 r.dstReg = kNumRegs + 3;
             if (recs.size() % 11 == 0 && r.numSrcRegs > 0)
@@ -247,13 +237,12 @@ TEST(IlpTest, BatchedAcceptMatchesPerRecord)
     p.numInsts = 5000;
     p.seed = 21;
     RandomTraceSource src(p);
-    std::vector<InstRecord> recs;
-    InstRecord r;
-    while (src.next(r))
-        recs.push_back(r);
+    const std::vector<InstRecord> recs = test::drain(src);
 
     IlpAnalyzer single, batched;
-    feed(single, recs);
+    for (const InstRecord &r : recs)
+        single.acceptBatch(&r, 1);
+    single.finish();
     batched.acceptBatch(recs.data(), recs.size());
     batched.finish();
     for (size_t w = 0; w < single.numWindows(); ++w)
@@ -364,10 +353,7 @@ TEST(RegTrafficTest, CumulativeDistributionIsMonotone)
     p.seed = 11;
     RandomTraceSource src(p);
     RegTrafficAnalyzer rt;
-    InstRecord r;
-    while (src.next(r))
-        rt.accept(r);
-    rt.finish();
+    feed(rt, test::drain(src));
     for (size_t c = 1; c < RegTrafficAnalyzer::kDistCuts.size(); ++c)
         EXPECT_LE(rt.depDistanceCum(c - 1), rt.depDistanceCum(c) + 1e-12);
     EXPECT_GE(rt.depDistanceCum(0), 0.0);
@@ -377,9 +363,7 @@ TEST(RegTrafficTest, CumulativeDistributionIsMonotone)
 TEST(RegTrafficTest, FinishIsIdempotent)
 {
     RegTrafficAnalyzer rt;
-    rt.accept(test::alu(1, {}));
-    rt.accept(test::alu(2, {1}));
-    rt.finish();
+    feed(rt, {test::alu(1, {}), test::alu(2, {1})});
     const double first = rt.avgDegreeOfUse();
     rt.finish();
     EXPECT_DOUBLE_EQ(rt.avgDegreeOfUse(), first);
@@ -496,10 +480,7 @@ TEST(StrideTest, CumulativeProbabilitiesAreMonotone)
     p.seed = 21;
     RandomTraceSource src(p);
     StrideAnalyzer st;
-    InstRecord r;
-    while (src.next(r))
-        st.accept(r);
-    st.finish();
+    feed(st, test::drain(src));
     for (const auto *d : {&st.localLoad(), &st.globalLoad(),
                           &st.localStore(), &st.globalStore()}) {
         for (size_t c = 1; c < StrideAnalyzer::kCuts.size(); ++c)
@@ -554,8 +535,7 @@ TEST(PpmTest, LongPeriodicPatternNeedsEnoughContext)
         std::vector<InstRecord> recs;
         for (int i = 0; i < 6000; ++i)
             recs.push_back(test::branch(0x40, (i % 6) < 3));
-        for (const auto &r : recs)
-            ppm.accept(r);
+        ppm.acceptBatch(recs.data(), recs.size());
         return ppm.missRateGAg();
     };
     EXPECT_LT(run(8), 0.02);
@@ -597,8 +577,7 @@ TEST(PpmTest, PerAddressVariantsSeparateInterleavedBranches)
         recs.push_back(test::branch(0xB0, i % 2 == 0));
     }
     PpmBranchAnalyzer low(1);
-    for (const auto &r : recs)
-        low.accept(r);
+    low.acceptBatch(recs.data(), recs.size());
     EXPECT_LT(low.missRatePAs(), low.missRateGAg() + 1e-9);
     EXPECT_LT(low.missRatePAs(), 0.05);
 }
@@ -616,9 +595,10 @@ TEST(PpmTest, MissRatesAreProbabilities)
 {
     Rng rng(31);
     PpmBranchAnalyzer ppm(6);
+    std::vector<InstRecord> recs;
     for (int i = 0; i < 5000; ++i)
-        ppm.accept(test::branch(0x10 + 16 * (i % 7), rng.chance(0.3)));
-    ppm.finish();
+        recs.push_back(test::branch(0x10 + 16 * (i % 7), rng.chance(0.3)));
+    feed(ppm, recs);
     for (double m : {ppm.missRateGAg(), ppm.missRatePAg(),
                      ppm.missRateGAs(), ppm.missRatePAs()}) {
         EXPECT_GE(m, 0.0);
@@ -689,9 +669,8 @@ TEST(PpmTest, MatchesReferencePpmBitForBit)
             RandomTraceSource src(p);
             PpmBranchAnalyzer ppm(order);
             ReferencePpm ref(order);
-            InstRecord r;
-            while (src.next(r)) {
-                ppm.accept(r);
+            for (const InstRecord &r : test::drain(src)) {
+                ppm.acceptBatch(&r, 1);
                 ref.accept(r);
             }
             ASSERT_EQ(ppm.branches(), ref.branches);

@@ -3,18 +3,25 @@
  * Tests for the runtime telemetry subsystem (src/obs): sharded
  * counters fold exactly under any worker count, histogram buckets sit
  * on power-of-two boundaries, span export is well-formed Chrome-
- * tracing JSON with strict per-thread nesting, and the bounded ring
- * drops oldest-first.
+ * tracing JSON with strict per-thread nesting, the bounded ring
+ * drops oldest-first, and the exported files are replaced whole.
  *
  * Each TEST runs in its own gtest process (gtest_discover_tests), so
  * obs::resetForTest() gives every test a clean registry without
  * cross-test interference.
  */
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -454,6 +461,49 @@ TEST(ObsHistQuantile, SparseBucketsSkipGaps)
     const double hi = histQuantile(h, 0.9);
     EXPECT_GE(hi, static_cast<double>(histBucketLo(10)));
     EXPECT_LE(hi, static_cast<double>(histBucketHi(10)));
+}
+
+/** The bytes of @p path. */
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+TEST(ObsFiles, RewriteReplacesTheMetricsFileWhole)
+{
+    // The daemon rewrites its metrics file every interval while other
+    // processes read it: a reader holding the previous file must keep
+    // reading it whole, and the path must name the new one.
+    char tmpl[] = "/tmp/mica_obs_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string path = std::string(tmpl) + "/metrics.json";
+    resetForTest();
+    static Counter c("test.obs.rewrite");
+    c.add(1);
+    ASSERT_TRUE(writeMetricsJson(path));
+    const std::string first = fileText(path);
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+
+    c.add(123456);
+    ASSERT_TRUE(writeMetricsJson(path));
+    std::string held(first.size() + 64, '\0');
+    const ssize_t got = ::pread(fd, held.data(), held.size(), 0);
+    ::close(fd);
+    held.resize(got < 0 ? 0 : static_cast<size_t>(got));
+    EXPECT_EQ(held, first);
+    const std::string second = fileText(path);
+    EXPECT_NE(second.find("123457"), std::string::npos) << second;
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    // A file that cannot be written reports false instead of throwing.
+    EXPECT_FALSE(writeMetricsJson(std::string(tmpl) + "/no/such/dir/m"));
+    EXPECT_FALSE(writeTraceJson(std::string(tmpl) + "/no/such/dir/t"));
+    std::filesystem::remove_all(tmpl);
 }
 
 } // namespace

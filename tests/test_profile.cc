@@ -92,13 +92,11 @@ TEST(RunnerTest, ProfileMatchesStandaloneAnalyzers)
     const MicaProfile p = collectMicaProfile(src, "x", {});
 
     RandomTraceSource src2(defaultParams(3));
+    const std::vector<InstRecord> recs = test::drain(src2);
     InstMixAnalyzer mix;
     IlpAnalyzer ilp;
-    InstRecord r;
-    while (src2.next(r)) {
-        mix.accept(r);
-        ilp.accept(r);
-    }
+    mix.acceptBatch(recs.data(), recs.size());
+    ilp.acceptBatch(recs.data(), recs.size());
     EXPECT_DOUBLE_EQ(p[PctLoads], mix.pctLoads());
     EXPECT_DOUBLE_EQ(p[PctFpOps], mix.pctFpOps());
     EXPECT_DOUBLE_EQ(p[Ilp32], ilp.ipc(0));

@@ -801,9 +801,10 @@ writeRandomTraces(const std::string &dir, uint64_t seed)
         p.pLoad = 0.1 + 0.05 * static_cast<double>(i);
         RandomTraceSource src(p);
         TraceFileWriter w(dir + "/rand__t" + std::to_string(i) + ".x.trace");
-        InstRecord r;
-        while (src.next(r))
-            w.append(r);
+        std::vector<InstRecord> buf(p.numInsts);
+        const InstRecord *span = nullptr;
+        const size_t got = src.nextSpan(span, buf.data(), buf.size());
+        w.append(span, got);
         w.close();
     }
 }

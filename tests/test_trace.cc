@@ -86,26 +86,13 @@ TEST(VectorTraceSourceTest, ReplaysRecordsInOrder)
     VectorTraceSource src({test::alu(1), test::load(0x40),
                            test::store(0x80)});
     InstRecord r;
-    ASSERT_TRUE(src.next(r));
+    ASSERT_TRUE(test::nextRecord(src, r));
     EXPECT_EQ(r.cls, InstClass::IntAlu);
-    ASSERT_TRUE(src.next(r));
+    ASSERT_TRUE(test::nextRecord(src, r));
     EXPECT_EQ(r.cls, InstClass::Load);
-    ASSERT_TRUE(src.next(r));
+    ASSERT_TRUE(test::nextRecord(src, r));
     EXPECT_EQ(r.cls, InstClass::Store);
-    EXPECT_FALSE(src.next(r));
-}
-
-TEST(VectorTraceSourceTest, ResetRewindsToTheBeginning)
-{
-    VectorTraceSource src({test::alu(1), test::alu(2)});
-    InstRecord r;
-    while (src.next(r)) {
-    }
-    EXPECT_TRUE(src.reset());
-    int n = 0;
-    while (src.next(r))
-        ++n;
-    EXPECT_EQ(n, 2);
+    EXPECT_FALSE(test::nextRecord(src, r));
 }
 
 TEST(VectorTraceSourceTest, PushAppendsRecords)
@@ -117,11 +104,16 @@ TEST(VectorTraceSourceTest, PushAppendsRecords)
     EXPECT_EQ(src.size(), 2u);
 }
 
-/** Counts accepts and finishes for engine tests. */
+/** Counts accepted records and finishes for engine tests. */
 class CountingAnalyzer : public TraceAnalyzer
 {
   public:
-    void accept(const InstRecord &) override { ++accepts; }
+    void
+    acceptBatch(const InstRecord *, size_t n) override
+    {
+        accepts += static_cast<int>(n);
+    }
+
     void finish() override { ++finishes; }
 
     int accepts = 0;
@@ -135,7 +127,6 @@ TEST(AnalysisEngineTest, BroadcastsEveryRecordToEveryAnalyzer)
     AnalysisEngine eng;
     eng.add(&a);
     eng.add(&b);
-    EXPECT_EQ(eng.numAnalyzers(), 2u);
     EXPECT_EQ(eng.run(src), 3u);
     EXPECT_EQ(a.accepts, 3);
     EXPECT_EQ(b.accepts, 3);
@@ -172,28 +163,12 @@ TEST(AnalysisEngineTest, ZeroBudgetMeansUnlimited)
     EXPECT_EQ(eng.run(src, 0), 57u);
 }
 
-TEST(AnalysisEngineTest, ClearRemovesAnalyzers)
-{
-    AnalysisEngine eng;
-    CountingAnalyzer a;
-    eng.add(&a);
-    eng.clear();
-    EXPECT_EQ(eng.numAnalyzers(), 0u);
-    VectorTraceSource src({test::alu(1)});
-    eng.run(src);
-    EXPECT_EQ(a.accepts, 0);
-}
-
 TEST(RandomTraceSourceTest, ProducesExactlyNumInsts)
 {
     RandomTraceParams p;
     p.numInsts = 1234;
     RandomTraceSource src(p);
-    InstRecord r;
-    uint64_t n = 0;
-    while (src.next(r))
-        ++n;
-    EXPECT_EQ(n, 1234u);
+    EXPECT_EQ(test::drain(src).size(), 1234u);
 }
 
 TEST(RandomTraceSourceTest, SameSeedSameTrace)
@@ -203,14 +178,14 @@ TEST(RandomTraceSourceTest, SameSeedSameTrace)
     p.seed = 77;
     RandomTraceSource a(p), b(p);
     InstRecord ra, rb;
-    while (a.next(ra)) {
-        ASSERT_TRUE(b.next(rb));
+    while (test::nextRecord(a, ra)) {
+        ASSERT_TRUE(test::nextRecord(b, rb));
         EXPECT_EQ(ra.pc, rb.pc);
         EXPECT_EQ(ra.cls, rb.cls);
         EXPECT_EQ(ra.memAddr, rb.memAddr);
         EXPECT_EQ(ra.taken, rb.taken);
     }
-    EXPECT_FALSE(b.next(rb));
+    EXPECT_FALSE(test::nextRecord(b, rb));
 }
 
 TEST(RandomTraceSourceTest, DifferentSeedsDiffer)
@@ -222,32 +197,11 @@ TEST(RandomTraceSourceTest, DifferentSeedsDiffer)
     RandomTraceSource a(pa), b(pb);
     InstRecord ra, rb;
     int differences = 0;
-    while (a.next(ra) && b.next(rb)) {
+    while (test::nextRecord(a, ra) && test::nextRecord(b, rb)) {
         if (ra.cls != rb.cls || ra.memAddr != rb.memAddr)
             ++differences;
     }
     EXPECT_GT(differences, 0);
-}
-
-TEST(RandomTraceSourceTest, ResetReproducesTheTrace)
-{
-    RandomTraceParams p;
-    p.numInsts = 300;
-    p.seed = 5;
-    RandomTraceSource src(p);
-    std::vector<InstRecord> first;
-    InstRecord r;
-    while (src.next(r))
-        first.push_back(r);
-    EXPECT_TRUE(src.reset());
-    size_t i = 0;
-    while (src.next(r)) {
-        ASSERT_LT(i, first.size());
-        EXPECT_EQ(r.pc, first[i].pc);
-        EXPECT_EQ(r.cls, first[i].cls);
-        ++i;
-    }
-    EXPECT_EQ(i, first.size());
 }
 
 /** Property sweep over generator mixes: class fractions track params. */
@@ -267,9 +221,8 @@ TEST_P(RandomTraceMixTest, ClassFractionsTrackParameters)
     p.pFp = 0.0;
     p.pIntMul = 0.0;
     RandomTraceSource src(p);
-    InstRecord r;
     uint64_t loads = 0, stores = 0, branches = 0, n = 0;
-    while (src.next(r)) {
+    for (const InstRecord &r : test::drain(src)) {
         ++n;
         loads += r.cls == InstClass::Load;
         stores += r.cls == InstClass::Store;
@@ -293,26 +246,11 @@ TEST(VectorTraceSourceTest, NextBatchDrainsInChunks)
     std::vector<InstRecord> recs(10, test::alu(1));
     VectorTraceSource src(recs);
     InstRecord buf[4];
-    EXPECT_EQ(src.nextBatch(buf, 4), 4u);
-    EXPECT_EQ(src.nextBatch(buf, 4), 4u);
-    EXPECT_EQ(src.nextBatch(buf, 4), 2u);   // partial final batch
-    EXPECT_EQ(src.nextBatch(buf, 4), 0u);   // exhausted
-}
-
-TEST(VectorTraceSourceTest, NextBatchInterleavesWithNext)
-{
-    VectorTraceSource src({test::alu(1), test::alu(2), test::alu(3),
-                           test::alu(4)});
-    InstRecord r;
-    ASSERT_TRUE(src.next(r));
-    EXPECT_EQ(r.dstReg, 1);
-    InstRecord buf[2];
-    ASSERT_EQ(src.nextBatch(buf, 2), 2u);
-    EXPECT_EQ(buf[0].dstReg, 2);
-    EXPECT_EQ(buf[1].dstReg, 3);
-    ASSERT_TRUE(src.next(r));
-    EXPECT_EQ(r.dstReg, 4);
-    EXPECT_FALSE(src.next(r));
+    const InstRecord *span = nullptr;
+    EXPECT_EQ(src.nextSpan(span, buf, 4), 4u);
+    EXPECT_EQ(src.nextSpan(span, buf, 4), 4u);
+    EXPECT_EQ(src.nextSpan(span, buf, 4), 2u);   // partial final span
+    EXPECT_EQ(src.nextSpan(span, buf, 4), 0u);   // exhausted
 }
 
 TEST(VectorTraceSourceTest, NextSpanBorrowsWithoutCopying)
@@ -334,15 +272,11 @@ TEST(RandomTraceSourceTest, NextBatchMatchesNext)
     RandomTraceParams p;
     p.numInsts = 1000;
     p.seed = 3;
+    // Spans of 77 records give the records of one-record spans.
     RandomTraceSource a(p), b(p);
-    std::vector<InstRecord> viaNext;
-    InstRecord r;
-    while (a.next(r))
-        viaNext.push_back(r);
-    std::vector<InstRecord> viaBatch(p.numInsts + 10);
-    size_t got = 0, n = 0;
-    while ((got = b.nextBatch(viaBatch.data() + n, 77)) != 0)
-        n += got;
+    const std::vector<InstRecord> viaNext = test::drain(a, SIZE_MAX, 1);
+    const std::vector<InstRecord> viaBatch = test::drain(b, SIZE_MAX, 77);
+    const size_t n = viaBatch.size();
     ASSERT_EQ(n, viaNext.size());
     for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(viaBatch[i].pc, viaNext[i].pc);
@@ -357,11 +291,11 @@ TEST(AnalysisEngineTest, BatchedRunMatchesPerRecordCounts)
     for (size_t bs : {size_t(1), size_t(3), size_t(100),
                       AnalysisEngine::kDefaultBatchSize}) {
         std::vector<InstRecord> recs(101, test::alu(1));
-        VectorTraceSource src(recs);
+        VectorTraceSource vec(recs);
+        test::CappedSpans src(vec, bs);
         CountingAnalyzer a;
         AnalysisEngine eng;
         eng.add(&a);
-        eng.setBatchSize(bs);
         EXPECT_EQ(eng.run(src), 101u) << "batch=" << bs;
         EXPECT_EQ(a.accepts, 101) << "batch=" << bs;
         EXPECT_EQ(a.finishes, 1) << "batch=" << bs;
@@ -371,69 +305,39 @@ TEST(AnalysisEngineTest, BatchedRunMatchesPerRecordCounts)
 TEST(AnalysisEngineTest, BatchedBudgetCutsMidBatch)
 {
     std::vector<InstRecord> recs(100, test::alu(1));
-    VectorTraceSource src(recs);
+    VectorTraceSource vec(recs);
+    test::CappedSpans src(vec, 8);
     CountingAnalyzer a;
     AnalysisEngine eng;
     eng.add(&a);
-    eng.setBatchSize(8);
     EXPECT_EQ(eng.run(src, 42), 42u);   // 42 is not a multiple of 8
     EXPECT_EQ(a.accepts, 42);
 }
 
-TEST(AnalysisEngineTest, ZeroBatchSizeClampsToOne)
-{
-    AnalysisEngine eng;
-    eng.setBatchSize(0);
-    EXPECT_EQ(eng.batchSize(), 1u);
-    std::vector<InstRecord> recs(5, test::alu(1));
-    VectorTraceSource src(recs);
-    CountingAnalyzer a;
-    eng.add(&a);
-    EXPECT_EQ(eng.run(src), 5u);
-    EXPECT_EQ(a.accepts, 5);
-}
-
-TEST(AnalysisEngineTest, RunPerRecordIsTheReferencePath)
-{
-    std::vector<InstRecord> recs(57, test::alu(1));
-    VectorTraceSource src(recs);
-    CountingAnalyzer a;
-    AnalysisEngine eng;
-    eng.add(&a);
-    EXPECT_EQ(eng.runPerRecord(src), 57u);
-    EXPECT_EQ(a.accepts, 57);
-    EXPECT_EQ(a.finishes, 1);
-}
-
-/** Records how accept/acceptBatch were invoked. */
+/** Records the size of every span acceptBatch was given. */
 class BatchSpyAnalyzer : public TraceAnalyzer
 {
   public:
-    void accept(const InstRecord &) override { ++singles; }
-
     void
-    acceptBatch(const InstRecord *recs, size_t n) override
+    acceptBatch(const InstRecord *, size_t n) override
     {
         batchSizes.push_back(n);
-        TraceAnalyzer::acceptBatch(recs, n);
     }
 
-    int singles = 0;
     std::vector<size_t> batchSizes;
 };
 
 TEST(AnalysisEngineTest, BatchedRunDeliversSpans)
 {
     std::vector<InstRecord> recs(10, test::alu(1));
-    VectorTraceSource src(recs);
+    VectorTraceSource vec(recs);
+    test::CappedSpans src(vec, 4);
     BatchSpyAnalyzer a;
     AnalysisEngine eng;
     eng.add(&a);
-    eng.setBatchSize(4);
-    eng.run(src);
+    EXPECT_EQ(eng.run(src), 10u);
+    // The source's spans reach the analyzer as they were lent.
     EXPECT_EQ(a.batchSizes, (std::vector<size_t>{4, 4, 2}));
-    // The default acceptBatch forwarded every record to accept().
-    EXPECT_EQ(a.singles, 10);
 }
 
 TEST(RandomTraceSourceTest, FootprintBoundsDataAddresses)
@@ -442,8 +346,7 @@ TEST(RandomTraceSourceTest, FootprintBoundsDataAddresses)
     p.numInsts = 20000;
     p.dataFootprint = 4096;
     RandomTraceSource src(p);
-    InstRecord r;
-    while (src.next(r)) {
+    for (const InstRecord &r : test::drain(src)) {
         if (r.isMem()) {
             EXPECT_GE(r.memAddr, RandomTraceSource::kDataBase);
             EXPECT_LT(r.memAddr,

@@ -3,8 +3,8 @@
  * Tests for file-backed trace recording and replay: the binary format
  * round trip (v2 as written, v1 from the test-only writer, bit for
  * bit), writer atomicity, rejection of corrupt, truncated and
- * version-mismatched files, the RecordingSource tee, the
- * next()/nextBatch()/nextSpan() prefix contract across every source,
+ * version-mismatched files, the RecordingSource tee, the span
+ * contract across every source (any cut gives the same records),
  * text traces, trace-directory benchmark surfacing, and the
  * load-bearing contract of the whole subsystem: replaying a recorded
  * trace produces profiles byte-identical to interpreting the program
@@ -82,12 +82,7 @@ sampleRecords(uint64_t n, uint64_t seed = 7)
     p.numInsts = n;
     p.seed = seed;
     RandomTraceSource src(p);
-    std::vector<InstRecord> out;
-    out.reserve(n);
-    InstRecord r;
-    while (src.next(r))
-        out.push_back(r);
-    return out;
+    return test::drain(src);
 }
 
 /** Write @p recs with the library writer (format v2). */
@@ -169,10 +164,10 @@ TEST(TraceFileTest, RoundTripsBitForBitInBothFormats)
         EXPECT_EQ(src.recordCount(), recs.size());
         InstRecord a;
         for (size_t i = 0; i < recs.size(); ++i) {
-            ASSERT_TRUE(src.next(a)) << path << " " << i;
+            ASSERT_TRUE(test::nextRecord(src, a)) << path << " " << i;
             EXPECT_TRUE(sameRec(a, recs[i])) << path << " " << i;
         }
-        EXPECT_FALSE(src.next(a));
+        EXPECT_FALSE(test::nextRecord(src, a));
     }
 }
 
@@ -196,27 +191,7 @@ TEST(TraceFileTest, EmptyTraceRoundTrips)
     EXPECT_EQ(probeTraceFile(path).recordCount, 0u);
     FileTraceSource src(path);
     InstRecord r;
-    EXPECT_FALSE(src.next(r));
-}
-
-TEST(TraceFileTest, ResetRewindsInBothFormats)
-{
-    TmpDir tmp;
-    const auto recs = sampleRecords(6000);
-    for (const std::string &path :
-         {writeTraceV1(tmp, recs), writeTrace(tmp, recs)}) {
-        FileTraceSource src(path);
-        InstRecord r;
-        for (int i = 0; i < 4999; ++i)
-            ASSERT_TRUE(src.next(r));
-        EXPECT_TRUE(src.reset());
-        size_t n = 0;
-        while (src.next(r)) {
-            ASSERT_TRUE(sameRec(r, recs[n])) << path;
-            ++n;
-        }
-        EXPECT_EQ(n, recs.size()) << path;
-    }
+    EXPECT_FALSE(test::nextRecord(src, r));
 }
 
 TEST(TraceFileTest, SpansStopAtChunkBoundariesButNeverReturnZeroMidTrace)
@@ -272,7 +247,7 @@ TEST(TraceFileTest, ChunkCountPatchedAfterOpenRejects)
         const uint32_t huge = 0xFFFFFFFFu;
         patchBytes(path, 48 + 4, &huge, sizeof(huge));
         InstRecord r;
-        expectReject([&] { src.next(r); },
+        expectReject([&] { test::nextRecord(src, r); },
                      "corrupt chunk header at payload offset 0");
     }
 }
@@ -296,13 +271,14 @@ TEST(TraceV2Test, RoundTripsThroughTheStreamedReader)
     FileTraceSource streamed(path);
     InstRecord r;
     size_t n = 0;
-    while (streamed.next(r)) {
+    while (test::nextRecord(streamed, r)) {
         ASSERT_TRUE(sameRec(r, recs[n])) << n;
         ++n;
     }
     EXPECT_EQ(n, recs.size());
-    EXPECT_TRUE(streamed.reset());
-    EXPECT_TRUE(streamed.next(r));
+    // A source is single-pass: a second one reads the file again.
+    FileTraceSource again(path);
+    EXPECT_TRUE(test::nextRecord(again, r));
     EXPECT_TRUE(sameRec(r, recs[0]));
 }
 
@@ -327,7 +303,7 @@ TEST(TraceV2Test, EmptyTraceRoundTrips)
     EXPECT_EQ(info.recordCount, 0u);
     FileTraceSource streamed(path);
     InstRecord r;
-    EXPECT_FALSE(streamed.next(r));
+    EXPECT_FALSE(test::nextRecord(streamed, r));
 }
 
 TEST(TraceV2Test, ConvertUpgradesV1AndReencodesV2)
@@ -358,11 +334,8 @@ TEST(TraceV2Test, ConvertUpgradesV1AndReencodesV2)
 
     // Canonical records: writing the upgraded file's records back as
     // v1 reproduces the original file bit for bit.
-    std::vector<InstRecord> back;
     FileTraceSource in(tmp.file("conv.trace"));
-    InstRecord r;
-    while (in.next(r))
-        back.push_back(r);
+    const std::vector<InstRecord> back = test::drain(in);
     EXPECT_EQ(fileBytes(writeTraceV1(tmp, back, "back.trace")),
               fileBytes(v1));
 }
@@ -574,94 +547,55 @@ TEST(RecordingSourceTest, TeesEveryConsumedRecordExactlyOnce)
         TraceFileWriter w(path);
         RecordingSource tee(inner, w);
 
-        // Mixed consumption: next, nextBatch, nextSpan, then drain.
+        // Mixed span sizes: one record, 10, 25, then drain.
         InstRecord r;
         InstRecord buf[64];
         const InstRecord *span = nullptr;
-        ASSERT_TRUE(tee.next(r));
+        ASSERT_TRUE(test::nextRecord(tee, r));
         EXPECT_TRUE(sameRec(r, recs[0]));
-        ASSERT_EQ(tee.nextBatch(buf, 10), 10u);
+        ASSERT_EQ(tee.nextSpan(span, buf, 10), 10u);
         ASSERT_EQ(tee.nextSpan(span, buf, 25), 25u);
-        while (tee.next(r)) {
-        }
+        test::drain(tee);
         EXPECT_EQ(w.recordCount(), recs.size());
         w.close();
     }
     FileTraceSource replay(path);
     InstRecord r;
     size_t i = 0;
-    while (replay.next(r)) {
+    while (test::nextRecord(replay, r)) {
         ASSERT_TRUE(sameRec(r, recs[i])) << i;
         ++i;
     }
     EXPECT_EQ(i, recs.size());
 }
 
-TEST(RecordingSourceTest, IsSinglePass)
-{
-    TmpDir tmp;
-    VectorTraceSource inner(sampleRecords(10));
-    TraceFileWriter w(tmp.file("x.trace"));
-    RecordingSource tee(inner, w);
-    InstRecord r;
-    tee.next(r);
-    EXPECT_FALSE(tee.reset());     // a rewind would re-record
-    w.abort();
-}
-
 // ----------------------------------------------------------------------
-// The prefix contract: next / nextBatch / nextSpan interleave onto
-// one stream, same records, same order — for every source.
+// The prefix contract: however a consumer cuts a source into spans,
+// it sees one stream, same records, same order — for every source.
 // ----------------------------------------------------------------------
 
-/** Drain a source through a fixed mixed-call schedule. */
+/** Drain a source through a schedule of caps that varies per call. */
 std::vector<InstRecord>
 drainInterleaved(TraceSource &src, size_t cap)
 {
+    static const size_t kCaps[] = {1, 7, 53, 97};
     std::vector<InstRecord> out;
     InstRecord buf[97];
     const InstRecord *span = nullptr;
-    int phase = 0;
-    while (out.size() < cap) {
-        size_t got = 0;
-        switch (phase % 4) {
-          case 0: {
-            InstRecord r;
-            if (src.next(r)) {
-                out.push_back(r);
-                got = 1;
-            }
+    for (size_t call = 0; out.size() < cap; ++call) {
+        const size_t got = src.nextSpan(span, buf, kCaps[call % 4]);
+        if (got == 0)
             break;
-          }
-          case 1:
-            got = src.nextBatch(buf, 7);
-            out.insert(out.end(), buf, buf + got);
-            break;
-          case 2:
-            got = src.nextSpan(span, buf, 53);
-            out.insert(out.end(), span, span + got);
-            break;
-          case 3:
-            got = src.nextBatch(buf, 97);
-            out.insert(out.end(), buf, buf + got);
-            break;
-        }
-        if (got == 0 && phase % 4 == 0)
-            break;      // next() said end-of-trace: done
-        ++phase;
+        out.insert(out.end(), span, span + got);
     }
     return out;
 }
 
-/** Drain a source via next() only. */
+/** Drain a source in one-record spans, the reference cut. */
 std::vector<InstRecord>
 drainPlain(TraceSource &src, size_t cap)
 {
-    std::vector<InstRecord> out;
-    InstRecord r;
-    while (out.size() < cap && src.next(r))
-        out.push_back(r);
-    return out;
+    return test::drain(src, cap, 1);
 }
 
 void
@@ -779,15 +713,15 @@ TEST(TraceBenchmarksTest, EntrySourcesReadEveryFormat)
     InstRecord r;
     for (size_t i = 0; i < 2; ++i) {
         auto src = entries[i].source();
-        ASSERT_TRUE(src->next(r));
+        ASSERT_TRUE(test::nextRecord(*src, r));
         EXPECT_TRUE(sameRec(r, recs[0]));
     }
     auto text = entries[2].source();
-    ASSERT_TRUE(text->next(r));
+    ASSERT_TRUE(test::nextRecord(*text, r));
     EXPECT_EQ(r.cls, InstClass::IntAlu);
-    ASSERT_TRUE(text->next(r));
+    ASSERT_TRUE(test::nextRecord(*text, r));
     EXPECT_EQ(r.cls, InstClass::Load);
-    EXPECT_FALSE(text->next(r));
+    EXPECT_FALSE(test::nextRecord(*text, r));
 }
 
 // ----------------------------------------------------------------------
@@ -817,7 +751,7 @@ TEST(TraceBenchmarksTest, SurfacesNamesAndRegistryOrder)
         ASSERT_TRUE(static_cast<bool>(e.source));
         auto src = e.source();
         InstRecord r;
-        EXPECT_TRUE(src->next(r));
+        EXPECT_TRUE(test::nextRecord(*src, r));
     }
 }
 
@@ -862,7 +796,7 @@ TEST(TraceBenchmarksTest, FindsOneBenchmarksFileAndReplaysIt)
     auto src = entries[0].source();
     InstRecord r;
     size_t n = 0;
-    while (src->next(r))
+    while (test::nextRecord(*src, r))
         ++n;
     EXPECT_EQ(n, 500u);
 
@@ -1087,27 +1021,25 @@ TEST(TraceReplayTest, ReplayedProfilesMatchInterpreterBitForBit)
 
         isa::Interpreter direct(prog);
         const MicaProfile ref = collectMicaProfile(direct, name, rc);
-        direct.reset();
+        isa::Interpreter directHpc(prog);
         const auto hpcRef =
-            uarch::collectHwProfile(direct, name, rc.maxInsts);
+            uarch::collectHwProfile(directHpc, name, rc.maxInsts);
 
         for (const std::string &path : {v1, v2}) {
             FileTraceSource src(path);
             expectProfilesIdentical(collectMicaProfile(src, name, rc),
                                     ref);
 
-            // The per-record reference engine path sees the same
-            // stream.
-            MicaRunnerConfig perRecord = rc;
-            perRecord.engineBatch = 0;
-            ASSERT_TRUE(src.reset());
-            expectProfilesIdentical(
-                collectMicaProfile(src, name, perRecord), ref);
+            // The per-record reference cut sees the same stream.
+            FileTraceSource again(path);
+            test::CappedSpans oneByOne(again, 1);
+            expectProfilesIdentical(collectMicaProfile(oneByOne, name, rc),
+                                    ref);
 
             // And the HPC characterization.
-            ASSERT_TRUE(src.reset());
+            FileTraceSource forHpc(path);
             const auto hpcReplay =
-                uarch::collectHwProfile(src, name, rc.maxInsts);
+                uarch::collectHwProfile(forHpc, name, rc.maxInsts);
             const auto va = hpcRef.toVector(), vb = hpcReplay.toVector();
             ASSERT_EQ(va.size(), vb.size());
             for (size_t i = 0; i < va.size(); ++i)

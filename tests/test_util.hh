@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +17,7 @@
 
 #include "trace/inst_record.hh"
 #include "trace/synthetic.hh"
+#include "trace/trace_source.hh"
 
 namespace mica::test
 {
@@ -85,14 +87,63 @@ branch(uint64_t pc, bool taken)
     return b;
 }
 
-/** Run one analyzer over a record vector (accept + finish). */
+/** Run one analyzer over a record vector (acceptBatch + finish). */
 template <typename Analyzer>
 void
 feed(Analyzer &a, const std::vector<InstRecord> &recs)
 {
-    for (const auto &r : recs)
-        a.accept(r);
+    a.acceptBatch(recs.data(), recs.size());
     a.finish();
+}
+
+/**
+ * Lends at most cap records per nextSpan of @p inner, whatever the
+ * consumer asks for: cap 1 is the per-record reference path.
+ */
+class CappedSpans : public TraceSource
+{
+  public:
+    CappedSpans(TraceSource &inner, size_t cap) : inner_(inner), cap_(cap)
+    {}
+
+    size_t
+    nextSpan(const InstRecord *&span, InstRecord *buf, size_t n) override
+    {
+        return inner_.nextSpan(span, buf, std::min(n, cap_));
+    }
+
+    void finish() override { inner_.finish(); }
+
+  private:
+    TraceSource &inner_;
+    size_t cap_;
+};
+
+/** Pull one record into @p rec. @return false at the end of the trace. */
+inline bool
+nextRecord(TraceSource &src, InstRecord &rec)
+{
+    const InstRecord *span = nullptr;
+    if (src.nextSpan(span, &rec, 1) == 0)
+        return false;
+    if (span != &rec)
+        rec = *span;
+    return true;
+}
+
+/** Every record of @p src, at most @p max, pulled in spans of @p cap. */
+inline std::vector<InstRecord>
+drain(TraceSource &src, size_t max = SIZE_MAX, size_t cap = 1024)
+{
+    std::vector<InstRecord> out;
+    std::vector<InstRecord> buf(cap);
+    const InstRecord *span = nullptr;
+    size_t got = 0;
+    while (out.size() < max &&
+           (got = src.nextSpan(span, buf.data(),
+                               std::min(cap, max - out.size()))) != 0)
+        out.insert(out.end(), span, span + got);
+    return out;
 }
 
 /** The comma-separated cells of every line of @p path, header first. */

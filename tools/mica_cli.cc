@@ -219,6 +219,12 @@ cmdProfile(const util::CliArgs &args,
                      hpc ? "hpc" : "profile");
         return 2;
     }
+    if (args.has("csv") && target != "all") {
+        std::fprintf(stderr, "mica %s: --csv dumps 'all', not one "
+                             "benchmark\n",
+                     hpc ? "hpc" : "profile");
+        return 2;
+    }
 
     if (target == "all") {
         experiments::DatasetConfig runCfg = cfg;
